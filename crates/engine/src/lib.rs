@@ -7,7 +7,7 @@
 //! an ideal memoization target for a service that sees the same programs
 //! over and over (editors re-checking a buffer, CI re-analyzing a corpus,
 //! a compiler farm).  All memoized state lives in one content-addressed
-//! [`SummaryStore`] with three typed namespaces, each keyed by stable
+//! [`SummaryStore`] with four typed namespaces, each keyed by stable
 //! fingerprints of the normalized AST (`sil_lang::hash`):
 //!
 //! * **program namespace** — whole [`AnalysisResult`]s keyed by the
@@ -21,7 +21,11 @@
 //!   whole-program entry misses;
 //! * **walk-record namespace** — the interprocedural fixpoint's recorded
 //!   body walks, keyed by cone fingerprint, which make re-analysis of
-//!   edited programs incremental.
+//!   edited programs incremental;
+//! * **product namespace** — what parallelization derives from a program
+//!   ([`ParallelProduct`]: transform count, printed parallel source,
+//!   verifier violations), keyed by the program fingerprint, so a warm
+//!   [`Engine::process`] packs and verifies nothing.
 //!
 //! An [`Engine`] is a *view* over an `Arc<SummaryStore>`: several engines
 //! (the shards of a [`service::ShardedService`], for instance) can share
@@ -64,7 +68,8 @@ pub use service::{
 };
 pub use store::{
     AdaptConfig, CacheStats, DiskStats, DurableConfig, DurableTier, EvictionPolicy, Namespace,
-    NamespaceCache, NamespaceStats, PolicyChoice, StoreConfig, StoreStats, SummaryStore,
+    NamespaceCache, NamespaceStats, ParallelProduct, PolicyChoice, StoreConfig, StoreStats,
+    SummaryStore,
 };
 
 use rayon::prelude::*;
@@ -80,7 +85,7 @@ use sil_runtime::{Interpreter, RunConfig};
 use silobs::{Counter, RawMetrics, Registry, ShardedHistogram, Tracer};
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Engine construction parameters.  The cache-shaped fields describe the
 /// [`SummaryStore`] an [`Engine::new`] builds for itself; an engine
@@ -226,6 +231,46 @@ pub struct AnalyzedProgram {
     pub incremental: Option<IncrementalStats>,
 }
 
+/// A program that passed the front end, paired with the content
+/// fingerprint that addresses everything the store derives from it.  The
+/// fingerprint is computed here and nowhere else on a request's path, so a
+/// request pays for one front-end pass and one hash however many layers
+/// (shard routing, the program namespace, the product namespace) key off it
+/// — and no caller can file an entry under a fingerprint that is not its
+/// content's.
+#[derive(Debug)]
+pub struct Normalized {
+    program: Program,
+    types: ProgramTypes,
+    fingerprint: u64,
+}
+
+impl Normalized {
+    /// Fingerprint an already-normalized, type-checked program.
+    pub fn new(program: Program, types: ProgramTypes) -> Normalized {
+        Normalized {
+            fingerprint: program_fingerprint(&program),
+            program,
+            types,
+        }
+    }
+
+    /// Run the front end over `src` (under a `parse` span) and fingerprint
+    /// the result.
+    pub fn parse(tracer: &Tracer, src: &str) -> Result<Normalized, SilError> {
+        let parsed = {
+            let _span = tracer.start("parse");
+            frontend(src)
+        };
+        parsed.map(|(program, types)| Normalized::new(program, types))
+    }
+
+    /// Content fingerprint of the normalized program.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+}
+
 /// Why a request failed.
 #[derive(Debug)]
 pub enum EngineError {
@@ -352,6 +397,7 @@ pub fn export_store_metrics(stats: &StoreStats, raw: &mut RawMetrics) {
         ("programs", &stats.programs),
         ("summaries", &stats.summaries),
         ("walks", &stats.walks),
+        ("products", &stats.products),
     ] {
         raw.push_counter(&format!("store.{name}.hits"), namespace.totals.hits);
         raw.push_counter(&format!("store.{name}.misses"), namespace.totals.misses);
@@ -524,15 +570,22 @@ impl Engine {
         &self,
         src: &str,
     ) -> Result<(Arc<AnalyzedProgram>, bool), EngineError> {
-        let parsed = {
-            let _span = self.tracer.start("parse");
-            frontend(src)
-        };
-        let (program, types) = parsed?;
-        Ok(self.analyze_normalized(program, types))
+        Ok(self.analyze(Normalized::parse(&self.tracer, src)?))
     }
 
-    /// Analyze an already-normalized, type-checked program.
+    /// Analyze an already-normalized, type-checked program (fingerprinting
+    /// it first; callers that hold a [`Normalized`] use
+    /// [`Engine::analyze`]).
+    pub fn analyze_normalized(
+        &self,
+        program: Program,
+        types: ProgramTypes,
+    ) -> (Arc<AnalyzedProgram>, bool) {
+        self.analyze(Normalized::new(program, types))
+    }
+
+    /// Analyze a program that already went through the front end, also
+    /// reporting whether the program namespace served it.
     ///
     /// On a program-cache miss the analysis is (with
     /// [`EngineConfig::incremental`]) seeded from the walk records of every
@@ -540,12 +593,12 @@ impl Engine {
     /// those were produced through this engine or any other view of the
     /// same store — so an edited variant of a cached program only
     /// re-analyzes the edit's stale cone.
-    pub fn analyze_normalized(
-        &self,
-        program: Program,
-        types: ProgramTypes,
-    ) -> (Arc<AnalyzedProgram>, bool) {
-        let fingerprint = program_fingerprint(&program);
+    pub fn analyze(&self, normalized: Normalized) -> (Arc<AnalyzedProgram>, bool) {
+        let Normalized {
+            program,
+            types,
+            fingerprint,
+        } = normalized;
         let looked_up = {
             let _span = self.tracer.start("store-lookup");
             self.store.lookup_program(fingerprint)
@@ -555,8 +608,12 @@ impl Engine {
             return (hit, true);
         }
         self.view.programs.miss();
-        let graph = CallGraph::of_program(&program);
-        let summaries = self.summaries_for(&program, &types, &graph);
+        let (graph, summaries) = {
+            let _span = self.tracer.start("summaries");
+            let graph = CallGraph::of_program(&program);
+            let summaries = self.summaries_for(&program, &types, &graph);
+            (graph, summaries)
+        };
 
         let (analysis, incremental) = if self.config.incremental {
             let cones = graph.cone_fingerprints(&program);
@@ -663,6 +720,19 @@ impl Engine {
         (entry, false)
     }
 
+    /// [`Engine::analyze`] for the paths that go on to answer with the
+    /// analysis digest: a fresh analysis renders it here (it is memoized
+    /// from then on), under a `digest` span, so a cold request's trace
+    /// accounts for the rendering instead of showing a gap.
+    pub(crate) fn analyze_digested(&self, normalized: Normalized) -> (Arc<AnalyzedProgram>, bool) {
+        let (entry, cache_hit) = self.analyze(normalized);
+        if !cache_hit {
+            let _span = self.tracer.start("digest");
+            entry.analysis.digest();
+        }
+        (entry, cache_hit)
+    }
+
     /// Argument-mode summaries for every procedure, reusing cached per-SCC
     /// results and computing the misses level-by-level, independent SCCs of
     /// one level in parallel.
@@ -738,24 +808,41 @@ impl Engine {
         computed
     }
 
+    /// Map `op` over `items` in input order — across rayon when the engine
+    /// is [`EngineConfig::parallel`] and there is more than one item.
+    fn fan_out<T: Send, R: Send>(&self, items: Vec<T>, op: impl Fn(T) -> R + Sync) -> Vec<R> {
+        if !self.config.parallel || items.len() < 2 {
+            return items.into_iter().map(op).collect();
+        }
+        // Pool workers have no thread-local trace context of their own;
+        // forward this thread's so their spans stay in the request's tree.
+        let ctx = silobs::current_context();
+        // The pool only lends items out; each task empties its own slot.
+        let slots: Vec<Mutex<Option<T>>> = items
+            .into_iter()
+            .map(|item| Mutex::new(Some(item)))
+            .collect();
+        slots
+            .par_iter()
+            .map(|slot| {
+                let item = slot
+                    .lock()
+                    .expect("a fan-out slot is locked once, by the task that empties it")
+                    .take()
+                    .expect("every fan-out slot is visited exactly once");
+                silobs::with_context_opt(ctx, || op(item))
+            })
+            .collect()
+    }
+
     /// Analyze a batch of programs.  With [`EngineConfig::parallel`] the
     /// batch fans out across rayon; results come back in input order.
     pub fn analyze_batch<S: AsRef<str> + Sync>(
         &self,
         sources: &[S],
     ) -> Vec<Result<Arc<AnalyzedProgram>, EngineError>> {
-        if self.config.parallel && sources.len() > 1 {
-            let ctx = silobs::current_context();
-            sources
-                .par_iter()
-                .map(|src| silobs::with_context_opt(ctx, || self.analyze_source(src.as_ref())))
-                .collect()
-        } else {
-            sources
-                .iter()
-                .map(|src| self.analyze_source(src.as_ref()))
-                .collect()
-        }
+        let sources: Vec<&str> = sources.iter().map(AsRef::as_ref).collect();
+        self.fan_out(sources, |src| self.analyze_source(src))
     }
 
     /// Run the full pipeline over one program: analyze (cached), then per
@@ -768,7 +855,24 @@ impl Engine {
         src: &str,
         options: &ProcessOptions,
     ) -> Result<ProgramReport, EngineError> {
-        let (entry, cache_hit) = self.analyze_source_traced(src)?;
+        self.process_normalized(Normalized::parse(&self.tracer, src)?, options)
+    }
+
+    /// [`Engine::process`] for a program that already went through the
+    /// front end.
+    ///
+    /// Everything parallelization derives from the program is a pure
+    /// function of its content, so it lives in the store's product
+    /// namespace under the program fingerprint: a warm request packs,
+    /// prints, re-parses and verifies nothing (only `execute` re-parses
+    /// the printed text, next to an interpreter run a thousand times its
+    /// cost).
+    pub fn process_normalized(
+        &self,
+        normalized: Normalized,
+        options: &ProcessOptions,
+    ) -> Result<ProgramReport, EngineError> {
+        let (entry, cache_hit) = self.analyze_digested(normalized);
         let analysis = &entry.analysis;
         let structure = analysis
             .procedure("main")
@@ -797,30 +901,51 @@ impl Engine {
             parallel_execution: None,
         };
 
+        // The parallel program's AST, re-parsed from the product's printed
+        // text at most once per request and only when something needs it.
         let mut parallel_frontend: Option<(Program, ProgramTypes)> = None;
         if options.parallelize {
-            // Reuse the (possibly cached) analysis instead of letting the
-            // packer recompute it — on a warm hit the whole parallelization
-            // step costs only the packing walk.
-            let (parallel, transform_report) = pack_program_with_analysis(
-                &entry.program,
-                &entry.types,
-                analysis,
-                &PackOptions::default(),
-            );
-            report.transforms = Some(transform_report.count());
-            let printed = pretty_program(&parallel);
-            let reparsed = frontend(&printed)?;
+            let looked_up = {
+                let _span = self.tracer.start("product-lookup");
+                self.store.products().get(entry.fingerprint)
+            };
+            let product = match looked_up {
+                Some(product) => product,
+                None => {
+                    let product = self.parallelize(&entry);
+                    // A printed program the front end rejects is an error
+                    // for this request, never a cached product.
+                    self.reparsed(&mut parallel_frontend, &product.parallel_source)?;
+                    self.store
+                        .products()
+                        .insert(entry.fingerprint, product.clone());
+                    product
+                }
+            };
+            report.transforms = Some(product.transforms);
             if options.verify {
-                report.violations = verify_parallel_program(&reparsed.0, &reparsed.1)
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect();
+                report.violations = match product.violations() {
+                    Some(violations) => violations.to_vec(),
+                    None => {
+                        let (program, types) =
+                            self.reparsed(&mut parallel_frontend, &product.parallel_source)?;
+                        let found = {
+                            let _span = self.tracer.start("verify");
+                            verify_parallel_program(program, types)
+                                .iter()
+                                .map(|v| v.to_string())
+                                .collect()
+                        };
+                        product.record_violations(found).to_vec()
+                    }
+                };
+            }
+            if options.execute {
+                self.reparsed(&mut parallel_frontend, &product.parallel_source)?;
             }
             if options.emit_parallel_source {
-                report.parallel_source = Some(printed);
+                report.parallel_source = Some(product.parallel_source.clone());
             }
-            parallel_frontend = Some(reparsed);
         }
 
         if options.execute {
@@ -837,24 +962,60 @@ impl Engine {
         Ok(report)
     }
 
+    /// Derive a program's [`ParallelProduct`]; its violations are left for
+    /// the first request that verifies.
+    fn parallelize(&self, entry: &AnalyzedProgram) -> Arc<ParallelProduct> {
+        // Reuse the (possibly cached) analysis instead of letting the
+        // packer recompute it.
+        let (parallel, transform_report) = {
+            let _span = self.tracer.start("pack");
+            pack_program_with_analysis(
+                &entry.program,
+                &entry.types,
+                &entry.analysis,
+                &PackOptions::default(),
+            )
+        };
+        let _span = self.tracer.start("pretty");
+        Arc::new(ParallelProduct::new(
+            transform_report.count(),
+            pretty_program(&parallel),
+        ))
+    }
+
+    /// The parallel program behind `printed`, through the front end on
+    /// first use (under a `reparse` span) and from `slot` afterwards.
+    fn reparsed<'s>(
+        &self,
+        slot: &'s mut Option<(Program, ProgramTypes)>,
+        printed: &str,
+    ) -> Result<(&'s Program, &'s ProgramTypes), EngineError> {
+        if slot.is_none() {
+            let _span = self.tracer.start("reparse");
+            *slot = Some(frontend(printed)?);
+        }
+        let (program, types) = slot.as_ref().expect("filled above");
+        Ok((program, types))
+    }
+
     /// [`Engine::process`] over a batch, fanning out across rayon.
     pub fn process_batch<S: AsRef<str> + Sync>(
         &self,
         sources: &[S],
         options: &ProcessOptions,
     ) -> Vec<Result<ProgramReport, EngineError>> {
-        if self.config.parallel && sources.len() > 1 {
-            let ctx = silobs::current_context();
-            sources
-                .par_iter()
-                .map(|src| silobs::with_context_opt(ctx, || self.process(src.as_ref(), options)))
-                .collect()
-        } else {
-            sources
-                .iter()
-                .map(|src| self.process(src.as_ref(), options))
-                .collect()
-        }
+        let sources: Vec<&str> = sources.iter().map(AsRef::as_ref).collect();
+        self.fan_out(sources, |src| self.process(src, options))
+    }
+
+    /// [`Engine::process_batch`] for sources that already went through the
+    /// front end; a source that failed it yields its error in place.
+    pub fn process_normalized_batch(
+        &self,
+        items: Vec<Result<Normalized, SilError>>,
+        options: &ProcessOptions,
+    ) -> Vec<Result<ProgramReport, EngineError>> {
+        self.fan_out(items, |item| self.process_normalized(item?, options))
     }
 
     /// This engine's view counters (lookups made through *this* engine).

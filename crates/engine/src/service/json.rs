@@ -408,13 +408,20 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8).
+                    // Copy the whole run up to the next byte that needs
+                    // attention.  `"`, `\` and control bytes are ASCII, so
+                    // the run starts and ends on scalar boundaries of the
+                    // (valid UTF-8) input; validating only the run keeps
+                    // decoding linear in line length.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid utf-8"))?;
+                    self.pos += len;
+                    out.push_str(run);
                 }
             }
         }
@@ -535,6 +542,34 @@ mod tests {
         assert_eq!(Json::parse(r#""Aé😀""#).unwrap(), Json::Str("Aé😀".into()));
         assert!(Json::parse(r#""\ud83d""#).is_err(), "lone high surrogate");
         assert!(Json::parse(r#""\ude00""#).is_err(), "lone low surrogate");
+    }
+
+    /// String decoding is linear in the string's length: a quadratic scan
+    /// (re-validating the rest of the input per character) takes minutes
+    /// on these sizes, far outside the test budget.
+    #[test]
+    fn megabyte_strings_parse_and_round_trip() {
+        const LEN: usize = 2 << 20;
+        let plain = "x".repeat(LEN);
+        let mut mixed = String::with_capacity(LEN + LEN / 128);
+        while mixed.len() < LEN {
+            mixed.push_str(&"y".repeat(1024));
+            mixed.push_str("\n\"é😀\\");
+        }
+        for text in [plain, mixed] {
+            let original = Json::obj(vec![("source", Json::Str(text))]);
+            let encoded = original.encode();
+            let started = std::time::Instant::now();
+            let decoded = Json::parse(&encoded).unwrap();
+            assert!(
+                started.elapsed() < std::time::Duration::from_secs(5),
+                "decoding {} bytes took {:?}",
+                encoded.len(),
+                started.elapsed()
+            );
+            assert_eq!(decoded, original);
+            assert_eq!(decoded.encode(), encoded);
+        }
     }
 
     #[test]

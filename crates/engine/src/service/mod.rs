@@ -38,9 +38,9 @@ use crate::report::{ProcessOptions, ProgramReport};
 use crate::store::{StoreStats, SummaryStore};
 use crate::{
     export_analysis_metrics, export_store_metrics, AnalyzedProgram, Engine, EngineConfig,
-    EngineStats,
+    EngineError, EngineStats, Normalized,
 };
-use sil_lang::{frontend, program_fingerprint};
+use sil_lang::{frontend, program_fingerprint, SilError};
 use silobs::{HistorySample, MetricsSnapshot, RawMetrics, TraceContext, Tracer};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -176,15 +176,19 @@ fn peer_entry_body(store: &SummaryStore, namespace: PeerNamespace, key: u64) -> 
 pub fn route_fingerprint(source: &str) -> u64 {
     match frontend(source) {
         Ok((program, _)) => program_fingerprint(&program),
-        Err(_) => {
-            let mut hash = 0xcbf2_9ce4_8422_2325u64;
-            for byte in source.bytes() {
-                hash ^= byte as u64;
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            hash
-        }
+        Err(_) => raw_bytes_key(source),
     }
+}
+
+/// FNV-1a over the raw bytes: the routing key of a source the frontend
+/// rejected.
+fn raw_bytes_key(source: &str) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in source.bytes() {
+        hash ^= byte as u64;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
 }
 
 impl Engine {
@@ -217,18 +221,35 @@ impl Engine {
         }
     }
 
+    /// Answer an `Analyze` (`options: None`) or `Process` request whose
+    /// source already went through the front end — here, or in the
+    /// [`ShardedService`] that routed it — so no request parses twice.
+    fn answer(
+        &self,
+        normalized: Result<Normalized, SilError>,
+        options: Option<&ProcessOptions>,
+    ) -> Response {
+        let answered = || -> Result<Response, EngineError> {
+            let normalized = normalized?;
+            Ok(match options {
+                None => {
+                    let (entry, cache_hit) = self.analyze_digested(normalized);
+                    Response::analyzed(summarize(&entry, cache_hit))
+                }
+                Some(options) => Response::report(self.process_normalized(normalized, options)?),
+            })
+        };
+        answered().unwrap_or_else(|e| Response::error((&e).into()))
+    }
+
     fn dispatch(&self, request: Request) -> Response {
         match request {
-            Request::Analyze { source, .. } => match self.analyze_source_traced(&source) {
-                Ok((entry, cache_hit)) => Response::analyzed(summarize(&entry, cache_hit)),
-                Err(e) => Response::error((&e).into()),
-            },
+            Request::Analyze { source, .. } => {
+                self.answer(Normalized::parse(self.tracer(), &source), None)
+            }
             Request::Process {
                 source, options, ..
-            } => match self.process(&source, &options) {
-                Ok(report) => Response::report(report),
-                Err(e) => Response::error((&e).into()),
-            },
+            } => self.answer(Normalized::parse(self.tracer(), &source), Some(&options)),
             Request::Batch {
                 sources, options, ..
             } => Response::batch(
@@ -453,34 +474,37 @@ impl ShardedService {
             return self.shards[0].serve(Request::batch(sources, options.clone()));
         }
         // Partition by routing rule, keeping each source's original index
-        // so the merged results come back in input order.
-        let mut partitions: Vec<Vec<(usize, String)>> = vec![Vec::new(); self.shards.len()];
+        // so the merged results come back in input order.  Routing is the
+        // batch's one front-end pass: the shards get the parsed programs.
+        let mut indices: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        let mut parsed: Vec<Vec<Result<Normalized, SilError>>> = Vec::new();
+        parsed.resize_with(self.shards.len(), Vec::new);
         {
             let _span = self.tracer.start("shard-dispatch");
-            for (index, source) in sources.into_iter().enumerate() {
-                let shard = self.shard_for_source(&source);
-                partitions[shard].push((index, source));
+            for (index, source) in sources.iter().enumerate() {
+                let (shard, normalized) = self.route(source);
+                indices[shard].push(index);
+                parsed[shard].push(normalized);
             }
         }
         let mut merged: Vec<Option<Result<ProgramReport, ServiceError>>> = Vec::new();
-        merged.resize_with(partitions.iter().map(Vec::len).sum(), || None);
+        merged.resize_with(sources.len(), || None);
         // Scoped worker threads have no thread-local context of their own;
         // forward the dispatching thread's so per-shard spans stay in the
         // request's trace tree.
         let ctx = silobs::current_context();
         std::thread::scope(|scope| {
             let mut pending = Vec::new();
-            for (shard, partition) in self.shards.iter().zip(&partitions) {
-                if partition.is_empty() {
+            for ((shard, indices), items) in self.shards.iter().zip(indices).zip(parsed) {
+                if items.is_empty() {
                     continue;
                 }
                 pending.push(scope.spawn(move || {
                     silobs::with_context_opt(ctx, || {
-                        let sub: Vec<&str> = partition.iter().map(|(_, s)| s.as_str()).collect();
                         shard
-                            .process_batch(&sub, options)
+                            .process_normalized_batch(items, options)
                             .into_iter()
-                            .zip(partition.iter().map(|(index, _)| *index))
+                            .zip(indices)
                             .map(|(result, index)| (index, result.map_err(|e| (&e).into())))
                             .collect::<Vec<_>>()
                     })
@@ -530,22 +554,33 @@ impl Service for ShardedService {
 }
 
 impl ShardedService {
+    /// One front-end pass and one fingerprint decide the shard; the shard
+    /// gets the parsed program, not the text.  A source the frontend
+    /// rejects routes by its raw bytes ([`route_fingerprint`]'s rule), so
+    /// its error stays reproducible.
+    fn route(&self, source: &str) -> (usize, Result<Normalized, SilError>) {
+        let normalized = Normalized::parse(&self.tracer, source);
+        let key = match &normalized {
+            Ok(normalized) => normalized.fingerprint(),
+            Err(_) => raw_bytes_key(source),
+        };
+        (self.shard_for(key), normalized)
+    }
+
+    fn answer(&self, source: &str, options: Option<&ProcessOptions>) -> Response {
+        let (shard, normalized) = {
+            let _span = self.tracer.start("shard-dispatch");
+            self.route(source)
+        };
+        self.shards[shard].answer(normalized, options)
+    }
+
     fn dispatch(&self, request: Request) -> Response {
         match request {
-            Request::Analyze { ref source, .. } | Request::Process { ref source, .. } => {
-                // With one shard there is nothing to route; skip the
-                // routing parse entirely.  With several, routing costs one
-                // extra frontend pass per request (the shard's engine
-                // re-parses) — small next to an analysis, and a warm hit
-                // still skips the analysis itself.
-                let shard = if self.shards.len() == 1 {
-                    0
-                } else {
-                    let _span = self.tracer.start("shard-dispatch");
-                    self.shard_for_source(source)
-                };
-                self.shards[shard].serve(request)
-            }
+            Request::Analyze { source, .. } => self.answer(&source, None),
+            Request::Process {
+                source, options, ..
+            } => self.answer(&source, Some(&options)),
             Request::Batch {
                 sources, options, ..
             } => self.batch(sources, &options),

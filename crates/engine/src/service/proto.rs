@@ -60,6 +60,11 @@ use std::collections::HashSet;
 /// request kind (answered with a `metrics_history` response) serves the
 /// flight recorder's ring of periodic samples.  Same doctrine as above:
 /// optional members and new kinds ride along without a version bump.
+///
+/// Still v2, product namespace: the `stats` store payload gained an
+/// additive `products` member (the parallelization-product namespace's
+/// counters).  An older peer ignores it; a reply without it decodes with
+/// an empty, zero-capacity namespace.
 pub const PROTOCOL_VERSION: u32 = 2;
 
 /// The optional trace coordinates a traced request carries: the
@@ -1713,7 +1718,7 @@ pub fn peer_stats_from_json(value: &Json) -> Result<PeerStats, String> {
     })
 }
 
-/// Encode the whole store snapshot (all three namespaces, plus the disk
+/// Encode the whole store snapshot (all four namespaces, plus the disk
 /// tier when one is configured and the peering tier when a ring is
 /// attached or this daemon has served peers — each member is simply
 /// absent otherwise, which protocol-version-2 decoders ignore, keeping
@@ -1723,6 +1728,7 @@ pub fn store_stats_to_json(stats: &StoreStats) -> Json {
         ("programs", namespace_stats_to_json(&stats.programs)),
         ("summaries", namespace_stats_to_json(&stats.summaries)),
         ("walks", namespace_stats_to_json(&stats.walks)),
+        ("products", namespace_stats_to_json(&stats.products)),
     ];
     if let Some(disk) = &stats.disk {
         members.push(("disk", disk_stats_to_json(disk)));
@@ -1734,12 +1740,27 @@ pub fn store_stats_to_json(stats: &StoreStats) -> Json {
 }
 
 /// Inverse of [`store_stats_to_json`] (a missing `"disk"` member decodes
-/// as a memory-only store, a missing `"peer"` member as an unpeered one).
+/// as a memory-only store, a missing `"peer"` member as an unpeered one,
+/// and a missing `"products"` member — a daemon that predates the
+/// namespace — as an empty, zero-capacity one).
 pub fn store_stats_from_json(value: &Json) -> Result<StoreStats, String> {
     Ok(StoreStats {
         programs: namespace_stats_from_json(field(value, "programs")?)?,
         summaries: namespace_stats_from_json(field(value, "summaries")?)?,
         walks: namespace_stats_from_json(field(value, "walks")?)?,
+        products: match value.get("products") {
+            Some(products) => namespace_stats_from_json(products)?,
+            None => NamespaceStats {
+                totals: CacheStats::default(),
+                entries: 0,
+                capacity: 0,
+                policy: EvictionPolicy::default(),
+                current: PolicyChoice::Lru,
+                switches: 0,
+                ghost_hits: 0,
+                stripes: Vec::new(),
+            },
+        },
         disk: value.get("disk").map(disk_stats_from_json).transpose()?,
         peer: value.get("peer").map(peer_stats_from_json).transpose()?,
     })
@@ -1782,6 +1803,7 @@ mod tests {
             programs: namespace(2, 256),
             summaries: namespace(5, 1024),
             walks: namespace(3, 512),
+            products: namespace(1, 256),
             disk: Some(DiskStats {
                 hits: 4,
                 misses: 2,
@@ -2255,6 +2277,39 @@ mod tests {
                 let peer = store.peer.expect("peered form carries the member");
                 assert_eq!(peer.hits, 9);
                 assert_eq!(peer.known_keys, 11);
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// The additive `products` member: carried (and round-tripping) by
+    /// this version, and a v2 reply from a daemon that predates the
+    /// namespace — no such member — still decodes.
+    #[test]
+    fn optional_products_member_is_compatible_in_both_directions() {
+        let current = Response::stats(vec![EngineStats::default()], sample_store_stats());
+        match Response::decode(&current.encode()).unwrap() {
+            Response::Stats { store, .. } => {
+                assert_eq!(store.products, sample_store_stats().products);
+            }
+            other => panic!("{other:?}"),
+        }
+
+        let Json::Obj(mut members) = Json::parse(&current.encode()).unwrap() else {
+            panic!("a response line is an object");
+        };
+        for (key, value) in &mut members {
+            if let ("store", Json::Obj(store)) = (key.as_str(), value) {
+                store.retain(|(key, _)| key != "products");
+            }
+        }
+        let older = Json::Obj(members).encode();
+        assert!(!older.contains("\"products\""), "{older}");
+        match Response::decode(&older).unwrap() {
+            Response::Stats { store, .. } => {
+                assert_eq!(store.programs, sample_store_stats().programs);
+                assert_eq!(store.products.capacity, 0);
+                assert_eq!(store.products.totals, CacheStats::default());
             }
             other => panic!("{other:?}"),
         }

@@ -12,10 +12,12 @@
 //!   hits regardless of which client, connection, or shard produced it;
 //! * **typed namespaces** — [`Namespace::Program`] (whole
 //!   `AnalysisResult`s), [`Namespace::SccSummary`] (per-SCC argument-mode
-//!   summaries keyed by cone fingerprint), and [`Namespace::WalkRecord`]
+//!   summaries keyed by cone fingerprint), [`Namespace::WalkRecord`]
 //!   (retained interprocedural body walks keyed by cone fingerprint, the
-//!   raw material of incremental re-analysis) each get their own capacity,
-//!   eviction policy, and counters;
+//!   raw material of incremental re-analysis), and [`Namespace::Product`]
+//!   (what parallelization derives from a program, keyed by program
+//!   fingerprint) each get their own capacity, eviction policy, and
+//!   counters;
 //! * **internally sharded** — each namespace is lock-striped
 //!   ([`NamespaceCache`]), so the store scales across however many engines
 //!   share it without a global lock;
@@ -57,14 +59,17 @@ pub enum Namespace {
     SccSummary,
     /// Retained interprocedural body walks, keyed by cone fingerprint.
     WalkRecord,
+    /// Parallelization products, keyed by program fingerprint.
+    Product,
 }
 
 impl Namespace {
     /// Every namespace, in reporting order.
-    pub const ALL: [Namespace; 3] = [
+    pub const ALL: [Namespace; 4] = [
         Namespace::Program,
         Namespace::SccSummary,
         Namespace::WalkRecord,
+        Namespace::Product,
     ];
 
     /// Stable lowercase name (wire format and CLI tables).
@@ -73,6 +78,7 @@ impl Namespace {
             Namespace::Program => "programs",
             Namespace::SccSummary => "summaries",
             Namespace::WalkRecord => "walks",
+            Namespace::Product => "products",
         }
     }
 }
@@ -164,6 +170,8 @@ pub struct StoreStats {
     pub summaries: NamespaceStats,
     /// The walk-record namespace.
     pub walks: NamespaceStats,
+    /// The parallelization-product namespace.
+    pub products: NamespaceStats,
     /// The durable disk tier, when one is configured.
     pub disk: Option<DiskStats>,
     /// The peering tier, when this store fetches from or serves peers.
@@ -177,6 +185,7 @@ impl StoreStats {
             Namespace::Program => &self.programs,
             Namespace::SccSummary => &self.summaries,
             Namespace::WalkRecord => &self.walks,
+            Namespace::Product => &self.products,
         }
     }
 }
@@ -189,6 +198,43 @@ pub type SummaryTable = Arc<HashMap<String, ProcSummary>>;
 /// [`Namespace::WalkRecord`]).
 pub type WalkSet = Arc<Vec<Arc<WalkRecord>>>;
 
+/// What parallelization derives from one normalized program — the output
+/// of pack → pretty-print → re-parse → verify with default options (the
+/// value type of [`Namespace::Product`]).  A few KB of text and counts: no
+/// AST and no second `AnalysisResult`.  A pure function of the program
+/// content, so an entry can outlive its program entry and never go stale.
+#[derive(Debug)]
+pub struct ParallelProduct {
+    /// How many transformations the packer applied.
+    pub transforms: usize,
+    /// The parallel program, pretty-printed.
+    pub parallel_source: String,
+    /// The verifier's findings, filled by the first request that verifies.
+    violations: OnceLock<Vec<String>>,
+}
+
+impl ParallelProduct {
+    /// A product whose parallel program has not been verified yet.
+    pub fn new(transforms: usize, parallel_source: String) -> ParallelProduct {
+        ParallelProduct {
+            transforms,
+            parallel_source,
+            violations: OnceLock::new(),
+        }
+    }
+
+    /// The verifier's findings, once some request has asked for them.
+    pub fn violations(&self) -> Option<&[String]> {
+        self.violations.get().map(Vec::as_slice)
+    }
+
+    /// File the verifier's findings (the first filing wins — concurrent
+    /// verifications of one program find the same thing) and return them.
+    pub fn record_violations(&self, found: Vec<String>) -> &[String] {
+        self.violations.get_or_init(|| found)
+    }
+}
+
 /// The unified content-addressed store.  One instance is shared (via
 /// `Arc`) by every engine that should see the same summaries — all the
 /// shards of a `ShardedService`, every `Session`, every connection of a
@@ -199,6 +245,9 @@ pub struct SummaryStore {
     programs: NamespaceCache<Arc<AnalyzedProgram>>,
     summaries: NamespaceCache<SummaryTable>,
     walks: NamespaceCache<WalkSet>,
+    /// Memory-only like `walks`, and shaped like `programs` (same capacity,
+    /// policy and adapt settings): one product per program.
+    products: NamespaceCache<Arc<ParallelProduct>>,
     /// The disk tier under `programs`/`summaries` (walk records are
     /// cheap-to-rebuild replay tapes and stay memory-only).
     durable: Option<DurableTier>,
@@ -257,6 +306,12 @@ impl SummaryStore {
                 config.stripes,
                 config.walk_adapt,
             ),
+            products: NamespaceCache::with_config(
+                config.program_capacity,
+                config.program_policy,
+                config.stripes,
+                config.program_adapt,
+            ),
             config,
         }
     }
@@ -284,6 +339,12 @@ impl SummaryStore {
     /// The walk-record namespace.
     pub fn walks(&self) -> &NamespaceCache<WalkSet> {
         &self.walks
+    }
+
+    /// The parallelization-product namespace (memory-only; never written
+    /// to disk or served to peers).
+    pub fn products(&self) -> &NamespaceCache<Arc<ParallelProduct>> {
+        &self.products
     }
 
     /// The durable disk tier, when one is configured and healthy.
@@ -431,6 +492,7 @@ impl SummaryStore {
             programs: self.programs.stats(),
             summaries: self.summaries.stats(),
             walks: self.walks.stats(),
+            products: self.products.stats(),
             disk: self.durable.as_ref().map(|tier| tier.stats()),
             peer: match self.peer.get() {
                 Some(ring) => Some(ring.stats(serves, bytes_out)),
@@ -453,6 +515,7 @@ impl SummaryStore {
         self.programs.clear();
         self.summaries.clear();
         self.walks.clear();
+        self.products.clear();
         if let Some(tier) = &self.durable {
             tier.clear();
         }
@@ -474,9 +537,18 @@ mod tests {
         });
         store.summaries().insert(1, Arc::new(HashMap::new()));
         store.walks().insert(1, Arc::new(Vec::new()));
+        store
+            .products()
+            .insert(1, Arc::new(ParallelProduct::new(0, String::new())));
         assert_eq!(store.programs().len(), 0);
         assert_eq!(store.summaries().len(), 1);
         assert_eq!(store.walks().len(), 1);
+        assert_eq!(store.products().len(), 1);
+        assert_eq!(
+            store.stats().products.capacity,
+            2,
+            "follows the program namespace"
+        );
         assert_eq!(store.stats().summaries.entries, 1);
         assert_eq!(store.stats().namespace(Namespace::WalkRecord).entries, 1);
         assert_eq!(store.stats().programs.capacity, 2);
@@ -484,6 +556,7 @@ mod tests {
         store.clear();
         assert!(store.summaries().is_empty());
         assert!(store.walks().is_empty());
+        assert!(store.products().is_empty());
     }
 
     #[test]
@@ -508,6 +581,6 @@ mod tests {
     #[test]
     fn namespace_names_are_stable() {
         let names: Vec<&str> = Namespace::ALL.iter().map(|n| n.name()).collect();
-        assert_eq!(names, ["programs", "summaries", "walks"]);
+        assert_eq!(names, ["programs", "summaries", "walks", "products"]);
     }
 }

@@ -200,8 +200,11 @@ fn stats_table_renders_namespaces_and_shards() {
         stderr.contains("2 shards over one shared store"),
         "{stderr}"
     );
-    for namespace in ["programs", "summaries", "walks"] {
-        assert!(stderr.contains(namespace), "{stderr}");
+    for namespace in ["programs", "summaries", "walks", "products"] {
+        assert!(
+            stderr.contains(&format!("\n  {namespace} ")),
+            "no {namespace} row in:\n{stderr}"
+        );
     }
     assert!(stderr.contains("adaptive(lru)"), "{stderr}");
     assert!(stderr.contains("shard 0"), "{stderr}");
@@ -489,6 +492,13 @@ fn metrics_round_trip_matches_in_process() {
     let local_rows = deterministic(&stderr_of(&local));
     assert!(!remote_rows.is_empty());
     assert_eq!(remote_rows, local_rows, "wire round-trip must be lossless");
+    for counter in ["hits", "misses", "insertions", "evictions"] {
+        let name = format!("store.products.{counter}");
+        assert!(
+            remote_rows.iter().any(|row| row.contains(&name)),
+            "no {name} row in {remote_rows:?}"
+        );
+    }
 
     // The table is rendered in sorted name order, so any filtered
     // subsequence of it must already be sorted — byte-stable output.

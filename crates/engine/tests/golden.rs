@@ -13,26 +13,13 @@
 //! UPDATE_GOLDEN=1 cargo test -p sil-engine --test golden
 //! ```
 
+mod common;
+
+use common::corpus;
 use sil_analysis::analyze_program;
 use sil_lang::frontend;
-use sil_workloads::Workload;
 
 const GOLDEN: &str = include_str!("golden/digests.txt");
-
-/// The same 64-program corpus `silbench` drives: every workload at sizes
-/// 3..=9, truncated to 64 programs.
-fn corpus() -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    for size in 3..=9u32 {
-        for workload in Workload::ALL {
-            out.push((format!("{}@{size}", workload.name()), workload.source(size)));
-            if out.len() == 64 {
-                return out;
-            }
-        }
-    }
-    out
-}
 
 fn current_digests() -> Vec<(String, u64)> {
     corpus()

@@ -2,6 +2,8 @@
 //! reports, and a real `sild`-style daemon on a temp socket driven by
 //! concurrent clients.
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sil_engine::service::{
@@ -602,7 +604,8 @@ fn clear_caches_over_the_wire() {
 
 /// Routing to a shard — single requests and batch partitioning alike —
 /// shows up as `shard-dispatch` spans in the trace dump, attributed to
-/// the requests that were routed.
+/// the requests that were routed.  Routing is the request's one front-end
+/// pass, so the `parse` span nests under it.
 #[test]
 fn shard_routing_is_traced() {
     let service = ShardedService::new(2, EngineConfig::default());
@@ -625,15 +628,173 @@ fn shard_routing_is_traced() {
         dispatches.iter().all(|s| s.request != 0),
         "spans must carry the minted request id: {dispatches:?}"
     );
-    // A single shard routes trivially and records no dispatch span.
+    // One parse per source, each inside its request's dispatch span.
+    let parses: Vec<_> = spans.iter().filter(|s| s.span == "parse").collect();
+    assert_eq!(parses.len(), 3, "{spans:?}");
+    for parse in parses {
+        let dispatch = dispatches
+            .iter()
+            .find(|d| d.request == parse.request)
+            .expect("every parse belongs to a routed request");
+        assert!(
+            dispatch.start_us <= parse.start_us && parse.end_us <= dispatch.end_us,
+            "{parse:?} outside {dispatch:?}"
+        );
+    }
+    // A single shard takes the same path: one dispatch span, one parse.
     let single = ShardedService::new(1, EngineConfig::default());
     match single.call(Request::analyze(Workload::TreeSum.source(3))) {
         Response::Analyzed { .. } => {}
         other => panic!("unexpected: {other:?}"),
     }
-    assert!(single
-        .service_trace()
-        .unwrap()
+    let spans = single.service_trace().unwrap();
+    for name in ["shard-dispatch", "parse"] {
+        assert_eq!(
+            spans.iter().filter(|s| s.span == name).count(),
+            1,
+            "{name}: {spans:?}"
+        );
+    }
+}
+
+/// The spans of the most recent request a service answered.
+fn last_request_spans(service: &ShardedService) -> Vec<sil_engine::service::TraceSpan> {
+    let spans = service.service_trace().unwrap();
+    let last = spans.iter().map(|s| s.request).max().expect("no spans");
+    spans.into_iter().filter(|s| s.request == last).collect()
+}
+
+fn count(spans: &[sil_engine::service::TraceSpan], name: &str) -> usize {
+    spans.iter().filter(|s| s.span == name).count()
+}
+
+/// A warm request on a multi-shard service runs the front end once: the
+/// routing parse is the only one, and a product hit re-parses nothing.
+#[test]
+fn warm_requests_parse_once_on_a_sharded_service() {
+    let service = ShardedService::new(4, EngineConfig::default());
+    let src = Workload::Bisort.source(5);
+    for request in [
+        Request::analyze(src.clone()),
+        Request::process(&src, ProcessOptions::default()),
+    ] {
+        for warm in [false, true] {
+            match service.call(request.clone()) {
+                Response::Analyzed { summary, .. } => assert_eq!(summary.cache_hit, warm),
+                // The analyze pair above already warmed the program entry.
+                Response::Report { report, .. } => assert!(report.cache_hit),
+                other => panic!("unexpected: {other:?}"),
+            }
+            let spans = last_request_spans(&service);
+            assert_eq!(count(&spans, "parse"), 1, "warm={warm}: {spans:?}");
+            assert_eq!(count(&spans, "shard-dispatch"), 1, "{spans:?}");
+        }
+        let spans = last_request_spans(&service);
+        for absent in ["fixpoint", "pack", "pretty", "reparse", "verify"] {
+            assert_eq!(count(&spans, absent), 0, "warm request ran {absent}");
+        }
+    }
+    assert_eq!(count(&last_request_spans(&service), "product-lookup"), 1);
+}
+
+/// The shard a request lands on is still `route_fingerprint(source) % N`,
+/// now computed from the one parse the request does; a source the front
+/// end rejects gets the same error bytes however many shards there are.
+#[test]
+fn single_parse_routing_agrees_with_route_fingerprint() {
+    use sil_engine::service::route_fingerprint;
+    let service = ShardedService::new(4, EngineConfig::default());
+    for (_, src) in &common::corpus() {
+        let before = service.shard_stats();
+        service.call(Request::analyze(src.clone()));
+        let after = service.shard_stats();
+        let touched: Vec<usize> = (0..4)
+            .filter(|&i| after[i].programs.misses > before[i].programs.misses)
+            .collect();
+        let expected = (route_fingerprint(src) % 4) as usize;
+        assert_eq!(touched, vec![expected]);
+        assert_eq!(service.shard_for_source(src), expected);
+    }
+
+    let broken = "program broken procedure";
+    assert_eq!(
+        service.shard_for_source(broken),
+        (route_fingerprint(broken) % 4) as usize
+    );
+    let single = ShardedService::new(1, EngineConfig::default());
+    for request in [
+        Request::analyze(broken),
+        Request::process(broken, ProcessOptions::default()),
+    ] {
+        let line = service.call(request.clone()).encode();
+        assert!(line.contains("\"type\":\"error\""), "{line}");
+        assert_eq!(line, single.call(request.clone()).encode());
+        assert_eq!(line, Engine::default().serve(request).encode());
+    }
+}
+
+/// What `process` does past the analysis is visible in the daemon's own
+/// trace: a cold request shows the whole derivation and its `serve` span
+/// is accounted for by its children; a warm one shows the product lookup
+/// that replaced it.
+#[test]
+fn process_spans_explain_the_serve_span() {
+    let (_service, handle) = spawn_daemon("process-spans", 4);
+    let remote = RemoteService::connect(&handle.addr().to_string()).unwrap();
+    let src = Workload::Bisort.source(6);
+
+    // The `serve` span of the latest routed request (the dump's own
+    // `serve` span is newer, and routes nothing) and everything under it.
+    let request_spans = |remote: &RemoteService| {
+        let spans = remote.service_trace().unwrap();
+        let routed = spans
+            .iter()
+            .filter(|s| s.span == "shard-dispatch")
+            .max_by_key(|s| s.start_us)
+            .expect("a routed request");
+        let serve = spans
+            .iter()
+            .find(|s| s.span_id == routed.parent)
+            .expect("routing happens under a serve span")
+            .clone();
+        assert_eq!(serve.span, "serve");
+        let below: Vec<_> = spans
+            .iter()
+            .filter(|s| s.trace == serve.trace && s.span_id != serve.span_id)
+            .cloned()
+            .collect();
+        (serve, below)
+    };
+
+    let cold = remote
+        .process_source(&src, &ProcessOptions::default())
+        .unwrap();
+    assert!(!cold.cache_hit);
+    let (serve, spans) = request_spans(&remote);
+    for name in ["product-lookup", "pack", "pretty", "reparse", "verify"] {
+        assert_eq!(count(&spans, name), 1, "{name}: {spans:?}");
+    }
+    let covered: u64 = spans
         .iter()
-        .all(|s| s.span != "shard-dispatch"));
+        .filter(|s| s.parent == serve.span_id)
+        .map(|s| s.duration_us())
+        .sum();
+    assert!(
+        covered * 10 >= serve.duration_us() * 9,
+        "children cover {covered} of {} us: {spans:?}",
+        serve.duration_us()
+    );
+
+    let warm = remote
+        .process_source(&src, &ProcessOptions::default())
+        .unwrap();
+    assert!(warm.cache_hit);
+    let (_, spans) = request_spans(&remote);
+    assert_eq!(count(&spans, "product-lookup"), 1, "{spans:?}");
+    assert_eq!(count(&spans, "parse"), 1, "{spans:?}");
+    for name in ["pack", "pretty", "reparse", "verify", "fixpoint"] {
+        assert_eq!(count(&spans, name), 0, "{name}: {spans:?}");
+    }
+
+    handle.shutdown();
 }

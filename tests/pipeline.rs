@@ -289,3 +289,56 @@ fn figure_8_source_and_generated_parallelization_agree() {
         );
     }
 }
+
+/// The engine's hit path, end to end through the service layer: the
+/// 64-program golden corpus `process`ed twice over a sharded service.  The
+/// second pass is answered entirely from the store — every analysis a
+/// program hit, every parallelization a product hit — with reports equal
+/// to the first pass and analysis digests equal to the pinned goldens.
+#[test]
+fn sharded_service_serves_the_golden_corpus_from_its_products() {
+    const GOLDEN: &str = include_str!("../crates/engine/tests/golden/digests.txt");
+    let corpus: Vec<(&str, String, u64)> = GOLDEN
+        .lines()
+        .map(|line| {
+            let (program, digest) = line.split_once(' ').expect("name@size digest");
+            let (name, size) = program.split_once('@').expect("name@size");
+            let workload = Workload::ALL
+                .into_iter()
+                .find(|w| w.name() == name)
+                .unwrap_or_else(|| panic!("no workload named {name}"));
+            (
+                program,
+                workload.source(size.parse().unwrap()),
+                u64::from_str_radix(digest, 16).unwrap(),
+            )
+        })
+        .collect();
+    assert_eq!(corpus.len(), 64);
+
+    let service = ShardedService::new(4, EngineConfig::default());
+    let options = ProcessOptions {
+        emit_parallel_source: true,
+        ..ProcessOptions::default()
+    };
+    let first: Vec<_> = corpus
+        .iter()
+        .map(|(_, src, _)| service.process_source(src, &options).unwrap())
+        .collect();
+    let products = || service.store().stats().products.totals;
+    assert_eq!((products().hits, products().misses), (0, 64));
+
+    for ((name, src, golden), cold) in corpus.iter().zip(first) {
+        let warm = service.process_source(src, &options).unwrap();
+        assert!(!cold.cache_hit && warm.cache_hit, "{name}");
+        assert_eq!(warm.analysis_digest, *golden, "{name}: digest drifted");
+        assert!(warm.violations.is_empty(), "{name}: {:?}", warm.violations);
+        let cold_as_hit = sil_parallel::engine::ProgramReport {
+            cache_hit: true,
+            ..cold
+        };
+        assert_eq!(warm, cold_as_hit, "{name}");
+    }
+    assert_eq!((products().hits, products().misses), (64, 64));
+    assert_eq!(service.store().stats().programs.totals.hits, 64);
+}
