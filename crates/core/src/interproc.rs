@@ -140,6 +140,12 @@ impl AnalysisResult {
         self.procedures.values()
     }
 
+    /// The per-procedure results by name — the first argument of
+    /// [`AnalysisResult::from_parts`], for whoever serializes a result.
+    pub fn procedure_map(&self) -> &HashMap<String, ProcedureAnalysis> {
+        &self.procedures
+    }
+
     /// Whether the program never degrades the structure below TREE.
     pub fn preserves_tree(&self) -> bool {
         self.warnings.is_empty()

@@ -6,9 +6,10 @@
 //! knowledge — peers advertising the key first, every other live peer as
 //! fallback — and each is asked over a connection whose connect, read, and
 //! write timeouts are all the configured fetch deadline, so a hung peer
-//! costs one bounded wait, never a stall.  A returned body is decoded and
-//! verified with the durable tier's own codec before it counts as a hit;
-//! a body that fails verification is discarded and the next peer is tried.
+//! costs one bounded wait, never a stall.  A returned body is the same
+//! entry document (`store/entry.rs`) the durable tier persists, and it is
+//! verified the same way before it counts as a hit; a body that fails
+//! verification is discarded and the next peer is tried.
 //!
 //! Every `peer_entry` reply also carries the serving store's generation,
 //! which is reconciled against the gossiped inventory snapshot: a
@@ -29,8 +30,7 @@
 use super::{Peer, PeerRing};
 use crate::service::proto::{ErrorKind, PeerNamespace, Request, Response, TraceSpan};
 use crate::service::RemoteService;
-use crate::store::durable::codec;
-use crate::store::SummaryTable;
+use crate::store::{entry, SummaryTable};
 use crate::AnalyzedProgram;
 use std::collections::hash_map::Entry;
 use std::sync::atomic::Ordering;
@@ -342,13 +342,12 @@ impl PeerRing {
                 }
             }
             if let Some(body) = body {
-                let bytes = body.encode().into_bytes();
                 let payload = match namespace {
                     PeerNamespace::Programs => {
-                        codec::decode_program(&bytes, key).map(Payload::Program)
+                        entry::program_from_document(&body, key).map(Payload::Program)
                     }
                     PeerNamespace::Summaries => {
-                        codec::decode_summaries(&bytes, key).map(Payload::Summaries)
+                        entry::summaries_from_document(&body, key).map(Payload::Summaries)
                     }
                 };
                 // A body that fails fingerprint/digest verification is

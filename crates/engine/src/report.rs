@@ -2,14 +2,14 @@
 //!
 //! A [`ProgramReport`] is the JSON-serializable summary of one program's
 //! trip through parse → analyze → parallelize → verify → (optionally)
-//! execute.  Reports encode to JSON through the service layer's value
-//! module ([`crate::service::json`]) and — unlike the write-only renderer
-//! this file used to hold — decode back: `from_json_value(to_json_value(r))
-//! == r` exactly, which is what lets a `sild` daemon ship reports to a
-//! remote `silp` that then renders byte-identical output to an in-process
-//! run.
+//! execute.  Each type here is described once, as a `record!` (see
+//! [`crate::service::wire`]), and decodes back exactly —
+//! `from_json(to_json(r)) == r` — which is what lets a `sild` daemon ship
+//! reports to a remote `silp` that then renders byte-identical output to an
+//! in-process run.
 
-use crate::service::json::{escape, hex64, parse_hex64, Json};
+use crate::service::json::{escape, Json};
+use crate::service::wire::{record, Hex, Wire};
 use std::fmt::Write as _;
 
 /// What the pipeline should do beyond the (always-run) analysis.
@@ -40,37 +40,13 @@ impl Default for ProcessOptions {
     }
 }
 
-impl ProcessOptions {
-    pub fn to_json_value(&self) -> Json {
-        Json::obj(vec![
-            ("parallelize", Json::Bool(self.parallelize)),
-            ("verify", Json::Bool(self.verify)),
-            ("execute", Json::Bool(self.execute)),
-            (
-                "emit_parallel_source",
-                Json::Bool(self.emit_parallel_source),
-            ),
-            ("store_capacity", Json::Int(self.store_capacity as i64)),
-        ])
-    }
-
-    pub fn from_json_value(value: &Json) -> Result<ProcessOptions, String> {
-        let flag = |key: &str| -> Result<bool, String> {
-            field(value, key)?
-                .as_bool()
-                .ok_or_else(|| format!("\"{key}\" must be a bool"))
-        };
-        Ok(ProcessOptions {
-            parallelize: flag("parallelize")?,
-            verify: flag("verify")?,
-            execute: flag("execute")?,
-            emit_parallel_source: flag("emit_parallel_source")?,
-            store_capacity: field(value, "store_capacity")?
-                .as_u64()
-                .ok_or("\"store_capacity\" must be a count")? as usize,
-        })
-    }
-}
+record!(ProcessOptions {
+    "parallelize" => parallelize,
+    "verify" => verify,
+    "execute" => execute,
+    "emit_parallel_source" => emit_parallel_source,
+    "store_capacity" => store_capacity,
+});
 
 /// Work/span accounting of one execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,33 +57,12 @@ pub struct ExecutionReport {
     pub allocated_nodes: usize,
 }
 
-impl ExecutionReport {
-    fn to_json_value(&self) -> Json {
-        Json::obj(vec![
-            ("work", Json::Int(self.work as i64)),
-            ("span", Json::Int(self.span as i64)),
-            ("parallelism", Json::Float(self.parallelism)),
-            ("allocated_nodes", Json::Int(self.allocated_nodes as i64)),
-        ])
-    }
-
-    fn from_json_value(value: &Json) -> Result<ExecutionReport, String> {
-        Ok(ExecutionReport {
-            work: field(value, "work")?
-                .as_u64()
-                .ok_or("work must be a count")?,
-            span: field(value, "span")?
-                .as_u64()
-                .ok_or("span must be a count")?,
-            parallelism: field(value, "parallelism")?
-                .as_f64()
-                .ok_or("parallelism must be a number")?,
-            allocated_nodes: field(value, "allocated_nodes")?
-                .as_u64()
-                .ok_or("allocated_nodes must be a count")? as usize,
-        })
-    }
-}
+record!(ExecutionReport {
+    "work" => work,
+    "span" => span,
+    "parallelism" => parallelism,
+    "allocated_nodes" => allocated_nodes,
+});
 
 /// What incremental re-analysis reused for one program (present when the
 /// engine runs in incremental mode and the program missed the whole-program
@@ -124,34 +79,12 @@ pub struct IncrementalReport {
     pub walks_reused: usize,
 }
 
-impl IncrementalReport {
-    fn to_json_value(self) -> Json {
-        Json::obj(vec![
-            (
-                "procedures_reused",
-                Json::Int(self.procedures_reused as i64),
-            ),
-            ("procedures_stale", Json::Int(self.procedures_stale as i64)),
-            ("walks_performed", Json::Int(self.walks_performed as i64)),
-            ("walks_reused", Json::Int(self.walks_reused as i64)),
-        ])
-    }
-
-    fn from_json_value(value: &Json) -> Result<IncrementalReport, String> {
-        let count = |key: &str| -> Result<usize, String> {
-            field(value, key)?
-                .as_u64()
-                .map(|v| v as usize)
-                .ok_or_else(|| format!("\"{key}\" must be a count"))
-        };
-        Ok(IncrementalReport {
-            procedures_reused: count("procedures_reused")?,
-            procedures_stale: count("procedures_stale")?,
-            walks_performed: count("walks_performed")?,
-            walks_reused: count("walks_reused")?,
-        })
-    }
-}
+record!(IncrementalReport {
+    "procedures_reused" => procedures_reused,
+    "procedures_stale" => procedures_stale,
+    "walks_performed" => walks_performed,
+    "walks_reused" => walks_reused,
+});
 
 /// The full pipeline result for one program.
 #[derive(Debug, Clone, PartialEq)]
@@ -195,124 +128,35 @@ pub fn json_escape(s: &str) -> String {
     escape(s)
 }
 
-pub(crate) fn field<'a>(value: &'a Json, key: &str) -> Result<&'a Json, String> {
-    value.get(key).ok_or_else(|| format!("missing \"{key}\""))
-}
-
-pub(crate) fn string_list(value: &Json) -> Result<Vec<String>, String> {
-    value
-        .as_arr()
-        .ok_or("expected an array of strings")?
-        .iter()
-        .map(|item| {
-            item.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| "expected a string".to_string())
-        })
-        .collect()
-}
-
-fn string_list_json(items: &[String]) -> Json {
-    Json::Arr(items.iter().map(|s| Json::Str(s.clone())).collect())
-}
+// Optional members are left out (not `null`) when absent, and the member
+// order is stable.
+record!(ProgramReport {
+    "name" => name,
+    "fingerprint" => fingerprint as Hex,
+    "cache_hit" => cache_hit,
+    "structure" => structure,
+    "preserves_tree" => preserves_tree,
+    "warnings" => warnings,
+    "rounds" => rounds,
+    "analysis_digest" => analysis_digest as Hex,
+    "incremental" => incremental [opt],
+    "transforms" => transforms [opt],
+    "violations" => violations,
+    "parallel_source" => parallel_source [opt],
+    "sequential_execution" => sequential_execution [opt],
+    "parallel_execution" => parallel_execution [opt],
+});
 
 impl ProgramReport {
-    /// The report as a JSON value.  Optional fields are omitted (not
-    /// `null`) when absent, and the member order is stable.
-    pub fn to_json_value(&self) -> Json {
-        let mut fields: Vec<(&str, Json)> = vec![
-            ("name", Json::Str(self.name.clone())),
-            ("fingerprint", hex64(self.fingerprint)),
-            ("cache_hit", Json::Bool(self.cache_hit)),
-            ("structure", Json::Str(self.structure.clone())),
-            ("preserves_tree", Json::Bool(self.preserves_tree)),
-            ("warnings", string_list_json(&self.warnings)),
-            ("rounds", Json::Int(self.rounds as i64)),
-            ("analysis_digest", hex64(self.analysis_digest)),
-        ];
-        if let Some(incremental) = self.incremental {
-            fields.push(("incremental", incremental.to_json_value()));
-        }
-        if let Some(transforms) = self.transforms {
-            fields.push(("transforms", Json::Int(transforms as i64)));
-        }
-        fields.push(("violations", string_list_json(&self.violations)));
-        if let Some(src) = &self.parallel_source {
-            fields.push(("parallel_source", Json::Str(src.clone())));
-        }
-        if let Some(seq) = &self.sequential_execution {
-            fields.push(("sequential_execution", seq.to_json_value()));
-        }
-        if let Some(par) = &self.parallel_execution {
-            fields.push(("parallel_execution", par.to_json_value()));
-        }
-        Json::obj(fields)
-    }
-
-    /// Decode a report encoded by [`ProgramReport::to_json_value`].
-    pub fn from_json_value(value: &Json) -> Result<ProgramReport, String> {
-        Ok(ProgramReport {
-            name: field(value, "name")?
-                .as_str()
-                .ok_or("name must be a string")?
-                .to_string(),
-            fingerprint: parse_hex64(field(value, "fingerprint")?)?,
-            cache_hit: field(value, "cache_hit")?
-                .as_bool()
-                .ok_or("cache_hit must be a bool")?,
-            structure: field(value, "structure")?
-                .as_str()
-                .ok_or("structure must be a string")?
-                .to_string(),
-            preserves_tree: field(value, "preserves_tree")?
-                .as_bool()
-                .ok_or("preserves_tree must be a bool")?,
-            warnings: string_list(field(value, "warnings")?)?,
-            rounds: field(value, "rounds")?
-                .as_u64()
-                .ok_or("rounds must be a count")? as usize,
-            analysis_digest: parse_hex64(field(value, "analysis_digest")?)?,
-            incremental: value
-                .get("incremental")
-                .map(IncrementalReport::from_json_value)
-                .transpose()?,
-            transforms: value
-                .get("transforms")
-                .map(|t| {
-                    t.as_u64()
-                        .map(|v| v as usize)
-                        .ok_or("transforms must be a count")
-                })
-                .transpose()?,
-            violations: string_list(field(value, "violations")?)?,
-            parallel_source: value
-                .get("parallel_source")
-                .map(|s| {
-                    s.as_str()
-                        .map(str::to_string)
-                        .ok_or("parallel_source must be a string")
-                })
-                .transpose()?,
-            sequential_execution: value
-                .get("sequential_execution")
-                .map(ExecutionReport::from_json_value)
-                .transpose()?,
-            parallel_execution: value
-                .get("parallel_execution")
-                .map(ExecutionReport::from_json_value)
-                .transpose()?,
-        })
-    }
-
     /// Render the report as a single JSON object.
     pub fn to_json(&self) -> String {
-        self.to_json_value().encode()
+        Wire::to_json(self).encode()
     }
 
     /// Parse a report rendered by [`ProgramReport::to_json`].
     pub fn from_json(src: &str) -> Result<ProgramReport, String> {
         let value = Json::parse(src).map_err(|e| e.to_string())?;
-        ProgramReport::from_json_value(&value)
+        Wire::from_json(&value)
     }
 
     /// Render the report as a short human-readable block.
@@ -451,8 +295,7 @@ mod tests {
             emit_parallel_source: true,
             store_capacity: 123,
         };
-        let back = ProcessOptions::from_json_value(&options.to_json_value()).unwrap();
-        assert_eq!(back, options);
+        assert_eq!(ProcessOptions::from_json(&options.to_json()), Ok(options));
     }
 
     #[test]

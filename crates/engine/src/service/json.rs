@@ -149,6 +149,26 @@ impl Json {
         }
     }
 
+    /// The length of [`Json::encode`]'s output, without building it.
+    pub fn encoded_len(&self) -> usize {
+        let list = |len: usize, inside: usize| 2 + len.saturating_sub(1) + inside;
+        match self {
+            Json::Null | Json::Bool(true) => 4,
+            Json::Bool(false) => 5,
+            Json::Int(n) => (*n < 0) as usize + n.unsigned_abs().max(1).ilog10() as usize + 1,
+            Json::Float(_) => self.encode().len(),
+            Json::Str(s) => str_len(s),
+            Json::Arr(items) => list(items.len(), items.iter().map(Json::encoded_len).sum()),
+            Json::Obj(fields) => list(
+                fields.len(),
+                fields
+                    .iter()
+                    .map(|(key, value)| str_len(key) + 1 + value.encoded_len())
+                    .sum(),
+            ),
+        }
+    }
+
     /// Parse one JSON value from `src` (trailing garbage is an error).
     pub fn parse(src: &str) -> Result<Json, JsonError> {
         let mut parser = Parser {
@@ -202,6 +222,19 @@ fn encode_str(s: &str, out: &mut String) {
         }
     }
     out.push('"');
+}
+
+/// The length of [`encode_str`]'s output for `s`.
+fn str_len(s: &str) -> usize {
+    let escapes: usize = s
+        .bytes()
+        .map(|b| match b {
+            b'"' | b'\\' | 0x08 | 0x0c | b'\n' | b'\r' | b'\t' => 1,
+            b if b < 0x20 => 5,
+            _ => 0,
+        })
+        .sum();
+    s.len() + 2 + escapes
 }
 
 /// Escape a string for embedding in a JSON string literal (without the
@@ -527,6 +560,31 @@ mod tests {
             );
             assert_eq!(Json::parse(&encoded).unwrap(), original, "U+{code:04X}");
         }
+    }
+
+    #[test]
+    fn encoded_len_counts_what_encode_writes() {
+        let controls: String = (0u32..0x20).filter_map(char::from_u32).collect();
+        let value = Json::obj(vec![
+            ("empty", Json::Arr(vec![])),
+            ("none", Json::Obj(vec![])),
+            ("text", Json::Str(format!("a\"b\\c é😀 {controls}"))),
+            (
+                "numbers",
+                Json::Arr(
+                    [0, 9, 10, -1, -10, 12345, i64::MAX, i64::MIN]
+                        .into_iter()
+                        .map(Json::Int)
+                        .chain([Json::Float(2.0), Json::Float(1e-8), Json::Float(f64::NAN)])
+                        .collect(),
+                ),
+            ),
+            (
+                "flags",
+                Json::Arr(vec![Json::Null, Json::Bool(true), Json::Bool(false)]),
+            ),
+        ]);
+        assert_eq!(value.encoded_len(), value.encode().len());
     }
 
     #[test]

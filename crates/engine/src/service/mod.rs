@@ -21,6 +21,7 @@ pub mod json;
 pub mod proto;
 pub mod remote;
 pub mod server;
+pub mod wire;
 
 #[cfg(target_os = "linux")]
 mod aserver;
@@ -153,20 +154,19 @@ pub trait Service {
 fn unexpected(wanted: &str, got: &Response) -> ServiceError {
     ServiceError::malformed(format!(
         "expected a {wanted} response, got {:?}",
-        got.to_json_value().get("type")
+        got.kind()
     ))
 }
 
 /// Answer one peer fetch from `store`'s own tiers (memory, then disk) as
-/// the codec document the fetcher will re-verify.  Never recomputes and
+/// the entry document the fetcher will re-verify.  Never recomputes and
 /// never consults the store's *own* peer ring — a peer-originated request
 /// stops here, so fetch chains cannot loop through the cluster.
 fn peer_entry_body(store: &SummaryStore, namespace: PeerNamespace, key: u64) -> Option<Json> {
-    let body = match namespace {
+    match namespace {
         PeerNamespace::Programs => store.peer_program_body(key),
         PeerNamespace::Summaries => store.peer_summary_body(key),
-    }?;
-    Json::parse(std::str::from_utf8(&body).ok()?).ok()
+    }
 }
 
 /// The stable routing key for one source text: the content fingerprint of

@@ -1,20 +1,34 @@
 //! The versioned, transport-agnostic wire protocol: typed [`Request`] and
-//! [`Response`] values with exact JSON codecs.
+//! [`Response`] values and the description of every document they carry.
 //!
-//! Every message is one JSON object carrying a `protocol_version` and a
-//! `type` discriminator; on the wire (see [`super::remote`] and
-//! [`super::server`]) messages are newline-delimited.  The codecs are total
-//! inverses: `decode(encode(m)) == m` for every message, which is what lets
-//! a remote client reconstruct a [`ProgramReport`] bit-for-bit and render
-//! output byte-identical to an in-process run.
+//! Every message is one JSON object: `protocol_version` and `type` first,
+//! then the members of that `type`, then — only when present — the one
+//! optional trailing member (`trace` on requests, `trace_spans` on
+//! responses).  On the wire (see [`super::remote`] and [`super::server`])
+//! messages are newline-delimited.
+//!
+//! Nothing in this file writes or reads a member by hand.  Each struct is a
+//! `record!` naming its keys once, in wire order; the two enums are
+//! `message!` tables; [`super::wire`] turns either into both directions.
+//! The codecs are total inverses — `decode(encode(m)) == m` for every
+//! message, and encoding the decoded message reproduces the bytes — which
+//! is what lets a remote client reconstruct a [`ProgramReport`]
+//! bit-for-bit and render output byte-identical to an in-process run.
+//!
+//! **Adding a member** is one line in the record that owns it.  Mark it
+//! `[or <default>]` (or `[opt]` for an `Option`) and the version stays at
+//! 2: an older peer ignores the key and this build fills the default when
+//! an older peer omits it.  A new *required* member, or a change to what an
+//! existing one means, is a version bump.
 //!
 //! Version negotiation is deliberately simple: a server answers a request
 //! whose `protocol_version` it does not speak with
 //! [`ErrorKind::Protocol`], and every response carries the server's own
 //! version, so a client learns the supported version from any error.
 
-use super::json::{hex64, parse_hex64, Json};
-use crate::report::{field, string_list, ProcessOptions, ProgramReport};
+use super::json::{escape, Json};
+use super::wire::{leaves, message, names, record, Hex, Named, Wire};
+use crate::report::{ProcessOptions, ProgramReport};
 use crate::store::{
     DiskStats, EvictionPolicy, NamespaceStats, PeerStats, PolicyChoice, StoreStats,
 };
@@ -77,18 +91,7 @@ pub struct TraceHeader {
     pub parent: u64,
 }
 
-impl TraceHeader {
-    fn to_json_value(self) -> Json {
-        Json::obj(vec![("id", hex64(self.id)), ("parent", hex64(self.parent))])
-    }
-
-    fn from_json_value(value: &Json) -> Result<TraceHeader, String> {
-        Ok(TraceHeader {
-            id: parse_hex64(field(value, "id")?)?,
-            parent: parse_hex64(field(value, "parent")?)?,
-        })
-    }
-}
+record!(TraceHeader { "id" => id as Hex, "parent" => parent as Hex });
 
 /// A request to the analysis service.  Every variant carries the
 /// `protocol_version` the client speaks; the [`Request::analyze`]-style
@@ -147,6 +150,22 @@ pub enum Request {
     /// in-process service answers with an error.
     MetricsHistory { version: u32 },
 }
+
+// The optional trace member rides last so every untraced request encodes
+// byte-identically to its pre-tracing form.
+message!(Request: |request| {
+    "analyze" => Analyze { "source" => source } trace,
+    "process" => Process { "source" => source, "options" => options } trace,
+    "batch" => Batch { "sources" => sources, "options" => options } trace,
+    "stats" => Stats {},
+    "metrics" => Metrics {},
+    "trace_dump" => TraceDump {},
+    "clear_caches" => ClearCaches {},
+    "shutdown" => Shutdown {},
+    "peer_inventory" => PeerInventory {},
+    "peer_fetch" => PeerFetch { "namespace" => namespace, "key" => key as Hex } trace,
+    "metrics_history" => MetricsHistory {},
+} "trace" => request.trace_header().as_ref());
 
 impl Request {
     pub fn analyze(source: impl Into<String>) -> Request {
@@ -226,42 +245,6 @@ impl Request {
         }
     }
 
-    /// The protocol version the request claims to speak.
-    pub fn version(&self) -> u32 {
-        match self {
-            Request::Analyze { version, .. }
-            | Request::Process { version, .. }
-            | Request::Batch { version, .. }
-            | Request::Stats { version }
-            | Request::Metrics { version }
-            | Request::TraceDump { version }
-            | Request::ClearCaches { version }
-            | Request::Shutdown { version }
-            | Request::PeerInventory { version }
-            | Request::PeerFetch { version, .. }
-            | Request::MetricsHistory { version } => *version,
-        }
-    }
-
-    /// The same request claiming a different protocol version (negotiation
-    /// tests).
-    pub fn with_version(mut self, v: u32) -> Request {
-        match &mut self {
-            Request::Analyze { version, .. }
-            | Request::Process { version, .. }
-            | Request::Batch { version, .. }
-            | Request::Stats { version }
-            | Request::Metrics { version }
-            | Request::TraceDump { version }
-            | Request::ClearCaches { version }
-            | Request::Shutdown { version }
-            | Request::PeerInventory { version }
-            | Request::PeerFetch { version, .. }
-            | Request::MetricsHistory { version } => *version = v,
-        }
-        self
-    }
-
     /// The trace coordinates this request carries, if it is traced and
     /// its kind can carry them.
     pub fn trace_header(&self) -> Option<TraceHeader> {
@@ -287,147 +270,16 @@ impl Request {
         self
     }
 
-    pub fn to_json_value(&self) -> Json {
-        let (kind, mut fields): (&str, Vec<(&str, Json)>) = match self {
-            Request::Analyze { source, .. } => {
-                ("analyze", vec![("source", Json::Str(source.clone()))])
-            }
-            Request::Process {
-                source, options, ..
-            } => (
-                "process",
-                vec![
-                    ("source", Json::Str(source.clone())),
-                    ("options", options.to_json_value()),
-                ],
-            ),
-            Request::Batch {
-                sources, options, ..
-            } => (
-                "batch",
-                vec![
-                    (
-                        "sources",
-                        Json::Arr(sources.iter().map(|s| Json::Str(s.clone())).collect()),
-                    ),
-                    ("options", options.to_json_value()),
-                ],
-            ),
-            Request::Stats { .. } => ("stats", vec![]),
-            Request::Metrics { .. } => ("metrics", vec![]),
-            Request::TraceDump { .. } => ("trace_dump", vec![]),
-            Request::ClearCaches { .. } => ("clear_caches", vec![]),
-            Request::Shutdown { .. } => ("shutdown", vec![]),
-            Request::PeerInventory { .. } => ("peer_inventory", vec![]),
-            Request::PeerFetch { namespace, key, .. } => (
-                "peer_fetch",
-                vec![
-                    ("namespace", Json::Str(namespace.wire_name().to_string())),
-                    ("key", hex64(*key)),
-                ],
-            ),
-            Request::MetricsHistory { .. } => ("metrics_history", vec![]),
-        };
-        let mut all = vec![
-            ("protocol_version", Json::Int(self.version() as i64)),
-            ("type", Json::Str(kind.to_string())),
-        ];
-        all.append(&mut fields);
-        // The optional trace member rides last so every untraced request
-        // encodes byte-identically to its pre-tracing form.
-        if let Some(header) = self.trace_header() {
-            all.push(("trace", header.to_json_value()));
-        }
-        Json::obj(all)
-    }
-
     /// One-line wire encoding (contains no raw newlines: the JSON encoder
     /// escapes every control character).
     pub fn encode(&self) -> String {
-        self.to_json_value().encode()
-    }
-
-    pub fn from_json_value(value: &Json) -> Result<Request, ServiceError> {
-        let version = field_version(value)?;
-        let kind = value
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ServiceError::malformed("request is missing \"type\""))?;
-        let source = |value: &Json| -> Result<String, ServiceError> {
-            Ok(value
-                .get("source")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ServiceError::malformed("request is missing \"source\""))?
-                .to_string())
-        };
-        let options = |value: &Json| -> Result<ProcessOptions, ServiceError> {
-            let raw = value
-                .get("options")
-                .ok_or_else(|| ServiceError::malformed("request is missing \"options\""))?;
-            ProcessOptions::from_json_value(raw).map_err(ServiceError::malformed)
-        };
-        let trace = |value: &Json| -> Result<Option<TraceHeader>, ServiceError> {
-            value
-                .get("trace")
-                .map(TraceHeader::from_json_value)
-                .transpose()
-                .map_err(ServiceError::malformed)
-        };
-        match kind {
-            "analyze" => Ok(Request::Analyze {
-                version,
-                source: source(value)?,
-                trace: trace(value)?,
-            }),
-            "process" => Ok(Request::Process {
-                version,
-                source: source(value)?,
-                options: options(value)?,
-                trace: trace(value)?,
-            }),
-            "batch" => {
-                let sources = value
-                    .get("sources")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| ServiceError::malformed("request is missing \"sources\""))?
-                    .iter()
-                    .map(|s| {
-                        s.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| ServiceError::malformed("non-string batch source"))
-                    })
-                    .collect::<Result<Vec<String>, ServiceError>>()?;
-                Ok(Request::Batch {
-                    version,
-                    sources,
-                    options: options(value)?,
-                    trace: trace(value)?,
-                })
-            }
-            "stats" => Ok(Request::Stats { version }),
-            "metrics" => Ok(Request::Metrics { version }),
-            "trace_dump" => Ok(Request::TraceDump { version }),
-            "clear_caches" => Ok(Request::ClearCaches { version }),
-            "shutdown" => Ok(Request::Shutdown { version }),
-            "peer_inventory" => Ok(Request::PeerInventory { version }),
-            "peer_fetch" => Ok(Request::PeerFetch {
-                version,
-                namespace: peer_namespace(value)?,
-                key: parse_hex64(field(value, "key").map_err(ServiceError::malformed)?)
-                    .map_err(ServiceError::malformed)?,
-                trace: trace(value)?,
-            }),
-            "metrics_history" => Ok(Request::MetricsHistory { version }),
-            other => Err(ServiceError::malformed(format!(
-                "unknown request type {other:?}"
-            ))),
-        }
+        self.to_json().encode()
     }
 
     pub fn decode(line: &str) -> Result<Request, ServiceError> {
         let value = Json::parse(line)
             .map_err(|e| ServiceError::malformed(format!("unparseable request: {e}")))?;
-        Request::from_json_value(&value)
+        Request::from_json(&value).map_err(ServiceError::malformed)
     }
 }
 
@@ -441,32 +293,7 @@ pub enum PeerNamespace {
     Summaries,
 }
 
-impl PeerNamespace {
-    pub fn wire_name(self) -> &'static str {
-        match self {
-            PeerNamespace::Programs => "programs",
-            PeerNamespace::Summaries => "summaries",
-        }
-    }
-
-    pub fn from_wire_name(name: &str) -> Option<PeerNamespace> {
-        Some(match name {
-            "programs" => PeerNamespace::Programs,
-            "summaries" => PeerNamespace::Summaries,
-            _ => return None,
-        })
-    }
-}
-
-fn peer_namespace(value: &Json) -> Result<PeerNamespace, ServiceError> {
-    value
-        .get("namespace")
-        .and_then(Json::as_str)
-        .and_then(PeerNamespace::from_wire_name)
-        .ok_or_else(|| {
-            ServiceError::malformed("\"namespace\" must be \"programs\" or \"summaries\"")
-        })
-}
+names!(PeerNamespace { Programs => "programs", Summaries => "summaries" });
 
 /// What the analysis-only [`Request::Analyze`] returns.
 #[derive(Debug, Clone, PartialEq)]
@@ -486,43 +313,15 @@ pub struct AnalyzeSummary {
     pub analysis_digest: u64,
 }
 
-impl AnalyzeSummary {
-    fn to_json_value(&self) -> Json {
-        Json::obj(vec![
-            ("fingerprint", hex64(self.fingerprint)),
-            ("cache_hit", Json::Bool(self.cache_hit)),
-            ("structure", Json::Str(self.structure.clone())),
-            ("preserves_tree", Json::Bool(self.preserves_tree)),
-            (
-                "warnings",
-                Json::Arr(self.warnings.iter().map(|w| Json::Str(w.clone())).collect()),
-            ),
-            ("rounds", Json::Int(self.rounds as i64)),
-            ("analysis_digest", hex64(self.analysis_digest)),
-        ])
-    }
-
-    fn from_json_value(value: &Json) -> Result<AnalyzeSummary, String> {
-        Ok(AnalyzeSummary {
-            fingerprint: parse_hex64(field(value, "fingerprint")?)?,
-            cache_hit: field(value, "cache_hit")?
-                .as_bool()
-                .ok_or("cache_hit must be a bool")?,
-            structure: field(value, "structure")?
-                .as_str()
-                .ok_or("structure must be a string")?
-                .to_string(),
-            preserves_tree: field(value, "preserves_tree")?
-                .as_bool()
-                .ok_or("preserves_tree must be a bool")?,
-            warnings: string_list(field(value, "warnings")?)?,
-            rounds: field(value, "rounds")?
-                .as_u64()
-                .ok_or("rounds must be a count")? as usize,
-            analysis_digest: parse_hex64(field(value, "analysis_digest")?)?,
-        })
-    }
-}
+record!(AnalyzeSummary {
+    "fingerprint" => fingerprint as Hex,
+    "cache_hit" => cache_hit,
+    "structure" => structure,
+    "preserves_tree" => preserves_tree,
+    "warnings" => warnings,
+    "rounds" => rounds,
+    "analysis_digest" => analysis_digest as Hex,
+});
 
 /// Daemon-side counters attached to a [`Response::Stats`] by the serving
 /// `sild` process (absent when the service answers in process — there is
@@ -540,33 +339,12 @@ pub struct ServerStats {
     pub uptime_ticks: u64,
 }
 
-impl ServerStats {
-    fn to_json_value(&self) -> Json {
-        Json::obj(vec![
-            ("kind", Json::Str(self.kind.clone())),
-            ("accepted", Json::Int(self.accepted as i64)),
-            ("active", Json::Int(self.active as i64)),
-            ("uptime_ticks", Json::Int(self.uptime_ticks as i64)),
-        ])
-    }
-
-    fn from_json_value(value: &Json) -> Result<ServerStats, String> {
-        let count = |key: &str| -> Result<u64, String> {
-            field(value, key)?
-                .as_u64()
-                .ok_or_else(|| format!("\"{key}\" must be a count"))
-        };
-        Ok(ServerStats {
-            kind: field(value, "kind")?
-                .as_str()
-                .ok_or("\"kind\" must be a string")?
-                .to_string(),
-            accepted: count("accepted")?,
-            active: count("active")?,
-            uptime_ticks: count("uptime_ticks")?,
-        })
-    }
-}
+record!(ServerStats {
+    "kind" => kind,
+    "accepted" => accepted,
+    "active" => active,
+    "uptime_ticks" => uptime_ticks,
+});
 
 /// One trace span on the wire: a named interval attributed to a request
 /// id, timestamped in process ticks (microseconds — see `silobs::ticks`),
@@ -593,22 +371,37 @@ pub struct TraceSpan {
     pub origin: String,
 }
 
+// The tree members default so spans from a pre-tracing peer still decode
+// (as untraced, locally recorded ones).
+record!(TraceSpan: |it| {
+    "request" => request = &it.request,
+    "span" => span = &it.span,
+    "start_us" => start_us = &it.start_us,
+    "end_us" => end_us = &it.end_us,
+    "duration_us" => _duration_us [derived] = &it.duration_us(),
+    "trace" => trace as Hex [or 0] = &it.trace,
+    "span_id" => span_id as Hex [or 0] = &it.span_id,
+    "parent" => parent as Hex [or 0] = &it.parent,
+    "origin" => origin [or "in-process".to_string()] = &it.origin,
+} => TraceSpan { request, span, start_us, end_us, trace, span_id, parent, origin });
+
 impl TraceSpan {
     pub fn duration_us(&self) -> u64 {
         self.end_us.saturating_sub(self.start_us)
     }
 
-    /// Render spans as ndjson, one object per line, byte-identical to
-    /// `silobs::Tracer::to_ndjson` for the same spans: tree coordinates
-    /// appear (as unpadded hex) only when the span is traced, `origin`
-    /// always.
+    /// Render spans as ndjson, one object per line (trailing newline
+    /// included when nonempty): tree coordinates appear (as unpadded hex)
+    /// only when the span is traced, `origin` always.  The two strings are
+    /// escaped — a span decoded from a remote reply carries whatever name
+    /// and origin that daemon sent.
     pub fn to_ndjson(spans: &[TraceSpan]) -> String {
         let mut out = String::new();
         for span in spans {
             out.push_str(&format!(
                 "{{\"request\":{},\"span\":\"{}\",\"start_us\":{},\"end_us\":{},\"duration_us\":{}",
                 span.request,
-                span.span,
+                escape(&span.span),
                 span.start_us,
                 span.end_us,
                 span.duration_us()
@@ -619,59 +412,9 @@ impl TraceSpan {
                     span.trace, span.span_id, span.parent
                 ));
             }
-            out.push_str(&format!(",\"origin\":\"{}\"}}\n", span.origin));
+            out.push_str(&format!(",\"origin\":\"{}\"}}\n", escape(&span.origin)));
         }
         out
-    }
-
-    fn to_json_value(&self) -> Json {
-        Json::obj(vec![
-            ("request", Json::Int(self.request as i64)),
-            ("span", Json::Str(self.span.clone())),
-            ("start_us", Json::Int(self.start_us as i64)),
-            ("end_us", Json::Int(self.end_us as i64)),
-            ("duration_us", Json::Int(self.duration_us() as i64)),
-            ("trace", hex64(self.trace)),
-            ("span_id", hex64(self.span_id)),
-            ("parent", hex64(self.parent)),
-            ("origin", Json::Str(self.origin.clone())),
-        ])
-    }
-
-    fn from_json_value(value: &Json) -> Result<TraceSpan, String> {
-        let count = |key: &str| -> Result<u64, String> {
-            field(value, key)?
-                .as_u64()
-                .ok_or_else(|| format!("\"{key}\" must be a count"))
-        };
-        // The tree fields are optional so spans from a pre-tracing peer
-        // still decode (as untraced, locally recorded ones).
-        let id = |key: &str| -> Result<u64, String> {
-            value
-                .get(key)
-                .map(parse_hex64)
-                .transpose()
-                .map(|v| v.unwrap_or(0))
-        };
-        Ok(TraceSpan {
-            request: count("request")?,
-            span: field(value, "span")?
-                .as_str()
-                .ok_or("\"span\" must be a string")?
-                .to_string(),
-            start_us: count("start_us")?,
-            end_us: count("end_us")?,
-            trace: id("trace")?,
-            span_id: id("span_id")?,
-            parent: id("parent")?,
-            origin: match value.get("origin") {
-                Some(raw) => raw
-                    .as_str()
-                    .ok_or("\"origin\" must be a string")?
-                    .to_string(),
-                None => "in-process".to_string(),
-            },
-        })
     }
 
     /// The in-memory form of a wire span, origin preserved — what a
@@ -705,103 +448,25 @@ impl From<&SpanRecord> for TraceSpan {
     }
 }
 
-/// Encode a [`MetricsSnapshot`] for the wire: three name→value maps, with
-/// histograms as quantile-summary objects.
-pub fn metrics_snapshot_to_json(snapshot: &MetricsSnapshot) -> Json {
-    let counters = Json::Obj(
-        snapshot
-            .counters
-            .iter()
-            .map(|(name, value)| (name.clone(), Json::Int(*value as i64)))
-            .collect(),
-    );
-    let gauges = Json::Obj(
-        snapshot
-            .gauges
-            .iter()
-            .map(|(name, value)| (name.clone(), Json::Int(*value)))
-            .collect(),
-    );
-    let histograms = Json::Obj(
-        snapshot
-            .histograms
-            .iter()
-            .map(|(name, summary)| {
-                (
-                    name.clone(),
-                    Json::obj(vec![
-                        ("count", Json::Int(summary.count as i64)),
-                        ("sum", Json::Int(summary.sum as i64)),
-                        ("min", Json::Int(summary.min as i64)),
-                        ("max", Json::Int(summary.max as i64)),
-                        ("p50", Json::Int(summary.p50 as i64)),
-                        ("p90", Json::Int(summary.p90 as i64)),
-                        ("p99", Json::Int(summary.p99 as i64)),
-                        ("p999", Json::Int(summary.p999 as i64)),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    Json::obj(vec![
-        ("counters", counters),
-        ("gauges", gauges),
-        ("histograms", histograms),
-    ])
-}
+record!(HistogramSummary {
+    "count" => count,
+    "sum" => sum,
+    "min" => min,
+    "max" => max,
+    "p50" => p50,
+    "p90" => p90,
+    "p99" => p99,
+    "p999" => p999,
+});
 
-/// Inverse of [`metrics_snapshot_to_json`].
-pub fn metrics_snapshot_from_json(value: &Json) -> Result<MetricsSnapshot, String> {
-    let map = |key: &str| -> Result<&[(String, Json)], String> {
-        field(value, key)?
-            .as_obj()
-            .ok_or_else(|| format!("\"{key}\" must be an object"))
-    };
-    let counters = map("counters")?
-        .iter()
-        .map(|(name, raw)| {
-            raw.as_u64()
-                .map(|v| (name.clone(), v))
-                .ok_or_else(|| format!("counter {name:?} must be a count"))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let gauges = map("gauges")?
-        .iter()
-        .map(|(name, raw)| {
-            raw.as_i64()
-                .map(|v| (name.clone(), v))
-                .ok_or_else(|| format!("gauge {name:?} must be an integer"))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let histograms = map("histograms")?
-        .iter()
-        .map(|(name, raw)| {
-            let count = |key: &str| -> Result<u64, String> {
-                field(raw, key)?
-                    .as_u64()
-                    .ok_or_else(|| format!("histogram {name:?} field \"{key}\" must be a count"))
-            };
-            Ok((
-                name.clone(),
-                HistogramSummary {
-                    count: count("count")?,
-                    sum: count("sum")?,
-                    min: count("min")?,
-                    max: count("max")?,
-                    p50: count("p50")?,
-                    p90: count("p90")?,
-                    p99: count("p99")?,
-                    p999: count("p999")?,
-                },
-            ))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(MetricsSnapshot {
-        counters,
-        gauges,
-        histograms,
-    })
-}
+// Three name → value maps, histograms as quantile summaries.
+record!(MetricsSnapshot {
+    "counters" => counters as Named,
+    "gauges" => gauges as Named,
+    "histograms" => histograms as Named,
+});
+
+record!(HistorySample { "at_us" => at_us, "metrics" => metrics });
 
 /// A response from the analysis service.  Every variant carries the
 /// responder's protocol version — on a version mismatch the client reads
@@ -869,13 +534,15 @@ pub enum Response {
         programs: Vec<u64>,
         summaries: Vec<u64>,
     },
-    /// Answer to [`Request::PeerFetch`]: the entry's codec document when
-    /// the answering store holds the key (`body` is the same verifiable
-    /// JSON the durable tier persists), or `None` for a clean miss.  The
-    /// store generation rides along so a fetcher can tell a miss caused
-    /// by eviction (generation unchanged since the last inventory) from
-    /// one caused by a clear — in the latter case every key that store
-    /// advertised belongs to a dead snapshot.
+    /// Answer to [`Request::PeerFetch`]: the entry document when the
+    /// answering store holds the key (`body` is the same verifiable
+    /// document the durable tier persists — see `store/entry.rs`),
+    /// or `None` for a clean miss: the member is left out, and a `null`
+    /// from another implementation reads the same.  The store generation
+    /// rides along so a fetcher can tell a miss caused by eviction
+    /// (generation unchanged since the last inventory) from one caused by
+    /// a clear — in the latter case every key that store advertised
+    /// belongs to a dead snapshot.
     PeerEntry {
         version: u32,
         namespace: PeerNamespace,
@@ -895,6 +562,47 @@ pub enum Response {
     /// The request failed as a whole.
     Error { version: u32, error: ServiceError },
 }
+
+// Piggybacked spans ride last, and only when there are any, so every
+// untraced response encodes byte-identically to its pre-tracing form.
+message!(Response: |response| {
+    "analyzed" => Analyzed { "summary" => summary } trace_spans,
+    "report" => Report { "report" => report } trace_spans,
+    "batch" => Batch { "items" => items } trace_spans,
+    "stats" => Stats {
+        "shards" => shards,
+        "total" => total,
+        "store" => store,
+        "server" => server [opt],
+    },
+    "metrics" => Metrics { "metrics" => metrics },
+    "trace" => Trace { "spans" => spans },
+    "cleared" => Cleared {},
+    "shutting_down" => ShuttingDown {},
+    "peer_inventory" => PeerInventory {
+        "generation" => generation,
+        "programs" => programs as Hex,
+        "summaries" => summaries as Hex,
+    },
+    "peer_entry" => PeerEntry {
+        "namespace" => namespace,
+        "key" => key as Hex,
+        "generation" => generation,
+        "body" => body [opt],
+    } trace_spans,
+    "metrics_history" => MetricsHistory { "samples" => samples },
+    "error" => Error { "error" => error },
+} "trace_spans" => response.spans().filter(|spans| !spans.is_empty()));
+
+// One batch item: the report, or why there is none.
+record!(Result<ProgramReport, ServiceError>: |item| {
+    "report" => report [opt] = item.as_ref().ok(),
+    "error" => error [opt] = item.as_ref().err(),
+} => match (report, error) {
+    (Some(report), _) => Ok(report),
+    (None, Some(error)) => Err(error),
+    (None, None) => return Err("a batch item carries neither \"report\" nor \"error\"".into()),
+});
 
 impl Response {
     pub fn analyzed(summary: AnalyzeSummary) -> Response {
@@ -1035,40 +743,45 @@ impl Response {
         }
     }
 
-    /// The piggybacked callee spans this response carries (empty on kinds
-    /// that cannot carry them).
-    pub fn trace_spans(&self) -> &[TraceSpan] {
+    /// The piggyback slot of the kinds that have one — only work-carrying
+    /// responses do.
+    fn spans(&self) -> Option<&Vec<TraceSpan>> {
         match self {
             Response::Analyzed { trace_spans, .. }
             | Response::Report { trace_spans, .. }
             | Response::Batch { trace_spans, .. }
-            | Response::PeerEntry { trace_spans, .. } => trace_spans,
-            _ => &[],
+            | Response::PeerEntry { trace_spans, .. } => Some(trace_spans),
+            _ => None,
         }
+    }
+
+    fn spans_mut(&mut self) -> Option<&mut Vec<TraceSpan>> {
+        match self {
+            Response::Analyzed { trace_spans, .. }
+            | Response::Report { trace_spans, .. }
+            | Response::Batch { trace_spans, .. }
+            | Response::PeerEntry { trace_spans, .. } => Some(trace_spans),
+            _ => None,
+        }
+    }
+
+    /// The piggybacked callee spans this response carries (empty on kinds
+    /// that cannot carry them).
+    pub fn trace_spans(&self) -> &[TraceSpan] {
+        self.spans().map_or(&[], Vec::as_slice)
     }
 
     /// Take the piggybacked spans out for adoption into a local tracer,
     /// leaving the response otherwise intact.
     pub fn take_trace_spans(&mut self) -> Vec<TraceSpan> {
-        match self {
-            Response::Analyzed { trace_spans, .. }
-            | Response::Report { trace_spans, .. }
-            | Response::Batch { trace_spans, .. }
-            | Response::PeerEntry { trace_spans, .. } => std::mem::take(trace_spans),
-            _ => Vec::new(),
-        }
+        self.spans_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// Attach the answering daemon's spans for the request's trace (a
-    /// no-op on kinds that cannot carry them — only work-carrying
-    /// responses piggyback).
+    /// no-op on kinds that cannot carry them).
     pub fn with_trace_spans(mut self, spans: Vec<TraceSpan>) -> Response {
-        if let Response::Analyzed { trace_spans, .. }
-        | Response::Report { trace_spans, .. }
-        | Response::Batch { trace_spans, .. }
-        | Response::PeerEntry { trace_spans, .. } = &mut self
-        {
-            *trace_spans = spans;
+        if let Some(slot) = self.spans_mut() {
+            *slot = spans;
         }
         self
     }
@@ -1080,342 +793,15 @@ impl Response {
         }
     }
 
-    /// The protocol version of whoever produced this response.
-    pub fn version(&self) -> u32 {
-        match self {
-            Response::Analyzed { version, .. }
-            | Response::Report { version, .. }
-            | Response::Batch { version, .. }
-            | Response::Stats { version, .. }
-            | Response::Metrics { version, .. }
-            | Response::Trace { version, .. }
-            | Response::Cleared { version }
-            | Response::ShuttingDown { version }
-            | Response::PeerInventory { version, .. }
-            | Response::PeerEntry { version, .. }
-            | Response::MetricsHistory { version, .. }
-            | Response::Error { version, .. } => *version,
-        }
-    }
-
-    pub fn to_json_value(&self) -> Json {
-        let (kind, mut fields): (&str, Vec<(&str, Json)>) = match self {
-            Response::Analyzed { summary, .. } => {
-                ("analyzed", vec![("summary", summary.to_json_value())])
-            }
-            Response::Report { report, .. } => ("report", vec![("report", report.to_json_value())]),
-            Response::Batch { items, .. } => (
-                "batch",
-                vec![(
-                    "items",
-                    Json::Arr(
-                        items
-                            .iter()
-                            .map(|item| match item {
-                                Ok(report) => Json::obj(vec![("report", report.to_json_value())]),
-                                Err(error) => Json::obj(vec![("error", error.to_json_value())]),
-                            })
-                            .collect(),
-                    ),
-                )],
-            ),
-            Response::Stats {
-                shards,
-                total,
-                store,
-                server,
-                ..
-            } => {
-                let mut fields = vec![
-                    (
-                        "shards",
-                        Json::Arr(shards.iter().map(engine_stats_to_json).collect()),
-                    ),
-                    ("total", engine_stats_to_json(total)),
-                    ("store", store_stats_to_json(store)),
-                ];
-                if let Some(server) = server {
-                    fields.push(("server", server.to_json_value()));
-                }
-                ("stats", fields)
-            }
-            Response::Metrics { metrics, .. } => (
-                "metrics",
-                vec![("metrics", metrics_snapshot_to_json(metrics))],
-            ),
-            Response::Trace { spans, .. } => (
-                "trace",
-                vec![(
-                    "spans",
-                    Json::Arr(spans.iter().map(TraceSpan::to_json_value).collect()),
-                )],
-            ),
-            Response::Cleared { .. } => ("cleared", vec![]),
-            Response::ShuttingDown { .. } => ("shutting_down", vec![]),
-            Response::PeerInventory {
-                generation,
-                programs,
-                summaries,
-                ..
-            } => {
-                let keys = |keys: &[u64]| Json::Arr(keys.iter().copied().map(hex64).collect());
-                (
-                    "peer_inventory",
-                    vec![
-                        ("generation", Json::Int(*generation as i64)),
-                        ("programs", keys(programs)),
-                        ("summaries", keys(summaries)),
-                    ],
-                )
-            }
-            Response::PeerEntry {
-                namespace,
-                key,
-                generation,
-                body,
-                ..
-            } => {
-                let mut fields = vec![
-                    ("namespace", Json::Str(namespace.wire_name().to_string())),
-                    ("key", hex64(*key)),
-                    ("generation", Json::Int(*generation as i64)),
-                ];
-                if let Some(body) = body {
-                    fields.push(("body", body.clone()));
-                }
-                ("peer_entry", fields)
-            }
-            Response::MetricsHistory { samples, .. } => (
-                "metrics_history",
-                vec![(
-                    "samples",
-                    Json::Arr(
-                        samples
-                            .iter()
-                            .map(|sample| {
-                                Json::obj(vec![
-                                    ("at_us", Json::Int(sample.at_us as i64)),
-                                    ("metrics", metrics_snapshot_to_json(&sample.metrics)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                )],
-            ),
-            Response::Error { error, .. } => ("error", vec![("error", error.to_json_value())]),
-        };
-        let mut all = vec![
-            ("protocol_version", Json::Int(self.version() as i64)),
-            ("type", Json::Str(kind.to_string())),
-        ];
-        all.append(&mut fields);
-        // Piggybacked spans ride last, and only when present, so every
-        // untraced response encodes byte-identically to its pre-tracing
-        // form.
-        let trace_spans = self.trace_spans();
-        if !trace_spans.is_empty() {
-            all.push((
-                "trace_spans",
-                Json::Arr(trace_spans.iter().map(TraceSpan::to_json_value).collect()),
-            ));
-        }
-        Json::obj(all)
-    }
-
     /// One-line wire encoding.
     pub fn encode(&self) -> String {
-        self.to_json_value().encode()
-    }
-
-    pub fn from_json_value(value: &Json) -> Result<Response, ServiceError> {
-        let version = field_version(value)?;
-        let kind = value
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ServiceError::malformed("response is missing \"type\""))?;
-        let trace_spans = |value: &Json| -> Result<Vec<TraceSpan>, ServiceError> {
-            match value.get("trace_spans") {
-                None => Ok(Vec::new()),
-                Some(raw) => raw
-                    .as_arr()
-                    .ok_or_else(|| ServiceError::malformed("\"trace_spans\" must be an array"))?
-                    .iter()
-                    .map(|s| TraceSpan::from_json_value(s).map_err(ServiceError::malformed))
-                    .collect(),
-            }
-        };
-        match kind {
-            "analyzed" => {
-                let raw = value
-                    .get("summary")
-                    .ok_or_else(|| ServiceError::malformed("missing \"summary\""))?;
-                Ok(Response::Analyzed {
-                    version,
-                    summary: AnalyzeSummary::from_json_value(raw)
-                        .map_err(ServiceError::malformed)?,
-                    trace_spans: trace_spans(value)?,
-                })
-            }
-            "report" => {
-                let raw = value
-                    .get("report")
-                    .ok_or_else(|| ServiceError::malformed("missing \"report\""))?;
-                Ok(Response::Report {
-                    version,
-                    report: ProgramReport::from_json_value(raw).map_err(ServiceError::malformed)?,
-                    trace_spans: trace_spans(value)?,
-                })
-            }
-            "batch" => {
-                let raw = value
-                    .get("items")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| ServiceError::malformed("missing \"items\""))?;
-                let items = raw
-                    .iter()
-                    .map(|item| {
-                        if let Some(report) = item.get("report") {
-                            ProgramReport::from_json_value(report)
-                                .map(Ok)
-                                .map_err(ServiceError::malformed)
-                        } else if let Some(error) = item.get("error") {
-                            ServiceError::from_json_value(error).map(Err)
-                        } else {
-                            Err(ServiceError::malformed(
-                                "batch item carries neither \"report\" nor \"error\"",
-                            ))
-                        }
-                    })
-                    .collect::<Result<Vec<_>, ServiceError>>()?;
-                Ok(Response::Batch {
-                    version,
-                    items,
-                    trace_spans: trace_spans(value)?,
-                })
-            }
-            "stats" => {
-                let shards = value
-                    .get("shards")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| ServiceError::malformed("missing \"shards\""))?
-                    .iter()
-                    .map(|s| engine_stats_from_json(s).map_err(ServiceError::malformed))
-                    .collect::<Result<Vec<_>, ServiceError>>()?;
-                let total = value
-                    .get("total")
-                    .ok_or_else(|| ServiceError::malformed("missing \"total\""))
-                    .and_then(|t| engine_stats_from_json(t).map_err(ServiceError::malformed))?;
-                let store = value
-                    .get("store")
-                    .ok_or_else(|| ServiceError::malformed("missing \"store\""))
-                    .and_then(|s| store_stats_from_json(s).map_err(ServiceError::malformed))?;
-                let server = value
-                    .get("server")
-                    .map(|s| ServerStats::from_json_value(s).map_err(ServiceError::malformed))
-                    .transpose()?;
-                Ok(Response::Stats {
-                    version,
-                    shards,
-                    total,
-                    store: Box::new(store),
-                    server,
-                })
-            }
-            "metrics" => {
-                let raw = value
-                    .get("metrics")
-                    .ok_or_else(|| ServiceError::malformed("missing \"metrics\""))?;
-                Ok(Response::Metrics {
-                    version,
-                    metrics: metrics_snapshot_from_json(raw).map_err(ServiceError::malformed)?,
-                })
-            }
-            "trace" => {
-                let spans = value
-                    .get("spans")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| ServiceError::malformed("missing \"spans\""))?
-                    .iter()
-                    .map(|s| TraceSpan::from_json_value(s).map_err(ServiceError::malformed))
-                    .collect::<Result<Vec<_>, ServiceError>>()?;
-                Ok(Response::Trace { version, spans })
-            }
-            "cleared" => Ok(Response::Cleared { version }),
-            "shutting_down" => Ok(Response::ShuttingDown { version }),
-            "peer_inventory" => {
-                let keys = |key: &str| -> Result<Vec<u64>, ServiceError> {
-                    value
-                        .get(key)
-                        .and_then(Json::as_arr)
-                        .ok_or_else(|| ServiceError::malformed(format!("missing \"{key}\"")))?
-                        .iter()
-                        .map(|raw| parse_hex64(raw).map_err(ServiceError::malformed))
-                        .collect()
-                };
-                Ok(Response::PeerInventory {
-                    version,
-                    generation: value
-                        .get("generation")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| ServiceError::malformed("missing \"generation\""))?,
-                    programs: keys("programs")?,
-                    summaries: keys("summaries")?,
-                })
-            }
-            "peer_entry" => Ok(Response::PeerEntry {
-                version,
-                namespace: peer_namespace(value)?,
-                key: parse_hex64(field(value, "key").map_err(ServiceError::malformed)?)
-                    .map_err(ServiceError::malformed)?,
-                generation: value
-                    .get("generation")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| ServiceError::malformed("missing \"generation\""))?,
-                body: value.get("body").cloned(),
-                trace_spans: trace_spans(value)?,
-            }),
-            "metrics_history" => {
-                let samples = value
-                    .get("samples")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| ServiceError::malformed("missing \"samples\""))?
-                    .iter()
-                    .map(|sample| {
-                        let at_us = sample
-                            .get("at_us")
-                            .and_then(Json::as_u64)
-                            .ok_or_else(|| ServiceError::malformed("missing \"at_us\""))?;
-                        let raw = sample
-                            .get("metrics")
-                            .ok_or_else(|| ServiceError::malformed("missing \"metrics\""))?;
-                        Ok(HistorySample {
-                            at_us,
-                            metrics: metrics_snapshot_from_json(raw)
-                                .map_err(ServiceError::malformed)?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, ServiceError>>()?;
-                Ok(Response::MetricsHistory { version, samples })
-            }
-            "error" => {
-                let raw = value
-                    .get("error")
-                    .ok_or_else(|| ServiceError::malformed("missing \"error\""))?;
-                Ok(Response::Error {
-                    version,
-                    error: ServiceError::from_json_value(raw)?,
-                })
-            }
-            other => Err(ServiceError::malformed(format!(
-                "unknown response type {other:?}"
-            ))),
-        }
+        self.to_json().encode()
     }
 
     pub fn decode(line: &str) -> Result<Response, ServiceError> {
         let value = Json::parse(line)
             .map_err(|e| ServiceError::malformed(format!("unparseable response: {e}")))?;
-        Response::from_json_value(&value)
+        Response::from_json(&value).map_err(ServiceError::malformed)
     }
 }
 
@@ -1434,28 +820,13 @@ pub enum ErrorKind {
     Malformed,
 }
 
-impl ErrorKind {
-    fn wire_name(self) -> &'static str {
-        match self {
-            ErrorKind::Frontend => "frontend",
-            ErrorKind::Runtime => "runtime",
-            ErrorKind::Protocol => "protocol",
-            ErrorKind::Transport => "transport",
-            ErrorKind::Malformed => "malformed",
-        }
-    }
-
-    fn from_wire_name(name: &str) -> Option<ErrorKind> {
-        Some(match name {
-            "frontend" => ErrorKind::Frontend,
-            "runtime" => ErrorKind::Runtime,
-            "protocol" => ErrorKind::Protocol,
-            "transport" => ErrorKind::Transport,
-            "malformed" => ErrorKind::Malformed,
-            _ => return None,
-        })
-    }
-}
+names!(local ErrorKind {
+    Frontend => "frontend",
+    Runtime => "runtime",
+    Protocol => "protocol",
+    Transport => "transport",
+    Malformed => "malformed",
+});
 
 /// A service-level failure that travels over the wire.
 ///
@@ -1467,6 +838,8 @@ pub struct ServiceError {
     pub kind: ErrorKind,
     pub message: String,
 }
+
+record!(ServiceError { "kind" => kind, "message" => message });
 
 impl ServiceError {
     pub fn new(kind: ErrorKind, message: impl Into<String>) -> ServiceError {
@@ -1494,27 +867,6 @@ impl ServiceError {
             ),
         )
     }
-
-    fn to_json_value(&self) -> Json {
-        Json::obj(vec![
-            ("kind", Json::Str(self.kind.wire_name().to_string())),
-            ("message", Json::Str(self.message.clone())),
-        ])
-    }
-
-    fn from_json_value(value: &Json) -> Result<ServiceError, ServiceError> {
-        let kind = value
-            .get("kind")
-            .and_then(Json::as_str)
-            .and_then(ErrorKind::from_wire_name)
-            .ok_or_else(|| ServiceError::malformed("error is missing a known \"kind\""))?;
-        let message = value
-            .get("message")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ServiceError::malformed("error is missing \"message\""))?
-            .to_string();
-        Ok(ServiceError { kind, message })
-    }
 }
 
 impl std::fmt::Display for ServiceError {
@@ -1540,234 +892,87 @@ impl From<EngineError> for ServiceError {
     }
 }
 
-fn field_version(value: &Json) -> Result<u32, ServiceError> {
-    value
-        .get("protocol_version")
-        .and_then(Json::as_u64)
-        .and_then(|v| u32::try_from(v).ok())
-        .ok_or_else(|| ServiceError::malformed("message is missing \"protocol_version\""))
+// One cache, stripe, or view.
+record!(CacheStats {
+    "hits" => hits,
+    "misses" => misses,
+    "insertions" => insertions,
+    "evictions" => evictions,
+});
+
+// One engine's per-namespace view counters.
+record!(EngineStats { "programs" => programs, "summaries" => summaries, "walks" => walks });
+
+leaves! {
+    EvictionPolicy: "an eviction policy's name", |policy| Json::Str(policy.name().to_string()), |raw| raw.as_str().and_then(EvictionPolicy::from_name);
+    PolicyChoice: "\"lru\" or \"lfu\"", |choice| Json::Str(choice.name().to_string()), |raw| raw.as_str().and_then(PolicyChoice::from_name);
 }
 
-/// Encode a [`CacheStats`] (one cache, stripe, or view) for the wire.
-pub fn cache_stats_to_json(stats: &CacheStats) -> Json {
-    Json::obj(vec![
-        ("hits", Json::Int(stats.hits as i64)),
-        ("misses", Json::Int(stats.misses as i64)),
-        ("insertions", Json::Int(stats.insertions as i64)),
-        ("evictions", Json::Int(stats.evictions as i64)),
-    ])
-}
+// One store namespace's counters and live policy state.
+record!(NamespaceStats {
+    "totals" => totals,
+    "entries" => entries,
+    "capacity" => capacity,
+    "policy" => policy,
+    "current" => current,
+    "switches" => switches,
+    "ghost_hits" => ghost_hits,
+    "stripes" => stripes,
+});
 
-fn cache_stats_from_json(value: &Json) -> Result<CacheStats, String> {
-    let count = |key: &str| -> Result<u64, String> {
-        field(value, key)?
-            .as_u64()
-            .ok_or_else(|| format!("\"{key}\" must be a count"))
-    };
-    Ok(CacheStats {
-        hits: count("hits")?,
-        misses: count("misses")?,
-        insertions: count("insertions")?,
-        evictions: count("evictions")?,
-    })
-}
+record!(DiskStats {
+    "hits" => hits,
+    "misses" => misses,
+    "read_bytes" => read_bytes,
+    "written_bytes" => written_bytes,
+    "entries" => entries,
+    "live_bytes" => live_bytes,
+    "segments" => segments,
+    "flushes" => flushes,
+    "compactions" => compactions,
+    "evictions" => evictions,
+    "recovered_entries" => recovered_entries,
+    "dropped_bytes" => dropped_bytes,
+});
 
-/// Encode one engine's per-namespace view counters for the wire.
-pub fn engine_stats_to_json(stats: &EngineStats) -> Json {
-    Json::obj(vec![
-        ("programs", cache_stats_to_json(&stats.programs)),
-        ("summaries", cache_stats_to_json(&stats.summaries)),
-        ("walks", cache_stats_to_json(&stats.walks)),
-    ])
-}
+record!(PeerStats {
+    "peers" => peers,
+    "quarantined" => quarantined,
+    "hits" => hits,
+    "misses" => misses,
+    "gossip_rounds" => gossip_rounds,
+    "quarantines" => quarantines,
+    "bytes_in" => bytes_in,
+    "bytes_out" => bytes_out,
+    "serves" => serves,
+    "known_keys" => known_keys,
+});
 
-/// Inverse of [`engine_stats_to_json`].
-pub fn engine_stats_from_json(value: &Json) -> Result<EngineStats, String> {
-    Ok(EngineStats {
-        programs: cache_stats_from_json(field(value, "programs")?)?,
-        summaries: cache_stats_from_json(field(value, "summaries")?)?,
-        walks: cache_stats_from_json(field(value, "walks")?)?,
-    })
-}
-
-/// Encode one store namespace's counters and live policy state.
-pub fn namespace_stats_to_json(stats: &NamespaceStats) -> Json {
-    Json::obj(vec![
-        ("totals", cache_stats_to_json(&stats.totals)),
-        ("entries", Json::Int(stats.entries as i64)),
-        ("capacity", Json::Int(stats.capacity as i64)),
-        ("policy", Json::Str(stats.policy.name().to_string())),
-        ("current", Json::Str(stats.current.name().to_string())),
-        ("switches", Json::Int(stats.switches as i64)),
-        ("ghost_hits", Json::Int(stats.ghost_hits as i64)),
-        (
-            "stripes",
-            Json::Arr(stats.stripes.iter().map(cache_stats_to_json).collect()),
-        ),
-    ])
-}
-
-/// Inverse of [`namespace_stats_to_json`].
-pub fn namespace_stats_from_json(value: &Json) -> Result<NamespaceStats, String> {
-    let count = |key: &str| -> Result<u64, String> {
-        field(value, key)?
-            .as_u64()
-            .ok_or_else(|| format!("\"{key}\" must be a count"))
-    };
-    Ok(NamespaceStats {
-        totals: cache_stats_from_json(field(value, "totals")?)?,
-        entries: count("entries")? as usize,
-        capacity: count("capacity")? as usize,
-        policy: field(value, "policy")?
-            .as_str()
-            .and_then(EvictionPolicy::from_name)
-            .ok_or("\"policy\" must name an eviction policy")?,
-        current: field(value, "current")?
-            .as_str()
-            .and_then(PolicyChoice::from_name)
-            .ok_or("\"current\" must be \"lru\" or \"lfu\"")?,
-        switches: count("switches")?,
-        ghost_hits: count("ghost_hits")?,
-        stripes: field(value, "stripes")?
-            .as_arr()
-            .ok_or("\"stripes\" must be an array")?
-            .iter()
-            .map(cache_stats_from_json)
-            .collect::<Result<Vec<_>, String>>()?,
-    })
-}
-
-/// Encode the durable disk tier's counters.
-pub fn disk_stats_to_json(stats: &DiskStats) -> Json {
-    Json::obj(vec![
-        ("hits", Json::Int(stats.hits as i64)),
-        ("misses", Json::Int(stats.misses as i64)),
-        ("read_bytes", Json::Int(stats.read_bytes as i64)),
-        ("written_bytes", Json::Int(stats.written_bytes as i64)),
-        ("entries", Json::Int(stats.entries as i64)),
-        ("live_bytes", Json::Int(stats.live_bytes as i64)),
-        ("segments", Json::Int(stats.segments as i64)),
-        ("flushes", Json::Int(stats.flushes as i64)),
-        ("compactions", Json::Int(stats.compactions as i64)),
-        ("evictions", Json::Int(stats.evictions as i64)),
-        (
-            "recovered_entries",
-            Json::Int(stats.recovered_entries as i64),
-        ),
-        ("dropped_bytes", Json::Int(stats.dropped_bytes as i64)),
-    ])
-}
-
-/// Inverse of [`disk_stats_to_json`].
-pub fn disk_stats_from_json(value: &Json) -> Result<DiskStats, String> {
-    let count = |key: &str| -> Result<u64, String> {
-        field(value, key)?
-            .as_u64()
-            .ok_or_else(|| format!("\"{key}\" must be a count"))
-    };
-    Ok(DiskStats {
-        hits: count("hits")?,
-        misses: count("misses")?,
-        read_bytes: count("read_bytes")?,
-        written_bytes: count("written_bytes")?,
-        entries: count("entries")?,
-        live_bytes: count("live_bytes")?,
-        segments: count("segments")?,
-        flushes: count("flushes")?,
-        compactions: count("compactions")?,
-        evictions: count("evictions")?,
-        recovered_entries: count("recovered_entries")?,
-        dropped_bytes: count("dropped_bytes")?,
-    })
-}
-
-/// Encode the peering tier's counters.
-pub fn peer_stats_to_json(stats: &PeerStats) -> Json {
-    Json::obj(vec![
-        ("peers", Json::Int(stats.peers as i64)),
-        ("quarantined", Json::Int(stats.quarantined as i64)),
-        ("hits", Json::Int(stats.hits as i64)),
-        ("misses", Json::Int(stats.misses as i64)),
-        ("gossip_rounds", Json::Int(stats.gossip_rounds as i64)),
-        ("quarantines", Json::Int(stats.quarantines as i64)),
-        ("bytes_in", Json::Int(stats.bytes_in as i64)),
-        ("bytes_out", Json::Int(stats.bytes_out as i64)),
-        ("serves", Json::Int(stats.serves as i64)),
-        ("known_keys", Json::Int(stats.known_keys as i64)),
-    ])
-}
-
-/// Inverse of [`peer_stats_to_json`].
-pub fn peer_stats_from_json(value: &Json) -> Result<PeerStats, String> {
-    let count = |key: &str| -> Result<u64, String> {
-        field(value, key)?
-            .as_u64()
-            .ok_or_else(|| format!("\"{key}\" must be a count"))
-    };
-    Ok(PeerStats {
-        peers: count("peers")?,
-        quarantined: count("quarantined")?,
-        hits: count("hits")?,
-        misses: count("misses")?,
-        gossip_rounds: count("gossip_rounds")?,
-        quarantines: count("quarantines")?,
-        bytes_in: count("bytes_in")?,
-        bytes_out: count("bytes_out")?,
-        serves: count("serves")?,
-        known_keys: count("known_keys")?,
-    })
-}
-
-/// Encode the whole store snapshot (all four namespaces, plus the disk
-/// tier when one is configured and the peering tier when a ring is
-/// attached or this daemon has served peers — each member is simply
-/// absent otherwise, which protocol-version-2 decoders ignore, keeping
-/// the changes additive).
-pub fn store_stats_to_json(stats: &StoreStats) -> Json {
-    let mut members = vec![
-        ("programs", namespace_stats_to_json(&stats.programs)),
-        ("summaries", namespace_stats_to_json(&stats.summaries)),
-        ("walks", namespace_stats_to_json(&stats.walks)),
-        ("products", namespace_stats_to_json(&stats.products)),
-    ];
-    if let Some(disk) = &stats.disk {
-        members.push(("disk", disk_stats_to_json(disk)));
-    }
-    if let Some(peer) = &stats.peer {
-        members.push(("peer", peer_stats_to_json(peer)));
-    }
-    Json::obj(members)
-}
-
-/// Inverse of [`store_stats_to_json`] (a missing `"disk"` member decodes
-/// as a memory-only store, a missing `"peer"` member as an unpeered one,
-/// and a missing `"products"` member — a daemon that predates the
-/// namespace — as an empty, zero-capacity one).
-pub fn store_stats_from_json(value: &Json) -> Result<StoreStats, String> {
-    Ok(StoreStats {
-        programs: namespace_stats_from_json(field(value, "programs")?)?,
-        summaries: namespace_stats_from_json(field(value, "summaries")?)?,
-        walks: namespace_stats_from_json(field(value, "walks")?)?,
-        products: match value.get("products") {
-            Some(products) => namespace_stats_from_json(products)?,
-            None => NamespaceStats {
-                totals: CacheStats::default(),
-                entries: 0,
-                capacity: 0,
-                policy: EvictionPolicy::default(),
-                current: PolicyChoice::Lru,
-                switches: 0,
-                ghost_hits: 0,
-                stripes: Vec::new(),
-            },
-        },
-        disk: value.get("disk").map(disk_stats_from_json).transpose()?,
-        peer: value.get("peer").map(peer_stats_from_json).transpose()?,
-    })
-}
+// The whole store snapshot.  A reply without `products` (a daemon that
+// predates the namespace) decodes with an empty, zero-capacity one; `disk`
+// is there when a disk tier is configured, `peer` when a ring is attached
+// or this daemon has served peers.
+record!(StoreStats {
+    "programs" => programs,
+    "summaries" => summaries,
+    "walks" => walks,
+    "products" => products [or NamespaceStats {
+        totals: CacheStats::default(),
+        entries: 0,
+        capacity: 0,
+        policy: EvictionPolicy::default(),
+        current: PolicyChoice::Lru,
+        switches: 0,
+        ghost_hits: 0,
+        stripes: Vec::new(),
+    }],
+    "disk" => disk [opt],
+    "peer" => peer [opt],
+});
 
 #[cfg(test)]
 mod tests {
+    use super::super::wire::mutation;
     use super::*;
 
     fn sample_store_stats() -> StoreStats {
@@ -1833,12 +1038,103 @@ mod tests {
         }
     }
 
+    /// What a reader assumes for a member the document lacks.
+    enum Assumed {
+        /// `None`: the member stays out when the value is written back.
+        Nothing,
+        /// This value, written back in the member's place.
+        Value(&'static str),
+        /// Whatever the other members imply; never read.
+        Derived,
+    }
+    use Assumed::{Derived, Nothing, Value};
+
+    const NO_ID: Assumed = Value("\"0000000000000000\"");
+    const NO_NAMESPACE: Assumed = Value(concat!(
+        r#"{"totals":{"hits":0,"misses":0,"insertions":0,"evictions":0},"entries":0,"#,
+        r#""capacity":0,"policy":"adaptive","current":"lru","switches":0,"ghost_hits":0,"#,
+        r#""stripes":[]}"#
+    ));
+
+    /// Every member a message may lack, as `(enclosing member, member,
+    /// what is assumed)`.  Anything not listed is required: the mutation
+    /// pass below fails if deleting it still decodes, so a required member
+    /// can never quietly become optional.
+    const OPTIONAL: &[(&str, &str, Assumed)] = &[
+        ("", "trace", Nothing),
+        ("", "trace_spans", Nothing),
+        ("", "server", Nothing),
+        ("", "body", Nothing),
+        ("store", "disk", Nothing),
+        ("store", "peer", Nothing),
+        ("store", "products", NO_NAMESPACE),
+        ("report", "incremental", Nothing),
+        ("report", "transforms", Nothing),
+        ("report", "parallel_source", Nothing),
+        ("report", "sequential_execution", Nothing),
+        ("report", "parallel_execution", Nothing),
+        ("spans", "duration_us", Derived),
+        ("spans", "trace", NO_ID),
+        ("spans", "span_id", NO_ID),
+        ("spans", "parent", NO_ID),
+        ("spans", "origin", Value("\"in-process\"")),
+        ("trace_spans", "duration_us", Derived),
+        ("trace_spans", "trace", NO_ID),
+        ("trace_spans", "span_id", NO_ID),
+        ("trace_spans", "parent", NO_ID),
+        ("trace_spans", "origin", Value("\"in-process\"")),
+    ];
+
+    /// The two members any JSON value is accepted for: `body` is an opaque
+    /// document (only the entry codec looks inside), `duration_us` is
+    /// derived and ignored on input.
+    const UNTYPED: &[&str] = &["body", "duration_us"];
+
+    /// Damage every member of `line` in turn (see [`mutation::mutants`]):
+    /// no mutant may panic, a member of the wrong type is malformed, and
+    /// so is a missing one unless [`OPTIONAL`] lists it — in which case
+    /// the message decodes to the sample with that member as assumed.
+    fn mutate<M: std::fmt::Debug>(
+        line: &str,
+        decode: impl Fn(&str) -> Result<M, ServiceError>,
+        encode: impl Fn(&M) -> String,
+    ) {
+        let sample = Json::parse(line).unwrap();
+        let keyed = ["counters", "gauges", "histograms"];
+        for mutant in mutation::mutants(&sample, &["body"], &keyed) {
+            let decoded = decode(&mutant.document.encode());
+            let (within, key) = mutant.member();
+            let optional = OPTIONAL
+                .iter()
+                .find(|(outer, member, _)| (*outer, *member) == (within, key));
+            match (mutant.deleted, optional) {
+                (false, _) if UNTYPED.contains(&key) => {
+                    decoded.unwrap_or_else(|e| panic!("{}: {e}", mutant.path()));
+                }
+                (false, _) | (true, None) => match decoded {
+                    Err(error) => assert_eq!(error.kind, ErrorKind::Malformed, "{}", mutant.path()),
+                    Ok(message) => panic!("{} still decodes: {message:?}", mutant.path()),
+                },
+                (true, Some((_, _, assumed))) => {
+                    let expected = match assumed {
+                        Nothing => mutant.document.clone(),
+                        Value(json) => mutant.sample_with(&sample, Json::parse(json).unwrap()),
+                        Derived => sample.clone(),
+                    };
+                    let message = decoded.unwrap_or_else(|e| panic!("{}: {e}", mutant.path()));
+                    assert_eq!(encode(&message), expected.encode(), "{}", mutant.path());
+                }
+            }
+        }
+    }
+
     fn round_trip_request(request: Request) {
         let line = request.encode();
         assert!(!line.contains('\n'), "wire lines must be newline-free");
         let back = Request::decode(&line).unwrap();
         assert_eq!(back, request);
         assert_eq!(back.encode(), line);
+        mutate(&line, Request::decode, Request::encode);
     }
 
     fn round_trip_response(response: Response) {
@@ -1847,6 +1143,7 @@ mod tests {
         let back = Response::decode(&line).unwrap();
         assert_eq!(back, response);
         assert_eq!(back.encode(), line);
+        mutate(&line, Response::decode, Response::encode);
     }
 
     #[test]
@@ -1906,7 +1203,10 @@ mod tests {
         round_trip_response(Response::peer_inventory(0, Vec::new(), Vec::new()));
         // A hit carries the codec document verbatim; a miss omits the key
         // entirely so old-style strict decoders never see a null.
-        let body = Json::obj(vec![("v", Json::Int(1)), ("fingerprint", hex64(0xfeed))]);
+        let body = Json::obj(vec![
+            ("v", Json::Int(1)),
+            ("fingerprint", Wire::<Hex>::to_json(&0xfeed)),
+        ]);
         round_trip_response(Response::peer_entry(
             PeerNamespace::Programs,
             0xfeed,
@@ -1915,6 +1215,10 @@ mod tests {
         ));
         let miss = Response::peer_entry(PeerNamespace::Summaries, 7, 0, None);
         assert!(!miss.encode().contains("\"body\""));
+        // …and a null from an implementation that writes one is the same
+        // miss, not a body to verify.
+        let null = miss.encode().replace('}', ",\"body\":null}");
+        assert_eq!(Response::decode(&null), Ok(miss.clone()));
         round_trip_response(miss);
     }
 
@@ -2098,33 +1402,75 @@ mod tests {
     }
 
     #[test]
-    fn trace_ndjson_matches_the_tracer_renderer() {
-        let flat = SpanRecord {
-            request: 3,
-            name: "queue-wait".into(),
-            start_us: 7,
-            end_us: 19,
-            trace: 0,
-            span_id: 0,
-            parent: 0,
-            origin: Some("in-process".into()),
-        };
-        let traced = SpanRecord {
-            request: 4,
+    fn ndjson_is_one_object_per_line() {
+        let tracer = silobs::Tracer::new(8);
+        tracer.record(1, "parse", 10, 25);
+        tracer.record(1, "fixpoint", 26, 100);
+        let spans: Vec<TraceSpan> = tracer.snapshot().iter().map(TraceSpan::from).collect();
+        let dump = TraceSpan::to_ndjson(&spans);
+        let lines: Vec<&str> = dump.lines().collect();
+        assert_eq!(lines.len(), 2);
+        assert_eq!(
+            lines[0],
+            "{\"request\":1,\"span\":\"parse\",\"start_us\":10,\"end_us\":25,\
+             \"duration_us\":15,\"origin\":\"in-process\"}"
+        );
+        assert!(lines[1].contains("\"span\":\"fixpoint\""));
+    }
+
+    #[test]
+    fn ndjson_traced_spans_carry_tree_coordinates_and_origin() {
+        let tracer = silobs::Tracer::new(8);
+        tracer.set_origin("unix:/tmp/a.sock");
+        tracer.record_span(SpanRecord {
+            request: 2,
             name: "serve".into(),
-            start_us: 20,
-            end_us: 90,
+            start_us: 4,
+            end_us: 10,
             trace: 0x2a,
             span_id: 0x1f,
             parent: 0x10,
-            origin: Some("unix:/tmp/a.sock".into()),
-        };
-        let records = vec![flat, traced];
-        let wire: Vec<TraceSpan> = records.iter().map(TraceSpan::from).collect();
+            origin: None,
+        });
+        let spans: Vec<TraceSpan> = tracer.snapshot().iter().map(TraceSpan::from).collect();
         assert_eq!(
-            TraceSpan::to_ndjson(&wire),
-            silobs::Tracer::to_ndjson(&records),
-            "wire renderer and in-process renderer must agree byte-for-byte"
+            TraceSpan::to_ndjson(&spans),
+            "{\"request\":2,\"span\":\"serve\",\"start_us\":4,\"end_us\":10,\
+             \"duration_us\":6,\"trace\":\"2a\",\"span_id\":\"1f\",\"parent\":\"10\",\
+             \"origin\":\"unix:/tmp/a.sock\"}\n"
+        );
+    }
+
+    /// A span decoded from a remote `trace` reply carries whatever strings
+    /// that daemon sent; the dump still prints one JSON object per line.
+    #[test]
+    fn ndjson_escapes_what_a_remote_daemon_named_its_spans() {
+        let hostile = TraceSpan {
+            span: "bad\"name\nsecond line".into(),
+            origin: "unix:/tmp/\"quoted\".sock".into(),
+            ..tree_span(5, "x", 0x2a, 0x20, 0x1f)
+        };
+        let reply = Response::trace(vec![flat_span(1, "parse", 10, 25), hostile.clone()]);
+        let Response::Trace { spans, .. } = Response::decode(&reply.encode()).unwrap() else {
+            panic!("a trace line decodes to a trace response");
+        };
+        let dump = TraceSpan::to_ndjson(&spans);
+        let lines: Vec<&str> = dump.lines().collect();
+        assert_eq!(lines.len(), 2, "{dump}");
+        let parsed = Json::parse(lines[1]).expect("each line is one JSON object");
+        assert_eq!(
+            parsed.get("span").unwrap().as_str(),
+            Some(hostile.span.as_str())
+        );
+        assert_eq!(
+            parsed.get("origin").unwrap().as_str(),
+            Some(hostile.origin.as_str())
+        );
+        assert_eq!(
+            lines[0],
+            "{\"request\":1,\"span\":\"parse\",\"start_us\":10,\"end_us\":25,\
+             \"duration_us\":15,\"origin\":\"in-process\"}",
+            "ordinary spans render the bytes they always have"
         );
     }
 
@@ -2179,6 +1525,39 @@ mod tests {
             ErrorKind::Frontend,
             "parse error at line 1",
         ))]));
+        round_trip_response(Response::report(sample_report()));
+        round_trip_response(Response::batch(vec![Ok(sample_report())]));
+    }
+
+    /// A report with every optional member present.
+    fn sample_report() -> ProgramReport {
+        let execution = crate::ExecutionReport {
+            work: 10,
+            span: 5,
+            parallelism: 2.0,
+            allocated_nodes: 7,
+        };
+        ProgramReport {
+            name: "t".into(),
+            fingerprint: 0xabcd,
+            cache_hit: false,
+            structure: "TREE".into(),
+            preserves_tree: true,
+            warnings: vec!["w".into()],
+            rounds: 2,
+            analysis_digest: 1,
+            incremental: Some(crate::IncrementalReport {
+                procedures_reused: 3,
+                procedures_stale: 1,
+                walks_performed: 2,
+                walks_reused: 6,
+            }),
+            transforms: Some(3),
+            violations: vec!["v".into()],
+            parallel_source: Some("program t\n".into()),
+            sequential_execution: Some(execution.clone()),
+            parallel_execution: Some(execution),
+        }
     }
 
     #[test]

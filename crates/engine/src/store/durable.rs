@@ -8,8 +8,8 @@
 //!
 //! * **Write-behind** — the analysis hot path enqueues the value (an
 //!   `Arc`, no copy) on an unbounded channel and returns; one background
-//!   flusher thread encodes it with the workspace's own JSON codec and
-//!   appends it to the active [`segment`] file.  With
+//!   flusher thread encodes its entry document (`store/entry.rs`) and
+//!   appends the bytes to the active [`segment`] file.  With
 //!   [`DurableConfig::fsync`] the flusher syncs after every batch; either
 //!   way the hot path never blocks on the disk.
 //! * **Crash-safe recovery** — opening the tier scans every segment and
@@ -27,24 +27,16 @@
 //!   tier inherits the same admission judgement (cf. the NDN caching
 //!   literature: disk is one more cache tier, not an archive).
 //!
-//! The decoded values round-trip exactly: a program served from disk
-//! reports the same `analysis_digest` the original analysis did (the
-//! codec stores the digest and refuses to serve an entry that fails to
-//! reproduce it).
+//! This file is segments and tiering only: what the bytes of an entry
+//! *mean* — and the checks that make a program served from disk report the
+//! same `analysis_digest` the original analysis did — live in
+//! `store/entry.rs`.
 
 use super::segment::{self, EntryRef, SegmentWriter};
-use super::{PolicyChoice, SummaryTable};
-use crate::service::json::{self, Json};
+use super::{entry, PolicyChoice, SummaryTable};
 use crate::AnalyzedProgram;
-use sil_analysis::{
-    AbstractState, AnalysisResult, ArgMode, ProcSummary, ProcedureAnalysis, ProgramPoint,
-    ReturnSummary, StructureKind, StructureWarning,
-};
-use sil_lang::hash::program_fingerprint;
-use sil_lang::{frontend, pretty_program};
-use sil_pathmatrix::{Certainty, Dir, Link, Path as RelPath, PathMatrix, PathSet};
 use silobs::Tracer;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
 use std::io;
 use std::path::PathBuf;
@@ -488,12 +480,12 @@ fn flusher_loop(shared: &Arc<TierShared>, receiver: &mpsc::Receiver<Job>) {
             for job in batch {
                 match job {
                     Job::Program(key, entry, generation) => {
-                        let body = codec::encode_program(&entry);
-                        append(shared, NS_PROGRAM, key, &body, generation);
+                        let body = entry::program_document(&entry).encode();
+                        append(shared, NS_PROGRAM, key, body.as_bytes(), generation);
                     }
                     Job::Summaries(key, table, generation) => {
-                        let body = codec::encode_summaries(&table, key);
-                        append(shared, NS_SUMMARY, key, &body, generation);
+                        let body = entry::summaries_document(&table, key).encode();
+                        append(shared, NS_SUMMARY, key, body.as_bytes(), generation);
                     }
                     Job::Barrier(ack) => barriers.push(ack),
                 }
@@ -668,628 +660,5 @@ fn append_locked(
             }
         }
         Err(e) => eprintln!("sil durable store: append failed: {e}"),
-    }
-}
-
-/// The on-disk value codec: the workspace's own JSON module, no new
-/// dependencies.  Programs store their pretty-printed source (the
-/// frontend round-trips it) plus the full [`AnalysisResult`]; decoding
-/// verifies both the content fingerprint and the analysis digest, so a
-/// disk hit is byte-identical to recomputing or it is a miss.
-pub(crate) mod codec {
-    use super::*;
-
-    fn jfield<'a>(value: &'a Json, key: &str) -> Result<&'a Json, String> {
-        value.get(key).ok_or_else(|| format!("missing {key:?}"))
-    }
-
-    fn jstr(value: &Json, key: &str) -> Result<String, String> {
-        Ok(jfield(value, key)?
-            .as_str()
-            .ok_or_else(|| format!("{key:?} must be a string"))?
-            .to_string())
-    }
-
-    fn jarr<'a>(value: &'a Json, key: &str) -> Result<&'a [Json], String> {
-        jfield(value, key)?
-            .as_arr()
-            .ok_or_else(|| format!("{key:?} must be an array"))
-    }
-
-    fn mode_to_json(mode: ArgMode) -> Json {
-        Json::Str(
-            match mode {
-                ArgMode::ReadOnly => "readonly",
-                ArgMode::ValueUpdate => "value_update",
-                ArgMode::StructUpdate => "struct_update",
-            }
-            .to_string(),
-        )
-    }
-
-    fn mode_from_json(value: &Json) -> Result<ArgMode, String> {
-        match value.as_str() {
-            Some("readonly") => Ok(ArgMode::ReadOnly),
-            Some("value_update") => Ok(ArgMode::ValueUpdate),
-            Some("struct_update") => Ok(ArgMode::StructUpdate),
-            other => Err(format!("unknown arg mode {other:?}")),
-        }
-    }
-
-    fn structure_to_json(kind: StructureKind) -> Json {
-        Json::Str(kind.to_string())
-    }
-
-    fn structure_from_json(value: &Json) -> Result<StructureKind, String> {
-        match value.as_str() {
-            Some("TREE") => Ok(StructureKind::Tree),
-            Some("DAG?") => Ok(StructureKind::PossiblyDag),
-            Some("CYCLE?") => Ok(StructureKind::PossiblyCyclic),
-            other => Err(format!("unknown structure kind {other:?}")),
-        }
-    }
-
-    /// A path is `[definite, links]`: `links` is `null` for `S`ame, else
-    /// `[[dir_letter, min, exact], ...]`.
-    fn path_to_json(path: &RelPath) -> Json {
-        let links = if path.is_same() {
-            Json::Null
-        } else {
-            Json::Arr(
-                path.links()
-                    .iter()
-                    .map(|link| {
-                        Json::Arr(vec![
-                            Json::Str(link.dir.letter().to_string()),
-                            Json::Int(link.min as i64),
-                            Json::Bool(link.exact),
-                        ])
-                    })
-                    .collect(),
-            )
-        };
-        Json::Arr(vec![
-            Json::Bool(path.certainty == Certainty::Definite),
-            links,
-        ])
-    }
-
-    fn path_from_json(value: &Json) -> Result<RelPath, String> {
-        let parts = value.as_arr().ok_or("path must be an array")?;
-        let [definite, links] = parts else {
-            return Err("path must be [definite, links]".to_string());
-        };
-        let certainty = if definite.as_bool().ok_or("path[0] must be a bool")? {
-            Certainty::Definite
-        } else {
-            Certainty::Possible
-        };
-        match links {
-            Json::Null => Ok(RelPath::same(certainty)),
-            Json::Arr(links) if !links.is_empty() => Ok(RelPath::from_links(
-                links
-                    .iter()
-                    .map(link_from_json)
-                    .collect::<Result<Vec<Link>, String>>()?,
-                certainty,
-            )),
-            Json::Arr(_) => Err("path links must be non-empty".to_string()),
-            _ => Err("path[1] must be null or an array".to_string()),
-        }
-    }
-
-    fn link_from_json(value: &Json) -> Result<Link, String> {
-        let parts = value.as_arr().ok_or("link must be an array")?;
-        let [dir, min, exact] = parts else {
-            return Err("link must be [dir, min, exact]".to_string());
-        };
-        let dir = match dir.as_str() {
-            Some("L") => Dir::Left,
-            Some("R") => Dir::Right,
-            Some("D") => Dir::Down,
-            other => return Err(format!("unknown link direction {other:?}")),
-        };
-        let min = min
-            .as_u64()
-            .and_then(|n| u32::try_from(n).ok())
-            .filter(|&n| n >= 1)
-            .ok_or("link min must be a positive count")?;
-        let exact = exact.as_bool().ok_or("link exact must be a bool")?;
-        Ok(Link { dir, min, exact })
-    }
-
-    fn pathset_to_json(set: &PathSet) -> Json {
-        Json::Arr(set.paths().iter().map(path_to_json).collect())
-    }
-
-    fn pathset_from_json(value: &Json) -> Result<PathSet, String> {
-        Ok(PathSet::from_paths(
-            value
-                .as_arr()
-                .ok_or("path set must be an array")?
-                .iter()
-                .map(path_from_json)
-                .collect::<Result<Vec<RelPath>, String>>()?,
-        ))
-    }
-
-    fn names_to_json<S: AsRef<str>>(names: impl IntoIterator<Item = S>) -> Json {
-        Json::Arr(
-            names
-                .into_iter()
-                .map(|name| Json::Str(name.as_ref().to_string()))
-                .collect(),
-        )
-    }
-
-    fn names_from_json(value: &Json, key: &str) -> Result<Vec<String>, String> {
-        jarr(value, key)?
-            .iter()
-            .map(|name| {
-                name.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("{key:?} must hold strings"))
-            })
-            .collect()
-    }
-
-    /// Handles are stored *in matrix insertion order* — `render()` (and
-    /// through it the analysis digest) depends on that order.
-    fn state_to_json(state: &AbstractState) -> Json {
-        let mut entries: Vec<(&str, &str, &PathSet)> = state.matrix.related_pairs().collect();
-        entries.sort_by_key(|&(a, b, _)| (a, b));
-        Json::obj(vec![
-            ("structure", structure_to_json(state.structure)),
-            ("handles", names_to_json(state.matrix.handle_names())),
-            (
-                "entries",
-                Json::Arr(
-                    entries
-                        .into_iter()
-                        .map(|(a, b, set)| {
-                            Json::Arr(vec![
-                                Json::Str(a.to_string()),
-                                Json::Str(b.to_string()),
-                                pathset_to_json(set),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("attached", names_to_json(&state.attached)),
-            ("shared", names_to_json(&state.shared)),
-        ])
-    }
-
-    fn state_from_json(value: &Json) -> Result<AbstractState, String> {
-        let mut matrix = PathMatrix::with_handles(names_from_json(value, "handles")?);
-        for entry in jarr(value, "entries")? {
-            let parts = entry.as_arr().ok_or("matrix entry must be an array")?;
-            let [a, b, set] = parts else {
-                return Err("matrix entry must be [a, b, paths]".to_string());
-            };
-            let a = a.as_str().ok_or("entry handle must be a string")?;
-            let b = b.as_str().ok_or("entry handle must be a string")?;
-            matrix.set(a, b, pathset_from_json(set)?);
-        }
-        Ok(AbstractState {
-            matrix,
-            structure: structure_from_json(jfield(value, "structure")?)?,
-            attached: BTreeSet::from_iter(names_from_json(value, "attached")?),
-            shared: BTreeSet::from_iter(names_from_json(value, "shared")?),
-        })
-    }
-
-    fn warning_to_json(warning: &StructureWarning) -> Json {
-        Json::obj(vec![
-            ("procedure", Json::Str(warning.procedure.clone())),
-            ("statement", Json::Str(warning.statement.clone())),
-            ("kind", structure_to_json(warning.kind)),
-            ("message", Json::Str(warning.message.clone())),
-        ])
-    }
-
-    fn warning_from_json(value: &Json) -> Result<StructureWarning, String> {
-        Ok(StructureWarning {
-            procedure: jstr(value, "procedure")?,
-            statement: jstr(value, "statement")?,
-            kind: structure_from_json(jfield(value, "kind")?)?,
-            message: jstr(value, "message")?,
-        })
-    }
-
-    fn procedure_to_json(proc: &ProcedureAnalysis) -> Json {
-        Json::obj(vec![
-            ("name", Json::Str(proc.name.clone())),
-            ("entry", state_to_json(&proc.entry)),
-            ("exit", state_to_json(&proc.exit)),
-            (
-                "points",
-                Json::Arr(
-                    proc.points
-                        .iter()
-                        .map(|point| {
-                            Json::obj(vec![
-                                ("label", Json::Str(point.label.clone())),
-                                ("statement", Json::Str(point.statement.clone())),
-                                (
-                                    "callee",
-                                    point
-                                        .callee
-                                        .as_ref()
-                                        .map(|c| Json::Str(c.clone()))
-                                        .unwrap_or(Json::Null),
-                                ),
-                                ("state", state_to_json(&point.state)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "warnings",
-                Json::Arr(proc.warnings.iter().map(warning_to_json).collect()),
-            ),
-        ])
-    }
-
-    fn procedure_from_json(value: &Json) -> Result<ProcedureAnalysis, String> {
-        Ok(ProcedureAnalysis {
-            name: jstr(value, "name")?,
-            entry: state_from_json(jfield(value, "entry")?)?,
-            exit: state_from_json(jfield(value, "exit")?)?,
-            points: jarr(value, "points")?
-                .iter()
-                .map(|point| {
-                    Ok(ProgramPoint {
-                        label: jstr(point, "label")?,
-                        statement: jstr(point, "statement")?,
-                        callee: match jfield(point, "callee")? {
-                            Json::Null => None,
-                            other => Some(
-                                other
-                                    .as_str()
-                                    .ok_or("callee must be a string or null")?
-                                    .to_string(),
-                            ),
-                        },
-                        state: state_from_json(jfield(point, "state")?)?,
-                    })
-                })
-                .collect::<Result<Vec<ProgramPoint>, String>>()?,
-            warnings: jarr(value, "warnings")?
-                .iter()
-                .map(warning_from_json)
-                .collect::<Result<Vec<StructureWarning>, String>>()?,
-        })
-    }
-
-    fn proc_summary_to_json(summary: &ProcSummary) -> Json {
-        Json::obj(vec![
-            ("name", Json::Str(summary.name.clone())),
-            (
-                "handle_args",
-                Json::Arr(
-                    summary
-                        .handle_args
-                        .iter()
-                        .map(|(formal, &mode)| {
-                            Json::Arr(vec![Json::Str(formal.clone()), mode_to_json(mode)])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "arg_modes",
-                Json::Arr(
-                    summary
-                        .arg_modes
-                        .iter()
-                        .map(|mode| mode.map(mode_to_json).unwrap_or(Json::Null))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn proc_summary_from_json(value: &Json) -> Result<ProcSummary, String> {
-        Ok(ProcSummary {
-            name: jstr(value, "name")?,
-            handle_args: jarr(value, "handle_args")?
-                .iter()
-                .map(|pair| {
-                    let parts = pair.as_arr().ok_or("handle arg must be an array")?;
-                    let [formal, mode] = parts else {
-                        return Err("handle arg must be [formal, mode]".to_string());
-                    };
-                    Ok((
-                        formal
-                            .as_str()
-                            .ok_or("formal must be a string")?
-                            .to_string(),
-                        mode_from_json(mode)?,
-                    ))
-                })
-                .collect::<Result<BTreeMap<String, ArgMode>, String>>()?,
-            arg_modes: jarr(value, "arg_modes")?
-                .iter()
-                .map(|mode| match mode {
-                    Json::Null => Ok(None),
-                    other => mode_from_json(other).map(Some),
-                })
-                .collect::<Result<Vec<Option<ArgMode>>, String>>()?,
-        })
-    }
-
-    fn return_summary_to_json(summary: &ReturnSummary) -> Json {
-        Json::obj(vec![
-            ("fresh", Json::Bool(summary.fresh)),
-            (
-                "relations",
-                Json::Arr(
-                    summary
-                        .relations
-                        .iter()
-                        .map(|(formal, to_ret, from_ret)| {
-                            Json::Arr(vec![
-                                Json::Str(formal.clone()),
-                                pathset_to_json(to_ret),
-                                pathset_to_json(from_ret),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn return_summary_from_json(value: &Json) -> Result<ReturnSummary, String> {
-        Ok(ReturnSummary {
-            fresh: jfield(value, "fresh")?
-                .as_bool()
-                .ok_or("\"fresh\" must be a bool")?,
-            relations: jarr(value, "relations")?
-                .iter()
-                .map(|relation| {
-                    let parts = relation.as_arr().ok_or("relation must be an array")?;
-                    let [formal, to_ret, from_ret] = parts else {
-                        return Err("relation must be [formal, to, from]".to_string());
-                    };
-                    Ok((
-                        formal
-                            .as_str()
-                            .ok_or("formal must be a string")?
-                            .to_string(),
-                        pathset_from_json(to_ret)?,
-                        pathset_from_json(from_ret)?,
-                    ))
-                })
-                .collect::<Result<Vec<(String, PathSet, PathSet)>, String>>()?,
-        })
-    }
-
-    /// Keyed-map helper: `[[key, value], ...]` with the keys sorted, so
-    /// the encoding is deterministic whatever map produced it.
-    fn keyed_to_json<V>(map: &HashMap<String, V>, encode: impl Fn(&V) -> Json) -> Json {
-        let mut keys: Vec<&String> = map.keys().collect();
-        keys.sort();
-        Json::Arr(
-            keys.into_iter()
-                .map(|key| Json::Arr(vec![Json::Str(key.clone()), encode(&map[key])]))
-                .collect(),
-        )
-    }
-
-    fn keyed_from_json<V>(
-        value: &Json,
-        key: &str,
-        decode: impl Fn(&Json) -> Result<V, String>,
-    ) -> Result<HashMap<String, V>, String> {
-        jarr(value, key)?
-            .iter()
-            .map(|pair| {
-                let parts = pair.as_arr().ok_or("keyed entry must be an array")?;
-                let [name, body] = parts else {
-                    return Err("keyed entry must be [key, value]".to_string());
-                };
-                Ok((
-                    name.as_str().ok_or("key must be a string")?.to_string(),
-                    decode(body)?,
-                ))
-            })
-            .collect()
-    }
-
-    /// Encode one analyzed program for the program namespace.
-    pub(crate) fn encode_program(entry: &AnalyzedProgram) -> Vec<u8> {
-        let analysis = &entry.analysis;
-        let mut procedures: HashMap<String, &ProcedureAnalysis> = HashMap::new();
-        for proc in analysis.procedures() {
-            procedures.insert(proc.name.clone(), proc);
-        }
-        Json::obj(vec![
-            ("v", Json::Int(1)),
-            ("fingerprint", json::hex64(entry.fingerprint)),
-            ("digest", json::hex64(analysis.digest())),
-            ("source", Json::Str(pretty_program(&entry.program))),
-            ("rounds", Json::Int(analysis.rounds as i64)),
-            (
-                "procedures",
-                keyed_to_json(&procedures, |proc| procedure_to_json(proc)),
-            ),
-            (
-                "summaries",
-                keyed_to_json(&analysis.summaries, proc_summary_to_json),
-            ),
-            (
-                "return_summaries",
-                keyed_to_json(&analysis.return_summaries, return_summary_to_json),
-            ),
-            (
-                "warnings",
-                Json::Arr(analysis.warnings.iter().map(warning_to_json).collect()),
-            ),
-        ])
-        .encode()
-        .into_bytes()
-    }
-
-    /// Decode a program entry, refusing anything whose source fingerprint
-    /// or analysis digest fails to reproduce `key`'s original.
-    pub(crate) fn decode_program(body: &[u8], key: u64) -> Option<Arc<AnalyzedProgram>> {
-        decode_program_checked(body, key).ok().map(Arc::new)
-    }
-
-    fn decode_program_checked(body: &[u8], key: u64) -> Result<AnalyzedProgram, String> {
-        let text = std::str::from_utf8(body).map_err(|e| e.to_string())?;
-        let value = Json::parse(text).map_err(|e| e.to_string())?;
-        if jfield(&value, "v")?.as_u64() != Some(1) {
-            return Err("unknown program entry version".to_string());
-        }
-        if json::parse_hex64(jfield(&value, "fingerprint")?)? != key {
-            return Err("entry fingerprint does not match its key".to_string());
-        }
-        let digest = json::parse_hex64(jfield(&value, "digest")?)?;
-        let source = jstr(&value, "source")?;
-        let (program, types) = frontend(&source).map_err(|e| e.to_string())?;
-        if program_fingerprint(&program) != key {
-            return Err("stored source re-parses to a different program".to_string());
-        }
-        let analysis = AnalysisResult::from_parts(
-            keyed_from_json(&value, "procedures", procedure_from_json)?,
-            keyed_from_json(&value, "summaries", proc_summary_from_json)?,
-            keyed_from_json(&value, "return_summaries", return_summary_from_json)?,
-            jarr(&value, "warnings")?
-                .iter()
-                .map(warning_from_json)
-                .collect::<Result<Vec<StructureWarning>, String>>()?,
-            jfield(&value, "rounds")?
-                .as_u64()
-                .ok_or("\"rounds\" must be a count")? as usize,
-        );
-        if analysis.digest() != digest {
-            return Err("decoded analysis does not reproduce its digest".to_string());
-        }
-        Ok(AnalyzedProgram {
-            fingerprint: key,
-            program,
-            types,
-            analysis: Arc::new(analysis),
-            incremental: None,
-        })
-    }
-
-    /// The content digest of a summary table: the checksum of its
-    /// canonical encoding (`keyed_to_json` sorts, so the bytes are
-    /// deterministic whatever map produced the table).
-    fn summaries_digest(summaries: &Json) -> u64 {
-        segment::checksum(summaries.encode().as_bytes())
-    }
-
-    /// Encode one per-SCC summary table for the summary namespace,
-    /// binding it to the cone fingerprint it was stored under and to a
-    /// digest of its own content so [`decode_summaries`] can refuse a
-    /// relabeled or tampered document.
-    pub(crate) fn encode_summaries(table: &SummaryTable, cone: u64) -> Vec<u8> {
-        let summaries = keyed_to_json(table, proc_summary_to_json);
-        Json::obj(vec![
-            ("v", Json::Int(2)),
-            ("fingerprint", json::hex64(cone)),
-            ("digest", json::hex64(summaries_digest(&summaries))),
-            ("summaries", summaries),
-        ])
-        .encode()
-        .into_bytes()
-    }
-
-    /// Decode a summary-table entry, refusing anything whose embedded
-    /// cone fingerprint is not `key` or whose content fails to reproduce
-    /// its digest — the same trust model as [`decode_program`], so a
-    /// disk-corrupt or peer-supplied document that was not encoded for
-    /// exactly this cone degrades to a miss.
-    pub(crate) fn decode_summaries(body: &[u8], key: u64) -> Option<SummaryTable> {
-        decode_summaries_checked(body, key).ok().map(Arc::new)
-    }
-
-    fn decode_summaries_checked(
-        body: &[u8],
-        key: u64,
-    ) -> Result<HashMap<String, ProcSummary>, String> {
-        let text = std::str::from_utf8(body).map_err(|e| e.to_string())?;
-        let value = Json::parse(text).map_err(|e| e.to_string())?;
-        if jfield(&value, "v")?.as_u64() != Some(2) {
-            return Err("unknown summary entry version".to_string());
-        }
-        if json::parse_hex64(jfield(&value, "fingerprint")?)? != key {
-            return Err("entry fingerprint does not match its key".to_string());
-        }
-        let digest = json::parse_hex64(jfield(&value, "digest")?)?;
-        let table = keyed_from_json(&value, "summaries", proc_summary_from_json)?;
-        let canonical = keyed_to_json(&table, proc_summary_to_json);
-        if summaries_digest(&canonical) != digest {
-            return Err("decoded summaries do not reproduce their digest".to_string());
-        }
-        Ok(table)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_table() -> SummaryTable {
-        let mut table = HashMap::new();
-        table.insert(
-            "main".to_string(),
-            ProcSummary {
-                name: "main".to_string(),
-                handle_args: BTreeMap::from([
-                    ("t".to_string(), ArgMode::StructUpdate),
-                    ("u".to_string(), ArgMode::ReadOnly),
-                ]),
-                arg_modes: vec![Some(ArgMode::StructUpdate), None, Some(ArgMode::ReadOnly)],
-            },
-        );
-        Arc::new(table)
-    }
-
-    #[test]
-    fn summary_entries_round_trip_under_their_own_key() {
-        let body = codec::encode_summaries(&sample_table(), 0xfeed);
-        let table = codec::decode_summaries(&body, 0xfeed).expect("round trip");
-        assert_eq!(table.len(), 1);
-        assert_eq!(table["main"].arg_modes, sample_table()["main"].arg_modes);
-    }
-
-    /// A well-formed document encoded for one cone must not be admitted
-    /// under another key — this is what stops a peer (or a mislabeled
-    /// disk entry) from answering any requested cone with a table it
-    /// happens to hold.
-    #[test]
-    fn summary_entries_are_bound_to_their_cone_fingerprint() {
-        let body = codec::encode_summaries(&sample_table(), 0xfeed);
-        assert!(codec::decode_summaries(&body, 0xbeef).is_none());
-        assert!(codec::decode_summaries(&body, 0xfeed).is_some());
-    }
-
-    /// Edited content without a recomputed digest is refused: the
-    /// canonical re-encoding of the decoded table no longer reproduces
-    /// the embedded digest.
-    #[test]
-    fn tampered_summary_content_fails_its_digest() {
-        let body = codec::encode_summaries(&sample_table(), 0xfeed);
-        let text = std::str::from_utf8(&body).unwrap();
-        let forged = text.replace("\"main\"", "\"evil\"");
-        assert_ne!(forged, text, "the tamper must have changed something");
-        assert!(codec::decode_summaries(forged.as_bytes(), 0xfeed).is_none());
-    }
-
-    #[test]
-    fn unknown_summary_entry_versions_are_refused() {
-        let body = codec::encode_summaries(&sample_table(), 1);
-        let text = std::str::from_utf8(&body)
-            .unwrap()
-            .replace("\"v\":2", "\"v\":1");
-        assert!(codec::decode_summaries(text.as_bytes(), 1).is_none());
     }
 }

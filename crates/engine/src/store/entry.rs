@@ -1,0 +1,375 @@
+//! The entry documents of the two persistent namespaces — the one format
+//! the durable tier appends to its segments and a `peer_fetch` answers
+//! with.
+//!
+//! A cached entry is one self-verifying named document, whichever tier
+//! holds it.  A program entry stores the pretty-printed source (the
+//! frontend round-trips it) plus the full [`AnalysisResult`]; a summary
+//! entry stores one per-SCC table.  Both carry an entry version, the
+//! fingerprint they were stored under and a digest of their content, and
+//! the `*_from_document` functions believe none of it: the version must be
+//! the one this build writes, the fingerprint must be the key that was
+//! asked for, the stored source must re-parse to a program with that
+//! fingerprint, and the decoded content must reproduce the digest.  A
+//! document that fails any check — a torn disk entry, a lying peer — is a
+//! miss, never a wrong answer.
+//!
+//! The unit of this module is a [`Json`] document; bytes exist only at the
+//! segment file (`parse`) and on the socket.  Every shape is described
+//! once, through [`crate::service::wire`], so adding a member to an entry
+//! is one line here — `[or <default>]` if entries already on disk must
+//! keep decoding, a new entry version otherwise.
+
+use super::{segment, SummaryTable};
+use crate::service::json::Json;
+use crate::service::wire::{leaves, names, record, Hex, Wire};
+use crate::AnalyzedProgram;
+use sil_analysis::{
+    AbstractState, AnalysisResult, ArgMode, ProcSummary, ProcedureAnalysis, ProgramPoint,
+    ReturnSummary, StructureKind, StructureWarning,
+};
+use sil_lang::hash::program_fingerprint;
+use sil_lang::{frontend, pretty_program};
+use sil_pathmatrix::{intern, Certainty, Dir, Link, Path as RelPath, PathMatrix, PathSet, Symbol};
+use std::collections::HashMap;
+use std::sync::Arc;
+
+/// The version a program entry is written with, and the only one believed.
+const PROGRAM_ENTRY: u64 = 1;
+/// The version of a summary entry (2: bound to its cone and digest).
+const SUMMARY_ENTRY: u64 = 2;
+
+names!(ArgMode {
+    ReadOnly => "readonly",
+    ValueUpdate => "value_update",
+    StructUpdate => "struct_update",
+});
+
+names!(StructureKind { Tree => "TREE", PossiblyDag => "DAG?", PossiblyCyclic => "CYCLE?" });
+
+names!(Dir { Left => "L", Right => "R", Down => "D" });
+
+/// A link is `[dir_letter, min, exact]`.
+impl Wire for Link {
+    fn to_json(&self) -> Json {
+        (self.dir, self.min, self.exact).to_json()
+    }
+    fn from_json(value: &Json) -> Result<Self, String> {
+        let (dir, min, exact) = Wire::from_json(value)?;
+        let link = Link { dir, min, exact };
+        if link.min < 1 {
+            return Err("a link spans at least one edge".to_string());
+        }
+        Ok(link)
+    }
+}
+
+/// A path is `[definite, links]`: `links` is `null` for `S`ame, else a
+/// non-empty list.
+impl Wire for RelPath {
+    fn to_json(&self) -> Json {
+        let links = match self.links() {
+            [] => Json::Null,
+            links => Json::Arr(links.iter().map(Link::to_json).collect()),
+        };
+        Json::Arr(vec![self.certainty.is_definite().to_json(), links])
+    }
+    fn from_json(value: &Json) -> Result<Self, String> {
+        let (definite, links): (bool, Option<Vec<Link>>) = Wire::from_json(value)?;
+        let certainty = if definite {
+            Certainty::Definite
+        } else {
+            Certainty::Possible
+        };
+        match links {
+            None => Ok(RelPath::same(certainty)),
+            Some(links) if links.is_empty() => Err("a path's links are non-empty".to_string()),
+            Some(links) => Ok(RelPath::from_links(links, certainty)),
+        }
+    }
+}
+
+impl Wire for PathSet {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.paths().iter().map(RelPath::to_json).collect())
+    }
+    fn from_json(value: &Json) -> Result<Self, String> {
+        Ok(PathSet::from_paths(<Vec<RelPath> as Wire>::from_json(
+            value,
+        )?))
+    }
+}
+
+// Interned on sight, which is what a matrix is built from.
+leaves! {
+    Symbol: "a handle name", |name| Json::Str(name.as_str().to_string()), |raw| raw.as_str().map(intern);
+}
+
+/// The non-empty relations of `matrix` as `[[a, b, paths], …]`, sorted by
+/// handle names.  Built by hand: a list of triples to encode from would
+/// copy every path set.
+fn relations(matrix: &PathMatrix) -> Json {
+    let mut entries: Vec<_> = matrix.related_pairs().collect();
+    entries.sort_by_key(|&(a, b, _)| (a, b));
+    let name = |name: &str| Json::Str(name.to_string());
+    Json::Arr(
+        entries
+            .into_iter()
+            .map(|(a, b, set)| Json::Arr(vec![name(a), name(b), set.to_json()]))
+            .collect(),
+    )
+}
+
+// Handles are stored *in matrix insertion order* — `render()` (and through
+// it the analysis digest) depends on that order.
+record!(AbstractState: |state| {
+    "structure" => structure = &state.structure,
+    "handles" => handles: Vec<Symbol> =
+        Json::Arr(state.matrix.handles().iter().map(Symbol::to_json).collect()),
+    "entries" => entries: Vec<(Symbol, Symbol, PathSet)> = relations(&state.matrix),
+    "attached" => attached = &state.attached,
+    "shared" => shared = &state.shared,
+} => {
+    let mut matrix = PathMatrix::new();
+    for handle in handles {
+        matrix.add_handle_sym(handle);
+    }
+    for (a, b, set) in entries {
+        matrix.set_sym(a, b, set);
+    }
+    AbstractState { matrix, structure, attached, shared }
+});
+
+record!(StructureWarning {
+    "procedure" => procedure,
+    "statement" => statement,
+    "kind" => kind,
+    "message" => message,
+});
+
+record!(ProgramPoint {
+    "label" => label,
+    "statement" => statement,
+    "callee" => callee,
+    "state" => state,
+});
+
+record!(ProcedureAnalysis {
+    "name" => name,
+    "entry" => entry,
+    "exit" => exit,
+    "points" => points,
+    "warnings" => warnings,
+});
+
+record!(ProcSummary { "name" => name, "handle_args" => handle_args, "arg_modes" => arg_modes });
+
+record!(ReturnSummary { "fresh" => fresh, "relations" => relations });
+
+/// What a program entry holds, checked as far as the document alone can
+/// be: decoding refuses a version other than [`PROGRAM_ENTRY`] and an
+/// analysis that does not reproduce the stored digest.
+struct ProgramEntry {
+    fingerprint: u64,
+    source: String,
+    analysis: Arc<AnalysisResult>,
+}
+
+record!(ProgramEntry: |entry| {
+    "v" => v: u64 = &PROGRAM_ENTRY,
+    "fingerprint" => fingerprint as Hex = &entry.fingerprint,
+    "digest" => digest: u64 as Hex = &entry.analysis.digest(),
+    "source" => source = &entry.source,
+    "rounds" => rounds = &entry.analysis.rounds,
+    "procedures" => procedures = entry.analysis.procedure_map(),
+    "summaries" => summaries = &entry.analysis.summaries,
+    "return_summaries" => return_summaries = &entry.analysis.return_summaries,
+    "warnings" => warnings = &entry.analysis.warnings,
+} => {
+    if v != PROGRAM_ENTRY {
+        return Err("unknown program entry version".to_string());
+    }
+    let analysis =
+        AnalysisResult::from_parts(procedures, summaries, return_summaries, warnings, rounds);
+    if analysis.digest() != digest {
+        return Err("the decoded analysis does not reproduce its digest".to_string());
+    }
+    ProgramEntry { fingerprint, source, analysis: Arc::new(analysis) }
+});
+
+/// The document of one analyzed program.
+pub(crate) fn program_document(entry: &AnalyzedProgram) -> Json {
+    ProgramEntry {
+        fingerprint: entry.fingerprint,
+        source: pretty_program(&entry.program),
+        analysis: entry.analysis.clone(),
+    }
+    .to_json()
+}
+
+/// Decode a program entry, refusing anything that was not stored under
+/// `key`, whose source re-parses to a different program, or whose
+/// analysis fails to reproduce its digest.
+pub(crate) fn program_from_document(document: &Json, key: u64) -> Option<Arc<AnalyzedProgram>> {
+    let entry = ProgramEntry::from_json(document).ok()?;
+    if entry.fingerprint != key {
+        return None;
+    }
+    let (program, types) = frontend(&entry.source).ok()?;
+    if program_fingerprint(&program) != key {
+        return None;
+    }
+    Some(Arc::new(AnalyzedProgram {
+        fingerprint: key,
+        program,
+        types,
+        analysis: entry.analysis,
+        incremental: None,
+    }))
+}
+
+/// What a summary entry holds: one per-SCC table and the cone fingerprint
+/// it was stored under.  Decoding refuses a version other than
+/// [`SUMMARY_ENTRY`] and a table that does not reproduce the stored digest.
+struct SummaryEntry {
+    cone: u64,
+    table: SummaryTable,
+}
+
+/// The content digest of a summary table: the checksum of its encoding,
+/// which sorts its keys and so is the same whatever map produced it.
+fn table_digest(table: &HashMap<String, ProcSummary>) -> u64 {
+    segment::checksum(table.to_json().encode().as_bytes())
+}
+
+record!(SummaryEntry: |entry| {
+    "v" => v: u64 = &SUMMARY_ENTRY,
+    "fingerprint" => cone as Hex = &entry.cone,
+    "digest" => digest: u64 as Hex = &table_digest(&entry.table),
+    "summaries" => table: HashMap<String, ProcSummary> = &*entry.table,
+} => {
+    if v != SUMMARY_ENTRY {
+        return Err("unknown summary entry version".to_string());
+    }
+    if table_digest(&table) != digest {
+        return Err("the decoded summaries do not reproduce their digest".to_string());
+    }
+    SummaryEntry { cone, table: Arc::new(table) }
+});
+
+/// The document of one per-SCC summary table, bound to the cone
+/// fingerprint it is stored under and to a digest of its own content so
+/// [`summaries_from_document`] can refuse a relabeled or tampered one.
+pub(crate) fn summaries_document(table: &SummaryTable, cone: u64) -> Json {
+    SummaryEntry {
+        cone,
+        table: table.clone(),
+    }
+    .to_json()
+}
+
+/// Decode a summary entry, refusing anything that was not stored under
+/// `key` or whose content fails to reproduce its digest — the same trust
+/// model as [`program_from_document`], so a disk-corrupt or peer-supplied
+/// document that was not encoded for exactly this cone degrades to a miss.
+pub(crate) fn summaries_from_document(document: &Json, key: u64) -> Option<SummaryTable> {
+    let entry = SummaryEntry::from_json(document).ok()?;
+    (entry.cone == key).then_some(entry.table)
+}
+
+/// The document in the body of a segment entry, if the bytes hold one.
+pub(crate) fn parse(body: &[u8]) -> Option<Json> {
+    Json::parse(std::str::from_utf8(body).ok()?).ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::wire::mutation::mutants;
+    use std::collections::BTreeMap;
+
+    /// The strictness pass the protocol's own samples go through, over one
+    /// body of each kind from the golden corpus: an entry has no optional
+    /// and no untyped member, so every damaged document is a miss.
+    #[test]
+    fn every_damaged_entry_body_is_a_miss() {
+        let engine = crate::Engine::default();
+        let source = sil_workloads::Workload::AddAndReverse.source(3);
+        let entry = engine.analyze_source(&source).unwrap();
+        let program = program_document(&entry);
+        assert!(program_from_document(&program, entry.fingerprint).is_some());
+        for mutant in mutants(&program, &[], &[]) {
+            let decoded = program_from_document(&mutant.document, entry.fingerprint);
+            assert!(decoded.is_none(), "{} still decodes", mutant.path());
+        }
+
+        let summaries = engine.store().summaries();
+        let cone = *summaries
+            .keys()
+            .first()
+            .expect("the analysis stored a table");
+        let table = summaries_document(&summaries.peek(cone).unwrap(), cone);
+        assert!(summaries_from_document(&table, cone).is_some());
+        for mutant in mutants(&table, &[], &[]) {
+            let decoded = summaries_from_document(&mutant.document, cone);
+            assert!(decoded.is_none(), "{} still decodes", mutant.path());
+        }
+    }
+
+    fn sample_table() -> SummaryTable {
+        let mut table = HashMap::new();
+        table.insert(
+            "main".to_string(),
+            ProcSummary {
+                name: "main".to_string(),
+                handle_args: BTreeMap::from([
+                    ("t".to_string(), ArgMode::StructUpdate),
+                    ("u".to_string(), ArgMode::ReadOnly),
+                ]),
+                arg_modes: vec![Some(ArgMode::StructUpdate), None, Some(ArgMode::ReadOnly)],
+            },
+        );
+        Arc::new(table)
+    }
+
+    #[test]
+    fn summary_entries_round_trip_under_their_own_key() {
+        let document = summaries_document(&sample_table(), 0xfeed);
+        let table = summaries_from_document(&document, 0xfeed).expect("round trip");
+        assert_eq!(table.len(), 1);
+        assert_eq!(table["main"].arg_modes, sample_table()["main"].arg_modes);
+        assert_eq!(parse(document.encode().as_bytes()), Some(document));
+    }
+
+    /// A well-formed document encoded for one cone must not be admitted
+    /// under another key — this is what stops a peer (or a mislabeled
+    /// disk entry) from answering any requested cone with a table it
+    /// happens to hold.
+    #[test]
+    fn summary_entries_are_bound_to_their_cone_fingerprint() {
+        let document = summaries_document(&sample_table(), 0xfeed);
+        assert!(summaries_from_document(&document, 0xbeef).is_none());
+        assert!(summaries_from_document(&document, 0xfeed).is_some());
+    }
+
+    /// Edited content without a recomputed digest is refused: the
+    /// canonical re-encoding of the decoded table no longer reproduces
+    /// the embedded digest.
+    #[test]
+    fn tampered_summary_content_fails_its_digest() {
+        let text = summaries_document(&sample_table(), 0xfeed).encode();
+        let forged = text.replace("\"main\"", "\"evil\"");
+        assert_ne!(forged, text, "the tamper must have changed something");
+        let forged = parse(forged.as_bytes()).expect("still a document");
+        assert!(summaries_from_document(&forged, 0xfeed).is_none());
+    }
+
+    #[test]
+    fn unknown_summary_entry_versions_are_refused() {
+        let text = summaries_document(&sample_table(), 1)
+            .encode()
+            .replace("\"v\":2", "\"v\":1");
+        let older = parse(text.as_bytes()).expect("still a document");
+        assert!(summaries_from_document(&older, 1).is_none());
+    }
+}

@@ -32,6 +32,7 @@
 //! is what makes a cone analyzed on shard A a warm hit on shard B.
 
 pub mod durable;
+pub(crate) mod entry;
 pub mod namespace;
 pub mod policy;
 pub mod segment;
@@ -44,6 +45,7 @@ pub use policy::{
     ADAPT_SWITCH_THRESHOLD, ADAPT_WINDOW,
 };
 
+use crate::service::json::Json;
 use crate::AnalyzedProgram;
 use sil_analysis::{ProcSummary, WalkRecord};
 use std::collections::HashMap;
@@ -381,36 +383,38 @@ impl SummaryStore {
     }
 
     /// Serve one whole-program entry to a fetching peer, as the same
-    /// verifiable codec document the durable tier persists.  Memory first
-    /// (encoding on demand), then disk; never recomputes.
-    pub fn peer_program_body(&self, fingerprint: u64) -> Option<Vec<u8>> {
-        self.peer_serves.fetch_add(1, Ordering::Relaxed);
-        let body = match self.programs.peek(fingerprint) {
-            Some(entry) => Some(durable::codec::encode_program(&entry)),
-            None => self
-                .durable
-                .as_ref()
-                .and_then(|tier| tier.get(NS_PROGRAM, fingerprint)),
-        }?;
-        self.peer_bytes_out
-            .fetch_add(body.len() as u64, Ordering::Relaxed);
-        Some(body)
+    /// verifiable entry document (`store/entry.rs`) the durable tier persists.
+    /// Memory first (building the document on demand), then disk; never
+    /// recomputes.
+    pub fn peer_program_body(&self, fingerprint: u64) -> Option<Json> {
+        self.served(match self.programs.peek(fingerprint) {
+            Some(entry) => Some(entry::program_document(&entry)),
+            None => self.disk_document(NS_PROGRAM, fingerprint),
+        })
     }
 
     /// Serve one per-SCC summary table to a fetching peer (see
     /// [`SummaryStore::peer_program_body`]).
-    pub fn peer_summary_body(&self, cone: u64) -> Option<Vec<u8>> {
+    pub fn peer_summary_body(&self, cone: u64) -> Option<Json> {
+        self.served(match self.summaries.peek(cone) {
+            Some(table) => Some(entry::summaries_document(&table, cone)),
+            None => self.disk_document(NS_SUMMARY, cone),
+        })
+    }
+
+    /// Count one answered fetch, and the bytes its body is on the wire.
+    fn served(&self, body: Option<Json>) -> Option<Json> {
         self.peer_serves.fetch_add(1, Ordering::Relaxed);
-        let body = match self.summaries.peek(cone) {
-            Some(table) => Some(durable::codec::encode_summaries(&table, cone)),
-            None => self
-                .durable
-                .as_ref()
-                .and_then(|tier| tier.get(NS_SUMMARY, cone)),
-        }?;
+        let body = body?;
         self.peer_bytes_out
-            .fetch_add(body.len() as u64, Ordering::Relaxed);
+            .fetch_add(body.encoded_len() as u64, Ordering::Relaxed);
         Some(body)
+    }
+
+    /// The entry document the disk tier holds under `key`, parsed.
+    fn disk_document(&self, namespace: u8, key: u64) -> Option<Json> {
+        let body = self.durable.as_ref()?.get(namespace, key)?;
+        entry::parse(&body)
     }
 
     /// Tiered whole-program lookup: the in-memory namespace first, then
@@ -420,14 +424,12 @@ impl SummaryStore {
         if let Some(entry) = self.programs.get(fingerprint) {
             return Some(entry);
         }
-        if let Some(tier) = &self.durable {
-            if let Some(entry) = tier
-                .get(NS_PROGRAM, fingerprint)
-                .and_then(|body| durable::codec::decode_program(&body, fingerprint))
-            {
-                self.programs.insert(fingerprint, entry.clone());
-                return Some(entry);
-            }
+        if let Some(entry) = self
+            .disk_document(NS_PROGRAM, fingerprint)
+            .and_then(|document| entry::program_from_document(&document, fingerprint))
+        {
+            self.programs.insert(fingerprint, entry.clone());
+            return Some(entry);
         }
         let entry = self.peer.get()?.fetch_program(fingerprint)?;
         // `store_program` runs the verified entry through the normal
@@ -453,14 +455,12 @@ impl SummaryStore {
         if let Some(table) = self.summaries.get(cone) {
             return Some(table);
         }
-        if let Some(tier) = &self.durable {
-            if let Some(table) = tier
-                .get(NS_SUMMARY, cone)
-                .and_then(|body| durable::codec::decode_summaries(&body, cone))
-            {
-                self.summaries.insert(cone, table.clone());
-                return Some(table);
-            }
+        if let Some(table) = self
+            .disk_document(NS_SUMMARY, cone)
+            .and_then(|document| entry::summaries_from_document(&document, cone))
+        {
+            self.summaries.insert(cone, table.clone());
+            return Some(table);
         }
         let table = self.peer.get()?.fetch_summaries(cone)?;
         self.store_summaries(cone, table.clone());

@@ -418,6 +418,62 @@ fn forged_summary_bodies_from_a_lying_peer_are_refused() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The reply the README documents for an evicted entry: a peer (another
+/// implementation, say) that writes `"body":null` where this build leaves
+/// the member out means the same thing — "I no longer have it" — and
+/// loses that one stale advertisement, not a failed verification.
+#[test]
+fn a_null_body_from_a_peer_forgets_the_advertised_key() {
+    let Addr::Unix(path) = temp_socket("nullbody") else {
+        unreachable!()
+    };
+    let key: u64 = 0x00c0_ffee;
+    // A minimal daemon: it advertises `key`, then answers the fetch for
+    // it with a null body under the same generation.
+    let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+    let evictor = std::thread::spawn(move || {
+        use std::io::{BufRead, BufReader, Write};
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut stream = stream;
+        let mut line = String::new();
+        while reader.read_line(&mut line).is_ok_and(|n| n > 0) {
+            let reply = match Request::decode(line.trim_end()).unwrap() {
+                Request::PeerInventory { .. } => {
+                    Response::peer_inventory(4, vec![key], vec![]).encode()
+                }
+                Request::PeerFetch { .. } => format!(
+                    "{{\"protocol_version\":2,\"type\":\"peer_entry\",\"namespace\":\"programs\",\
+                     \"key\":\"{key:016x}\",\"generation\":4,\"body\":null}}"
+                ),
+                other => panic!("unexpected {other:?}"),
+            };
+            if stream.write_all(format!("{reply}\n").as_bytes()).is_err() {
+                break;
+            }
+            line.clear();
+        }
+    });
+
+    let service = ShardedService::new(1, EngineConfig::default());
+    let ring = test_ring(&service, vec![Addr::Unix(path.clone())]);
+    ring.gossip_once();
+    assert_eq!(ring.stats(0, 0).known_keys, 1, "gossip learned the key");
+    assert!(ring.fetch_program(key).is_none(), "nothing to admit");
+    let stats = ring.stats(0, 0);
+    assert_eq!(
+        stats.known_keys, 0,
+        "an evicted entry's advertisement is dropped: {stats:?}"
+    );
+    assert_eq!(stats.misses, 1);
+    assert_eq!(stats.quarantines, 0, "a clean miss is not a fault");
+
+    drop(ring);
+    drop(service);
+    evictor.join().unwrap();
+    let _ = std::fs::remove_file(&path);
+}
+
 /// The generation counter is enforced, not just gossiped: clearing a
 /// warm peer bumps its generation, and the very next fetch reply makes
 /// the ring discard that peer's entire advertised snapshot instead of

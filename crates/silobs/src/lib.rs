@@ -12,11 +12,12 @@
 //! - **Tracing** ([`Tracer`], [`SpanRecord`]): per-request ids minted at
 //!   accept, span records captured into a bounded ring buffer with
 //!   tick-based timestamps (microseconds since process start, see
-//!   [`ticks`]), dumpable as ndjson.  The current request context — its
-//!   id plus a propagated trace id and parent span id — travels through a
-//!   thread-local ([`with_context`] / [`current_context`]) so layers that
-//!   never see the wire can still stamp their spans, and spans adopted
-//!   from other daemons assemble into one cross-daemon trace tree.
+//!   [`ticks`]); the service layer renders them as ndjson.  The current
+//!   request context — its id plus a propagated trace id and parent span
+//!   id — travels through a thread-local ([`with_context`] /
+//!   [`current_context`]) so layers that never see the wire can still
+//!   stamp their spans, and spans adopted from other daemons assemble
+//!   into one cross-daemon trace tree.
 //! - **Snapshots** ([`RawMetrics`], [`MetricsSnapshot`]): a registry
 //!   collects into raw (mergeable) form; summarizing produces the compact
 //!   name→value / name→quantile shape that crosses the wire.

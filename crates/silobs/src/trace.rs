@@ -366,36 +366,6 @@ impl Tracer {
             .map(|span| resolve(span, &origin))
             .collect()
     }
-
-    /// Render spans as ndjson, one object per line (trailing newline
-    /// included when nonempty).  Span names and origins are identifiers
-    /// and addresses (adoption rejects anything else), so no JSON
-    /// escaping is required.  Untraced spans keep the historical field
-    /// set plus `origin`; traced spans add their tree coordinates as hex.
-    pub fn to_ndjson(spans: &[SpanRecord]) -> String {
-        let mut out = String::new();
-        for span in spans {
-            out.push_str(&format!(
-                "{{\"request\":{},\"span\":\"{}\",\"start_us\":{},\"end_us\":{},\"duration_us\":{}",
-                span.request,
-                span.name,
-                span.start_us,
-                span.end_us,
-                span.duration_us()
-            ));
-            if span.trace != 0 {
-                out.push_str(&format!(
-                    ",\"trace\":\"{:x}\",\"span_id\":\"{:x}\",\"parent\":\"{:x}\"",
-                    span.trace, span.span_id, span.parent
-                ));
-            }
-            out.push_str(&format!(
-                ",\"origin\":\"{}\"}}\n",
-                span.origin.as_deref().unwrap_or("in-process")
-            ));
-        }
-        out
-    }
 }
 
 fn resolve(span: &SpanRecord, origin: &Arc<str>) -> SpanRecord {
@@ -596,44 +566,5 @@ mod tests {
         };
         tracer.adopt(vec![hostile, unoriginated]);
         assert_eq!(tracer.snapshot().len(), 1);
-    }
-
-    #[test]
-    fn ndjson_is_one_object_per_line() {
-        let tracer = Tracer::new(8);
-        tracer.record(1, "parse", 10, 25);
-        tracer.record(1, "fixpoint", 26, 100);
-        let dump = Tracer::to_ndjson(&tracer.snapshot());
-        let lines: Vec<&str> = dump.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(
-            lines[0],
-            "{\"request\":1,\"span\":\"parse\",\"start_us\":10,\"end_us\":25,\
-             \"duration_us\":15,\"origin\":\"in-process\"}"
-        );
-        assert!(lines[1].contains("\"span\":\"fixpoint\""));
-    }
-
-    #[test]
-    fn ndjson_traced_spans_carry_tree_coordinates_and_origin() {
-        let tracer = Tracer::new(8);
-        tracer.set_origin("unix:/tmp/a.sock");
-        tracer.record_span(SpanRecord {
-            request: 2,
-            name: Cow::Borrowed("serve"),
-            start_us: 4,
-            end_us: 10,
-            trace: 0x2a,
-            span_id: 0x1f,
-            parent: 0x10,
-            origin: None,
-        });
-        let dump = Tracer::to_ndjson(&tracer.snapshot());
-        assert_eq!(
-            dump,
-            "{\"request\":2,\"span\":\"serve\",\"start_us\":4,\"end_us\":10,\
-             \"duration_us\":6,\"trace\":\"2a\",\"span_id\":\"1f\",\"parent\":\"10\",\
-             \"origin\":\"unix:/tmp/a.sock\"}\n"
-        );
     }
 }
