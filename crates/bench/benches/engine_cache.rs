@@ -8,9 +8,6 @@
 //! * summary-cache reuse across program variants sharing a call-graph cone,
 //! * batch throughput over the whole workload suite, sequential engine vs.
 //!   rayon-parallel engine,
-//! * the ROADMAP eviction-policy experiment: LRU vs LFU vs Adaptive
-//!   hit-rate table under Zipf-skewed request streams at several skews and
-//!   capacities (Adaptive must track the winner without being told),
 //! * the shared-vs-private-store experiment behind `sild`: aggregate hit
 //!   rate of a `ShardedService` whose shards share one store vs. the same
 //!   shard count over private per-shard stores, at fixed *total* capacity,
@@ -21,7 +18,7 @@ use rand::distributions::{Distribution, Zipf};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sil_engine::service::{route_fingerprint, Request, Service, ShardedService};
-use sil_engine::{Engine, EngineConfig, EvictionPolicy, NamespaceCache};
+use sil_engine::{Engine, EngineConfig};
 use sil_workloads::programs::Workload;
 use std::hint::black_box;
 
@@ -135,59 +132,6 @@ fn incremental_edit(c: &mut Criterion) {
     }
 }
 
-/// One Zipf-skewed request sweep through a bounded single-stripe namespace
-/// cache; returns hit rate.
-fn simulate_policy(policy: EvictionPolicy, capacity: usize, skew: f64) -> f64 {
-    let cache: NamespaceCache<u64> = NamespaceCache::with_stripes(capacity, policy, 1);
-    let zipf = Zipf::new(256, skew).unwrap();
-    let mut rng = StdRng::seed_from_u64(99);
-    for _ in 0..20_000 {
-        let key = zipf.sample(&mut rng);
-        if cache.get(key).is_none() {
-            cache.insert(key, key);
-        }
-    }
-    cache.totals().hit_rate()
-}
-
-/// The eviction-policy experiment: print the LRU / LFU / Adaptive hit-rate
-/// table over several skews and capacities, then time one representative
-/// sweep per policy.  Adaptive starts as LRU and must *learn* its way to
-/// the winning column from its own ghost-hit counters.
-fn eviction_policy_hit_rates(c: &mut Criterion) {
-    println!("eviction-policy hit rates (20000 Zipf requests over 256 keys):");
-    println!(
-        "{:>6} {:>9} {:>8} {:>8} {:>9}  winner",
-        "skew", "capacity", "LRU", "LFU", "Adaptive"
-    );
-    for &skew in &[0.6, 0.9, 1.2] {
-        for &capacity in &[8usize, 32, 64] {
-            let lru = simulate_policy(EvictionPolicy::Lru, capacity, skew);
-            let lfu = simulate_policy(EvictionPolicy::Lfu, capacity, skew);
-            let adaptive = simulate_policy(EvictionPolicy::Adaptive, capacity, skew);
-            println!(
-                "{skew:>6.1} {capacity:>9} {:>7.1}% {:>7.1}% {:>8.1}%  {}",
-                lru * 100.0,
-                lfu * 100.0,
-                adaptive * 100.0,
-                if lfu > lru { "LFU" } else { "LRU" }
-            );
-        }
-    }
-
-    let mut group = c.benchmark_group("engine_eviction_policy");
-    for policy in [
-        EvictionPolicy::Lru,
-        EvictionPolicy::Lfu,
-        EvictionPolicy::Adaptive,
-    ] {
-        group.bench_function(format!("{policy:?}_sweep"), |b| {
-            b.iter(|| black_box(simulate_policy(policy, 32, 1.2)))
-        });
-    }
-    group.finish();
-}
-
 /// 64 distinct real programs (every workload at several sizes), ranked so
 /// Zipf rank 1 is the hottest.
 fn program_corpus() -> Vec<String> {
@@ -220,7 +164,6 @@ fn simulate_shared(shards: usize, total_capacity: usize, skew: f64, requests: us
     let corpus = program_corpus();
     let config = EngineConfig::default()
         .with_program_cache_capacity(total_capacity)
-        .with_eviction(EvictionPolicy::Lru)
         .with_incremental(false);
     let service = ShardedService::new(shards, config);
     for rank in zipf_ranks(corpus.len(), skew, requests) {
@@ -239,7 +182,6 @@ fn simulate_private(shards: usize, total_capacity: usize, skew: f64, requests: u
     let corpus = program_corpus();
     let config = EngineConfig::default()
         .with_program_cache_capacity((total_capacity / shards).max(1))
-        .with_eviction(EvictionPolicy::Lru)
         .with_incremental(false);
     let engines: Vec<Engine> = (0..shards).map(|_| Engine::new(config.clone())).collect();
     let routes: Vec<usize> = corpus
@@ -335,7 +277,6 @@ criterion_group! {
     incremental_edit,
     summary_reuse_across_variants,
     batch_throughput,
-    eviction_policy_hit_rates,
     shared_vs_private_hit_rates
 }
 criterion_main!(engine_cache);

@@ -26,7 +26,7 @@
 
 use sil_engine::cli::unknown_flag_error;
 use sil_engine::service::{Addr, Server, ServerKind, ServerOptions, ShardedService};
-use sil_engine::{DurableConfig, EngineConfig, EvictionPolicy, PeerConfig, PeerRing};
+use sil_engine::{DurableConfig, EngineConfig, PeerConfig, PeerRing};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -44,15 +44,6 @@ options:
                       threaded server elsewhere)
   --workers <n>       worker threads of the async server's pool
                       (default: sized from the machine's parallelism)
-  --lfu               evict least-frequently-used cache entries
-                      (default: adaptive, which switches LRU/LFU from the
-                      store's own live counters)
-  --lru               evict least-recently-used cache entries
-  --adapt-window <n>     lookups per adaptive-eviction evaluation window
-                         (default: 256)
-  --adapt-threshold <n>  ghost hits within one window that switch the
-                         adaptive policy (default: 8)
-  --stripes <n>       lock stripes per store namespace (default: 8)
   --data-dir <path>   persist the summary store in append-only segment
                       files under <path>; a restarted daemon recovers the
                       intact prefix of every segment and serves warm
@@ -89,11 +80,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "--shards",
     "--async",
     "--workers",
-    "--lfu",
-    "--lru",
-    "--adapt-window",
-    "--adapt-threshold",
-    "--stripes",
     "--data-dir",
     "--fsync",
     "--no-durable",
@@ -158,17 +144,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             flag @ "--shards" => shards = positive_count(args, &mut i, flag)? as usize,
             "--async" => server.kind = ServerKind::Async,
             flag @ "--workers" => server.workers = positive_count(args, &mut i, flag)? as usize,
-            "--lfu" => config = config.with_eviction(EvictionPolicy::Lfu),
-            "--lru" => config = config.with_eviction(EvictionPolicy::Lru),
-            flag @ "--adapt-window" => {
-                config = config.with_adapt_window(positive_count(args, &mut i, flag)?);
-            }
-            flag @ "--adapt-threshold" => {
-                config = config.with_adapt_threshold(positive_count(args, &mut i, flag)?);
-            }
-            flag @ "--stripes" => {
-                config = config.with_store_stripes(positive_count(args, &mut i, flag)? as usize);
-            }
             "--data-dir" => {
                 i += 1;
                 data_dir = Some(args.get(i).ok_or("--data-dir needs a path")?.clone());

@@ -8,7 +8,6 @@
 //! silp --json ...                   machine-readable JSON array output
 //! silp --emit-parallel ...          include the parallelized source
 //! silp --no-parallelize ...         analysis only
-//! silp --lfu / --lru                pin the eviction policy (default: adaptive)
 //! silp --stats ...                  print per-namespace/per-shard cache
 //!                                   statistics at exit
 //! silp --metrics ...                print the service's metrics registry
@@ -31,8 +30,8 @@ use sil_engine::service::{
     Json, LocalService, RemoteService, Request, Response, Service, TraceSpan,
 };
 use sil_engine::{
-    EngineConfig, EngineStats, EvictionPolicy, Namespace, ProcessOptions, ProgramReport,
-    ServerStats, ServiceError, StoreStats,
+    EngineConfig, EngineStats, Namespace, ProcessOptions, ProgramReport, ServerStats, ServiceError,
+    StoreStats,
 };
 use sil_workloads::Workload;
 use silobs::MetricsSnapshot;
@@ -55,14 +54,9 @@ options:
                          whose call-graph cone is unchanged reuse retained
                          walks, and the report carries stale/reused counts
   --json                 emit one JSON array instead of text
-  --lfu                  evict least-frequently-used cache entries
-                         (in-process engine only; default: adaptive)
-  --lru                  evict least-recently-used cache entries
-                         (in-process engine only; default: adaptive)
   --stats                print service cache statistics: per-namespace and
-                         per-shard hit rates, eviction counts, and the
-                         adaptive policy's current choice (a text table on
-                         stderr; one stats JSON line with --json)
+                         per-shard hit rates and eviction counts (a text
+                         table on stderr; one stats JSON line with --json)
   --metrics              print the service's metrics registry — counters,
                          gauges, and latency-histogram quantiles across the
                          engine/store/server namespaces (a text table on
@@ -102,8 +96,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "--emit-parallel",
     "--incremental",
     "--json",
-    "--lfu",
-    "--lru",
     "--stats",
     "--metrics",
     "--trace-dump",
@@ -130,7 +122,6 @@ struct Cli {
     refresh: std::time::Duration,
     iterations: u64,
     incremental: bool,
-    eviction: EvictionPolicy,
     connect: Option<String>,
     timeout: Option<std::time::Duration>,
     shutdown: bool,
@@ -149,7 +140,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         refresh: std::time::Duration::from_millis(1000),
         iterations: 0,
         incremental: false,
-        eviction: EvictionPolicy::default(),
         connect: None,
         timeout: None,
         shutdown: false,
@@ -180,8 +170,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--emit-parallel" => cli.options.emit_parallel_source = true,
             "--incremental" => cli.incremental = true,
             "--json" => cli.json = true,
-            "--lfu" => cli.eviction = EvictionPolicy::Lfu,
-            "--lru" => cli.eviction = EvictionPolicy::Lru,
             "--stats" => cli.stats = true,
             "--metrics" => cli.metrics = true,
             "--trace-dump" => cli.trace_dump = true,
@@ -301,9 +289,7 @@ fn open_service(cli: &Cli) -> Result<Box<dyn Service>, String> {
             Ok(Box::new(remote))
         }
         None => {
-            let config = EngineConfig::default()
-                .with_eviction(cli.eviction)
-                .with_incremental(cli.incremental);
+            let config = EngineConfig::default().with_incremental(cli.incremental);
             Ok(Box::new(LocalService::new(config)))
         }
     }
@@ -323,9 +309,8 @@ fn percent(hits: u64, misses: u64) -> String {
 }
 
 /// The `--stats` text table: the serving daemon's connection counters
-/// (when a daemon answered), the shared store's per-namespace counters
-/// (with each adaptive policy's current choice), and every shard's view
-/// hit rates.
+/// (when a daemon answered), the shared store's per-namespace counters,
+/// and every shard's view hit rates.
 fn render_stats(
     shards: &[EngineStats],
     store: &StoreStats,
@@ -351,18 +336,14 @@ fn render_stats(
     }
     let _ = writeln!(
         out,
-        "  {:<10} {:>11} {:>9} {:>7} {:>7} {:>6}  policy",
+        "  {:<10} {:>11} {:>9} {:>7} {:>7} {:>6}",
         "namespace", "entries/cap", "hit rate", "hits", "misses", "evict"
     );
     for namespace in Namespace::ALL {
         let ns = store.namespace(namespace);
-        let policy = match ns.policy {
-            EvictionPolicy::Adaptive => format!("adaptive({})", ns.current.name()),
-            fixed => fixed.name().to_string(),
-        };
         let _ = writeln!(
             out,
-            "  {:<10} {:>11} {:>9} {:>7} {:>7} {:>6}  {policy}",
+            "  {:<10} {:>11} {:>9} {:>7} {:>7} {:>6}",
             namespace.name(),
             format!("{}/{}", ns.entries, ns.capacity),
             percent(ns.totals.hits, ns.totals.misses),

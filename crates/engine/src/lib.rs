@@ -31,9 +31,8 @@
 //! (the shards of a [`service::ShardedService`], for instance) can share
 //! one store, so a cone analyzed through any of them is a warm hit for all
 //! of them.  Each namespace is lock-striped, capacity-bounded, and evicts
-//! per a pluggable [`EvictionPolicy`] — including the default
-//! [`EvictionPolicy::Adaptive`], which switches LRU↔LFU from its own live
-//! [`CacheStats`] counters.
+//! the least recently used entry of a full stripe; its [`CacheStats`]
+//! count hits, misses, insertions and evictions.
 //!
 //! Work inside the engine is concurrent on two axes: a batch fans out
 //! across programs via rayon, and within one program the call graph is
@@ -67,9 +66,8 @@ pub use service::{
     Service, ServiceError, ShardedService, PROTOCOL_VERSION,
 };
 pub use store::{
-    AdaptConfig, CacheStats, DiskStats, DurableConfig, DurableTier, EvictionPolicy, Namespace,
-    NamespaceCache, NamespaceStats, ParallelProduct, PolicyChoice, StoreConfig, StoreStats,
-    SummaryStore,
+    CacheStats, DiskStats, DurableConfig, DurableTier, Namespace, NamespaceCache, NamespaceStats,
+    ParallelProduct, StoreConfig, StoreStats, SummaryStore,
 };
 
 use rayon::prelude::*;
@@ -100,13 +98,6 @@ pub struct EngineConfig {
     /// Capacity (in cones) of the walk-record namespace that backs
     /// incremental re-analysis.
     pub procedure_cache_capacity: usize,
-    /// Eviction policy shared by all namespaces (default:
-    /// [`EvictionPolicy::Adaptive`]).
-    pub eviction: EvictionPolicy,
-    /// Adaptation window/threshold shared by all namespaces (a
-    /// [`StoreConfig`] built directly can still shape each namespace
-    /// independently).
-    pub adapt: AdaptConfig,
     /// Lock stripes per store namespace.
     pub store_stripes: usize,
     /// Schedule batches and independent call-graph SCCs across rayon.
@@ -127,8 +118,6 @@ impl Default for EngineConfig {
             program_cache_capacity: 256,
             summary_cache_capacity: 1024,
             procedure_cache_capacity: 512,
-            eviction: EvictionPolicy::default(),
-            adapt: AdaptConfig::default(),
             store_stripes: store::DEFAULT_STRIPES,
             parallel: true,
             incremental: true,
@@ -137,7 +126,7 @@ impl Default for EngineConfig {
     }
 }
 
-/// Builder-style setters: `EngineConfig::default().with_eviction(Lfu)
+/// Builder-style setters: `EngineConfig::default().with_parallel(false)
 /// .with_incremental(false)` reads better at construction sites than
 /// struct-update syntax and keeps working if fields grow defaults.
 impl EngineConfig {
@@ -153,21 +142,6 @@ impl EngineConfig {
 
     pub fn with_procedure_cache_capacity(mut self, capacity: usize) -> Self {
         self.procedure_cache_capacity = capacity;
-        self
-    }
-
-    pub fn with_eviction(mut self, eviction: EvictionPolicy) -> Self {
-        self.eviction = eviction;
-        self
-    }
-
-    pub fn with_adapt_window(mut self, window: u64) -> Self {
-        self.adapt.window = window;
-        self
-    }
-
-    pub fn with_adapt_threshold(mut self, threshold: u64) -> Self {
-        self.adapt.threshold = threshold;
         self
     }
 
@@ -203,12 +177,6 @@ impl EngineConfig {
             program_capacity: self.program_cache_capacity,
             summary_capacity: self.summary_cache_capacity,
             walk_capacity: self.procedure_cache_capacity,
-            program_policy: self.eviction,
-            summary_policy: self.eviction,
-            walk_policy: self.eviction,
-            program_adapt: self.adapt,
-            summary_adapt: self.adapt,
-            walk_adapt: self.adapt,
             stripes: self.store_stripes,
             durable: self.durable.clone(),
         }
@@ -388,8 +356,8 @@ impl StoreView {
 }
 
 /// Fold a [`StoreStats`] snapshot into `raw` as `store.*` counters and
-/// gauges, making the store's authoritative numbers (including evictions
-/// and ghost hits, which no engine view can see) part of one `Metrics`
+/// gauges, making the store's authoritative numbers (including
+/// evictions, which no engine view can see) part of one `Metrics`
 /// response.  Callers sharing a store across shards must fold it exactly
 /// once.
 pub fn export_store_metrics(stats: &StoreStats, raw: &mut RawMetrics) {
@@ -409,8 +377,6 @@ pub fn export_store_metrics(stats: &StoreStats, raw: &mut RawMetrics) {
             &format!("store.{name}.evictions"),
             namespace.totals.evictions,
         );
-        raw.push_counter(&format!("store.{name}.ghost_hits"), namespace.ghost_hits);
-        raw.push_counter(&format!("store.{name}.policy_switches"), namespace.switches);
         raw.push_gauge(&format!("store.{name}.entries"), namespace.entries as i64);
         raw.push_gauge(&format!("store.{name}.capacity"), namespace.capacity as i64);
     }
@@ -1028,8 +994,7 @@ impl Engine {
     }
 
     /// The shared store's authoritative counters: per-namespace and
-    /// per-stripe hits/misses/evictions, residency, and the live state of
-    /// each namespace's eviction policy.
+    /// per-stripe hits/misses/evictions, and residency.
     pub fn store_stats(&self) -> StoreStats {
         self.store.stats()
     }

@@ -27,11 +27,9 @@
 //! version, so a client learns the supported version from any error.
 
 use super::json::{escape, Json};
-use super::wire::{leaves, message, names, record, Hex, Named, Wire};
+use super::wire::{message, names, record, Hex, Named, Wire};
 use crate::report::{ProcessOptions, ProgramReport};
-use crate::store::{
-    DiskStats, EvictionPolicy, NamespaceStats, PeerStats, PolicyChoice, StoreStats,
-};
+use crate::store::{DiskStats, NamespaceStats, PeerStats, StoreStats};
 use crate::{CacheStats, EngineError, EngineStats};
 use silobs::{HistogramSummary, HistorySample, MetricsSnapshot, SpanRecord};
 use std::collections::HashSet;
@@ -41,7 +39,7 @@ use std::collections::HashSet;
 /// v2: the `stats` response restructured — per-shard entries became pure
 /// view counters (the `*_entries` fields moved out) and a required
 /// `store` member carries the shared store's per-namespace/per-stripe
-/// counters and live policy state.  A v1 peer cannot parse a v2 stats
+/// counters.  A v1 peer cannot parse a v2 stats
 /// response (and vice versa), so the version negotiation must reject the
 /// skew rather than fail with a misleading `malformed` error.
 ///
@@ -79,6 +77,15 @@ use std::collections::HashSet;
 /// additive `products` member (the parallelization-product namespace's
 /// counters).  An older peer ignores it; a reply without it decodes with
 /// an empty, zero-capacity namespace.
+///
+/// Still v2, one eviction rule: each namespace of the `stats` store payload
+/// lost the four members that described its eviction policy (the README's
+/// wire-protocol section names them) when the store stopped choosing
+/// between policies.  This build ignores them in an older daemon's reply
+/// like any unknown member; an older build requires them and cannot read
+/// this build's reply, which — `silp --connect` handshakes with a `stats`
+/// ping — keeps an older `silp` from connecting to this build's daemon.
+/// Every other message is unchanged in both directions.
 pub const PROTOCOL_VERSION: u32 = 2;
 
 /// The optional trace coordinates a traced request carries: the
@@ -903,20 +910,13 @@ record!(CacheStats {
 // One engine's per-namespace view counters.
 record!(EngineStats { "programs" => programs, "summaries" => summaries, "walks" => walks });
 
-leaves! {
-    EvictionPolicy: "an eviction policy's name", |policy| Json::Str(policy.name().to_string()), |raw| raw.as_str().and_then(EvictionPolicy::from_name);
-    PolicyChoice: "\"lru\" or \"lfu\"", |choice| Json::Str(choice.name().to_string()), |raw| raw.as_str().and_then(PolicyChoice::from_name);
-}
-
-// One store namespace's counters and live policy state.
+// One store namespace's counters.  (A reply from a daemon that still chose
+// between eviction policies carries four more members describing the
+// choice; they decode as any unknown member does: ignored.)
 record!(NamespaceStats {
     "totals" => totals,
     "entries" => entries,
     "capacity" => capacity,
-    "policy" => policy,
-    "current" => current,
-    "switches" => switches,
-    "ghost_hits" => ghost_hits,
     "stripes" => stripes,
 });
 
@@ -960,10 +960,6 @@ record!(StoreStats {
         totals: CacheStats::default(),
         entries: 0,
         capacity: 0,
-        policy: EvictionPolicy::default(),
-        current: PolicyChoice::Lru,
-        switches: 0,
-        ghost_hits: 0,
         stripes: Vec::new(),
     }],
     "disk" => disk [opt],
@@ -985,10 +981,6 @@ mod tests {
             },
             entries,
             capacity,
-            policy: EvictionPolicy::Adaptive,
-            current: PolicyChoice::Lfu,
-            switches: 1,
-            ghost_hits: 9,
             stripes: vec![
                 CacheStats {
                     hits: 7,
@@ -1052,8 +1044,7 @@ mod tests {
     const NO_ID: Assumed = Value("\"0000000000000000\"");
     const NO_NAMESPACE: Assumed = Value(concat!(
         r#"{"totals":{"hits":0,"misses":0,"insertions":0,"evictions":0},"entries":0,"#,
-        r#""capacity":0,"policy":"adaptive","current":"lru","switches":0,"ghost_hits":0,"#,
-        r#""stripes":[]}"#
+        r#""capacity":0,"stripes":[]}"#
     ));
 
     /// Every member a message may lack, as `(enclosing member, member,

@@ -20,12 +20,10 @@
 //! * **Compaction & admission** — rewriting a key appends a fresh entry
 //!   and dead-letters the old one; when sealed segments are mostly dead
 //!   the flusher folds their live entries forward and deletes them.  When
-//!   the tier outgrows [`DurableConfig::byte_budget`], the coldest
-//!   entries are evicted first — ranked LRU or LFU according to what the
-//!   in-memory namespace's *adaptive* policy currently believes about the
-//!   traffic (its ghost/regret counters drive the choice), so the disk
-//!   tier inherits the same admission judgement (cf. the NDN caching
-//!   literature: disk is one more cache tier, not an archive).
+//!   the tier outgrows [`DurableConfig::byte_budget`], the entries
+//!   touched longest ago are evicted first — the same recency rule the
+//!   in-memory namespaces evict by (cf. the NDN caching literature: disk
+//!   is one more cache tier, not an archive).
 //!
 //! This file is segments and tiering only: what the bytes of an entry
 //! *mean* — and the checks that make a program served from disk report the
@@ -33,14 +31,14 @@
 //! `store/entry.rs`.
 
 use super::segment::{self, EntryRef, SegmentWriter};
-use super::{entry, PolicyChoice, SummaryTable};
+use super::{entry, SummaryTable};
 use crate::AnalyzedProgram;
 use silobs::Tracer;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
 /// Namespace tag of whole-program entries.
@@ -141,10 +139,8 @@ struct SegmentMeta {
 struct Slot {
     segment: u64,
     entry: EntryRef,
-    /// Logical access clock at last touch (the LRU rank).
+    /// Logical access clock at last touch: the eviction rank.
     stamp: u64,
-    /// Touches since the entry landed (the LFU rank).
-    uses: u64,
 }
 
 #[derive(Debug, Default)]
@@ -176,9 +172,6 @@ struct TierShared {
     /// Bumped by [`DurableTier::clear`]; jobs enqueued under an older
     /// generation are discarded instead of resurrecting cleared entries.
     generation: AtomicU64,
-    /// The in-memory namespaces' current adaptive verdict (LRU vs LFU),
-    /// refreshed on every store write; ranks byte-budget eviction.
-    hints: [AtomicU8; 2],
     tracer: Arc<Tracer>,
 }
 
@@ -209,7 +202,6 @@ impl DurableTier {
             state: Mutex::new(TierState::default()),
             counters: DiskCounters::default(),
             generation: AtomicU64::new(0),
-            hints: [AtomicU8::new(0), AtomicU8::new(0)],
             tracer,
         });
         {
@@ -241,7 +233,7 @@ impl DurableTier {
         &self.shared.config.data_dir
     }
 
-    /// Read one entry's body back, touching its recency/frequency rank.
+    /// Read one entry's body back, touching its recency rank.
     pub fn get(&self, namespace: u8, key: u64) -> Option<Vec<u8>> {
         let mut state = self.shared.state.lock().unwrap();
         let Some(slot) = state.index.get_mut(&(namespace, key)).copied() else {
@@ -252,7 +244,6 @@ impl DurableTier {
         let clock = state.clock;
         if let Some(live) = state.index.get_mut(&(namespace, key)) {
             live.stamp = clock;
-            live.uses += 1;
         }
         let body = state
             .segments
@@ -294,18 +285,6 @@ impl DurableTier {
             table,
             self.shared.generation.load(Ordering::SeqCst),
         ));
-    }
-
-    /// Refresh the eviction-rank hint for one namespace from the
-    /// in-memory cache's live policy choice.
-    pub fn note_policy(&self, namespace: u8, choice: PolicyChoice) {
-        let rank = match choice {
-            PolicyChoice::Lru => 0,
-            PolicyChoice::Lfu => 1,
-        };
-        if let Some(hint) = self.shared.hints.get(namespace as usize) {
-            hint.store(rank, Ordering::Relaxed);
-        }
     }
 
     /// Block until every job enqueued before this call is on disk (and
@@ -400,7 +379,6 @@ impl TierState {
                 segment,
                 entry,
                 stamp,
-                uses: 1,
             },
         );
         if let Some(meta) = self.segments.get_mut(&segment) {
@@ -511,32 +489,21 @@ fn append(shared: &Arc<TierShared>, namespace: u8, key: u64, body: &[u8], genera
     append_locked(shared, &mut state, namespace, key, body, generation);
 }
 
-/// Background maintenance after a flush batch: byte-budget eviction
-/// ranked by the adaptive policy's current verdict, then compaction of
-/// mostly-dead sealed segments.
+/// Background maintenance after a flush batch: byte-budget eviction,
+/// coldest first, then compaction of mostly-dead sealed segments.
 fn maintain(shared: &Arc<TierShared>) {
     let mut state = shared.state.lock().unwrap();
 
     // Eviction: shed the coldest entries until live bytes fit the budget.
     let budget = shared.config.byte_budget;
     if budget > 0 && state.live_bytes() > budget {
-        let mut ranked: Vec<((u8, u64), u64, u64)> = state
+        let mut ranked: Vec<((u8, u64), u64)> = state
             .index
             .iter()
-            .map(|(&(ns, key), slot)| {
-                let lfu = shared
-                    .hints
-                    .get(ns as usize)
-                    .map(|h| h.load(Ordering::Relaxed) == 1)
-                    .unwrap_or(false);
-                // Smaller rank = colder = evicted first.  LRU ranks by
-                // last touch, LFU by touch count (clock breaks ties).
-                let rank = if lfu { slot.uses } else { slot.stamp };
-                ((ns, key), rank, slot.stamp)
-            })
+            .map(|(&key, slot)| (key, slot.stamp))
             .collect();
-        ranked.sort_by_key(|&(_, rank, stamp)| (rank, stamp));
-        for ((ns, key), _, _) in ranked {
+        ranked.sort_by_key(|&(_, stamp)| stamp);
+        for ((ns, key), _) in ranked {
             if state.live_bytes() <= budget {
                 break;
             }

@@ -16,15 +16,17 @@
 //!   (retained interprocedural body walks keyed by cone fingerprint, the
 //!   raw material of incremental re-analysis), and [`Namespace::Product`]
 //!   (what parallelization derives from a program, keyed by program
-//!   fingerprint) each get their own capacity, eviction policy, and
-//!   counters;
+//!   fingerprint) each get their own capacity and counters;
 //! * **internally sharded** — each namespace is lock-striped
 //!   ([`NamespaceCache`]), so the store scales across however many engines
 //!   share it without a global lock;
-//! * **stats-driven adaptive eviction** — besides fixed LRU/LFU, the
-//!   [`EvictionPolicy::Adaptive`] policy watches its own live
-//!   [`CacheStats`]-derived regret counters and switches LRU↔LFU to match
-//!   the observed traffic (see [`policy`]).
+//! * **evicted by recency** — a full stripe drops its least recently used
+//!   entry, and the disk tier sheds its coldest entries by the same kind
+//!   of clock.  One rule, nothing to select: measured over stationary,
+//!   drifting and edit-session request streams, a frequency rule won up to
+//!   11 points of hit ratio on the first and lost 18–68 on the other two, and
+//!   an arbiter switching between the two rules stayed within 4.5 points
+//!   of plain recency everywhere (the README has the table).
 //!
 //! Engines are *views* over an `Arc<SummaryStore>`: they read and write
 //! the shared namespaces and keep only their own per-view hit/miss
@@ -34,16 +36,11 @@
 pub mod durable;
 pub(crate) mod entry;
 pub mod namespace;
-pub mod policy;
 pub mod segment;
 
 pub use crate::peer::{PeerConfig, PeerRing, PeerStats};
 pub use durable::{DiskStats, DurableConfig, DurableTier, NS_PROGRAM, NS_SUMMARY};
-pub use namespace::{NamespaceCache, NamespaceStats, DEFAULT_STRIPES};
-pub use policy::{
-    AdaptConfig, AdaptiveController, CacheStats, EvictionPolicy, PolicyChoice,
-    ADAPT_SWITCH_THRESHOLD, ADAPT_WINDOW,
-};
+pub use namespace::{CacheStats, NamespaceCache, NamespaceStats, DEFAULT_STRIPES};
 
 use crate::service::json::Json;
 use crate::AnalyzedProgram;
@@ -85,8 +82,8 @@ impl Namespace {
     }
 }
 
-/// Store construction parameters: per-namespace capacity and eviction
-/// policy, plus the lock-stripe count shared by all namespaces.
+/// Store construction parameters: per-namespace capacity, plus the
+/// lock-stripe count shared by all namespaces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreConfig {
     /// Capacity of the whole-program namespace.
@@ -95,18 +92,6 @@ pub struct StoreConfig {
     pub summary_capacity: usize,
     /// Capacity (in cones) of the walk-record namespace.
     pub walk_capacity: usize,
-    /// Eviction policy of the whole-program namespace.
-    pub program_policy: EvictionPolicy,
-    /// Eviction policy of the per-SCC summary namespace.
-    pub summary_policy: EvictionPolicy,
-    /// Eviction policy of the walk-record namespace.
-    pub walk_policy: EvictionPolicy,
-    /// Adaptation window/threshold of the whole-program namespace.
-    pub program_adapt: AdaptConfig,
-    /// Adaptation window/threshold of the per-SCC summary namespace.
-    pub summary_adapt: AdaptConfig,
-    /// Adaptation window/threshold of the walk-record namespace.
-    pub walk_adapt: AdaptConfig,
     /// Lock stripes per namespace (clamped to each namespace's capacity).
     pub stripes: usize,
     /// Durable disk tier under the in-memory namespaces (`None` =
@@ -120,12 +105,6 @@ impl Default for StoreConfig {
             program_capacity: 256,
             summary_capacity: 1024,
             walk_capacity: 512,
-            program_policy: EvictionPolicy::default(),
-            summary_policy: EvictionPolicy::default(),
-            walk_policy: EvictionPolicy::default(),
-            program_adapt: AdaptConfig::default(),
-            summary_adapt: AdaptConfig::default(),
-            walk_adapt: AdaptConfig::default(),
             stripes: DEFAULT_STRIPES,
             durable: None,
         }
@@ -133,22 +112,6 @@ impl Default for StoreConfig {
 }
 
 impl StoreConfig {
-    /// One policy for every namespace.
-    pub fn with_policy(mut self, policy: EvictionPolicy) -> Self {
-        self.program_policy = policy;
-        self.summary_policy = policy;
-        self.walk_policy = policy;
-        self
-    }
-
-    /// One adaptation window/threshold for every namespace.
-    pub fn with_adapt(mut self, adapt: AdaptConfig) -> Self {
-        self.program_adapt = adapt;
-        self.summary_adapt = adapt;
-        self.walk_adapt = adapt;
-        self
-    }
-
     /// Override the lock-stripe count.
     pub fn with_stripes(mut self, stripes: usize) -> Self {
         self.stripes = stripes;
@@ -247,8 +210,8 @@ pub struct SummaryStore {
     programs: NamespaceCache<Arc<AnalyzedProgram>>,
     summaries: NamespaceCache<SummaryTable>,
     walks: NamespaceCache<WalkSet>,
-    /// Memory-only like `walks`, and shaped like `programs` (same capacity,
-    /// policy and adapt settings): one product per program.
+    /// Memory-only like `walks`, and sized like `programs`: one product per
+    /// program.
     products: NamespaceCache<Arc<ParallelProduct>>,
     /// The disk tier under `programs`/`summaries` (walk records are
     /// cheap-to-rebuild replay tapes and stay memory-only).
@@ -273,7 +236,7 @@ impl Default for SummaryStore {
 }
 
 impl SummaryStore {
-    /// A store with the given per-namespace capacities and policies.
+    /// A store with the given per-namespace capacities.
     ///
     /// Construction stays infallible: when the configured durable tier
     /// cannot be opened (unwritable directory, I/O error) the store logs
@@ -290,30 +253,10 @@ impl SummaryStore {
             peer_serves: AtomicU64::new(0),
             peer_bytes_out: AtomicU64::new(0),
             generation: AtomicU64::new(0),
-            programs: NamespaceCache::with_config(
-                config.program_capacity,
-                config.program_policy,
-                config.stripes,
-                config.program_adapt,
-            ),
-            summaries: NamespaceCache::with_config(
-                config.summary_capacity,
-                config.summary_policy,
-                config.stripes,
-                config.summary_adapt,
-            ),
-            walks: NamespaceCache::with_config(
-                config.walk_capacity,
-                config.walk_policy,
-                config.stripes,
-                config.walk_adapt,
-            ),
-            products: NamespaceCache::with_config(
-                config.program_capacity,
-                config.program_policy,
-                config.stripes,
-                config.program_adapt,
-            ),
+            programs: NamespaceCache::with_stripes(config.program_capacity, config.stripes),
+            summaries: NamespaceCache::with_stripes(config.summary_capacity, config.stripes),
+            walks: NamespaceCache::with_stripes(config.walk_capacity, config.stripes),
+            products: NamespaceCache::with_stripes(config.program_capacity, config.stripes),
             config,
         }
     }
@@ -433,8 +376,8 @@ impl SummaryStore {
         }
         let entry = self.peer.get()?.fetch_program(fingerprint)?;
         // `store_program` runs the verified entry through the normal
-        // admission path: the namespace's live policy choice in memory,
-        // plus an enqueued durable write when a disk tier exists.
+        // admission path: memory, plus an enqueued durable write when a
+        // disk tier exists.
         self.store_program(fingerprint, entry.clone());
         Some(entry)
     }
@@ -444,7 +387,6 @@ impl SummaryStore {
     pub fn store_program(&self, fingerprint: u64, entry: Arc<AnalyzedProgram>) {
         self.programs.insert(fingerprint, entry.clone());
         if let Some(tier) = &self.durable {
-            tier.note_policy(NS_PROGRAM, self.programs.current_choice());
             tier.put_program(fingerprint, entry);
         }
     }
@@ -471,7 +413,6 @@ impl SummaryStore {
     pub fn store_summaries(&self, cone: u64, table: SummaryTable) {
         self.summaries.insert(cone, table.clone());
         if let Some(tier) = &self.durable {
-            tier.note_policy(NS_SUMMARY, self.summaries.current_choice());
             tier.put_summaries(cone, table);
         }
     }
@@ -557,25 +498,6 @@ mod tests {
         assert!(store.summaries().is_empty());
         assert!(store.walks().is_empty());
         assert!(store.products().is_empty());
-    }
-
-    #[test]
-    fn per_namespace_adapt_config_reaches_each_namespace() {
-        let tuned = AdaptConfig {
-            window: 32,
-            threshold: 2,
-        };
-        let store = SummaryStore::new(StoreConfig {
-            program_adapt: tuned,
-            ..StoreConfig::default()
-        });
-        assert_eq!(store.programs().adapt_config(), tuned);
-        assert_eq!(store.summaries().adapt_config(), AdaptConfig::default());
-        assert_eq!(store.walks().adapt_config(), AdaptConfig::default());
-
-        let all = SummaryStore::new(StoreConfig::default().with_adapt(tuned));
-        assert_eq!(all.summaries().adapt_config(), tuned);
-        assert_eq!(all.walks().adapt_config(), tuned);
     }
 
     #[test]

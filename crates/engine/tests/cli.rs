@@ -168,19 +168,20 @@ fn warm_daemon_serves_cache_hits_to_a_second_run() {
     );
     assert!(stdout.contains("\"cache_hit\":true"));
     // Under --json the stats land on stderr as one wire-format JSON line:
-    // two shard views plus the shared store's namespaces with their live
-    // policy state.
+    // two shard views plus the shared store's namespaces.
     let stderr = stderr_of(&warm);
     assert!(stderr.contains("\"type\":\"stats\""), "{stderr}");
     assert!(stderr.contains("\"store\":{"), "{stderr}");
-    assert!(stderr.contains("\"policy\":\"adaptive\""), "{stderr}");
-    assert!(stderr.contains("\"current\":\""), "{stderr}");
+    assert!(
+        stderr.contains("\"capacity\":256,\"stripes\":["),
+        "{stderr}"
+    );
 
     daemon.stop();
 }
 
 /// The text form of `--stats`: a per-namespace table (entries, hit rates,
-/// evictions, live policy) plus one view line per shard.
+/// evictions) plus one view line per shard.
 #[test]
 fn stats_table_renders_namespaces_and_shards() {
     let daemon = Daemon::launch("stats-table", "2");
@@ -206,7 +207,10 @@ fn stats_table_renders_namespaces_and_shards() {
             "no {namespace} row in:\n{stderr}"
         );
     }
-    assert!(stderr.contains("adaptive(lru)"), "{stderr}");
+    assert!(
+        stderr.contains("\n  namespace  entries/cap  hit rate    hits  misses  evict\n"),
+        "{stderr}"
+    );
     assert!(stderr.contains("shard 0"), "{stderr}");
     assert!(stderr.contains("shard 1"), "{stderr}");
     // The daemon's own counters render above the namespace table.
@@ -262,45 +266,53 @@ fn async_daemon_output_is_byte_identical_to_in_process() {
     }
 }
 
-/// `sild --adapt-window/--adapt-threshold` are accepted and validated.
+/// The store has one eviction rule and one stripe count, so the flags that
+/// used to choose others are gone: each fails like any unknown flag (exit
+/// status 1, the error, then the usage text) and neither `--help` lists it.
 #[test]
-fn sild_adapt_flags_parse_and_validate() {
-    let daemon = Daemon::launch_with(
-        "adapt",
-        "2",
-        &["--adapt-window", "64", "--adapt-threshold", "4"],
-    );
-    let output = silp()
-        .args(["--connect", &daemon.addr, "--workload", "tree_sum"])
-        .output()
-        .unwrap();
-    assert!(output.status.success(), "{}", stderr_of(&output));
-    daemon.stop();
-
-    for bad in [
-        &["--adapt-window", "0"][..],
-        &["--adapt-threshold", "0"],
-        &["--adapt-window", "many"],
-        &["--workers", "0"],
+fn retired_eviction_flags_are_unknown_flags() {
+    let sild_flags: &[&[&str]] = &[
+        &["--lfu"],
+        &["--lru"],
+        &["--adapt-window", "64"],
+        &["--adapt-threshold", "4"],
+        &["--stripes", "8"],
+    ];
+    let silp_flags: &[&[&str]] = &[&["--lfu"], &["--lru"]];
+    for (binary, valid, retired) in [
+        (
+            sild as fn() -> Command,
+            ["--listen", "unix:/tmp/never-bound.sock"],
+            sild_flags,
+        ),
+        (silp, ["--workload", "tree_sum"], silp_flags),
     ] {
-        let output = sild()
-            .args(["--listen", "unix:/tmp/never-bound.sock"])
-            .args(bad)
-            .output()
-            .unwrap();
-        assert!(!output.status.success(), "{bad:?} must be rejected");
-        assert!(
-            stderr_of(&output).contains("must be"),
-            "{bad:?}: {}",
-            stderr_of(&output)
-        );
+        let help = binary().arg("--help").output().unwrap();
+        assert!(help.status.success());
+        let help = String::from_utf8_lossy(&help.stdout).to_lowercase();
+        for word in ["lfu", "adaptive"] {
+            assert!(!help.contains(word), "--help still mentions {word}");
+        }
+        for args in retired {
+            let flag = args[0];
+            assert!(!help.contains(flag), "--help still lists {flag}");
+            let output = binary().args(valid).args(*args).output().unwrap();
+            assert_eq!(output.status.code(), Some(1), "{flag}");
+            let stderr = stderr_of(&output);
+            assert!(
+                stderr.contains(&format!("unknown option {flag}")),
+                "{flag}: {stderr}"
+            );
+            assert!(stderr.contains("usage: sil"), "{flag}: {stderr}");
+        }
     }
 }
 
 /// Contradictory `sild` flag pairs are rejected with an error that names
-/// both flags, instead of one silently overriding the other.
+/// both flags, instead of one silently overriding the other; a count that
+/// is zero or not a number is rejected with the flag's name.
 #[test]
-fn sild_rejects_contradictory_flag_pairs() {
+fn sild_rejects_contradictory_flag_pairs_and_bad_counts() {
     let cases: &[(&[&str], &str)] = &[
         (
             &["--data-dir", "/tmp/sild-contradiction", "--no-durable"],
@@ -314,6 +326,8 @@ fn sild_rejects_contradictory_flag_pairs() {
             &["--gossip-interval", "500"],
             "--gossip-interval needs at least one --peer",
         ),
+        (&["--workers", "0"], "--workers must be at least 1"),
+        (&["--workers", "many"], "--workers must be an integer"),
     ];
     for (bad, want) in cases {
         let output = sild()

@@ -3,7 +3,7 @@
 //! tiny capacities, and the cold-vs-warm speedup the caches exist for.
 
 use sil_analysis::analyze_program;
-use sil_engine::{Engine, EngineConfig, EvictionPolicy};
+use sil_engine::{Engine, EngineConfig};
 use sil_lang::frontend;
 use sil_workloads::generator::{GeneratorConfig, ProgramGenerator};
 use sil_workloads::Workload;
@@ -85,83 +85,61 @@ fn batch_results_come_back_in_input_order() {
 
 #[test]
 fn eviction_stats_behave_at_small_capacities() {
-    for policy in [EvictionPolicy::Lru, EvictionPolicy::Lfu] {
-        // One lock stripe: globally ordered eviction, so the counts below
-        // are exact rather than per-stripe-distribution-dependent.
-        let engine = Engine::new(EngineConfig {
-            program_cache_capacity: 2,
-            summary_cache_capacity: 4,
-            eviction: policy,
-            parallel: false,
-            store_stripes: 1,
-            ..EngineConfig::default()
-        });
-        let sources = generated_sources(8);
-        for src in &sources {
-            engine.analyze_source(src).unwrap();
-        }
-        let store = engine.store_stats();
-        assert_eq!(store.programs.entries, 2, "{policy:?}: capacity bound");
-        assert_eq!(store.programs.totals.insertions, 8, "{policy:?}");
-        assert_eq!(
-            store.programs.totals.evictions, 6,
-            "{policy:?}: 8 inserted into 2 slots"
-        );
-        assert_eq!(
-            engine.stats().programs.misses,
-            8,
-            "{policy:?}: all distinct programs miss"
-        );
-        assert!(
-            store.summaries.entries <= 4,
-            "{policy:?}: summary capacity bound"
-        );
-
-        // Re-analyzing an evicted program misses and re-inserts.
-        engine.analyze_source(&sources[0]).unwrap();
-        assert_eq!(engine.stats().programs.misses, 9, "{policy:?}");
-        assert_eq!(
-            engine.store_stats().programs.totals.evictions,
-            7,
-            "{policy:?}"
-        );
+    // One lock stripe: globally ordered eviction, so the counts below
+    // are exact rather than per-stripe-distribution-dependent.
+    let engine = Engine::new(EngineConfig {
+        program_cache_capacity: 2,
+        summary_cache_capacity: 4,
+        parallel: false,
+        store_stripes: 1,
+        ..EngineConfig::default()
+    });
+    let sources = generated_sources(8);
+    for src in &sources {
+        engine.analyze_source(src).unwrap();
     }
+    let store = engine.store_stats();
+    assert_eq!(store.programs.entries, 2, "capacity bound");
+    assert_eq!(store.programs.totals.insertions, 8);
+    assert_eq!(
+        store.programs.totals.evictions, 6,
+        "8 inserted into 2 slots"
+    );
+    assert_eq!(
+        engine.stats().programs.misses,
+        8,
+        "all distinct programs miss"
+    );
+    assert!(store.summaries.entries <= 4, "summary capacity bound");
+
+    // Re-analyzing an evicted program misses and re-inserts.
+    engine.analyze_source(&sources[0]).unwrap();
+    assert_eq!(engine.stats().programs.misses, 9);
+    assert_eq!(engine.store_stats().programs.totals.evictions, 7);
 }
 
 #[test]
-fn lfu_protects_the_hot_program_lru_does_not() {
+fn a_program_queried_between_cold_insertions_stays_resident() {
     // One hot program queried between every cold insertion, capacity 2:
-    // under LFU the hot entry's use count keeps it resident for the final
-    // lookup; under LRU it also survives (it is always the most recent),
-    // so distinguish the policies through the miss pattern of the *cold*
-    // entries instead: LFU evicts the fresh zero-use entries, LRU rotates.
+    // it is always the most recently used entry, so every cold program
+    // evicts the previous cold one and the hot one is never a victim.
     let hot = Workload::TreeSum.source(4);
     let colds = generated_sources(6);
-
-    let run = |policy: EvictionPolicy| {
-        let engine = Engine::new(EngineConfig {
-            program_cache_capacity: 2,
-            summary_cache_capacity: 64,
-            eviction: policy,
-            parallel: false,
-            store_stripes: 1,
-            ..EngineConfig::default()
-        });
-        engine.analyze_source(&hot).unwrap();
-        for cold in &colds {
-            engine.analyze_source(&hot).unwrap(); // keep it hot
-            engine.analyze_source(cold).unwrap();
-        }
-        let (_, final_hit) = engine.analyze_source_traced(&hot).unwrap();
-        (final_hit, engine.stats().programs)
-    };
-
-    let (lfu_hit, lfu_stats) = run(EvictionPolicy::Lfu);
-    assert!(lfu_hit, "LFU keeps the hot program resident");
-    assert_eq!(lfu_stats.misses as usize, 1 + colds.len());
-
-    let (lru_hit, _) = run(EvictionPolicy::Lru);
-    assert!(lru_hit, "LRU also keeps it (always most recent)");
+    let engine = Engine::new(EngineConfig {
+        program_cache_capacity: 2,
+        summary_cache_capacity: 64,
+        parallel: false,
+        store_stripes: 1,
+        ..EngineConfig::default()
+    });
+    engine.analyze_source(&hot).unwrap();
+    for cold in &colds {
+        engine.analyze_source(&hot).unwrap(); // keep it hot
+        engine.analyze_source(cold).unwrap();
+    }
+    let (_, final_hit) = engine.analyze_source_traced(&hot).unwrap();
+    assert!(final_hit, "the hot program was never the stalest entry");
+    assert_eq!(engine.stats().programs.misses as usize, 1 + colds.len());
 }
 
 /// Acceptance: warm-cache re-analysis of an unchanged workload program is

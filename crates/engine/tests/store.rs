@@ -4,7 +4,7 @@
 //! argument in miniature.
 
 use sil_engine::service::{route_fingerprint, Request, Response, Service, ShardedService};
-use sil_engine::{Engine, EngineConfig, EvictionPolicy, ProcessOptions};
+use sil_engine::{Engine, EngineConfig, ProcessOptions};
 use sil_workloads::Workload;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -167,7 +167,6 @@ fn shared_store_at_fixed_total_capacity_matches_the_single_engine_baseline() {
     let drive_shared = |shards: usize| -> f64 {
         let config = EngineConfig::default()
             .with_program_cache_capacity(capacity)
-            .with_eviction(EvictionPolicy::Lru)
             .with_store_stripes(1)
             .with_incremental(false);
         let service = ShardedService::new(shards, config);
@@ -186,7 +185,6 @@ fn shared_store_at_fixed_total_capacity_matches_the_single_engine_baseline() {
     let drive_private = |shards: usize| -> f64 {
         let config = EngineConfig::default()
             .with_program_cache_capacity((capacity / shards).max(1))
-            .with_eviction(EvictionPolicy::Lru)
             .with_store_stripes(1)
             .with_incremental(false);
         let engines: Vec<Engine> = (0..shards).map(|_| Engine::new(config.clone())).collect();

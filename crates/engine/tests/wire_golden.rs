@@ -26,9 +26,8 @@ use sil_engine::service::{
 };
 use sil_engine::store::segment::checksum;
 use sil_engine::{
-    CacheStats, DiskStats, Engine, EngineConfig, EngineStats, EvictionPolicy, ExecutionReport,
-    IncrementalReport, NamespaceStats, PeerStats, PolicyChoice, ProcessOptions, ProgramReport,
-    StoreStats,
+    CacheStats, DiskStats, Engine, EngineConfig, EngineStats, ExecutionReport, IncrementalReport,
+    NamespaceStats, PeerStats, ProcessOptions, ProgramReport, StoreStats,
 };
 use silobs::{HistogramSummary, HistorySample, MetricsSnapshot};
 
@@ -50,10 +49,6 @@ fn namespace(entries: usize, capacity: usize) -> NamespaceStats {
         totals: cache(7, 3, 3, 1),
         entries,
         capacity,
-        policy: EvictionPolicy::Adaptive,
-        current: PolicyChoice::Lfu,
-        switches: 1,
-        ghost_hits: 9,
         stripes: vec![cache(7, 1, 1, 1), cache(0, 2, 2, 0)],
     }
 }
@@ -263,7 +258,7 @@ fn pin_response(response: Response, line: &str) {
     );
 }
 
-const NAMESPACE_TAIL: &str = r#""policy":"adaptive","current":"lfu","switches":1,"ghost_hits":9,"stripes":[{"hits":7,"misses":1,"insertions":1,"evictions":1},{"hits":0,"misses":2,"insertions":2,"evictions":0}]}"#;
+const NAMESPACE_TAIL: &str = r#""stripes":[{"hits":7,"misses":1,"insertions":1,"evictions":1},{"hits":0,"misses":2,"insertions":2,"evictions":0}]}"#;
 const TOTALS: &str = r#""totals":{"hits":7,"misses":3,"insertions":3,"evictions":1}"#;
 
 /// The four namespaces of [`store_stats`], as the members of a `store`
@@ -626,19 +621,49 @@ fn a_store_payload_without_products_still_decodes() {
             totals: CacheStats::default(),
             entries: 0,
             capacity: 0,
-            policy: EvictionPolicy::default(),
-            current: PolicyChoice::Lru,
-            switches: 0,
-            ghost_hits: 0,
             stripes: Vec::new(),
         }
     );
     let rewritten = Response::stats(shard_stats(), *store).encode();
     assert!(rewritten.contains(concat!(
         r#","products":{"totals":{"hits":0,"misses":0,"insertions":0,"evictions":0},"#,
-        r#""entries":0,"capacity":0,"policy":"adaptive","current":"lru","switches":0,"#,
-        r#""ghost_hits":0,"stripes":[]}}"#
+        r#""entries":0,"capacity":0,"stripes":[]}}"#
     )));
+}
+
+/// A reply from a daemon that still chose between eviction policies
+/// carries four more members per namespace.  This build reads past them —
+/// the rest of the line decodes to the same value — and does not write
+/// them back.  (The other direction does not hold: that daemon's `silp`
+/// requires the four members, cannot read this build's `stats` reply, and
+/// so fails its connect-time `stats` handshake against this build's daemon.)
+#[test]
+fn a_stats_line_with_the_retired_policy_members_still_decodes() {
+    let current = Response::stats(shard_stats(), store_stats());
+    let older = current.encode().replace(
+        r#","stripes":[{"#,
+        r#","policy":"adaptive","current":"lfu","switches":1,"ghost_hits":9,"stripes":[{"#,
+    );
+    assert_eq!(
+        older
+            .matches(r#""policy":"adaptive","current":"lfu""#)
+            .count(),
+        4
+    );
+    assert!(older.contains(concat!(
+        r#""store":{"programs":{"totals":{"hits":7,"misses":3,"insertions":3,"evictions":1},"#,
+        r#""entries":2,"capacity":256,"policy":"adaptive","current":"lfu","switches":1,"#,
+        r#""ghost_hits":9,"stripes":[{"hits":7,"misses":1,"insertions":1,"evictions":1},"#
+    )));
+    let decoded = Response::decode(&older).unwrap();
+    assert_eq!(decoded, current);
+    assert_eq!(
+        decoded.encode(),
+        format!(
+            r#"{{"protocol_version":2,"type":"stats",{SHARDS_AND_TOTAL},"store":{{{}}}}}"#,
+            store_members()
+        )
+    );
 }
 
 #[test]
