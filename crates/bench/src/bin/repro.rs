@@ -7,6 +7,8 @@
 //! repro --list             list available artifacts
 //! ```
 
+#![forbid(unsafe_code)]
+
 use sil_bench::figures;
 use sil_bench::speedups;
 

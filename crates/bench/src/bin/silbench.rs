@@ -1,20 +1,19 @@
 //! `silbench` — an open-loop load generator for the `sild` daemon.
 //!
-//! The criterion bench (`benches/engine_service.rs`) is closed-loop: each
-//! client waits for its response before sending again, so a saturated
-//! server throttles its own offered load and queueing collapse is
-//! invisible.  `silbench` decouples arrivals from completions: every
-//! connection sends requests on a Poisson schedule (exponential gaps)
-//! regardless of what has come back, which is how latency actually behaves
-//! when demand exceeds capacity.
+//! A closed-loop client (the ledger in `benchmark/`) waits for its
+//! response before sending again, so a saturated server throttles its own
+//! offered load and queueing collapse is invisible.  `silbench` decouples
+//! arrivals from completions: every connection sends requests on a Poisson
+//! schedule (exponential gaps) regardless of what has come back, which is
+//! how latency actually behaves when demand exceeds capacity.
 //!
 //! ```text
 //! silbench                 full sweep, writes BENCH_engine_service.json
-//! silbench --smoke         short sweep (CI): ~2s per daemon
+//! silbench --smoke         short sweep (CI): ~2s of measurement
 //! silbench --out <path>    write the JSON artifact elsewhere
 //! ```
 //!
-//! Per (server kind × offered load) point: N connections each run one
+//! Per offered-load point: N connections each run one
 //! writer thread (Poisson arrivals, Zipf-ranked program selection over the
 //! 64-program corpus) and one reader thread (pairs responses FIFO — the
 //! protocol answers in order per connection — and records client-observed
@@ -30,14 +29,15 @@
 //! writers are effectively closed-loop and the offered load is a fiction.
 //!
 //! The corpus is primed before measuring (warm-cache regime: the server,
-//! not the analysis, is under test), matching the closed-loop bench.
+//! not the analysis, is under test).
+
+#![forbid(unsafe_code)]
 
 use rand::distributions::{Distribution, Zipf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sil_engine::service::{
-    Json, RemoteService, Request, Response, Server, ServerKind, ServerOptions, Service,
-    ShardedService,
+    Json, RemoteService, Request, Response, Server, ServerOptions, Service, ShardedService,
 };
 use sil_engine::{Addr, EngineConfig};
 use sil_workloads::programs::Workload;
@@ -53,12 +53,12 @@ use std::time::{Duration, Instant};
 const USAGE: &str = "\
 usage: silbench [--smoke] [--out <path>]
 
-Open-loop offered-load sweep against both sild serving strategies
-(threaded and async), emitting a machine-readable artifact with
-throughput-vs-load and latency quantiles per point.
+Open-loop offered-load sweep against an in-process sild server, emitting
+a machine-readable artifact with throughput-vs-load and latency quantiles
+per point.
 
 options:
-  --smoke       short sweep for CI (~2s of measurement per daemon)
+  --smoke       short sweep for CI (~2s of measurement)
   --out <path>  artifact path (default: BENCH_engine_service.json)
   -h, --help    this message
 ";
@@ -90,7 +90,7 @@ impl Sweep {
 }
 
 /// 64 distinct real programs (every workload at several sizes), ranked so
-/// Zipf rank 1 is the hottest — the same corpus as the closed-loop bench.
+/// Zipf rank 1 is the hottest — the corpus `golden/digests.txt` pins.
 fn program_corpus() -> Vec<String> {
     let mut corpus = Vec::new();
     for size in 3..=9u32 {
@@ -118,7 +118,7 @@ fn exp_gap(rng: &mut StdRng, mean_secs: f64) -> f64 {
     -uniform.ln() * mean_secs
 }
 
-/// What one (kind × offered load) point measured.
+/// What one offered-load point measured.
 struct Point {
     offered_rps: f64,
     sent: u64,
@@ -277,24 +277,19 @@ fn server_p99_since(addr: &str, since: u64) -> u64 {
         .unwrap_or(0)
 }
 
-/// Run the whole sweep against one serving strategy: fresh daemon, primed
-/// corpus, ascending offered loads over the same warm caches.
-fn run_server(kind: ServerKind, sweep: &Sweep, corpus: &[String]) -> (String, Vec<Point>) {
+/// Run the whole sweep: fresh daemon, primed corpus, ascending offered
+/// loads over the same warm caches.
+fn run_server(sweep: &Sweep, corpus: &[String]) -> Vec<Point> {
     let service = Arc::new(ShardedService::new(4, EngineConfig::default()));
     let server = Server::bind_with(
-        &temp_socket(kind.name()),
+        &temp_socket("sweep"),
         service,
         ServerOptions {
-            kind,
-            workers: 0,
             recorder_interval_ms: RECORDER_INTERVAL_MS,
             ..ServerOptions::default()
         },
     )
     .expect("silbench: bind failed");
-    // On platforms without silio support the async request falls back to
-    // threaded; the artifact records what actually served.
-    let actual = server.kind().name().to_string();
     let handle = server.spawn();
     let socket = match handle.addr() {
         Addr::Unix(path) => path.clone(),
@@ -337,7 +332,7 @@ fn run_server(kind: ServerKind, sweep: &Sweep, corpus: &[String]) -> (String, Ve
         })
         .collect();
     handle.shutdown();
-    (actual, points)
+    points
 }
 
 fn summary_json(summary: &HistogramSummary) -> Json {
@@ -353,7 +348,7 @@ fn summary_json(summary: &HistogramSummary) -> Json {
     ])
 }
 
-fn artifact_json(sweep: &Sweep, corpus_len: usize, servers: &[(String, Vec<Point>)]) -> Json {
+fn artifact_json(sweep: &Sweep, corpus_len: usize, points: &[Point]) -> Json {
     Json::obj(vec![
         ("bench", Json::Str("engine_service".to_string())),
         ("mode", Json::Str("open-loop".to_string())),
@@ -365,37 +360,21 @@ fn artifact_json(sweep: &Sweep, corpus_len: usize, servers: &[(String, Vec<Point
         ("corpus", Json::Int(corpus_len as i64)),
         ("zipf_s", Json::Float(1.2)),
         (
-            "servers",
+            "points",
             Json::Arr(
-                servers
+                points
                     .iter()
-                    .map(|(kind, points)| {
+                    .map(|p| {
                         Json::obj(vec![
-                            ("kind", Json::Str(kind.clone())),
-                            (
-                                "points",
-                                Json::Arr(
-                                    points
-                                        .iter()
-                                        .map(|p| {
-                                            Json::obj(vec![
-                                                ("offered_rps", Json::Float(p.offered_rps)),
-                                                ("achieved_rps", Json::Float(p.achieved_rps())),
-                                                ("sent", Json::Int(p.sent as i64)),
-                                                ("completed", Json::Int(p.completed as i64)),
-                                                ("wall_secs", Json::Float(p.wall_secs)),
-                                                ("latency_us", summary_json(&p.latency_us)),
-                                                ("slip_us", summary_json(&p.slip_us)),
-                                                ("mean_gap_us", Json::Float(p.mean_gap_us)),
-                                                (
-                                                    "server_p99_us",
-                                                    Json::Int(p.server_p99_us as i64),
-                                                ),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
+                            ("offered_rps", Json::Float(p.offered_rps)),
+                            ("achieved_rps", Json::Float(p.achieved_rps())),
+                            ("sent", Json::Int(p.sent as i64)),
+                            ("completed", Json::Int(p.completed as i64)),
+                            ("wall_secs", Json::Float(p.wall_secs)),
+                            ("latency_us", summary_json(&p.latency_us)),
+                            ("slip_us", summary_json(&p.slip_us)),
+                            ("mean_gap_us", Json::Float(p.mean_gap_us)),
+                            ("server_p99_us", Json::Int(p.server_p99_us as i64)),
                         ])
                     })
                     .collect(),
@@ -419,70 +398,57 @@ fn field<'a>(value: &'a Json, key: &str) -> Result<&'a Json, String> {
 fn validate_artifact(path: &Path) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read artifact: {e}"))?;
     let json = Json::parse(&text).map_err(|e| format!("artifact does not parse: {e}"))?;
-    let servers = field(&json, "servers")?
+    let points = field(&json, "points")?
         .as_arr()
-        .ok_or("\"servers\" must be an array")?;
-    if servers.is_empty() {
-        return Err("no servers measured".to_string());
+        .ok_or("\"points\" must be an array")?;
+    if points.is_empty() {
+        return Err("no load points".to_string());
     }
-    for server in servers {
-        let kind = field(server, "kind")?
-            .as_str()
-            .ok_or("\"kind\" must be a string")?
-            .to_string();
-        let points = field(server, "points")?
-            .as_arr()
-            .ok_or("\"points\" must be an array")?;
-        if points.is_empty() {
-            return Err(format!("{kind}: no load points"));
+    for point in points {
+        let latency = field(point, "latency_us")?;
+        for quantile in ["p50", "p99", "p999"] {
+            let value = field(latency, quantile)?
+                .as_u64()
+                .ok_or_else(|| format!("{quantile} must be a count"))?;
+            if value == 0 {
+                return Err(format!("{quantile} is zero"));
+            }
         }
-        for point in points {
-            let latency = field(point, "latency_us")?;
-            for quantile in ["p50", "p99", "p999"] {
-                let value = field(latency, quantile)?
-                    .as_u64()
-                    .ok_or_else(|| format!("{kind}: {quantile} must be a count"))?;
-                if value == 0 {
-                    return Err(format!("{kind}: {quantile} is zero"));
-                }
-            }
-            let completed = field(point, "completed")?
-                .as_u64()
-                .ok_or("\"completed\" must be a count")?;
-            if completed == 0 {
-                return Err(format!("{kind}: a load point completed nothing"));
-            }
-            // Open-loop integrity: if the p99 schedule slip exceeds one
-            // mean inter-arrival gap, the writers were sending late more
-            // often than on time — the run was closed-loop in practice
-            // and its latency numbers do not mean what the artifact says.
-            let slip_p99 = field(field(point, "slip_us")?, "p99")?
-                .as_u64()
-                .ok_or_else(|| format!("{kind}: slip p99 must be a count"))?;
-            let mean_gap_us = match field(point, "mean_gap_us")? {
-                Json::Float(gap) => *gap,
-                Json::Int(gap) => *gap as f64,
-                _ => return Err(format!("{kind}: mean_gap_us must be a number")),
-            };
-            if slip_p99 as f64 > mean_gap_us {
-                return Err(format!(
-                    "{kind}: schedule slip p99 ({slip_p99} µs) exceeds the mean \
-                     inter-arrival gap ({mean_gap_us:.0} µs) — the sweep was not open-loop"
-                ));
-            }
-            // The daemon-side view must exist: a zero means the flight
-            // recorder never sampled a serving interval during the point,
-            // and the client/server latency split the artifact promises
-            // is fiction.
-            let server_p99 = field(point, "server_p99_us")?
-                .as_u64()
-                .ok_or_else(|| format!("{kind}: server_p99_us must be a count"))?;
-            if server_p99 == 0 {
-                return Err(format!(
-                    "{kind}: server_p99_us is zero — the daemon's flight recorder \
-                     saw no serving interval during the point"
-                ));
-            }
+        let completed = field(point, "completed")?
+            .as_u64()
+            .ok_or("\"completed\" must be a count")?;
+        if completed == 0 {
+            return Err("a load point completed nothing".to_string());
+        }
+        // Open-loop integrity: if the p99 schedule slip exceeds one
+        // mean inter-arrival gap, the writers were sending late more
+        // often than on time — the run was closed-loop in practice
+        // and its latency numbers do not mean what the artifact says.
+        let slip_p99 = field(field(point, "slip_us")?, "p99")?
+            .as_u64()
+            .ok_or("slip p99 must be a count")?;
+        let mean_gap_us = match field(point, "mean_gap_us")? {
+            Json::Float(gap) => *gap,
+            Json::Int(gap) => *gap as f64,
+            _ => return Err("mean_gap_us must be a number".to_string()),
+        };
+        if slip_p99 as f64 > mean_gap_us {
+            return Err(format!(
+                "schedule slip p99 ({slip_p99} µs) exceeds the mean \
+                 inter-arrival gap ({mean_gap_us:.0} µs) — the sweep was not open-loop"
+            ));
+        }
+        // The daemon-side view must exist: a zero means the flight
+        // recorder never sampled a serving interval during the point,
+        // and the client/server latency split the artifact promises
+        // is fiction.
+        let server_p99 = field(point, "server_p99_us")?
+            .as_u64()
+            .ok_or("server_p99_us must be a count")?;
+        if server_p99 == 0 {
+            return Err("server_p99_us is zero — the daemon's flight recorder \
+                 saw no serving interval during the point"
+                .to_string());
         }
     }
     Ok(())
@@ -529,42 +495,37 @@ fn main() -> ExitCode {
         corpus.len(),
     );
 
-    let mut servers = Vec::new();
-    for kind in [ServerKind::Threaded, ServerKind::Async] {
-        let (actual, points) = run_server(kind, &sweep, &corpus);
-        println!("server: {actual}");
+    let points = run_server(&sweep, &corpus);
+    println!(
+        "  {:>12} {:>12} {:>8} {:>10} {:>9} {:>9} {:>9} {:>11} {:>12} {:>12}",
+        "offered r/s",
+        "achieved r/s",
+        "sent",
+        "p50 µs",
+        "p90 µs",
+        "p99 µs",
+        "p999 µs",
+        "srv p99 µs",
+        "slip p99 µs",
+        "slip max µs"
+    );
+    for p in &points {
         println!(
-            "  {:>12} {:>12} {:>8} {:>10} {:>9} {:>9} {:>9} {:>11} {:>12} {:>12}",
-            "offered r/s",
-            "achieved r/s",
-            "sent",
-            "p50 µs",
-            "p90 µs",
-            "p99 µs",
-            "p999 µs",
-            "srv p99 µs",
-            "slip p99 µs",
-            "slip max µs"
+            "  {:>12.0} {:>12.0} {:>8} {:>10} {:>9} {:>9} {:>9} {:>11} {:>12} {:>12}",
+            p.offered_rps,
+            p.achieved_rps(),
+            p.sent,
+            p.latency_us.p50,
+            p.latency_us.p90,
+            p.latency_us.p99,
+            p.latency_us.p999,
+            p.server_p99_us,
+            p.slip_us.p99,
+            p.slip_us.max,
         );
-        for p in &points {
-            println!(
-                "  {:>12.0} {:>12.0} {:>8} {:>10} {:>9} {:>9} {:>9} {:>11} {:>12} {:>12}",
-                p.offered_rps,
-                p.achieved_rps(),
-                p.sent,
-                p.latency_us.p50,
-                p.latency_us.p90,
-                p.latency_us.p99,
-                p.latency_us.p999,
-                p.server_p99_us,
-                p.slip_us.p99,
-                p.slip_us.max,
-            );
-        }
-        servers.push((actual, points));
     }
 
-    let artifact = artifact_json(&sweep, corpus.len(), &servers);
+    let artifact = artifact_json(&sweep, corpus.len(), &points);
     if let Err(e) = std::fs::write(&out, artifact.encode() + "\n") {
         eprintln!("silbench: cannot write {}: {e}", out.display());
         return ExitCode::FAILURE;

@@ -8,6 +8,8 @@
 //! paths behind them.  Keeping the artifact generation in a library makes the
 //! reproduction itself testable.
 
+#![forbid(unsafe_code)]
+
 pub mod figures;
 pub mod speedups;
 

@@ -43,6 +43,8 @@
 //! assert!(point_a.matrix.unrelated("lside", "rside"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod callgraph;
 pub mod interference;
 pub mod interproc;

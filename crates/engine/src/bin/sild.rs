@@ -7,25 +7,21 @@
 //! analyzed on one shard warm-hit every other.  Clients (`silp --connect`,
 //! or anything that can write a line of JSON) speak the newline-delimited
 //! protocol of `sil_engine::service::proto`; one thread serves each
-//! connection.
+//! connection, answering its requests in order.
 //!
 //! ```text
 //! sild --listen unix:/tmp/sild.sock               4 shards on a unix socket
 //! sild --listen tcp:127.0.0.1:7777 --shards 8     8 shards on TCP
-//! sild --listen unix:/tmp/sild.sock --async       silio event loop (Linux)
 //! silp --connect unix:/tmp/sild.sock --workload all
 //! ```
-//!
-//! With `--async` (Linux) the daemon serves every connection from one
-//! silio/epoll event loop plus a small worker pool instead of one thread
-//! per connection — same protocol, byte-identical responses, but 10k
-//! mostly-idle clients cost file descriptors rather than stacks.
 //!
 //! The daemon runs until it receives a `shutdown` request (`silp
 //! --shutdown` or a raw `{"protocol_version":2,"type":"shutdown"}` line).
 
+#![forbid(unsafe_code)]
+
 use sil_engine::cli::unknown_flag_error;
-use sil_engine::service::{Addr, Server, ServerKind, ServerOptions, ShardedService};
+use sil_engine::service::{Addr, Server, ServerOptions, ShardedService};
 use sil_engine::{DurableConfig, EngineConfig, PeerConfig, PeerRing};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -39,11 +35,6 @@ options:
                       (tcp:host:0 picks a free port and prints it)
   --shards <n>        number of engine shards (default: 4); requests are
                       routed by program fingerprint, shard = fingerprint % n
-  --async             serve with the event-driven (epoll) server instead of
-                      one thread per connection (Linux; falls back to the
-                      threaded server elsewhere)
-  --workers <n>       worker threads of the async server's pool
-                      (default: sized from the machine's parallelism)
   --data-dir <path>   persist the summary store in append-only segment
                       files under <path>; a restarted daemon recovers the
                       intact prefix of every segment and serves warm
@@ -69,8 +60,6 @@ options:
                       ring served via `silp --top`)
   --recorder-capacity <n>   samples the flight recorder retains
                       (default: 256)
-  --no-incremental    disable incremental re-analysis inside the shards
-  --no-parallel       analyze sequentially inside each shard
   --quiet             no startup/shutdown log lines on stderr
   -h, --help          this message
 ";
@@ -78,8 +67,6 @@ options:
 const KNOWN_FLAGS: &[&str] = &[
     "--listen",
     "--shards",
-    "--async",
-    "--workers",
     "--data-dir",
     "--fsync",
     "--no-durable",
@@ -89,8 +76,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "--slow-us",
     "--recorder-interval",
     "--recorder-capacity",
-    "--no-incremental",
-    "--no-parallel",
     "--quiet",
     "--help",
 ];
@@ -142,8 +127,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 listen = Some(Addr::parse(raw)?);
             }
             flag @ "--shards" => shards = positive_count(args, &mut i, flag)? as usize,
-            "--async" => server.kind = ServerKind::Async,
-            flag @ "--workers" => server.workers = positive_count(args, &mut i, flag)? as usize,
             "--data-dir" => {
                 i += 1;
                 data_dir = Some(args.get(i).ok_or("--data-dir needs a path")?.clone());
@@ -166,8 +149,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             flag @ "--recorder-capacity" => {
                 server.recorder_capacity = positive_count(args, &mut i, flag)? as usize;
             }
-            "--no-incremental" => config = config.with_incremental(false),
-            "--no-parallel" => config = config.with_parallel(false),
             "--quiet" => quiet = true,
             "-h" | "--help" => return Err(String::new()),
             flag => return Err(unknown_flag_error(flag, KNOWN_FLAGS)),
@@ -247,15 +228,11 @@ fn main() -> ExitCode {
         }
     };
     if !cli.quiet {
-        if cli.server.kind == ServerKind::Async && server.kind() != ServerKind::Async {
-            eprintln!("sild: --async is not supported on this platform; serving threaded");
-        }
         eprintln!(
-            "sild: listening on {} with {} shard{} ({} server){}",
+            "sild: listening on {} with {} shard{}{}",
             server.addr(),
             cli.shards,
             if cli.shards == 1 { "" } else { "s" },
-            server.kind().name(),
             match cli.peers.len() {
                 0 => String::new(),
                 n => format!(", peered with {n} daemon{}", if n == 1 { "" } else { "s" }),

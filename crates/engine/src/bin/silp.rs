@@ -25,6 +25,8 @@
 //! Exit status is non-zero when any input fails the frontend, the static
 //! verifier reports violations, or the transport drops.
 
+#![forbid(unsafe_code)]
+
 use sil_engine::cli::unknown_flag_error;
 use sil_engine::service::{
     Json, LocalService, RemoteService, Request, Response, Service, TraceSpan,
@@ -71,8 +73,8 @@ options:
                          span (spans a peer daemon served come back tagged
                          with its address); works with no inputs
   --top                  live console of the daemon's flight recorder:
-                         req/s, serve p99, cache hit rate, and queue depth
-                         computed as deltas between recorder samples;
+                         req/s, serve p99, cache hit rate, and open
+                         connections, from deltas between recorder samples;
                          needs --connect (only a daemon hosts a recorder)
   --refresh <ms>         with --top: redraw interval (default: 1000)
   --iterations <n>       with --top: stop after <n> frames (default: run
@@ -586,13 +588,10 @@ fn render_top(addr: &str, samples: &[silobs::HistorySample]) -> String {
     } else {
         let _ = writeln!(out, "  hit rate             -   (no lookups this window)");
     }
-    let gauge = |name: &str| newest.metrics.gauge(name).unwrap_or(0);
     let _ = writeln!(
         out,
-        "  queue depth  {:>10}   active conns {}   pending lines {}",
-        gauge("server.queue_depth"),
-        gauge("server.active"),
-        gauge("server.pending_lines"),
+        "  active conns {:>10}",
+        newest.metrics.gauge("server.active").unwrap_or(0),
     );
     out
 }

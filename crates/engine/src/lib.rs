@@ -53,6 +53,8 @@
 //! assert_eq!(engine.store_stats().programs.entries, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod peer;
 pub mod report;

@@ -18,14 +18,11 @@
 //! through the same rendering code, only the transport differs.
 
 pub mod json;
+mod line;
 pub mod proto;
 pub mod remote;
 pub mod server;
 pub mod wire;
-
-#[cfg(target_os = "linux")]
-mod aserver;
-mod threaded;
 
 pub use json::{Json, JsonError};
 pub use proto::{
@@ -33,7 +30,7 @@ pub use proto::{
     TraceHeader, TraceSpan, PROTOCOL_VERSION,
 };
 pub use remote::RemoteService;
-pub use server::{Server, ServerHandle, ServerKind, ServerOptions};
+pub use server::{Server, ServerHandle, ServerOptions};
 
 use crate::report::{ProcessOptions, ProgramReport};
 use crate::store::{StoreStats, SummaryStore};

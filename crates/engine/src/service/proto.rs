@@ -335,8 +335,10 @@ record!(AnalyzeSummary {
 /// no server to count connections then).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Which server is answering: `"threaded"` (one thread per
-    /// connection) or `"async"` (the silio event loop).
+    /// Which server is answering.  There is one — a thread per
+    /// connection — so this always reads `"threaded"`; the member stays
+    /// because clients built when there were two require it in a `stats`
+    /// reply.
     pub kind: String,
     /// Connections accepted since the server started.
     pub accepted: u64,

@@ -6,9 +6,10 @@
 //! The JSON encoder escapes every control character, so an encoded message
 //! can never contain a raw newline and the framing is unambiguous.
 
+use super::line::read_bounded_line;
 use super::proto::{Request, Response, ServiceError, TraceHeader, PROTOCOL_VERSION};
 use super::{Addr, Service};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::sync::Mutex;
@@ -218,7 +219,11 @@ impl RemoteService {
         ServiceError::transport(format!("{direction} {}: {error}", self.addr))
     }
 
-    fn exchange(&self, line: &str) -> Result<String, ServiceError> {
+    /// Send `line`, read the reply line: its text, and how many bytes it
+    /// was on the wire.  A reply longer than the protocol's line bound is
+    /// a transport error like any other — a peer that streams without
+    /// ever sending a newline costs bounded memory, not the process.
+    fn exchange(&self, line: &str) -> Result<(String, u64), ServiceError> {
         let mut pipe = self.pipe.lock().unwrap();
         if pipe.broken {
             return Err(ServiceError::transport(format!(
@@ -235,22 +240,22 @@ impl RemoteService {
             pipe.broken = true;
             return Err(self.transport_error("write to", &e));
         }
-        let mut reply = String::new();
-        let n = match pipe.reader.read_line(&mut reply) {
-            Ok(n) => n,
+        let mut raw = Vec::new();
+        let reply = match read_bounded_line(&mut pipe.reader, &mut raw) {
+            Ok(Some(reply)) => reply.into_owned(),
+            Ok(None) => {
+                pipe.broken = true;
+                return Err(ServiceError::transport(format!(
+                    "{} closed the connection",
+                    self.addr
+                )));
+            }
             Err(e) => {
                 pipe.broken = true;
                 return Err(self.transport_error("read from", &e));
             }
         };
-        if n == 0 {
-            pipe.broken = true;
-            return Err(ServiceError::transport(format!(
-                "{} closed the connection",
-                self.addr
-            )));
-        }
-        Ok(reply)
+        Ok((reply, raw.len() as u64))
     }
 }
 
@@ -276,9 +281,8 @@ impl RemoteService {
         };
         let line = request.encode();
         match self.exchange(&line) {
-            Ok(reply) => {
-                let wire_bytes = reply.len() as u64;
-                let response = match Response::decode(reply.trim_end_matches(['\r', '\n'])) {
+            Ok((reply, wire_bytes)) => {
+                let response = match Response::decode(&reply) {
                     Ok(response) => response,
                     Err(error) => Response::error(error),
                 };

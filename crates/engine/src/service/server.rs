@@ -1,42 +1,38 @@
 //! The daemon side of the wire: bind a socket, accept connections, answer
 //! one newline-delimited protocol message per line.
 //!
-//! Two serving strategies sit behind the one `serve_listener` entry
-//! point, selected by [`ServerOptions::kind`]:
+//! There is one serving strategy: a blocking accept loop that hands each
+//! connection its own thread.  A connection's requests are answered
+//! strictly in order on that thread, so a request that waits — on a cold
+//! analysis, a disk read, a peer that never answers — delays only the
+//! connection that sent it.  The cost is one stack per connected client,
+//! idle or not; README "Scaling limits, measured" has the numbers.
 //!
-//! * [`ServerKind::Threaded`] (`threaded.rs`) — one blocking thread
-//!   per connection.  Simple, portable, and the default; its cost is one
-//!   stack per client, idle or not.
-//! * [`ServerKind::Async`] (`aserver.rs`, Linux only) — a single
-//!   silio/epoll event loop multiplexing every connection, with a small
-//!   worker pool executing requests and completing responses through an
-//!   eventfd wakeup.  Thousands of mostly-idle clients cost file
-//!   descriptors, not stacks.  On non-Linux builds the selection falls
-//!   back to the threaded server (silio reports `SUPPORTED = false`).
-//!
-//! Both strategies answer byte-identical responses — they share the
-//! request codec, the per-line dispatch (`handle_line`) and the response
-//! writer — so `silp --connect` output cannot depend on which one serves.
+//! A request line is at most 64 MiB long (a longer one closes its
+//! connection) and is decoded lossily (bytes that are not UTF-8 are
+//! answered `malformed` like any other non-JSON line); `line.rs` holds the
+//! reader, which the client side uses for replies too.
 //!
 //! The `sild` binary is a thin shell around [`Server`]; tests spawn the
-//! same server in-process on a temp socket, so both daemon paths are
+//! same server in-process on a temp socket, so the daemon path is
 //! exercised by `cargo test` without managing child processes.
 //!
 //! Shutdown is cooperative: a [`Request::Shutdown`] (or
-//! [`ServerHandle::shutdown`]) sets a flag and wakes the accept/event
-//! loop; the loop answers in-flight work, cleans up its socket file, and
-//! exits.  A shutdown request speaking the wrong protocol version is
-//! answered with the version error and does *not* stop the daemon.
+//! [`ServerHandle::shutdown`]) sets a flag and dials the listener once to
+//! wake the accept loop, which stops accepting, cleans up its socket file,
+//! and exits; connections already being served finish their current line
+//! on their own threads.  A shutdown request speaking the wrong protocol
+//! version is answered with the version error and does *not* stop the
+//! daemon.
 
-#[cfg(target_os = "linux")]
-use super::aserver;
+use super::line::read_bounded_line;
 use super::proto::{Request, Response, ServerStats, ServiceError, TraceSpan, PROTOCOL_VERSION};
-use super::{threaded, Addr, Service};
+use super::{Addr, Service};
 use silobs::{
     Counter, FlightRecorder, Gauge, MetricsSnapshot, Registry, ShardedHistogram, TraceContext,
     Tracer,
 };
-use std::io::Write;
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -45,35 +41,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Which serving strategy a [`Server`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServerKind {
-    /// One blocking thread per connection (portable default).
-    #[default]
-    Threaded,
-    /// One silio/epoll event loop plus a worker pool (Linux; falls back to
-    /// [`ServerKind::Threaded`] elsewhere).
-    Async,
-}
-
-impl ServerKind {
-    /// Stable lowercase name (wire format and CLI output).
-    pub fn name(self) -> &'static str {
-        match self {
-            ServerKind::Threaded => "threaded",
-            ServerKind::Async => "async",
-        }
-    }
-}
-
 /// Construction knobs of a [`Server`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerOptions {
-    /// Serving strategy (default: threaded).
-    pub kind: ServerKind,
-    /// Worker threads of the async event loop's pool; `0` sizes it from
-    /// the machine's parallelism.  Ignored by the threaded server.
-    pub workers: usize,
     /// Requests whose service call outlasts this many microseconds have
     /// their span tree captured into the tracer's slow buffer (`silp
     /// --trace-dump` keeps them past ring churn).  `0` disables.
@@ -88,8 +58,6 @@ pub struct ServerOptions {
 impl Default for ServerOptions {
     fn default() -> ServerOptions {
         ServerOptions {
-            kind: ServerKind::default(),
-            workers: 0,
             slow_us: 0,
             recorder_interval_ms: 1000,
             recorder_capacity: 256,
@@ -97,24 +65,23 @@ impl Default for ServerOptions {
     }
 }
 
-/// Live daemon-side instrumentation, shared between the serving loop
-/// (which updates it) and the per-line dispatch (which snapshots it into
-/// `Stats`/`Metrics` responses).
+/// Live daemon-side instrumentation, shared between the accept loop and
+/// connection threads (which update it) and the per-line dispatch (which
+/// snapshots it into `Stats`/`Metrics` responses).
 ///
 /// The counters live on a [`Registry`] under the `server.*` namespace, so
 /// a `Metrics` response can splice them next to the engine's `engine.*` /
 /// `store.*` entries; the legacy [`ServerStats`] wire shape is a view over
 /// the same atomics, byte-identical to what it reported before.
 #[derive(Debug)]
-pub(crate) struct ServerCounters {
-    kind: ServerKind,
+struct ServerCounters {
     registry: Registry,
     accepted: Counter,
     active: Gauge,
     requests: Counter,
     serve_us: Arc<ShardedHistogram>,
-    queue_depth: Gauge,
-    pending_lines: Gauge,
+    /// Request ids are minted from it and server-side spans recorded into
+    /// it.
     tracer: Arc<Tracer>,
     recorder: Arc<FlightRecorder>,
     /// Service calls slower than this many microseconds are captured into
@@ -133,13 +100,10 @@ impl ServerCounters {
     fn with_started(options: &ServerOptions, started: Instant) -> ServerCounters {
         let registry = Registry::new();
         ServerCounters {
-            kind: options.kind,
             accepted: registry.counter("server.accepted"),
             active: registry.gauge("server.active"),
             requests: registry.counter("server.requests"),
             serve_us: registry.histogram("server.serve_us"),
-            queue_depth: registry.gauge("server.queue_depth"),
-            pending_lines: registry.gauge("server.pending_lines"),
             tracer: Arc::new(Tracer::default()),
             recorder: Arc::new(FlightRecorder::new(options.recorder_capacity.max(2))),
             slow_us: options.slow_us,
@@ -149,31 +113,14 @@ impl ServerCounters {
     }
 
     /// Record one accepted connection (now active).
-    pub(crate) fn connection_opened(&self) {
+    fn connection_opened(&self) {
         self.accepted.incr();
         self.active.add(1);
     }
 
     /// Record one connection closing.
-    pub(crate) fn connection_closed(&self) {
+    fn connection_closed(&self) {
         self.active.sub(1);
-    }
-
-    /// The tracer request ids are minted from and server-side spans are
-    /// recorded into.
-    pub(crate) fn tracer(&self) -> &Arc<Tracer> {
-        &self.tracer
-    }
-
-    /// Depth of the async server's ready-job queue (stays 0 under the
-    /// threaded server, which has no queue).
-    pub(crate) fn queue_depth(&self) -> Gauge {
-        self.queue_depth.clone()
-    }
-
-    /// Lines read off sockets but not yet dispatched, across connections.
-    pub(crate) fn pending_lines(&self) -> Gauge {
-        self.pending_lines.clone()
     }
 
     /// Whole seconds since the server started serving.
@@ -182,11 +129,10 @@ impl ServerCounters {
     }
 
     /// The wire-facing snapshot attached to `Stats` responses, reporting
-    /// the uptime the caller sampled (see [`handle_line`]: sampling it in
-    /// one place is what keeps the two serving strategies byte-identical).
+    /// the uptime the caller sampled (see [`handle_line`]).
     fn snapshot_at(&self, uptime_ticks: u64) -> ServerStats {
         ServerStats {
-            kind: self.kind.name().to_string(),
+            kind: "threaded".to_string(),
             accepted: self.accepted.get(),
             active: self.active.get().max(0) as u64,
             uptime_ticks,
@@ -216,7 +162,7 @@ impl ServerCounters {
     }
 }
 
-pub(crate) enum Listener {
+enum Listener {
     Unix(UnixListener, PathBuf),
     Tcp(TcpListener),
 }
@@ -232,18 +178,15 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind `addr` and wrap `service` with the default (threaded) serving
-    /// strategy.  A stale Unix socket file at the path is removed first
-    /// (the daemon owns its socket path); for `tcp:host:0` the resolved
-    /// port is visible via [`Server::addr`].
+    /// Bind `addr` and wrap `service` with default [`ServerOptions`].  A
+    /// stale Unix socket file at the path is removed first (the daemon
+    /// owns its socket path); for `tcp:host:0` the resolved port is
+    /// visible via [`Server::addr`].
     pub fn bind(addr: &Addr, service: Arc<dyn Service + Send + Sync>) -> std::io::Result<Server> {
         Server::bind_with(addr, service, ServerOptions::default())
     }
 
-    /// [`Server::bind`] with an explicit serving strategy.  Asking for
-    /// [`ServerKind::Async`] on a platform without silio support silently
-    /// resolves to the threaded strategy; [`Server::kind`] reports what
-    /// was actually selected.
+    /// [`Server::bind`] with explicit tracing and flight-recorder options.
     pub fn bind_with(
         addr: &Addr,
         service: Arc<dyn Service + Send + Sync>,
@@ -261,19 +204,11 @@ impl Server {
                 (Listener::Tcp(listener), resolved)
             }
         };
-        let options = ServerOptions {
-            kind: if options.kind == ServerKind::Async && !silio::SUPPORTED {
-                ServerKind::Threaded
-            } else {
-                options.kind
-            },
-            ..options
-        };
         let counters = Arc::new(ServerCounters::new(&options));
         // Name this daemon on both tracers, so spans piggybacked to a
         // remote caller say where they were recorded.  First set wins:
         // a service shared across servers keeps its first address.
-        counters.tracer().set_origin(&resolved.to_string());
+        counters.tracer.set_origin(&resolved.to_string());
         if let Some(tracer) = service.service_tracer() {
             tracer.set_origin(&resolved.to_string());
         }
@@ -292,14 +227,9 @@ impl Server {
         &self.addr
     }
 
-    /// The serving strategy actually selected (async may have fallen back
-    /// to threaded on platforms without silio support).
-    pub fn kind(&self) -> ServerKind {
-        self.options.kind
-    }
-
-    /// Accept and serve connections until shut down.  Blocks; use
-    /// [`Server::spawn`] to run on a background thread.
+    /// Accept connections until shut down, one serving thread each, then
+    /// clean up the socket file.  Blocks; use [`Server::spawn`] to run on
+    /// a background thread.
     pub fn run(self) {
         let Server {
             listener,
@@ -309,7 +239,37 @@ impl Server {
             options,
             counters,
         } = self;
-        serve_listener(listener, service, shutdown, addr, options, counters);
+        let sampler = spawn_recorder_sampler(&service, &shutdown, &counters, &options);
+        loop {
+            let stream = match &listener {
+                Listener::Unix(listener, _) => listener.accept().map(|(s, _)| Stream::Unix(s)),
+                Listener::Tcp(listener) => listener.accept().map(|(s, _)| Stream::Tcp(s)),
+            };
+            if shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            let Ok(stream) = stream else {
+                // Transient accept failures (e.g. fd exhaustion under load)
+                // must not spin a core; back off briefly.
+                std::thread::sleep(Duration::from_millis(20));
+                continue;
+            };
+            counters.connection_opened();
+            let service = service.clone();
+            let shutdown = shutdown.clone();
+            let addr = addr.clone();
+            let counters = counters.clone();
+            std::thread::spawn(move || {
+                serve_connection(stream, service, shutdown, addr, &counters);
+                counters.connection_closed();
+            });
+        }
+        if let Some(sampler) = sampler {
+            let _ = sampler.join();
+        }
+        if let Listener::Unix(_, path) = listener {
+            let _ = std::fs::remove_file(path);
+        }
     }
 
     /// Run on a background thread, returning a handle that can stop it.
@@ -325,35 +285,57 @@ impl Server {
     }
 }
 
-/// The one entry point both serving strategies sit behind: drive the bound
-/// listener until shutdown, then clean up the socket file.
-pub(crate) fn serve_listener(
-    listener: Listener,
+enum Stream {
+    Unix(UnixStream),
+    Tcp(TcpStream),
+}
+
+/// Answer one connection's lines in order until the client hangs up, a
+/// line overflows the bound, or a shutdown request arrives.
+fn serve_connection(
+    stream: Stream,
     service: Arc<dyn Service + Send + Sync>,
     shutdown: Arc<AtomicBool>,
     addr: Addr,
-    options: ServerOptions,
-    counters: Arc<ServerCounters>,
+    counters: &ServerCounters,
 ) {
-    let socket_path = match &listener {
-        Listener::Unix(_, path) => Some(path.clone()),
-        Listener::Tcp(_) => None,
+    let (reader, mut writer): (Box<dyn Read>, Box<dyn Write>) = match stream {
+        Stream::Unix(s) => match s.try_clone() {
+            Ok(clone) => (Box::new(clone), Box::new(s)),
+            Err(_) => return,
+        },
+        Stream::Tcp(s) => match s.try_clone() {
+            Ok(clone) => (Box::new(clone), Box::new(s)),
+            Err(_) => return,
+        },
     };
-    let sampler = spawn_recorder_sampler(&service, &shutdown, &counters, &options);
-    match options.kind {
-        ServerKind::Threaded => threaded::serve(listener, service, shutdown, addr, counters),
-        #[cfg(target_os = "linux")]
-        ServerKind::Async => aserver::serve(listener, service, shutdown, addr, options, counters),
-        // Unreachable in practice: bind_with resolves Async to Threaded
-        // when silio is unsupported.
-        #[cfg(not(target_os = "linux"))]
-        ServerKind::Async => threaded::serve(listener, service, shutdown, addr, counters),
-    }
-    if let Some(sampler) = sampler {
-        let _ = sampler.join();
-    }
-    if let Some(path) = socket_path {
-        let _ = std::fs::remove_file(path);
+    let mut reader = BufReader::new(reader);
+    let mut buf = Vec::new();
+    // Hung up, failed, or sent a line past the bound: either way this
+    // connection is over, and only this one.
+    while let Ok(Some(line)) = read_bounded_line(&mut reader, &mut buf) {
+        let trimmed = line.trim();
+        if trimmed.is_empty() {
+            continue;
+        }
+        // The request id is minted the moment the line is framed, so its
+        // spans cover everything that happens to it from here on.
+        let id = counters.tracer.mint();
+        match handle_line(service.as_ref(), counters, id, trimmed) {
+            LineOutcome::Respond(response) => {
+                if write_response(&mut writer, &response).is_err() {
+                    return;
+                }
+            }
+            LineOutcome::ShutdownAfter(response) => {
+                // Acknowledge, then stop the daemon: flag + self-dial
+                // wakes the accept loop.
+                let _ = write_response(&mut writer, &response);
+                shutdown.store(true, Ordering::SeqCst);
+                wake(&addr);
+                return;
+            }
+        }
     }
 }
 
@@ -398,10 +380,8 @@ impl ServerHandle {
         &self.addr
     }
 
-    /// Stop the serving loop and wait for it to exit.  Threaded
-    /// connections already being served finish their current line on
-    /// their own threads; the async loop flushes pending responses on its
-    /// way out.
+    /// Stop the accept loop and wait for it to exit.  Connections already
+    /// being served finish their current line on their own threads.
     pub fn shutdown(self) {
         self.shutdown.store(true, Ordering::SeqCst);
         wake(&self.addr);
@@ -409,9 +389,8 @@ impl ServerHandle {
     }
 }
 
-/// Unblock a loop that is waiting in `accept()`/`poll()` by dialing it
-/// once.
-pub(crate) fn wake(addr: &Addr) {
+/// Unblock the loop that is waiting in `accept()` by dialing it once.
+fn wake(addr: &Addr) {
     match addr {
         Addr::Unix(path) => {
             let _ = UnixStream::connect(path);
@@ -423,9 +402,8 @@ pub(crate) fn wake(addr: &Addr) {
 }
 
 /// What the per-line dispatch decided.  The response is already encoded —
-/// `handle_line` times the encode under its span, so both serving
-/// strategies ship the bytes it produced.
-pub(crate) enum LineOutcome {
+/// `handle_line` times the encode under its span.
+enum LineOutcome {
     /// Send this response line and keep serving the connection.
     Respond(String),
     /// Send this response line, then stop the whole daemon (a
@@ -433,25 +411,23 @@ pub(crate) enum LineOutcome {
     ShutdownAfter(String),
 }
 
-/// The per-line protocol dispatch both serving strategies share: decode,
-/// negotiate the version, intercept shutdown, execute against the service,
-/// and decorate `Stats`/`Metrics`/`Trace` responses with the daemon's own
-/// counters, `server.*` metrics, and spans.  Keeping this in one place is
-/// what makes the two servers byte-identical.
+/// The per-line protocol dispatch: decode, negotiate the version,
+/// intercept shutdown, execute against the service, and decorate
+/// `Stats`/`Metrics`/`Trace` responses with the daemon's own counters,
+/// `server.*` metrics, and spans.
 ///
-/// `id` is the request id the serving strategy minted when it framed the
-/// line (from [`ServerCounters::tracer`]); every span recorded while the
+/// `id` is the request id the connection thread minted when it framed the
+/// line (from the server's tracer); every span recorded while the
 /// request executes — here and down in the engine — attributes to it.
-pub(crate) fn handle_line(
+fn handle_line(
     service: &(dyn Service + Send + Sync),
     counters: &ServerCounters,
     id: u64,
     line: &str,
 ) -> LineOutcome {
-    // Sample the uptime exactly once, before any work: the threaded and
-    // async strategies used to sample it at different points in the line's
-    // lifetime, so a slow request could round to a different whole second
-    // depending on which server answered it.
+    // Sample the uptime exactly once, before any work, so the whole
+    // second a `stats` reply reports does not depend on how long the
+    // request took to serve.
     let uptime_ticks = counters.uptime_ticks();
     counters.requests.incr();
     silobs::with_request(id, || {
@@ -546,9 +522,8 @@ pub(crate) fn handle_line(
     })
 }
 
-/// Write one already-encoded response line (the threaded server's writer;
-/// the async server queues through its connection state machine instead).
-pub(crate) fn write_response(writer: &mut dyn Write, line: &str) -> std::io::Result<()> {
+/// Write one already-encoded response line.
+fn write_response(writer: &mut dyn Write, line: &str) -> std::io::Result<()> {
     writer.write_all(line.as_bytes())?;
     writer.write_all(b"\n")?;
     writer.flush()
@@ -574,20 +549,15 @@ mod tests {
 
     /// Regression: uptime must be sampled once, at line entry.  With the
     /// server 10s old and a service that takes 1.2s, sampling after the
-    /// call (as the serving strategies once did, each at its own point)
-    /// would report 11.
+    /// call would report 11.
     #[test]
     fn uptime_is_sampled_before_the_service_runs() {
         let started = Instant::now()
             .checked_sub(Duration::from_secs(10))
             .expect("clock predates process start");
-        let options = ServerOptions {
-            kind: ServerKind::Threaded,
-            ..ServerOptions::default()
-        };
-        let counters = ServerCounters::with_started(&options, started);
+        let counters = ServerCounters::with_started(&ServerOptions::default(), started);
         let service = Slow(LocalService::new(EngineConfig::default()));
-        let id = counters.tracer().mint();
+        let id = counters.tracer.mint();
         let line = match handle_line(&service, &counters, id, &Request::stats().encode()) {
             LineOutcome::Respond(line) => line,
             LineOutcome::ShutdownAfter(_) => panic!("stats must not shut the daemon down"),
@@ -609,12 +579,12 @@ mod tests {
     fn handle_line_attributes_spans_to_the_minted_id() {
         let counters = ServerCounters::new(&ServerOptions::default());
         let service = LocalService::new(EngineConfig::default());
-        let id = counters.tracer().mint();
+        let id = counters.tracer.mint();
         match handle_line(&service, &counters, id, &Request::clear_caches().encode()) {
             LineOutcome::Respond(_) => {}
             LineOutcome::ShutdownAfter(_) => panic!("clear_caches must keep serving"),
         }
-        let spans = counters.tracer().snapshot();
+        let spans = counters.tracer.snapshot();
         let names: Vec<&str> = spans
             .iter()
             .filter(|span| span.request == id)
@@ -634,12 +604,12 @@ mod tests {
         };
         let counters = ServerCounters::new(&options);
         let service = Slow(LocalService::new(EngineConfig::default()));
-        let id = counters.tracer().mint();
+        let id = counters.tracer.mint();
         match handle_line(&service, &counters, id, &Request::analyze("f(){}").encode()) {
             LineOutcome::Respond(_) => {}
             LineOutcome::ShutdownAfter(_) => panic!("analyze must keep serving"),
         }
-        let dump = counters.tracer().snapshot_all();
+        let dump = counters.tracer.snapshot_all();
         let captured = dump
             .iter()
             .filter(|span| span.request == id && span.name == "serve")
@@ -655,7 +625,7 @@ mod tests {
     fn metrics_history_answers_from_the_recorder() {
         let counters = ServerCounters::new(&ServerOptions::default());
         let service = LocalService::new(EngineConfig::default());
-        let id = counters.tracer().mint();
+        let id = counters.tracer.mint();
         counters.sample_recorder(&service);
         match handle_line(&service, &counters, id, &Request::analyze("f(){}").encode()) {
             LineOutcome::Respond(_) => {}
@@ -665,7 +635,7 @@ mod tests {
         let line = match handle_line(
             &service,
             &counters,
-            counters.tracer().mint(),
+            counters.tracer.mint(),
             &Request::metrics_history().encode(),
         ) {
             LineOutcome::Respond(line) => line,

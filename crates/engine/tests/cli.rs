@@ -80,7 +80,7 @@ impl Daemon {
         Daemon::launch_with(name, shards, &[])
     }
 
-    /// [`Daemon::launch`] with extra `sild` flags (e.g. `--async`).
+    /// [`Daemon::launch`] with extra `sild` flags.
     fn launch_with(name: &str, shards: &str, extra: &[&str]) -> Daemon {
         let sock =
             std::env::temp_dir().join(format!("sild-cli-{}-{name}.sock", std::process::id()));
@@ -219,55 +219,9 @@ fn stats_table_renders_namespaces_and_shards() {
     daemon.stop();
 }
 
-/// The event-driven daemon (`sild --async`) is protocol-invariant: its
-/// `silp --connect` output is byte-identical to `--in-process` (and thus
-/// to the threaded daemon, which passes the same comparison above), and
-/// its `--stats` line names the async server.
-#[test]
-fn async_daemon_output_is_byte_identical_to_in_process() {
-    for (name, extra) in [("adiff-json", &["--json"][..]), ("adiff-text", &[])] {
-        let daemon = Daemon::launch_with(name, "4", &["--async"]);
-        let mut remote_args = vec!["--connect", daemon.addr.as_str(), "--workload", "all"];
-        remote_args.extend_from_slice(extra);
-        let mut local_args = vec!["--in-process", "--workload", "all"];
-        local_args.extend_from_slice(extra);
-
-        let remote = silp().args(&remote_args).output().unwrap();
-        let local = silp().args(&local_args).output().unwrap();
-        assert!(remote.status.success(), "{}", stderr_of(&remote));
-        assert!(local.status.success(), "{}", stderr_of(&local));
-        assert!(!remote.stdout.is_empty());
-        assert_eq!(
-            remote.stdout, local.stdout,
-            "async daemon and in-process output must be byte-identical ({extra:?})"
-        );
-        daemon.stop();
-    }
-
-    if cfg!(target_os = "linux") {
-        let daemon = Daemon::launch_with("astats", "2", &["--async"]);
-        let output = silp()
-            .args([
-                "--connect",
-                daemon.addr.as_str(),
-                "--workload",
-                "tree_sum",
-                "--stats",
-            ])
-            .output()
-            .unwrap();
-        assert!(output.status.success(), "{}", stderr_of(&output));
-        assert!(
-            stderr_of(&output).contains("server: async"),
-            "{}",
-            stderr_of(&output)
-        );
-        daemon.stop();
-    }
-}
-
-/// The store has one eviction rule and one stripe count, so the flags that
-/// used to choose others are gone: each fails like any unknown flag (exit
+/// The store has one eviction rule and one stripe count, the daemon one
+/// server, and the shards one engine configuration, so the flags that used
+/// to choose others are gone: each fails like any unknown flag (exit
 /// status 1, the error, then the usage text) and neither `--help` lists it.
 #[test]
 fn retired_eviction_flags_are_unknown_flags() {
@@ -277,6 +231,10 @@ fn retired_eviction_flags_are_unknown_flags() {
         &["--adapt-window", "64"],
         &["--adapt-threshold", "4"],
         &["--stripes", "8"],
+        &["--async"],
+        &["--workers", "2"],
+        &["--no-incremental"],
+        &["--no-parallel"],
     ];
     let silp_flags: &[&[&str]] = &[&["--lfu"], &["--lru"]];
     for (binary, valid, retired) in [
@@ -290,7 +248,7 @@ fn retired_eviction_flags_are_unknown_flags() {
         let help = binary().arg("--help").output().unwrap();
         assert!(help.status.success());
         let help = String::from_utf8_lossy(&help.stdout).to_lowercase();
-        for word in ["lfu", "adaptive"] {
+        for word in ["lfu", "adaptive", "epoll"] {
             assert!(!help.contains(word), "--help still mentions {word}");
         }
         for args in retired {
@@ -326,8 +284,8 @@ fn sild_rejects_contradictory_flag_pairs_and_bad_counts() {
             &["--gossip-interval", "500"],
             "--gossip-interval needs at least one --peer",
         ),
-        (&["--workers", "0"], "--workers must be at least 1"),
-        (&["--workers", "many"], "--workers must be an integer"),
+        (&["--shards", "0"], "--shards must be at least 1"),
+        (&["--shards", "many"], "--shards must be an integer"),
     ];
     for (bad, want) in cases {
         let output = sild()
@@ -524,7 +482,7 @@ fn metrics_round_trip_matches_in_process() {
     let remote_err = stderr_of(&remote);
     assert!(remote_err.contains("server.accepted"), "{remote_err}");
     assert!(remote_err.contains("server.serve_us"), "{remote_err}");
-    assert!(remote_err.contains("server.queue_depth"), "{remote_err}");
+    assert!(remote_err.contains("server.active"), "{remote_err}");
     assert!(!stderr_of(&local).contains("server."));
 
     // --json emits the raw wire form of the same response.
@@ -702,7 +660,7 @@ fn silp_top_renders_live_recorder_deltas() {
     );
     assert!(stdout.contains("req/s"), "{stdout}");
     assert!(stdout.contains("serve p99"), "{stdout}");
-    assert!(stdout.contains("queue depth"), "{stdout}");
+    assert!(stdout.contains("active conns"), "{stdout}");
     // Every frame names its sample window, proving the frame was computed
     // from at least two recorder samples rather than lifetime totals.
     assert_eq!(stdout.matches("samples, window").count(), 2, "{stdout}");

@@ -418,6 +418,86 @@ fn forged_summary_bodies_from_a_lying_peer_are_refused() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A peer that answers with bytes and never a newline — fast enough that
+/// no single read times out — cannot grow the fetching daemon without
+/// limit: the reply is refused at the protocol's 64 MiB line bound with a
+/// transport error naming it, the connection is marked broken, and a
+/// request that misses behind such a peer is answered by recomputing.
+#[test]
+fn an_endless_reply_from_a_lying_peer_is_refused_at_the_line_bound() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const MAX_LINE_BYTES: usize = 64 * 1024 * 1024;
+
+    let Addr::Unix(path) = temp_socket("endless") else {
+        unreachable!()
+    };
+    // Every connection: read one request line, then stream `a`s until the
+    // client hangs up.
+    let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let liar = {
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            let chunk = vec![b'a'; 1 << 20];
+            while let Ok((mut stream, _)) = listener.accept() {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let mut line = String::new();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                if reader.read_line(&mut line).is_ok_and(|n| n > 0) {
+                    while stream.write_all(&chunk).is_ok() {}
+                }
+            }
+        })
+    };
+    let addr = Addr::Unix(path.clone());
+
+    // Raw exchange: the typed error names the limit, and the pipe is
+    // broken afterwards (the rest of the flood is still in it).
+    let remote = RemoteService::dial_with_timeout(&addr, Some(Duration::from_secs(5))).unwrap();
+    match remote.call(Request::peer_inventory()) {
+        Response::Error { error, .. } => {
+            assert_eq!(error.kind, ErrorKind::Transport, "{error}");
+            assert!(
+                error.message.contains(&MAX_LINE_BYTES.to_string()),
+                "{}",
+                error.message
+            );
+        }
+        other => panic!("{other:?}"),
+    }
+    match remote.call(Request::stats()) {
+        Response::Error { error, .. } => {
+            assert!(error.message.contains("broken"), "{}", error.message)
+        }
+        other => panic!("{other:?}"),
+    }
+    drop(remote);
+
+    // Through the store: the miss tries the peer, gives up on it at the
+    // bound, and recomputes the pinned answer.
+    let golden = include_str!("golden/digests.txt")
+        .lines()
+        .find_map(|line| line.strip_prefix("tree_sum@3 "))
+        .map(|hex| u64::from_str_radix(hex, 16).unwrap())
+        .expect("tree_sum@3 is pinned");
+    let service = ShardedService::new(1, EngineConfig::default());
+    let ring = test_ring(&service, vec![addr]);
+    let summary = analyze(&service, &Workload::TreeSum.source(3));
+    assert!(!summary.cache_hit, "nothing the liar sent was admitted");
+    assert_eq!(summary.analysis_digest, golden);
+    let stats = ring.stats(0, 0);
+    assert_eq!(stats.hits, 0, "{stats:?}");
+    assert!(stats.misses >= 1, "the peer was asked: {stats:?}");
+
+    stop.store(true, Ordering::SeqCst);
+    let _ = std::os::unix::net::UnixStream::connect(&path);
+    liar.join().unwrap();
+    let _ = std::fs::remove_file(&path);
+}
+
 /// The reply the README documents for an evicted entry: a peer (another
 /// implementation, say) that writes `"body":null` where this build leaves
 /// the member out means the same thing — "I no longer have it" — and

@@ -23,6 +23,8 @@
 //! the evidence (empty interference sets, unrelated handle arguments) that
 //! justified it.
 
+#![forbid(unsafe_code)]
+
 pub mod packing;
 pub mod report;
 pub mod split;

@@ -37,6 +37,8 @@
 //!   control-flow `merge`, equality for fixpoint detection, and the tabular
 //!   rendering used to reproduce the paper's figures.
 
+#![forbid(unsafe_code)]
+
 pub mod intern;
 pub mod link;
 pub mod matrix;

@@ -32,6 +32,8 @@
 //! assert!(outcome.cost.span <= outcome.cost.work);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod costmodel;
 pub mod error;
 pub mod interp;

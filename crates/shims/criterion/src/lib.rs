@@ -8,6 +8,8 @@
 //! mean — which is enough for the relative comparisons (cold vs. warm cache,
 //! sequential vs. parallel) these benches exist to demonstrate.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Display;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};

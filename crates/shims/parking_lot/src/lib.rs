@@ -3,6 +3,8 @@
 //! guards directly (no poisoning `Result`).  Backed by the std locks; a
 //! panicked holder's poison is stripped, matching parking_lot's semantics.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::sync::{self, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 

@@ -6,6 +6,8 @@
 //! all the program generator and the property tests require (statistical
 //! quality far beyond "not obviously patterned" is irrelevant here).
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Types that can be drawn uniformly from a half-open range.

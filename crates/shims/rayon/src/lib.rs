@@ -9,6 +9,8 @@
 //! to inline sequential execution — the same observable semantics as rayon's
 //! work-stealing, minus the stealing).
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 

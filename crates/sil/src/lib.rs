@@ -48,6 +48,8 @@
 //! assert_eq!(program.procedures.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod basic;
 pub mod builder;

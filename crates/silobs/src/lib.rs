@@ -30,6 +30,8 @@
 //! layer from the fixpoint engine to the event loop, and must never drag
 //! I/O or allocation policy into either.
 
+#![forbid(unsafe_code)]
+
 mod clock;
 pub mod hist;
 mod metrics;

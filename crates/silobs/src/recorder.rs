@@ -1,8 +1,8 @@
 //! The flight recorder: a bounded ring of periodic metrics samples.
 //!
 //! A point-in-time `metrics` snapshot answers "what has happened since
-//! boot"; it cannot answer "what is happening *now*" — req/s, queue-depth
-//! trends, the p99 of the last second.  The flight recorder closes that
+//! boot"; it cannot answer "what is happening *now*" — req/s, how many
+//! connections are open, the p99 of the last second.  The flight recorder closes that
 //! gap: a background sampler feeds it one [`RawMetrics`] read per tick
 //! (default 1 Hz), and it retains the most recent `capacity` samples
 //! (default 256 — about four minutes of history) as [`HistorySample`]s.
@@ -13,8 +13,7 @@
 //! summaries: each sample keeps the previous tick's full bucket array and
 //! subtracts it ([`crate::HistogramSnapshot::delta`]), so a sample's p99
 //! is the p99 of that tick alone, not an ever-flattening lifetime
-//! quantile.  This is the sustained-history substrate the ROADMAP's
-//! autoscaling loop reads (p90 of sampled queue depth over a window).
+//! quantile.
 
 use crate::metrics::{MetricsSnapshot, RawMetrics};
 use std::collections::VecDeque;

@@ -59,7 +59,7 @@ pub struct TraceContext {
 pub struct SpanRecord {
     /// The request this span belongs to; 0 means "no request context".
     pub request: u64,
-    /// Span name (`parse`, `fixpoint`, `queue-wait`, ...).  Borrowed for
+    /// Span name (`parse`, `fixpoint`, `encode`, ...).  Borrowed for
     /// locally recorded spans; owned for spans adopted off the wire.
     pub name: Cow<'static, str>,
     pub start_us: u64,
@@ -237,7 +237,7 @@ impl Tracer {
     }
 
     /// Record a completed span with no tree coordinates (the shape of
-    /// spans minted before any context exists, like async queue-wait).
+    /// spans minted before any context exists).
     pub fn record(&self, request: u64, name: &'static str, start_us: u64, end_us: u64) {
         self.record_span(SpanRecord {
             request,
@@ -351,9 +351,10 @@ impl Tracer {
     }
 
     /// Every retained span belonging to `trace`, plus untraced spans
-    /// attributed to `request` (async queue-wait is recorded before the
-    /// wire header is parsed, so it links by request id only).  Origins
-    /// resolved — this is the shape piggybacked to a remote caller.
+    /// attributed to `request` (the server's `parse` of the request line
+    /// runs before the wire header is known, so it links by request id
+    /// only).  Origins resolved — this is the shape piggybacked to a
+    /// remote caller.
     pub fn spans_for(&self, trace: u64, request: u64) -> Vec<SpanRecord> {
         let origin = self.origin();
         self.ring

@@ -14,6 +14,8 @@
 //!   rayon-parallel) of the same kernels, used both to validate the SIL
 //!   interpreter and to measure real wall-clock speedups on the host.
 
+#![forbid(unsafe_code)]
+
 pub mod generator;
 pub mod native;
 pub mod programs;

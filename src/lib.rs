@@ -44,6 +44,8 @@
 //! assert!(par_out.cost.span < seq_out.cost.span);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use sil_analysis as analysis;
 pub use sil_engine as engine;
 pub use sil_lang as lang;
