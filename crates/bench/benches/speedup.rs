@@ -6,7 +6,7 @@
 //!   rayon-backed execution),
 //! * the native Rust kernels (sequential versus rayon) for
 //!   `add_and_reverse`, `treeadd` and `bisort`, which give the real-machine
-//!   wall-clock speedups reported in EXPERIMENTS.md.
+//!   wall-clock speedups `repro --list` names as E2.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sil_lang::frontend;

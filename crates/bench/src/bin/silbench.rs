@@ -36,10 +36,8 @@
 use rand::distributions::{Distribution, Zipf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sil_engine::service::{
-    Json, RemoteService, Request, Response, Server, ServerOptions, Service, ShardedService,
-};
-use sil_engine::{Addr, EngineConfig};
+use sil_engine::service::{Json, RemoteService, Request, Response, Server, ServerOptions, Service};
+use sil_engine::{Addr, Engine};
 use sil_workloads::programs::Workload;
 use silobs::{Histogram, HistogramSummary};
 use std::io::{BufRead, BufReader, Write};
@@ -280,7 +278,7 @@ fn server_p99_since(addr: &str, since: u64) -> u64 {
 /// Run the whole sweep: fresh daemon, primed corpus, ascending offered
 /// loads over the same warm caches.
 fn run_server(sweep: &Sweep, corpus: &[String]) -> Vec<Point> {
-    let service = Arc::new(ShardedService::new(4, EngineConfig::default()));
+    let service = Arc::new(Engine::default());
     let server = Server::bind_with(
         &temp_socket("sweep"),
         service,

@@ -1,8 +1,8 @@
-//! Regeneration of the paper's figures (F2–F10 in DESIGN.md).
+//! Regeneration of the paper's figures (2–10 in `repro --list`).
 //!
 //! Each function returns a human-readable rendering of the corresponding
-//! artifact; the `repro` binary prints them and `EXPERIMENTS.md` records the
-//! comparison against the figures in the paper.
+//! artifact; `repro --figure <n>` prints one for comparison against the
+//! figure in the paper.
 
 use sil_analysis::interference::{interference_set, read_set, write_set};
 use sil_analysis::sequences::relative_interference;

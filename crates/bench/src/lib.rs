@@ -2,7 +2,7 @@
 //!
 //! The benchmark harness and figure-reproduction library.
 //!
-//! Every figure of the paper and every experiment listed in `DESIGN.md` has
+//! Every figure of the paper and every experiment `repro --list` names has
 //! a function here that regenerates its artifact as a printable string; the
 //! `repro` binary prints them and the Criterion benches measure the code
 //! paths behind them.  Keeping the artifact generation in a library makes the

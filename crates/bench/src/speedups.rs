@@ -1,4 +1,4 @@
-//! The quantitative experiments (E1–E4 in DESIGN.md): cost-model speedups of
+//! The quantitative experiments (E1–E4 in `repro --list`): cost-model speedups of
 //! the parallelized programs, wall-clock speedups of the native kernels,
 //! analysis scalability, and the parallel-debugging experiment.
 

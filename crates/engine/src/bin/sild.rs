@@ -1,17 +1,14 @@
 //! `sild` — the SIL analysis daemon.
 //!
-//! Hosts a [`ShardedService`]: N memoizing engines behind one socket, all
-//! views over **one shared, lock-striped summary store**, with requests
-//! routed to shards by stable program fingerprint.  Routing concentrates
-//! each program's traffic on one shard; the shared store lets a cone
-//! analyzed on one shard warm-hit every other.  Clients (`silp --connect`,
-//! or anything that can write a line of JSON) speak the newline-delimited
-//! protocol of `sil_engine::service::proto`; one thread serves each
-//! connection, answering its requests in order.
+//! Hosts one memoizing [`Engine`] over a lock-striped summary store behind
+//! one socket.  Clients (`silp --connect`, or anything that can write a
+//! line of JSON) speak the newline-delimited protocol of
+//! `sil_engine::service::proto`; one thread serves each connection,
+//! answering its requests in order and calling straight into the engine.
 //!
 //! ```text
-//! sild --listen unix:/tmp/sild.sock               4 shards on a unix socket
-//! sild --listen tcp:127.0.0.1:7777 --shards 8     8 shards on TCP
+//! sild --listen unix:/tmp/sild.sock               on a unix socket
+//! sild --listen tcp:127.0.0.1:7777                on TCP
 //! silp --connect unix:/tmp/sild.sock --workload all
 //! ```
 //!
@@ -21,8 +18,8 @@
 #![forbid(unsafe_code)]
 
 use sil_engine::cli::unknown_flag_error;
-use sil_engine::service::{Addr, Server, ServerOptions, ShardedService};
-use sil_engine::{DurableConfig, EngineConfig, PeerConfig, PeerRing};
+use sil_engine::service::{Addr, Server, ServerOptions};
+use sil_engine::{DurableConfig, Engine, EngineConfig, PeerConfig, PeerRing};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,16 +30,12 @@ usage: sild --listen <addr> [options]
 options:
   --listen <addr>     address to serve: unix:<path> or tcp:<host:port>
                       (tcp:host:0 picks a free port and prints it)
-  --shards <n>        number of engine shards (default: 4); requests are
-                      routed by program fingerprint, shard = fingerprint % n
   --data-dir <path>   persist the summary store in append-only segment
                       files under <path>; a restarted daemon recovers the
                       intact prefix of every segment and serves warm
                       (visible as store.disk.* in `silp --metrics`)
   --fsync             sync every flush batch to stable storage (with
                       --data-dir; slower, survives power loss)
-  --no-durable        run memory-only (contradicts --data-dir: passing both
-                      is an error, not a silent override)
   --peer <addr>       a peer daemon (unix:<path> or tcp:<host:port>) to
                       gossip digest inventories with and fetch cache misses
                       from before recomputing; repeatable
@@ -66,10 +59,8 @@ options:
 
 const KNOWN_FLAGS: &[&str] = &[
     "--listen",
-    "--shards",
     "--data-dir",
     "--fsync",
-    "--no-durable",
     "--peer",
     "--gossip-interval",
     "--no-peer-serve",
@@ -82,7 +73,6 @@ const KNOWN_FLAGS: &[&str] = &[
 
 struct Cli {
     listen: Addr,
-    shards: usize,
     config: EngineConfig,
     server: ServerOptions,
     quiet: bool,
@@ -107,13 +97,11 @@ fn positive_count(args: &[String], i: &mut usize, flag: &str) -> Result<u64, Str
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut listen: Option<Addr> = None;
-    let mut shards = 4usize;
     let mut config = EngineConfig::default();
     let mut server = ServerOptions::default();
     let mut quiet = false;
     let mut data_dir: Option<String> = None;
     let mut fsync = false;
-    let mut no_durable = false;
     let mut peers: Vec<Addr> = Vec::new();
     let mut gossip_interval: Option<u64> = None;
     let mut no_peer_serve = false;
@@ -126,13 +114,11 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 let raw = args.get(i).ok_or("--listen needs an address")?;
                 listen = Some(Addr::parse(raw)?);
             }
-            flag @ "--shards" => shards = positive_count(args, &mut i, flag)? as usize,
             "--data-dir" => {
                 i += 1;
                 data_dir = Some(args.get(i).ok_or("--data-dir needs a path")?.clone());
             }
             "--fsync" => fsync = true,
-            "--no-durable" => no_durable = true,
             "--peer" => {
                 i += 1;
                 let raw = args.get(i).ok_or("--peer needs an address")?;
@@ -159,14 +145,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     if fsync && data_dir.is_none() {
         return Err("--fsync needs --data-dir".to_string());
     }
-    // Contradictory flags are errors, not silent overrides: a daemon asked
-    // to persist *and* to run memory-only is a misconfiguration someone
-    // should hear about before it loses their warm cache.
-    if no_durable && data_dir.is_some() {
-        return Err("--data-dir and --no-durable contradict each other: \
-             drop one (remove --no-durable to persist, or --data-dir to run memory-only)"
-            .to_string());
-    }
+    // Contradictory flags are errors, not silent overrides.
     if no_peer_serve && !peers.is_empty() {
         return Err(
             "--peer and --no-peer-serve contradict each other: a daemon that \
@@ -182,7 +161,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     }
     Ok(Cli {
         listen,
-        shards,
         config,
         server,
         quiet,
@@ -207,8 +185,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let service =
-        Arc::new(ShardedService::new(cli.shards, cli.config).with_peer_serve(!cli.no_peer_serve));
+    let service = Arc::new(Engine::new(cli.config).with_peer_serve(!cli.no_peer_serve));
     let ring = if cli.peers.is_empty() {
         None
     } else {
@@ -229,10 +206,8 @@ fn main() -> ExitCode {
     };
     if !cli.quiet {
         eprintln!(
-            "sild: listening on {} with {} shard{}{}",
+            "sild: listening on {}{}",
             server.addr(),
-            cli.shards,
-            if cli.shards == 1 { "" } else { "s" },
             match cli.peers.len() {
                 0 => String::new(),
                 n => format!(", peered with {n} daemon{}", if n == 1 { "" } else { "s" }),

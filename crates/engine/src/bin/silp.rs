@@ -8,8 +8,8 @@
 //! silp --json ...                   machine-readable JSON array output
 //! silp --emit-parallel ...          include the parallelized source
 //! silp --no-parallelize ...         analysis only
-//! silp --stats ...                  print per-namespace/per-shard cache
-//!                                   statistics at exit
+//! silp --stats ...                  print per-namespace cache statistics
+//!                                   at exit
 //! silp --metrics ...                print the service's metrics registry
 //!                                   (counters, gauges, latency quantiles)
 //! silp --trace-dump ...             dump retained trace spans as ndjson
@@ -28,11 +28,9 @@
 #![forbid(unsafe_code)]
 
 use sil_engine::cli::unknown_flag_error;
-use sil_engine::service::{
-    Json, LocalService, RemoteService, Request, Response, Service, TraceSpan,
-};
+use sil_engine::service::{Json, RemoteService, Request, Response, Service, TraceSpan};
 use sil_engine::{
-    EngineConfig, EngineStats, Namespace, ProcessOptions, ProgramReport, ServerStats, ServiceError,
+    Engine, EngineConfig, Namespace, ProcessOptions, ProgramReport, ServerStats, ServiceError,
     StoreStats,
 };
 use sil_workloads::Workload;
@@ -56,9 +54,9 @@ options:
                          whose call-graph cone is unchanged reuse retained
                          walks, and the report carries stale/reused counts
   --json                 emit one JSON array instead of text
-  --stats                print service cache statistics: per-namespace and
-                         per-shard hit rates and eviction counts (a text
-                         table on stderr; one stats JSON line with --json)
+  --stats                print service cache statistics: per-namespace hit
+                         rates and eviction counts (a text table on
+                         stderr; one stats JSON line with --json)
   --metrics              print the service's metrics registry — counters,
                          gauges, and latency-histogram quantiles across the
                          engine/store/server namespaces (a text table on
@@ -292,7 +290,7 @@ fn open_service(cli: &Cli) -> Result<Box<dyn Service>, String> {
         }
         None => {
             let config = EngineConfig::default().with_incremental(cli.incremental);
-            Ok(Box::new(LocalService::new(config)))
+            Ok(Box::new(Engine::new(config)))
         }
     }
 }
@@ -311,20 +309,11 @@ fn percent(hits: u64, misses: u64) -> String {
 }
 
 /// The `--stats` text table: the serving daemon's connection counters
-/// (when a daemon answered), the shared store's per-namespace counters,
-/// and every shard's view hit rates.
-fn render_stats(
-    shards: &[EngineStats],
-    store: &StoreStats,
-    server: Option<&ServerStats>,
-) -> String {
+/// (when a daemon answered) and the store's per-namespace counters (the
+/// engine's own lookup counters are `engine.*` in `--metrics`).
+fn render_stats(store: &StoreStats, server: Option<&ServerStats>) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "service: {} shard{} over one shared store",
-        shards.len(),
-        if shards.len() == 1 { "" } else { "s" },
-    );
+    let _ = writeln!(out, "service:");
     if let Some(server) = server {
         let _ = writeln!(
             out,
@@ -385,23 +374,6 @@ fn render_stats(
             if peer.peers == 1 { "" } else { "s" },
             peer.quarantined,
             peer.serves,
-        );
-    }
-    let _ = writeln!(out, "  shard views (hit rate per namespace):");
-    for (index, shard) in shards.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "  {:<10} programs {} ({}/{})  summaries {} ({}/{})  walks {} ({}/{})",
-            format!("shard {index}"),
-            percent(shard.programs.hits, shard.programs.misses),
-            shard.programs.hits,
-            shard.programs.hits + shard.programs.misses,
-            percent(shard.summaries.hits, shard.summaries.misses),
-            shard.summaries.hits,
-            shard.summaries.hits + shard.summaries.misses,
-            percent(shard.walks.hits, shard.walks.misses),
-            shard.walks.hits,
-            shard.walks.hits + shard.walks.misses,
         );
     }
     out
@@ -680,15 +652,6 @@ fn main() -> ExitCode {
         };
     }
 
-    if cli.incremental && cli.connect.is_some() {
-        eprintln!(
-            "silp: note: over --connect, incremental reuse depends on the daemon's shard \
-             layout — an edit routes by its own fingerprint and may land on a shard that \
-             never saw the base program's cones (run sild with --shards 1 for guaranteed \
-             reuse)"
-        );
-    }
-
     let sources: Vec<String> = cli.inputs.iter().map(|(_, src)| src.clone()).collect();
     // Incremental mode processes the inputs in their given order, one
     // request at a time: an input is an edit of an earlier one, and must
@@ -756,8 +719,8 @@ fn main() -> ExitCode {
     }
     if cli.stats {
         if cli.json {
-            // The raw wire form of the Stats response: shard views, their
-            // aggregate, and the store's per-namespace counters.
+            // The raw wire form of the Stats response: the engine's view
+            // counters and the store's per-namespace counters.
             match service.call(Request::stats()) {
                 stats @ Response::Stats { .. } => eprintln!("{}", stats.encode()),
                 Response::Error { error, .. } => eprintln!("silp: stats failed: {error}"),
@@ -765,9 +728,7 @@ fn main() -> ExitCode {
             }
         } else {
             match service.service_stats() {
-                Ok((shards, _total, store, server)) => {
-                    eprint!("{}", render_stats(&shards, &store, server.as_ref()))
-                }
+                Ok((_, store, server)) => eprint!("{}", render_stats(&store, server.as_ref())),
                 Err(error) => eprintln!("silp: stats failed: {error}"),
             }
         }

@@ -27,12 +27,12 @@
 //!   verifier violations), keyed by the program fingerprint, so a warm
 //!   [`Engine::process`] packs and verifies nothing.
 //!
-//! An [`Engine`] is a *view* over an `Arc<SummaryStore>`: several engines
-//! (the shards of a [`service::ShardedService`], for instance) can share
-//! one store, so a cone analyzed through any of them is a warm hit for all
-//! of them.  Each namespace is lock-striped, capacity-bounded, and evicts
-//! the least recently used entry of a full stripe; its [`CacheStats`]
-//! count hits, misses, insertions and evictions.
+//! An [`Engine`] is a *view* over an `Arc<SummaryStore>`: it holds no cache
+//! and no lock of its own, so one engine serves every connection of a
+//! daemon, and engines built with [`Engine::with_store`] over one store
+//! warm-hit each other's entries.  Each namespace is lock-striped,
+//! capacity-bounded, and evicts the least recently used entry of a full
+//! stripe; its [`CacheStats`] count hits, misses, insertions and evictions.
 //!
 //! Work inside the engine is concurrent on two axes: a batch fans out
 //! across programs via rayon, and within one program the call graph is
@@ -64,8 +64,8 @@ pub mod store;
 pub use peer::{PeerConfig, PeerRing, PeerStats};
 pub use report::{ExecutionReport, IncrementalReport, ProcessOptions, ProgramReport};
 pub use service::{
-    Addr, LocalService, RemoteService, Request, Response, Server, ServerHandle, ServerStats,
-    Service, ServiceError, ShardedService, PROTOCOL_VERSION,
+    Addr, RemoteService, Request, Response, Server, ServerHandle, ServerStats, Service,
+    ServiceError, PROTOCOL_VERSION,
 };
 pub use store::{
     CacheStats, DiskStats, DurableConfig, DurableTier, Namespace, NamespaceCache, NamespaceStats,
@@ -83,7 +83,6 @@ use sil_lang::{frontend, pretty_program, Program, SilError};
 use sil_parallelizer::{pack_program_with_analysis, verify_parallel_program, PackOptions};
 use sil_runtime::{Interpreter, RunConfig};
 use silobs::{Counter, RawMetrics, Registry, ShardedHistogram, Tracer};
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -205,9 +204,8 @@ pub struct AnalyzedProgram {
 /// fingerprint that addresses everything the store derives from it.  The
 /// fingerprint is computed here and nowhere else on a request's path, so a
 /// request pays for one front-end pass and one hash however many layers
-/// (shard routing, the program namespace, the product namespace) key off it
-/// — and no caller can file an entry under a fingerprint that is not its
-/// content's.
+/// (the program namespace, the product namespace) key off it — and no
+/// caller can file an entry under a fingerprint that is not its content's.
 #[derive(Debug)]
 pub struct Normalized {
     program: Program,
@@ -233,11 +231,6 @@ impl Normalized {
             frontend(src)
         };
         parsed.map(|(program, types)| Normalized::new(program, types))
-    }
-
-    /// Content fingerprint of the normalized program.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 }
 
@@ -267,13 +260,11 @@ impl From<SilError> for EngineError {
     }
 }
 
-/// One engine's *view counters* over the shared store: the lookups this
-/// engine made, per namespace.  The store's own [`StoreStats`] are the
-/// authoritative cache counters (including evictions and residency); the
-/// per-engine view is what makes shard-level accounting meaningful when
-/// several engines share one store — and it is how a cross-shard warm hit
-/// shows up: shard B's view records a hit on an entry only shard A ever
-/// inserted.
+/// One engine's *view counters* over its store: the lookups this engine
+/// made, per namespace.  The store's own [`StoreStats`] are the
+/// authoritative cache counters (including evictions and residency); when
+/// several engines share one store, engine B's view records a hit on an
+/// entry only engine A ever inserted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Whole-program lookups through this engine.
@@ -287,8 +278,7 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Field-wise accumulate (aggregating shards of a
-    /// [`service::ShardedService`]).
+    /// Field-wise accumulate (a `stats` reply's `total` over its views).
     pub fn absorb(&mut self, other: &EngineStats) {
         self.programs.absorb(&other.programs);
         self.summaries.absorb(&other.summaries);
@@ -360,9 +350,8 @@ impl StoreView {
 /// Fold a [`StoreStats`] snapshot into `raw` as `store.*` counters and
 /// gauges, making the store's authoritative numbers (including
 /// evictions, which no engine view can see) part of one `Metrics`
-/// response.  Callers sharing a store across shards must fold it exactly
-/// once.
-pub fn export_store_metrics(stats: &StoreStats, raw: &mut RawMetrics) {
+/// response.
+fn export_store_metrics(stats: &StoreStats, raw: &mut RawMetrics) {
     for (name, namespace) in [
         ("programs", &stats.programs),
         ("summaries", &stats.summaries),
@@ -413,10 +402,8 @@ pub fn export_store_metrics(stats: &StoreStats, raw: &mut RawMetrics) {
 /// Fold the process-wide path-matrix representation gauges into `raw`:
 /// `analysis.interned_symbols` (distinct handle names in the global
 /// interner) and `analysis.matrix_bytes` (high-water footprint of the
-/// largest single path matrix observed at a join).  Like
-/// [`export_store_metrics`], fold exactly once per `Metrics` response —
-/// the interner is process-global, so per-shard folding would double-count.
-pub fn export_analysis_metrics(raw: &mut RawMetrics) {
+/// largest single path matrix observed at a join).
+fn export_analysis_metrics(raw: &mut RawMetrics) {
     raw.push_gauge(
         "analysis.interned_symbols",
         sil_pathmatrix::symbol_count() as i64,
@@ -438,8 +425,7 @@ const RECORDS_PER_CONE: usize = 64;
 ///
 /// An engine is a view over an [`Arc<SummaryStore>`]: [`Engine::new`]
 /// builds a private store from its config, [`Engine::with_store`] attaches
-/// to a shared one (the [`service::ShardedService`] constructor does this
-/// for every shard, which is what makes summaries cross shard boundaries).
+/// to a shared one.
 #[derive(Debug)]
 pub struct Engine {
     config: EngineConfig,
@@ -447,6 +433,10 @@ pub struct Engine {
     view: StoreView,
     registry: Registry,
     tracer: Arc<Tracer>,
+    /// Answer `peer_inventory`/`peer_fetch` requests (`sild
+    /// --no-peer-serve` turns this off; the refusal is indistinguishable
+    /// from a pre-peering daemon, by design).
+    peer_serve: bool,
     fixpoint_us: Arc<ShardedHistogram>,
     summaries_us: Arc<ShardedHistogram>,
     walks_performed: Counter,
@@ -484,17 +474,16 @@ impl Engine {
             walks_performed: registry.counter("engine.walks.performed"),
             walks_reused: registry.counter("engine.walks.reused"),
             tracer,
+            peer_serve: true,
             config,
             store,
             registry,
         }
     }
 
-    /// Share a span ring with other engines (the sharded service hands
-    /// every shard the same tracer, so one `TraceDump` sees the whole
-    /// request's spans regardless of which shard executed it).
-    pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Engine {
-        self.tracer = tracer;
+    /// Enable or disable answering peer inventory/fetch requests.
+    pub fn with_peer_serve(mut self, peer_serve: bool) -> Engine {
+        self.peer_serve = peer_serve;
         self
     }
 
@@ -503,13 +492,19 @@ impl Engine {
         &self.tracer
     }
 
-    /// This engine's observability registry, in mergeable raw form
-    /// (`engine.*` lookup counters and timing histograms).  The shared
-    /// store's `store.*` entries are folded in separately via
-    /// [`export_store_metrics`] — exactly once per store, however many
-    /// engines share it.
+    /// The raw (full-bucket) registry read behind both the `Metrics`
+    /// response and the daemon's flight recorder: this engine's `engine.*`
+    /// lookup counters and timing histograms, its store's `store.*`
+    /// entries, the `analysis.*` gauges and the tracer's `trace.*` counters.
     pub fn metrics_raw(&self) -> RawMetrics {
-        self.registry.collect()
+        let mut raw = self.registry.collect();
+        export_store_metrics(&self.store.stats(), &mut raw);
+        export_analysis_metrics(&mut raw);
+        if let Some(ring) = self.store.peers() {
+            raw.push_histogram("store.peer.fetch_us", &ring.fetch_us());
+        }
+        self.tracer.export_metrics(&mut raw);
+        raw
     }
 
     pub fn config(&self) -> &EngineConfig {
@@ -815,19 +810,8 @@ impl Engine {
 
     /// Run the full pipeline over one program: analyze (cached), then per
     /// `options` parallelize, verify, and execute, producing a report.
-    ///
-    /// Compatibility wrapper: equivalent to [`Engine::serve`] with
-    /// [`Request::Process`], unwrapped to a Rust `Result`.
-    pub fn process(
-        &self,
-        src: &str,
-        options: &ProcessOptions,
-    ) -> Result<ProgramReport, EngineError> {
-        self.process_normalized(Normalized::parse(&self.tracer, src)?, options)
-    }
-
-    /// [`Engine::process`] for a program that already went through the
-    /// front end.
+    /// Equivalent to [`Engine::serve`] with [`Request::Process`], unwrapped
+    /// to a Rust `Result`.
     ///
     /// Everything parallelization derives from the program is a pure
     /// function of its content, so it lives in the store's product
@@ -835,11 +819,12 @@ impl Engine {
     /// prints, re-parses and verifies nothing (only `execute` re-parses
     /// the printed text, next to an interpreter run a thousand times its
     /// cost).
-    pub fn process_normalized(
+    pub fn process(
         &self,
-        normalized: Normalized,
+        src: &str,
         options: &ProcessOptions,
     ) -> Result<ProgramReport, EngineError> {
+        let normalized = Normalized::parse(&self.tracer, src)?;
         let (entry, cache_hit) = self.analyze_digested(normalized);
         let analysis = &entry.analysis;
         let structure = analysis
@@ -976,16 +961,6 @@ impl Engine {
         self.fan_out(sources, |src| self.process(src, options))
     }
 
-    /// [`Engine::process_batch`] for sources that already went through the
-    /// front end; a source that failed it yields its error in place.
-    pub fn process_normalized_batch(
-        &self,
-        items: Vec<Result<Normalized, SilError>>,
-        options: &ProcessOptions,
-    ) -> Vec<Result<ProgramReport, EngineError>> {
-        self.fan_out(items, |item| self.process_normalized(item?, options))
-    }
-
     /// This engine's view counters (lookups made through *this* engine).
     pub fn stats(&self) -> EngineStats {
         EngineStats {
@@ -1013,70 +988,6 @@ impl Engine {
     /// measurements re-analyzes a program with full cone reuse.
     pub fn clear_program_cache(&self) {
         self.store.programs().clear();
-    }
-
-    /// Open a session: a lightweight client handle that tracks its own
-    /// request count and cache-hit delta on top of the shared engine.
-    pub fn session(&self) -> Session<'_> {
-        Session {
-            engine: self,
-            requests: Cell::new(0),
-            baseline: self.stats(),
-        }
-    }
-}
-
-/// Per-client view of a shared [`Engine`].
-///
-/// Sessions are cheap (two counters and a stats snapshot) and borrow the
-/// engine, so a server can hand one to every connection while all sessions
-/// share the same caches.
-pub struct Session<'e> {
-    engine: &'e Engine,
-    requests: Cell<u64>,
-    baseline: EngineStats,
-}
-
-/// What one session observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionReport {
-    /// Requests submitted through this session.
-    pub requests: u64,
-    /// Program-cache hits across the engine since the session opened.
-    pub program_hits: u64,
-    /// Program-cache misses across the engine since the session opened.
-    pub program_misses: u64,
-    /// Summary-cache hits across the engine since the session opened.
-    pub summary_hits: u64,
-}
-
-impl Session<'_> {
-    pub fn engine(&self) -> &Engine {
-        self.engine
-    }
-
-    pub fn analyze(&self, src: &str) -> Result<Arc<AnalyzedProgram>, EngineError> {
-        self.requests.set(self.requests.get() + 1);
-        self.engine.analyze_source(src)
-    }
-
-    pub fn process(
-        &self,
-        src: &str,
-        options: &ProcessOptions,
-    ) -> Result<ProgramReport, EngineError> {
-        self.requests.set(self.requests.get() + 1);
-        self.engine.process(src, options)
-    }
-
-    pub fn report(&self) -> SessionReport {
-        let now = self.engine.stats();
-        SessionReport {
-            requests: self.requests.get(),
-            program_hits: now.programs.hits - self.baseline.programs.hits,
-            program_misses: now.programs.misses - self.baseline.programs.misses,
-            summary_hits: now.summaries.hits - self.baseline.summaries.hits,
-        }
     }
 }
 
@@ -1186,19 +1097,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, EngineError::Frontend(_)));
         assert!(err.to_string().contains("frontend"));
-    }
-
-    #[test]
-    fn sessions_track_their_requests() {
-        let engine = Engine::default();
-        let src = Workload::Leftmost.source(3);
-        let session = engine.session();
-        session.analyze(&src).unwrap();
-        session.analyze(&src).unwrap();
-        let report = session.report();
-        assert_eq!(report.requests, 2);
-        assert_eq!(report.program_hits, 1);
-        assert_eq!(report.program_misses, 1);
     }
 
     #[test]

@@ -4,12 +4,8 @@
 //! [`Request`] → [`Response`] exchange (see [`proto`]); the [`Service`]
 //! trait abstracts *where* that exchange happens:
 //!
-//! * [`LocalService`] — in process, wrapping an [`Engine`];
-//! * [`ShardedService`] — in process, routing across N engines by stable
-//!   program fingerprint; the engines are views over **one shared
-//!   [`SummaryStore`]**, so a given program's traffic concentrates on one
-//!   shard while its cached summaries are visible to every shard (the
-//!   `sild` daemon hosts one of these);
+//! * [`Engine`] — in process (the `sild` daemon hosts one of these behind
+//!   its socket);
 //! * [`remote::RemoteService`] — over a Unix or TCP socket speaking
 //!   newline-delimited JSON to a `sild` daemon.
 //!
@@ -33,12 +29,9 @@ pub use remote::RemoteService;
 pub use server::{Server, ServerHandle, ServerOptions};
 
 use crate::report::{ProcessOptions, ProgramReport};
-use crate::store::{StoreStats, SummaryStore};
-use crate::{
-    export_analysis_metrics, export_store_metrics, AnalyzedProgram, Engine, EngineConfig,
-    EngineError, EngineStats, Normalized,
-};
-use sil_lang::{frontend, program_fingerprint, SilError};
+use crate::store::StoreStats;
+use crate::{AnalyzedProgram, Engine, EngineConfig, EngineError, EngineStats, Normalized};
+use sil_lang::{frontend, program_fingerprint};
 use silobs::{HistorySample, MetricsSnapshot, RawMetrics, TraceContext, Tracer};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -77,29 +70,19 @@ pub trait Service {
         }
     }
 
-    /// [`Request::Stats`], expecting per-shard view counters, their
-    /// aggregate, the shared store's own per-namespace counters, and —
-    /// when the service is a daemon — the server's connection counters.
-    #[allow(clippy::type_complexity)]
+    /// [`Request::Stats`], expecting the engine's view counters, the
+    /// store's own per-namespace counters, and — when the service is a
+    /// daemon — the server's connection counters.
     fn service_stats(
         &self,
-    ) -> Result<
-        (
-            Vec<EngineStats>,
-            EngineStats,
-            StoreStats,
-            Option<ServerStats>,
-        ),
-        ServiceError,
-    > {
+    ) -> Result<(EngineStats, StoreStats, Option<ServerStats>), ServiceError> {
         match self.call(Request::stats()) {
             Response::Stats {
-                shards,
                 total,
                 store,
                 server,
                 ..
-            } => Ok((shards, total, *store, server)),
+            } => Ok((total, *store, server)),
             Response::Error { error, .. } => Err(error),
             other => Err(unexpected("stats", &other)),
         }
@@ -155,42 +138,9 @@ fn unexpected(wanted: &str, got: &Response) -> ServiceError {
     ))
 }
 
-/// Answer one peer fetch from `store`'s own tiers (memory, then disk) as
-/// the entry document the fetcher will re-verify.  Never recomputes and
-/// never consults the store's *own* peer ring — a peer-originated request
-/// stops here, so fetch chains cannot loop through the cluster.
-fn peer_entry_body(store: &SummaryStore, namespace: PeerNamespace, key: u64) -> Option<Json> {
-    match namespace {
-        PeerNamespace::Programs => store.peer_program_body(key),
-        PeerNamespace::Summaries => store.peer_summary_body(key),
-    }
-}
-
-/// The stable routing key for one source text: the content fingerprint of
-/// its normalized program.  Sources that fail the frontend hash their raw
-/// bytes instead (FNV-1a) — still deterministic, so the same broken input
-/// always reaches the same shard and its error is reproducible.
-pub fn route_fingerprint(source: &str) -> u64 {
-    match frontend(source) {
-        Ok((program, _)) => program_fingerprint(&program),
-        Err(_) => raw_bytes_key(source),
-    }
-}
-
-/// FNV-1a over the raw bytes: the routing key of a source the frontend
-/// rejected.
-fn raw_bytes_key(source: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in source.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 impl Engine {
-    /// The unified entry point every other entry point now routes through:
-    /// answer one protocol request in process.
+    /// Answer one protocol request in process: the one dispatch table
+    /// behind `silp --in-process` and behind a daemon's socket alike.
     ///
     /// The named methods ([`Engine::analyze_source`], [`Engine::process`],
     /// [`Engine::process_batch`], …) remain as thin typed wrappers for
@@ -218,35 +168,21 @@ impl Engine {
         }
     }
 
-    /// Answer an `Analyze` (`options: None`) or `Process` request whose
-    /// source already went through the front end — here, or in the
-    /// [`ShardedService`] that routed it — so no request parses twice.
-    fn answer(
-        &self,
-        normalized: Result<Normalized, SilError>,
-        options: Option<&ProcessOptions>,
-    ) -> Response {
-        let answered = || -> Result<Response, EngineError> {
-            let normalized = normalized?;
-            Ok(match options {
-                None => {
+    fn dispatch(&self, request: Request) -> Response {
+        match request {
+            Request::Analyze { source, .. } => match Normalized::parse(self.tracer(), &source) {
+                Ok(normalized) => {
                     let (entry, cache_hit) = self.analyze_digested(normalized);
                     Response::analyzed(summarize(&entry, cache_hit))
                 }
-                Some(options) => Response::report(self.process_normalized(normalized, options)?),
-            })
-        };
-        answered().unwrap_or_else(|e| Response::error((&e).into()))
-    }
-
-    fn dispatch(&self, request: Request) -> Response {
-        match request {
-            Request::Analyze { source, .. } => {
-                self.answer(Normalized::parse(self.tracer(), &source), None)
-            }
+                Err(e) => Response::error((&EngineError::from(e)).into()),
+            },
             Request::Process {
                 source, options, ..
-            } => self.answer(Normalized::parse(self.tracer(), &source), Some(&options)),
+            } => match self.process(&source, &options) {
+                Ok(report) => Response::report(report),
+                Err(e) => Response::error((&e).into()),
+            },
             Request::Batch {
                 sources, options, ..
             } => Response::batch(
@@ -255,17 +191,10 @@ impl Engine {
                     .map(|r| r.map_err(|e| (&e).into()))
                     .collect(),
             ),
+            // `shards` stays on the wire as a one-element array beside
+            // `total`: an older `silp` requires the member to handshake.
             Request::Stats { .. } => Response::stats(vec![self.stats()], self.store_stats()),
-            Request::Metrics { .. } => {
-                let mut raw = self.metrics_raw();
-                export_store_metrics(&self.store_stats(), &mut raw);
-                export_analysis_metrics(&mut raw);
-                if let Some(ring) = self.store().peers() {
-                    raw.push_histogram("store.peer.fetch_us", &ring.fetch_us());
-                }
-                self.tracer().export_metrics(&mut raw);
-                Response::metrics(raw.summarize())
-            }
+            Request::Metrics { .. } => Response::metrics(self.metrics_raw().summarize()),
             Request::TraceDump { .. } => Response::trace(
                 self.tracer()
                     .snapshot()
@@ -277,21 +206,31 @@ impl Engine {
                 self.clear_caches();
                 Response::cleared()
             }
+            Request::PeerInventory { .. } | Request::PeerFetch { .. } if !self.peer_serve => {
+                Response::error(ServiceError::malformed("peer serving is disabled"))
+            }
+            // Peer requests answer from the store's own tiers (memory, then
+            // disk) as the entry document the fetcher will re-verify: no
+            // recomputation and no consulting *this* daemon's ring, so a
+            // fetch from a peer can never fan back out into the cluster.
             Request::PeerInventory { .. } => {
+                let _span = self.tracer().start("peer-serve");
                 let (generation, programs, summaries) = self.store().peer_inventory();
                 Response::peer_inventory(generation, programs, summaries)
             }
-            Request::PeerFetch { namespace, key, .. } => Response::peer_entry(
-                namespace,
-                key,
-                self.store().generation(),
-                peer_entry_body(self.store(), namespace, key),
-            ),
+            Request::PeerFetch { namespace, key, .. } => {
+                let _span = self.tracer().start("peer-serve");
+                let body = match namespace {
+                    PeerNamespace::Programs => self.store().peer_program_body(key),
+                    PeerNamespace::Summaries => self.store().peer_summary_body(key),
+                };
+                Response::peer_entry(namespace, key, self.store().generation(), body)
+            }
             // In process there is nothing to shut down; the daemon's server
-            // loop intercepts this variant before it reaches an engine.
+            // loop intercepts this variant before it reaches the engine.
             Request::Shutdown { .. } => Response::shutting_down(),
-            // Only a daemon hosts a flight recorder; the server loop
-            // intercepts this variant before it reaches an engine.
+            // Only a daemon hosts a flight recorder; its server loop
+            // intercepts this variant before it reaches the engine.
             Request::MetricsHistory { .. } => Response::error(ServiceError::malformed(
                 "metrics_history needs a daemon's flight recorder; connect to a sild instead",
             )),
@@ -328,319 +267,31 @@ impl Service for Engine {
     fn service_tracer(&self) -> Option<Arc<Tracer>> {
         Some(self.tracer().clone())
     }
-}
-
-/// The in-process [`Service`]: one engine, zero transport.
-#[derive(Debug, Default)]
-pub struct LocalService {
-    engine: Arc<Engine>,
-}
-
-impl LocalService {
-    pub fn new(config: EngineConfig) -> LocalService {
-        LocalService {
-            engine: Arc::new(Engine::new(config)),
-        }
-    }
-
-    /// Share an existing engine (its caches stay visible to other holders).
-    pub fn over(engine: Arc<Engine>) -> LocalService {
-        LocalService { engine }
-    }
-
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-}
-
-impl Service for LocalService {
-    fn call(&self, request: Request) -> Response {
-        self.engine.serve(request)
-    }
-
-    fn service_tracer(&self) -> Option<Arc<Tracer>> {
-        Some(self.engine.tracer().clone())
-    }
-}
-
-/// N engines over **one shared [`SummaryStore`]** behind one [`Service`],
-/// with requests routed by stable program fingerprint:
-/// `shard = fingerprint % N`.
-///
-/// The routing rule concentrates each program's *traffic* on one engine
-/// (so per-shard view counters are meaningful and batches parallelize one
-/// thread per shard), while the shared store makes every shard's cache
-/// *contents* visible to all the others: a cone analyzed on shard A is a
-/// warm summary/walk hit for a different program homed to shard B.  The
-/// store is internally lock-striped, so the shards do not serialize on a
-/// global lock (the NDN caching literature frames this as cache placement:
-/// one shared tier at full capacity beats private partitions of the same
-/// total capacity, because shared content is stored once).
-#[derive(Debug)]
-pub struct ShardedService {
-    store: Arc<SummaryStore>,
-    shards: Vec<Arc<Engine>>,
-    /// One tracer shared by every shard, so a dump interleaves spans from
-    /// all of them in one tick-ordered stream.
-    tracer: Arc<Tracer>,
-    /// Answer `peer_inventory`/`peer_fetch` requests (`sild
-    /// --no-peer-serve` turns this off; the refusal is indistinguishable
-    /// from a pre-peering daemon, by design).
-    peer_serve: bool,
-}
-
-impl ShardedService {
-    /// `shard_count` engine views over one store built from `config`
-    /// (`shard_count` is clamped to at least 1).
-    pub fn new(shard_count: usize, config: EngineConfig) -> ShardedService {
-        let store = SummaryStore::shared(config.store_config());
-        ShardedService::over(shard_count, config, store)
-    }
-
-    /// `shard_count` engine views over an existing store.
-    pub fn over(
-        shard_count: usize,
-        config: EngineConfig,
-        store: Arc<SummaryStore>,
-    ) -> ShardedService {
-        // One span ring for every shard; a durable store contributes its
-        // own tracer so `disk-recovery`/`disk-flush` spans are visible in
-        // the same `TraceDump` as the request spans.
-        let tracer = store
-            .durable()
-            .map(|tier| tier.tracer().clone())
-            .unwrap_or_else(|| Arc::new(Tracer::default()));
-        let shards = (0..shard_count.max(1))
-            .map(|_| {
-                Arc::new(
-                    Engine::with_store(config.clone(), store.clone()).with_tracer(tracer.clone()),
-                )
-            })
-            .collect();
-        ShardedService {
-            store,
-            shards,
-            tracer,
-            peer_serve: true,
-        }
-    }
-
-    /// Enable or disable answering peer inventory/fetch requests.
-    pub fn with_peer_serve(mut self, peer_serve: bool) -> ShardedService {
-        self.peer_serve = peer_serve;
-        self
-    }
-
-    /// The tracer every shard records into.
-    pub fn tracer(&self) -> &Arc<Tracer> {
-        &self.tracer
-    }
-
-    /// The store every shard shares.
-    pub fn store(&self) -> &Arc<SummaryStore> {
-        &self.store
-    }
-
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Which shard a fingerprint routes to.
-    pub fn shard_for(&self, fingerprint: u64) -> usize {
-        (fingerprint % self.shards.len() as u64) as usize
-    }
-
-    /// Which shard a source text routes to.
-    pub fn shard_for_source(&self, source: &str) -> usize {
-        self.shard_for(route_fingerprint(source))
-    }
-
-    /// The engine behind one shard (tests and benches peek at per-shard
-    /// caches through this).
-    pub fn shard(&self, index: usize) -> &Engine {
-        &self.shards[index]
-    }
-
-    /// Per-shard counter snapshots, in shard order.
-    pub fn shard_stats(&self) -> Vec<EngineStats> {
-        self.shards.iter().map(|engine| engine.stats()).collect()
-    }
-
-    fn batch(&self, sources: Vec<String>, options: &ProcessOptions) -> Response {
-        if self.shards.len() == 1 {
-            return self.shards[0].serve(Request::batch(sources, options.clone()));
-        }
-        // Partition by routing rule, keeping each source's original index
-        // so the merged results come back in input order.  Routing is the
-        // batch's one front-end pass: the shards get the parsed programs.
-        let mut indices: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        let mut parsed: Vec<Vec<Result<Normalized, SilError>>> = Vec::new();
-        parsed.resize_with(self.shards.len(), Vec::new);
-        {
-            let _span = self.tracer.start("shard-dispatch");
-            for (index, source) in sources.iter().enumerate() {
-                let (shard, normalized) = self.route(source);
-                indices[shard].push(index);
-                parsed[shard].push(normalized);
-            }
-        }
-        let mut merged: Vec<Option<Result<ProgramReport, ServiceError>>> = Vec::new();
-        merged.resize_with(sources.len(), || None);
-        // Scoped worker threads have no thread-local context of their own;
-        // forward the dispatching thread's so per-shard spans stay in the
-        // request's trace tree.
-        let ctx = silobs::current_context();
-        std::thread::scope(|scope| {
-            let mut pending = Vec::new();
-            for ((shard, indices), items) in self.shards.iter().zip(indices).zip(parsed) {
-                if items.is_empty() {
-                    continue;
-                }
-                pending.push(scope.spawn(move || {
-                    silobs::with_context_opt(ctx, || {
-                        shard
-                            .process_normalized_batch(items, options)
-                            .into_iter()
-                            .zip(indices)
-                            .map(|(result, index)| (index, result.map_err(|e| (&e).into())))
-                            .collect::<Vec<_>>()
-                    })
-                }));
-            }
-            for handle in pending {
-                for (index, result) in handle.join().expect("shard batch thread panicked") {
-                    merged[index] = Some(result);
-                }
-            }
-        });
-        Response::batch(
-            merged
-                .into_iter()
-                .map(|slot| slot.expect("index gap"))
-                .collect(),
-        )
-    }
-}
-
-impl Service for ShardedService {
-    fn call(&self, request: Request) -> Response {
-        if request.version() != PROTOCOL_VERSION {
-            return Response::error(ServiceError::version_mismatch(request.version()));
-        }
-        match silobs::current_request() {
-            Some(_) => self.dispatch(request),
-            None => {
-                let header = request.trace_header();
-                let ctx = TraceContext {
-                    request: self.tracer.mint(),
-                    trace: header.map_or(0, |h| h.id),
-                    parent: header.map_or(0, |h| h.parent),
-                };
-                silobs::with_context(ctx, || self.dispatch(request))
-            }
-        }
-    }
-
-    fn service_tracer(&self) -> Option<Arc<Tracer>> {
-        Some(self.tracer.clone())
-    }
 
     fn raw_metrics(&self) -> Option<RawMetrics> {
         Some(self.metrics_raw())
     }
 }
 
+// Frozen shim: `benchmark/src/layers/adapter.rs` is the only caller of
+// these two names and no PR outside a `benchmark` issue may edit it;
+// ROADMAP item 1(b) retires both.
+pub struct ShardedService(Engine);
+
 impl ShardedService {
-    /// One front-end pass and one fingerprint decide the shard; the shard
-    /// gets the parsed program, not the text.  A source the frontend
-    /// rejects routes by its raw bytes ([`route_fingerprint`]'s rule), so
-    /// its error stays reproducible.
-    fn route(&self, source: &str) -> (usize, Result<Normalized, SilError>) {
-        let normalized = Normalized::parse(&self.tracer, source);
-        let key = match &normalized {
-            Ok(normalized) => normalized.fingerprint(),
-            Err(_) => raw_bytes_key(source),
-        };
-        (self.shard_for(key), normalized)
+    pub fn new(_count: usize, config: EngineConfig) -> ShardedService {
+        ShardedService(Engine::new(config))
     }
+}
 
-    fn answer(&self, source: &str, options: Option<&ProcessOptions>) -> Response {
-        let (shard, normalized) = {
-            let _span = self.tracer.start("shard-dispatch");
-            self.route(source)
-        };
-        self.shards[shard].answer(normalized, options)
+impl Service for ShardedService {
+    fn call(&self, request: Request) -> Response {
+        self.0.serve(request)
     }
+}
 
-    fn dispatch(&self, request: Request) -> Response {
-        match request {
-            Request::Analyze { source, .. } => self.answer(&source, None),
-            Request::Process {
-                source, options, ..
-            } => self.answer(&source, Some(&options)),
-            Request::Batch {
-                sources, options, ..
-            } => self.batch(sources, &options),
-            Request::Stats { .. } => Response::stats(self.shard_stats(), self.store.stats()),
-            Request::Metrics { .. } => Response::metrics(self.metrics_raw().summarize()),
-            Request::TraceDump { .. } => {
-                Response::trace(self.tracer.snapshot().iter().map(TraceSpan::from).collect())
-            }
-            // One clear empties the store every shard shares.
-            Request::ClearCaches { .. } => {
-                self.store.clear();
-                Response::cleared()
-            }
-            // Peer requests answer from the shared store directly — no
-            // shard routing, no recomputation, and no consulting *this*
-            // daemon's ring, so a fetch from a peer can never fan back out
-            // into the cluster.
-            Request::PeerInventory { .. } if !self.peer_serve => {
-                Response::error(ServiceError::malformed("peer serving is disabled"))
-            }
-            Request::PeerFetch { .. } if !self.peer_serve => {
-                Response::error(ServiceError::malformed("peer serving is disabled"))
-            }
-            Request::PeerInventory { .. } => {
-                let _span = self.tracer.start("peer-serve");
-                let (generation, programs, summaries) = self.store.peer_inventory();
-                Response::peer_inventory(generation, programs, summaries)
-            }
-            Request::PeerFetch { namespace, key, .. } => {
-                let _span = self.tracer.start("peer-serve");
-                Response::peer_entry(
-                    namespace,
-                    key,
-                    self.store.generation(),
-                    peer_entry_body(&self.store, namespace, key),
-                )
-            }
-            Request::Shutdown { .. } => Response::shutting_down(),
-            // Only a daemon hosts a flight recorder; its server loop
-            // intercepts this variant before it reaches the service.
-            Request::MetricsHistory { .. } => Response::error(ServiceError::malformed(
-                "metrics_history needs a daemon's flight recorder; connect to a sild instead",
-            )),
-        }
-    }
-
-    /// The raw (full-bucket) registry read behind both the `Metrics`
-    /// response and the daemon's flight recorder.  Shard registries merge
-    /// at the raw level, so the combined histograms are exact; the shared
-    /// store's counters fold in exactly once, not once per shard.
-    pub fn metrics_raw(&self) -> silobs::RawMetrics {
-        let mut raw = silobs::RawMetrics::new();
-        for shard in &self.shards {
-            raw.absorb(&shard.metrics_raw());
-        }
-        export_store_metrics(&self.store.stats(), &mut raw);
-        export_analysis_metrics(&mut raw);
-        if let Some(ring) = self.store.peers() {
-            raw.push_histogram("store.peer.fetch_us", &ring.fetch_us());
-        }
-        self.tracer.export_metrics(&mut raw);
-        raw
-    }
+pub fn route_fingerprint(source: &str) -> u64 {
+    frontend(source).map_or(0, |(program, _)| program_fingerprint(&program))
 }
 
 /// A listening or dialing address: `unix:<path>` or `tcp:<host:port>`.
@@ -696,16 +347,13 @@ mod tests {
     use sil_workloads::Workload;
 
     #[test]
-    fn local_service_answers_like_the_engine() {
-        let service = LocalService::new(EngineConfig::default());
+    fn the_service_trait_answers_like_the_typed_methods() {
+        let engine = Engine::default();
         let src = Workload::TreeSum.source(4);
-        let report = service
+        let report = engine
             .process_source(&src, &ProcessOptions::default())
             .unwrap();
-        let direct = service
-            .engine()
-            .process(&src, &ProcessOptions::default())
-            .unwrap();
+        let direct = engine.process(&src, &ProcessOptions::default()).unwrap();
         assert_eq!(report.analysis_digest, direct.analysis_digest);
         assert_eq!(report.fingerprint, direct.fingerprint);
     }
@@ -723,73 +371,36 @@ mod tests {
     }
 
     #[test]
-    fn routing_is_stable_and_format_insensitive() {
-        let src = Workload::TreeSum.source(4);
-        let reformatted = format!("\n\n{}", src.replace("  ", "    "));
-        assert_eq!(
-            route_fingerprint(&src),
-            route_fingerprint(&reformatted),
-            "routing keys off the normalized program, not the text"
-        );
-        let broken = "program nope {";
-        assert_eq!(route_fingerprint(broken), route_fingerprint(broken));
-    }
-
-    #[test]
-    fn sharded_routing_pins_a_program_to_one_shard() {
-        let service = ShardedService::new(4, EngineConfig::default());
-        let src = Workload::AddAndReverse.source(4);
-        let home = service.shard_for_source(&src);
-        for _ in 0..3 {
-            match service.call(Request::process(&src, ProcessOptions::default())) {
-                Response::Report { .. } => {}
-                other => panic!("{other:?}"),
-            }
-        }
-        let stats = service.shard_stats();
-        for (index, shard) in stats.iter().enumerate() {
-            let touched = shard.programs.hits + shard.programs.misses;
-            if index == home {
-                assert_eq!(touched, 3, "home shard serves every repeat");
-                assert_eq!(shard.programs.hits, 2, "repeats hit the warm cache");
-            } else {
-                assert_eq!(touched, 0, "shard {index} must stay cold");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_batch_keeps_input_order_and_matches_single_engine() {
+    fn batch_keeps_input_order_and_matches_single_requests() {
         let sources: Vec<String> = Workload::ALL
             .iter()
             .map(|w| w.source(w.test_size()))
             .collect();
-        let sharded = ShardedService::new(3, EngineConfig::default());
-        let single = LocalService::new(EngineConfig::default());
-        let from_shards = sharded
+        let from_batch = Engine::default()
             .process_sources(sources.clone(), &ProcessOptions::default())
             .unwrap();
-        let from_single = single
-            .process_sources(sources, &ProcessOptions::default())
-            .unwrap();
-        assert_eq!(from_shards.len(), from_single.len());
-        for (a, b) in from_shards.iter().zip(&from_single) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+        let single = Engine::default();
+        assert_eq!(from_batch.len(), sources.len());
+        for (a, src) in from_batch.iter().zip(&sources) {
+            let a = a.as_ref().unwrap();
+            let b = single
+                .process_source(src, &ProcessOptions::default())
+                .unwrap();
             assert_eq!(a.name, b.name, "order must match");
             assert_eq!(a.analysis_digest, b.analysis_digest);
         }
     }
 
     #[test]
-    fn sharded_clear_caches_empties_the_shared_store() {
-        let service = ShardedService::new(2, EngineConfig::default());
+    fn clear_caches_empties_the_store() {
+        let engine = Engine::default();
         for workload in [Workload::TreeSum, Workload::ListSum, Workload::Bisort] {
             let src = workload.source(3);
-            service.call(Request::analyze(src));
+            engine.call(Request::analyze(src));
         }
-        assert_eq!(service.store().stats().programs.entries, 3);
-        assert_eq!(service.call(Request::clear_caches()), Response::cleared());
-        let stats = service.store().stats();
+        assert_eq!(engine.store_stats().programs.entries, 3);
+        assert_eq!(engine.call(Request::clear_caches()), Response::cleared());
+        let stats = engine.store_stats();
         assert_eq!(stats.programs.entries, 0);
         assert_eq!(stats.summaries.entries, 0);
         assert_eq!(stats.walks.entries, 0);

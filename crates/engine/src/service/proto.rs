@@ -36,7 +36,7 @@ use std::collections::HashSet;
 
 /// The one protocol version this build speaks.
 ///
-/// v2: the `stats` response restructured — per-shard entries became pure
+/// v2: the `stats` response restructured — per-engine entries became pure
 /// view counters (the `*_entries` fields moved out) and a required
 /// `store` member carries the shared store's per-namespace/per-stripe
 /// counters.  A v1 peer cannot parse a v2 stats
@@ -126,7 +126,7 @@ pub enum Request {
         options: ProcessOptions,
         trace: Option<TraceHeader>,
     },
-    /// Cache counters, per shard and aggregated.
+    /// Cache counters: the engine's view and the store's own.
     Stats { version: u32 },
     /// The observability registry: counters, gauges, and latency-histogram
     /// summaries from every layer (additive, still v2).
@@ -134,7 +134,7 @@ pub enum Request {
     /// The retained trace spans from the service's ring buffer (additive,
     /// still v2).
     TraceDump { version: u32 },
-    /// Drop every cached entry on every shard.
+    /// Drop every cached entry.
     ClearCaches { version: u32 },
     /// Ask a daemon to exit after responding.
     Shutdown { version: u32 },
@@ -506,11 +506,12 @@ pub enum Response {
         /// See [`Response::Analyzed::trace_spans`].
         trace_spans: Vec<TraceSpan>,
     },
-    /// Answer to [`Request::Stats`]: one per-shard view-counter entry per
-    /// engine shard, their field-wise aggregate (a single-engine service
-    /// reports one shard), the shared store's own per-namespace and
-    /// per-stripe counters, and — when a daemon answers — the server's
-    /// connection counters.
+    /// Answer to [`Request::Stats`]: the engine's view counters as `total`
+    /// (and once more as the single element of `shards`, which daemons
+    /// that hosted several engines filled with one entry each — the
+    /// member is required, so it stays for older clients), the store's own
+    /// per-namespace and per-stripe counters, and — when a daemon answers
+    /// — the server's connection counters.
     Stats {
         version: u32,
         shards: Vec<EngineStats>,

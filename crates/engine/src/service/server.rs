@@ -532,13 +532,12 @@ fn write_response(writer: &mut dyn Write, line: &str) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::LocalService;
-    use crate::EngineConfig;
+    use crate::Engine;
     use std::time::Duration;
 
     /// A service that takes over a second to answer, exposing where the
     /// uptime sample happens relative to the call.
-    struct Slow(LocalService);
+    struct Slow(Engine);
 
     impl Service for Slow {
         fn call(&self, request: Request) -> Response {
@@ -556,7 +555,7 @@ mod tests {
             .checked_sub(Duration::from_secs(10))
             .expect("clock predates process start");
         let counters = ServerCounters::with_started(&ServerOptions::default(), started);
-        let service = Slow(LocalService::new(EngineConfig::default()));
+        let service = Slow(Engine::default());
         let id = counters.tracer.mint();
         let line = match handle_line(&service, &counters, id, &Request::stats().encode()) {
             LineOutcome::Respond(line) => line,
@@ -578,7 +577,7 @@ mod tests {
     #[test]
     fn handle_line_attributes_spans_to_the_minted_id() {
         let counters = ServerCounters::new(&ServerOptions::default());
-        let service = LocalService::new(EngineConfig::default());
+        let service = Engine::default();
         let id = counters.tracer.mint();
         match handle_line(&service, &counters, id, &Request::clear_caches().encode()) {
             LineOutcome::Respond(_) => {}
@@ -603,7 +602,7 @@ mod tests {
             ..ServerOptions::default()
         };
         let counters = ServerCounters::new(&options);
-        let service = Slow(LocalService::new(EngineConfig::default()));
+        let service = Slow(Engine::default());
         let id = counters.tracer.mint();
         match handle_line(&service, &counters, id, &Request::analyze("f(){}").encode()) {
             LineOutcome::Respond(_) => {}
@@ -624,7 +623,7 @@ mod tests {
     #[test]
     fn metrics_history_answers_from_the_recorder() {
         let counters = ServerCounters::new(&ServerOptions::default());
-        let service = LocalService::new(EngineConfig::default());
+        let service = Engine::default();
         let id = counters.tracer.mint();
         counters.sample_recorder(&service);
         match handle_line(&service, &counters, id, &Request::analyze("f(){}").encode()) {

@@ -9,7 +9,7 @@
 //!
 //! * **content-addressed** — every key is a stable 64-bit fingerprint of
 //!   normalized program content (`sil_lang::hash`), so identical content
-//!   hits regardless of which client, connection, or shard produced it;
+//!   hits regardless of which client, connection, or engine produced it;
 //! * **typed namespaces** — [`Namespace::Program`] (whole
 //!   `AnalysisResult`s), [`Namespace::SccSummary`] (per-SCC argument-mode
 //!   summaries keyed by cone fingerprint), [`Namespace::WalkRecord`]
@@ -17,9 +17,9 @@
 //!   raw material of incremental re-analysis), and [`Namespace::Product`]
 //!   (what parallelization derives from a program, keyed by program
 //!   fingerprint) each get their own capacity and counters;
-//! * **internally sharded** — each namespace is lock-striped
-//!   ([`NamespaceCache`]), so the store scales across however many engines
-//!   share it without a global lock;
+//! * **lock-striped** — each namespace is a [`NamespaceCache`] of
+//!   independently locked stripes, so the store serves however many
+//!   connection threads call into it without a global lock;
 //! * **evicted by recency** — a full stripe drops its least recently used
 //!   entry, and the disk tier sheds its coldest entries by the same kind
 //!   of clock.  One rule, nothing to select: measured over stationary,
@@ -30,8 +30,7 @@
 //!
 //! Engines are *views* over an `Arc<SummaryStore>`: they read and write
 //! the shared namespaces and keep only their own per-view hit/miss
-//! counters.  A `ShardedService` hands every shard the same store, which
-//! is what makes a cone analyzed on shard A a warm hit on shard B.
+//! counters.
 
 pub mod durable;
 pub(crate) mod entry;
@@ -201,9 +200,8 @@ impl ParallelProduct {
 }
 
 /// The unified content-addressed store.  One instance is shared (via
-/// `Arc`) by every engine that should see the same summaries — all the
-/// shards of a `ShardedService`, every `Session`, every connection of a
-/// `sild` daemon.
+/// `Arc`) by every engine that should see the same summaries; a `sild`
+/// daemon's one engine serves every connection from it.
 #[derive(Debug)]
 pub struct SummaryStore {
     config: StoreConfig,

@@ -34,7 +34,7 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Field-wise accumulate (aggregating stripes, namespaces, or shards).
+    /// Field-wise accumulate (aggregating stripes or namespaces).
     pub fn absorb(&mut self, other: &CacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;
@@ -139,9 +139,8 @@ impl<V: Clone> NamespaceCache<V> {
     }
 
     fn stripe(&self, key: u64) -> MutexGuard<'_, Stripe<V>> {
-        // Fibonacci multiplicative mix: the shard router already uses the
-        // fingerprint's low bits (`fingerprint % shards`), so stripe
-        // selection keys off well-scrambled high bits instead.
+        // Fibonacci multiplicative mix: stripe selection keys off
+        // well-scrambled high bits rather than the fingerprint's low bits.
         let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
         lock(&self.stripes[(mixed % self.stripes.len() as u64) as usize])
     }

@@ -76,18 +76,18 @@ struct Daemon {
 
 impl Daemon {
     /// Launch `sild` on a fresh temp unix socket and wait until it accepts.
-    fn launch(name: &str, shards: &str) -> Daemon {
-        Daemon::launch_with(name, shards, &[])
+    fn launch(name: &str) -> Daemon {
+        Daemon::launch_with(name, &[])
     }
 
     /// [`Daemon::launch`] with extra `sild` flags.
-    fn launch_with(name: &str, shards: &str, extra: &[&str]) -> Daemon {
+    fn launch_with(name: &str, extra: &[&str]) -> Daemon {
         let sock =
             std::env::temp_dir().join(format!("sild-cli-{}-{name}.sock", std::process::id()));
         let _ = std::fs::remove_file(&sock);
         let addr = format!("unix:{}", sock.display());
         let child = sild()
-            .args(["--listen", &addr, "--shards", shards, "--quiet"])
+            .args(["--listen", &addr, "--quiet"])
             .args(extra)
             .stdout(Stdio::null())
             .stderr(Stdio::null())
@@ -121,7 +121,7 @@ fn connect_output_is_byte_identical_to_in_process() {
     // One fresh (cold) daemon per output mode: in-process runs are always
     // cold, so the comparison needs an equally cold daemon.
     for (name, extra) in [("diff-json", &["--json"][..]), ("diff-text", &[])] {
-        let daemon = Daemon::launch(name, "4");
+        let daemon = Daemon::launch(name);
         let mut remote_args = vec!["--connect", daemon.addr.as_str(), "--workload", "all"];
         remote_args.extend_from_slice(extra);
         let mut local_args = vec!["--in-process", "--workload", "all"];
@@ -145,7 +145,7 @@ fn connect_output_is_byte_identical_to_in_process() {
 /// the hits.
 #[test]
 fn warm_daemon_serves_cache_hits_to_a_second_run() {
-    let daemon = Daemon::launch("warm", "2");
+    let daemon = Daemon::launch("warm");
     let args = [
         "--connect",
         daemon.addr.as_str(),
@@ -168,7 +168,7 @@ fn warm_daemon_serves_cache_hits_to_a_second_run() {
     );
     assert!(stdout.contains("\"cache_hit\":true"));
     // Under --json the stats land on stderr as one wire-format JSON line:
-    // two shard views plus the shared store's namespaces.
+    // the engine's view counters plus the store's namespaces.
     let stderr = stderr_of(&warm);
     assert!(stderr.contains("\"type\":\"stats\""), "{stderr}");
     assert!(stderr.contains("\"store\":{"), "{stderr}");
@@ -181,10 +181,10 @@ fn warm_daemon_serves_cache_hits_to_a_second_run() {
 }
 
 /// The text form of `--stats`: a per-namespace table (entries, hit rates,
-/// evictions) plus one view line per shard.
+/// evictions) under the daemon's connection counters.
 #[test]
-fn stats_table_renders_namespaces_and_shards() {
-    let daemon = Daemon::launch("stats-table", "2");
+fn stats_table_renders_namespaces() {
+    let daemon = Daemon::launch("stats-table");
     let output = silp()
         .args([
             "--connect",
@@ -197,10 +197,6 @@ fn stats_table_renders_namespaces_and_shards() {
         .unwrap();
     assert!(output.status.success(), "{}", stderr_of(&output));
     let stderr = stderr_of(&output);
-    assert!(
-        stderr.contains("2 shards over one shared store"),
-        "{stderr}"
-    );
     for namespace in ["programs", "summaries", "walks", "products"] {
         assert!(
             stderr.contains(&format!("\n  {namespace} ")),
@@ -211,8 +207,6 @@ fn stats_table_renders_namespaces_and_shards() {
         stderr.contains("\n  namespace  entries/cap  hit rate    hits  misses  evict\n"),
         "{stderr}"
     );
-    assert!(stderr.contains("shard 0"), "{stderr}");
-    assert!(stderr.contains("shard 1"), "{stderr}");
     // The daemon's own counters render above the namespace table.
     assert!(stderr.contains("server: threaded"), "{stderr}");
     assert!(stderr.contains("accepted"), "{stderr}");
@@ -220,8 +214,9 @@ fn stats_table_renders_namespaces_and_shards() {
 }
 
 /// The store has one eviction rule and one stripe count, the daemon one
-/// server, and the shards one engine configuration, so the flags that used
-/// to choose others are gone: each fails like any unknown flag (exit
+/// server and one engine in one configuration, and memory-only is what a
+/// daemon without `--data-dir` is, so the flags that used to choose others
+/// are gone: each fails like any unknown flag (exit
 /// status 1, the error, then the usage text) and neither `--help` lists it.
 #[test]
 fn retired_eviction_flags_are_unknown_flags() {
@@ -235,6 +230,8 @@ fn retired_eviction_flags_are_unknown_flags() {
         &["--workers", "2"],
         &["--no-incremental"],
         &["--no-parallel"],
+        &["--shards", "4"],
+        &["--no-durable"],
     ];
     let silp_flags: &[&[&str]] = &[&["--lfu"], &["--lru"]];
     for (binary, valid, retired) in [
@@ -273,10 +270,6 @@ fn retired_eviction_flags_are_unknown_flags() {
 fn sild_rejects_contradictory_flag_pairs_and_bad_counts() {
     let cases: &[(&[&str], &str)] = &[
         (
-            &["--data-dir", "/tmp/sild-contradiction", "--no-durable"],
-            "--data-dir and --no-durable contradict each other",
-        ),
-        (
             &["--peer", "unix:/tmp/peer.sock", "--no-peer-serve"],
             "--peer and --no-peer-serve contradict each other",
         ),
@@ -284,8 +277,8 @@ fn sild_rejects_contradictory_flag_pairs_and_bad_counts() {
             &["--gossip-interval", "500"],
             "--gossip-interval needs at least one --peer",
         ),
-        (&["--shards", "0"], "--shards must be at least 1"),
-        (&["--shards", "many"], "--shards must be an integer"),
+        (&["--slow-us", "0"], "--slow-us must be at least 1"),
+        (&["--slow-us", "many"], "--slow-us must be an integer"),
     ];
     for (bad, want) in cases {
         let output = sild()
@@ -374,7 +367,7 @@ fn connect_to_nothing_fails_cleanly() {
 /// errors (same stderr line, same JSON error object, same exit status).
 #[test]
 fn remote_errors_render_like_local_errors() {
-    let daemon = Daemon::launch("errors", "2");
+    let daemon = Daemon::launch("errors");
     let dir = std::env::temp_dir();
     let bad = dir.join(format!("silp-bad-{}.sil", std::process::id()));
     std::fs::write(&bad, "program broken (").unwrap();
@@ -422,7 +415,7 @@ fn cold_namespaces_report_a_zero_hit_rate() {
 /// daemon additionally splices in its own `server.*` namespace.
 #[test]
 fn metrics_round_trip_matches_in_process() {
-    let daemon = Daemon::launch("metrics", "1");
+    let daemon = Daemon::launch("metrics");
     let remote = silp()
         .args([
             "--connect",
@@ -433,8 +426,8 @@ fn metrics_round_trip_matches_in_process() {
         ])
         .output()
         .unwrap();
-    // sild shards run incremental engines by default; mirror that in
-    // process so the walk-cache counters are comparable.
+    // sild's engine is incremental by default; mirror that in process so
+    // the walk-cache counters are comparable.
     let local = silp()
         .args([
             "--in-process",
@@ -527,7 +520,7 @@ fn metrics_include_analysis_representation_gauges() {
 /// attributed to minted request ids.
 #[test]
 fn trace_dump_emits_ndjson_spans() {
-    let daemon = Daemon::launch("trace", "2");
+    let daemon = Daemon::launch("trace");
     let warmup = silp()
         .args(["--connect", daemon.addr.as_str(), "--workload", "tree_sum"])
         .output()
@@ -577,7 +570,7 @@ fn metrics_include_trace_health_counters() {
 /// spans indented beneath it with per-hop durations.
 #[test]
 fn silp_trace_renders_an_indented_tree() {
-    let daemon = Daemon::launch("tree", "2");
+    let daemon = Daemon::launch("tree");
     let warmup = silp()
         .args(["--connect", daemon.addr.as_str(), "--workload", "tree_sum"])
         .output()
@@ -632,7 +625,7 @@ fn silp_trace_renders_an_indented_tree() {
 /// between at least two flight-recorder samples.
 #[test]
 fn silp_top_renders_live_recorder_deltas() {
-    let daemon = Daemon::launch_with("top", "2", &["--recorder-interval", "50"]);
+    let daemon = Daemon::launch_with("top", &["--recorder-interval", "50"]);
     let warmup = silp()
         .args(["--connect", daemon.addr.as_str(), "--workload", "tree_sum"])
         .output()

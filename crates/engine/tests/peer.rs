@@ -4,10 +4,9 @@
 //! half-open connections, loop prevention).
 
 use sil_engine::service::{
-    json, route_fingerprint, ErrorKind, Json, PeerNamespace, RemoteService, Request, Response,
-    Server, Service, ShardedService,
+    json, ErrorKind, Json, PeerNamespace, RemoteService, Request, Response, Server, Service,
 };
-use sil_engine::{Addr, EngineConfig, PeerConfig, PeerRing, ServerHandle};
+use sil_engine::{Addr, Engine, PeerConfig, PeerRing, ServerHandle};
 use sil_workloads::Workload;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -18,17 +17,23 @@ fn temp_socket(name: &str) -> Addr {
     Addr::Unix(path)
 }
 
-/// A daemon on a temp unix socket, returning its service handle too so
-/// tests can inspect its store directly.
-fn spawn_daemon(name: &str) -> (Arc<ShardedService>, ServerHandle) {
-    let service = Arc::new(ShardedService::new(2, EngineConfig::default()));
+/// A daemon on a temp unix socket, returning its engine too so tests can
+/// inspect its store directly.
+fn spawn_daemon(name: &str) -> (Arc<Engine>, ServerHandle) {
+    let service = Arc::new(Engine::default());
     let server = Server::bind(&temp_socket(name), service.clone()).unwrap();
     (service, server.spawn())
 }
 
+/// The program-namespace key of `source`: its content fingerprint.
+fn program_key(source: &str) -> u64 {
+    let (program, _) = sil_lang::frontend(source).unwrap();
+    sil_lang::program_fingerprint(&program)
+}
+
 /// A ring with test-friendly timings: fast fetch deadline, no background
 /// loop (tests drive gossip explicitly).
-fn test_ring(service: &ShardedService, peers: Vec<Addr>) -> Arc<PeerRing> {
+fn test_ring(service: &Engine, peers: Vec<Addr>) -> Arc<PeerRing> {
     let config = PeerConfig::new(peers)
         .with_fetch_timeout(Duration::from_millis(500))
         .with_failure_threshold(2)
@@ -38,7 +43,7 @@ fn test_ring(service: &ShardedService, peers: Vec<Addr>) -> Arc<PeerRing> {
     ring
 }
 
-fn analyze(service: &ShardedService, source: &str) -> sil_engine::service::AnalyzeSummary {
+fn analyze(service: &Engine, source: &str) -> sil_engine::service::AnalyzeSummary {
     match service.call(Request::analyze(source)) {
         Response::Analyzed { summary, .. } => summary,
         other => panic!("expected an analyzed response, got {other:?}"),
@@ -61,7 +66,7 @@ fn cold_daemon_serves_peer_hits_without_recomputing() {
         .map(|src| analyze(&warm_service, src).analysis_digest)
         .collect();
 
-    let cold_service = ShardedService::new(2, EngineConfig::default());
+    let cold_service = Engine::default();
     let ring = test_ring(&cold_service, vec![warm_handle.addr().clone()]);
     ring.gossip_once();
     // The inventory advertises summary fingerprints alongside the 3
@@ -108,9 +113,9 @@ fn single_flight_collapses_a_thundering_herd() {
     let (warm_service, warm_handle) = spawn_daemon("herd");
     let src = Workload::TreeSum.source(4);
     let want = analyze(&warm_service, &src).analysis_digest;
-    let key = route_fingerprint(&src);
+    let key = program_key(&src);
 
-    let cold_service = ShardedService::new(1, EngineConfig::default());
+    let cold_service = Engine::default();
     let ring = test_ring(&cold_service, vec![warm_handle.addr().clone()]);
     ring.gossip_once();
 
@@ -144,7 +149,7 @@ fn single_flight_collapses_a_thundering_herd() {
 #[test]
 fn breaker_trips_on_a_dead_peer_and_recovers() {
     let addr = temp_socket("breaker");
-    let service = ShardedService::new(1, EngineConfig::default());
+    let service = Engine::default();
     let ring = test_ring(&service, vec![addr.clone()]);
 
     // Two gossip rounds against nothing: one failure each, tripping the
@@ -165,7 +170,7 @@ fn breaker_trips_on_a_dead_peer_and_recovers() {
 
     // Revive the peer on the same address, wait out the quarantine, and
     // let the next gossip round double as the probe.
-    let revived = Arc::new(ShardedService::new(1, EngineConfig::default()));
+    let revived = Arc::new(Engine::default());
     let src = Workload::ListSum.source(4);
     analyze(&revived, &src);
     let handle = Server::bind(&addr, revived).unwrap().spawn();
@@ -174,7 +179,7 @@ fn breaker_trips_on_a_dead_peer_and_recovers() {
     let stats = ring.stats(0, 0);
     assert_eq!(stats.quarantined, 0, "the probe closed the breaker");
     assert!(stats.known_keys > 0, "gossip resumed: {stats:?}");
-    assert!(ring.fetch_program(route_fingerprint(&src)).is_some());
+    assert!(ring.fetch_program(program_key(&src)).is_some());
 
     handle.shutdown();
 }
@@ -188,7 +193,7 @@ fn survivor_keeps_serving_after_a_peer_is_killed_dash_nine() {
     let _ = std::fs::remove_file(&sock);
     let addr = format!("unix:{}", sock.display());
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_sild"))
-        .args(["--listen", &addr, "--shards", "2", "--quiet"])
+        .args(["--listen", &addr, "--quiet"])
         .spawn()
         .unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -205,7 +210,7 @@ fn survivor_keeps_serving_after_a_peer_is_killed_dash_nine() {
         Response::Analyzed { summary, .. } => summary,
         other => panic!("{other:?}"),
     };
-    let survivor = ShardedService::new(1, EngineConfig::default());
+    let survivor = Engine::default();
     let ring = test_ring(&survivor, vec![Addr::parse(&addr).unwrap()]);
     ring.gossip_once();
     let summary = analyze(&survivor, &warm_src);
@@ -237,11 +242,11 @@ fn peer_fetch_is_never_reforwarded() {
     let (warm_service, warm_handle) = spawn_daemon("noloop-warm");
     let src = Workload::TreeSum.source(4);
     analyze(&warm_service, &src);
-    let key = route_fingerprint(&src);
+    let key = program_key(&src);
 
     // `middle` is cold but *could* fetch the key from `warm` — a
     // peer-originated request must not make it do so.
-    let middle = ShardedService::new(1, EngineConfig::default());
+    let middle = Engine::default();
     let ring = test_ring(&middle, vec![warm_handle.addr().clone()]);
     ring.gossip_once();
     match middle.call(Request::peer_fetch(PeerNamespace::Programs, key)) {
@@ -269,7 +274,7 @@ fn peer_fetch_is_never_reforwarded() {
 /// quarantined, never advertising keys.
 #[test]
 fn no_peer_serve_daemon_is_flagged_unsupported_not_dead() {
-    let service = Arc::new(ShardedService::new(1, EngineConfig::default()).with_peer_serve(false));
+    let service = Arc::new(Engine::default().with_peer_serve(false));
     let src = Workload::TreeSum.source(4);
     analyze(&service, &src);
     let handle = Server::bind(&temp_socket("noserve"), service.clone())
@@ -280,8 +285,19 @@ fn no_peer_serve_daemon_is_flagged_unsupported_not_dead() {
         Response::Error { error, .. } => assert_eq!(error.kind, ErrorKind::Malformed),
         other => panic!("{other:?}"),
     }
+    // The refusal's bytes are pinned: a fetching ring reads `malformed` as
+    // "this daemon does not peer", like a daemon older than peering.
+    assert_eq!(
+        service
+            .call(Request::peer_fetch(
+                PeerNamespace::Programs,
+                program_key(&src)
+            ))
+            .encode(),
+        r#"{"protocol_version":2,"type":"error","error":{"kind":"malformed","message":"peer serving is disabled"}}"#
+    );
 
-    let fetcher = ShardedService::new(1, EngineConfig::default());
+    let fetcher = Engine::default();
     let ring = test_ring(&fetcher, vec![handle.addr().clone()]);
     ring.gossip_once();
     ring.gossip_once();
@@ -291,7 +307,7 @@ fn no_peer_serve_daemon_is_flagged_unsupported_not_dead() {
     assert_eq!(stats.quarantines, 0);
     assert_eq!(stats.known_keys, 0, "nothing advertised");
     // Fetches skip the unsupported peer outright.
-    assert!(ring.fetch_program(route_fingerprint(&src)).is_none());
+    assert!(ring.fetch_program(program_key(&src)).is_none());
 
     handle.shutdown();
 }
@@ -337,7 +353,7 @@ fn half_open_peer_fails_within_the_deadline_naming_it() {
 
     // Through the ring: a fetch against the mute peer comes back a miss
     // within the deadline (plus slack), and the breaker counted it.
-    let service = ShardedService::new(1, EngineConfig::default());
+    let service = Engine::default();
     let config = PeerConfig::new(vec![addr])
         .with_fetch_timeout(Duration::from_millis(100))
         .with_failure_threshold(1);
@@ -399,7 +415,7 @@ fn forged_summary_bodies_from_a_lying_peer_are_refused() {
         }
     });
 
-    let service = ShardedService::new(1, EngineConfig::default());
+    let service = Engine::default();
     let ring = test_ring(&service, vec![Addr::Unix(path.clone())]);
     assert!(
         ring.fetch_summaries(requested_key).is_none(),
@@ -483,7 +499,7 @@ fn an_endless_reply_from_a_lying_peer_is_refused_at_the_line_bound() {
         .find_map(|line| line.strip_prefix("tree_sum@3 "))
         .map(|hex| u64::from_str_radix(hex, 16).unwrap())
         .expect("tree_sum@3 is pinned");
-    let service = ShardedService::new(1, EngineConfig::default());
+    let service = Engine::default();
     let ring = test_ring(&service, vec![addr]);
     let summary = analyze(&service, &Workload::TreeSum.source(3));
     assert!(!summary.cache_hit, "nothing the liar sent was admitted");
@@ -535,7 +551,7 @@ fn a_null_body_from_a_peer_forgets_the_advertised_key() {
         }
     });
 
-    let service = ShardedService::new(1, EngineConfig::default());
+    let service = Engine::default();
     let ring = test_ring(&service, vec![Addr::Unix(path.clone())]);
     ring.gossip_once();
     assert_eq!(ring.stats(0, 0).known_keys, 1, "gossip learned the key");
@@ -563,9 +579,9 @@ fn cleared_peer_generation_discards_the_stale_advertisement_snapshot() {
     let (warm_service, warm_handle) = spawn_daemon("genclear");
     let src = Workload::TreeSum.source(4);
     analyze(&warm_service, &src);
-    let key = route_fingerprint(&src);
+    let key = program_key(&src);
 
-    let cold_service = ShardedService::new(1, EngineConfig::default());
+    let cold_service = Engine::default();
     let ring = test_ring(&cold_service, vec![warm_handle.addr().clone()]);
     ring.gossip_once();
     assert!(ring.stats(0, 0).known_keys > 0, "gossip learned the keys");
@@ -599,7 +615,7 @@ fn background_gossip_loop_learns_and_shuts_down() {
     let (warm_service, warm_handle) = spawn_daemon("bg-gossip");
     analyze(&warm_service, &Workload::TreeSum.source(4));
 
-    let cold = ShardedService::new(1, EngineConfig::default());
+    let cold = Engine::default();
     let config = PeerConfig::new(vec![warm_handle.addr().clone()])
         .with_gossip_interval(Duration::from_millis(25));
     let ring = PeerRing::spawn(config, cold.tracer().clone());
@@ -623,10 +639,10 @@ fn background_gossip_loop_learns_and_shuts_down() {
 }
 
 /// The trace-tree acceptance path: a client request served by an origin
-/// daemon, routed through a shard, missing locally and fetched from a warm
-/// peer, leaves ONE assembled span tree on the origin — the origin's
-/// `serve` root, its `peer-fetch` hop, and under that hop the peer's own
-/// `serve` span, adopted off the wire and tagged with the peer's address.
+/// daemon, missing locally and fetched from a warm peer, leaves ONE
+/// assembled span tree on the origin — the origin's `serve` root, its
+/// `peer-fetch` hop, and under that hop the peer's own `serve` span,
+/// adopted off the wire and tagged with the peer's address.
 #[test]
 fn traced_peer_fetch_assembles_one_cross_daemon_tree() {
     use sil_engine::service::TraceSpan;
@@ -637,7 +653,7 @@ fn traced_peer_fetch_assembles_one_cross_daemon_tree() {
 
     // The origin is a full daemon (its server mints the trace), peered to
     // the warm one.
-    let origin_service = Arc::new(ShardedService::new(2, EngineConfig::default()));
+    let origin_service = Arc::new(Engine::default());
     let ring = test_ring(&origin_service, vec![warm_handle.addr().clone()]);
     ring.gossip_once();
     let origin_server = Server::bind(&temp_socket("trace-origin"), origin_service).unwrap();

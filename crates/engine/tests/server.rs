@@ -3,12 +3,8 @@
 //! in-process oracle, plus hostile clients and a mute peer, each of which
 //! may cost its own connection and nobody else's.
 
-use sil_engine::service::{
-    ErrorKind, LocalService, RemoteService, Request, Response, Server, Service, ShardedService,
-};
-use sil_engine::{
-    Addr, EngineConfig, PeerConfig, PeerRing, ProcessOptions, ProgramReport, ServerHandle,
-};
+use sil_engine::service::{ErrorKind, RemoteService, Request, Response, Server, Service};
+use sil_engine::{Addr, Engine, PeerConfig, PeerRing, ProcessOptions, ProgramReport, ServerHandle};
 use sil_workloads::Workload;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -23,13 +19,13 @@ fn temp_socket(name: &str) -> PathBuf {
     path
 }
 
-/// A daemon on a temp unix socket, with its service handle so a test can
-/// reach the store behind it.
-fn spawn_daemon(name: &str, shards: usize) -> (Arc<ShardedService>, ServerHandle, PathBuf) {
+/// A daemon on a temp unix socket, with its engine so a test can reach
+/// the store behind it.
+fn spawn_daemon(name: &str) -> (Arc<Engine>, ServerHandle, PathBuf) {
     let path = temp_socket(name);
-    let service = Arc::new(ShardedService::new(shards, EngineConfig::default()));
-    let server = Server::bind(&Addr::Unix(path.clone()), service.clone()).unwrap();
-    (service, server.spawn(), path)
+    let engine = Arc::new(Engine::default());
+    let server = Server::bind(&Addr::Unix(path.clone()), engine.clone()).unwrap();
+    (engine, server.spawn(), path)
 }
 
 /// A small but varied request set: a few workloads at small sizes, with
@@ -49,7 +45,7 @@ fn soak_sources() -> Vec<String> {
 }
 
 fn oracle_reports(sources: &[String]) -> Vec<ProgramReport> {
-    let oracle = LocalService::new(EngineConfig::default());
+    let oracle = Engine::default();
     sources
         .iter()
         .map(|src| {
@@ -104,13 +100,13 @@ fn exchange(stream: &mut UnixStream, reader: &mut impl BufRead, line: &[u8]) -> 
 /// socket file is removed on shutdown.
 #[test]
 fn soak_unix_64_clients_match_oracle() {
-    let (_service, handle, path) = spawn_daemon("soak64", 4);
+    let (_engine, handle, path) = spawn_daemon("soak64");
     let clients = 64;
     soak(&handle.addr().to_string(), clients);
 
     // Server stats travel in-band and account for every soak connection.
     let remote = RemoteService::connect(&handle.addr().to_string()).unwrap();
-    let (_, _, _, server) = remote.service_stats().unwrap();
+    let (_, _, server) = remote.service_stats().unwrap();
     let server = server.expect("daemon stats carry server counters");
     assert_eq!(server.kind, "threaded");
     assert!(
@@ -128,8 +124,11 @@ fn soak_unix_64_clients_match_oracle() {
 /// The same soak over TCP.
 #[test]
 fn soak_tcp_64_clients_match_oracle() {
-    let service = Arc::new(ShardedService::new(2, EngineConfig::default()));
-    let server = Server::bind(&Addr::Tcp("127.0.0.1:0".into()), service).unwrap();
+    let server = Server::bind(
+        &Addr::Tcp("127.0.0.1:0".into()),
+        Arc::new(Engine::default()),
+    )
+    .unwrap();
     let handle = server.spawn();
     soak(&handle.addr().to_string(), 64);
     handle.shutdown();
@@ -141,7 +140,7 @@ fn soak_tcp_64_clients_match_oracle() {
 /// still gets oracle-identical answers afterwards.
 #[test]
 fn faulty_clients_cost_only_their_own_connection() {
-    let (_service, handle, path) = spawn_daemon("faults", 2);
+    let (_engine, handle, path) = spawn_daemon("faults");
 
     // 1. Bytes that are not UTF-8: answered with a malformed error like
     //    any other non-JSON line, and the connection still serves a
@@ -220,7 +219,7 @@ fn faulty_clients_cost_only_their_own_connection() {
 #[test]
 fn an_overlong_line_closes_only_its_own_connection() {
     const MAX_LINE_BYTES: usize = 64 * 1024 * 1024;
-    let (_service, handle, path) = spawn_daemon("flood", 1);
+    let (_engine, handle, path) = spawn_daemon("flood");
     std::thread::scope(|scope| {
         let flood = scope.spawn(|| {
             let mut stream = UnixStream::connect(&path).unwrap();
@@ -286,17 +285,17 @@ fn a_mute_peer_stalls_only_the_requests_that_miss() {
 
     // Warm one program before the peer is attached, so priming it does
     // not itself wait on the mute peer.
-    let (service, handle, path) = spawn_daemon("mute-daemon", 2);
+    let (engine, handle, path) = spawn_daemon("mute-daemon");
     let warm = Request::analyze(Workload::TreeSum.source(3)).encode();
     assert!(matches!(
-        service.call(Request::analyze(Workload::TreeSum.source(3))),
+        engine.call(Request::analyze(Workload::TreeSum.source(3))),
         Response::Analyzed { .. }
     ));
     let config = PeerConfig::new(vec![Addr::Unix(mute_path.clone())])
         .with_fetch_timeout(fetch_timeout)
         .with_failure_threshold(u32::MAX);
-    let ring = Arc::new(PeerRing::new(config, service.tracer().clone()));
-    service.store().attach_peers(ring);
+    let ring = Arc::new(PeerRing::new(config, engine.tracer().clone()));
+    engine.store().attach_peers(ring);
 
     let answered = AtomicUsize::new(0);
     std::thread::scope(|scope| {

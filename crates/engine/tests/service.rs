@@ -2,17 +2,12 @@
 //! reports, and a real `sild`-style daemon on a temp socket driven by
 //! concurrent clients.
 
-mod common;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sil_engine::service::{
-    ErrorKind, LocalService, RemoteService, Request, Response, Server, Service, ShardedService,
-    PROTOCOL_VERSION,
+    ErrorKind, RemoteService, Request, Response, Server, Service, PROTOCOL_VERSION,
 };
-use sil_engine::{
-    Addr, Engine, EngineConfig, ExecutionReport, IncrementalReport, ProcessOptions, ProgramReport,
-};
+use sil_engine::{Addr, Engine, ExecutionReport, IncrementalReport, ProcessOptions, ProgramReport};
 use sil_workloads::Workload;
 use std::sync::Arc;
 
@@ -141,24 +136,22 @@ fn temp_socket(name: &str) -> Addr {
     Addr::Unix(path)
 }
 
-fn spawn_daemon(name: &str, shards: usize) -> (Arc<ShardedService>, sil_engine::ServerHandle) {
-    let service = Arc::new(ShardedService::new(shards, EngineConfig::default()));
-    let server = Server::bind(&temp_socket(name), service.clone()).unwrap();
-    (service, server.spawn())
+fn spawn_daemon(name: &str) -> (Arc<Engine>, sil_engine::ServerHandle) {
+    let engine = Arc::new(Engine::default());
+    let server = Server::bind(&temp_socket(name), engine.clone()).unwrap();
+    (engine, server.spawn())
 }
 
 /// Three concurrent clients drive cold and warm cycles over every
-/// workload; every report matches the in-process oracle digest, warm
-/// requests are served as program-cache hits, and routing keeps each
-/// program's cache traffic on exactly one shard.
+/// workload; every report matches the in-process oracle digest, and warm
+/// requests are served as program-cache hits.
 #[test]
-fn concurrent_clients_get_oracle_results_and_shards_stay_disjoint() {
-    let shard_count = 3;
-    let (service, handle) = spawn_daemon("concurrent", shard_count);
+fn concurrent_clients_get_oracle_results() {
+    let (engine, handle) = spawn_daemon("concurrent");
     let addr = handle.addr().to_string();
 
     // In-process oracle: digest per workload from a fresh engine.
-    let oracle = LocalService::new(EngineConfig::default());
+    let oracle = Engine::default();
     let sources: Vec<String> = Workload::ALL
         .iter()
         .map(|w| w.source(w.test_size()))
@@ -199,50 +192,22 @@ fn concurrent_clients_get_oracle_results_and_shards_stay_disjoint() {
         }
     });
 
-    // Warm behavior: repeats hit the one shard that owns each program.
-    // Concurrent cold clients may race a program's very first analysis
-    // (each of the 3 clients can miss it once before the first insert
-    // lands), so misses are bounded per client, not globally unique —
-    // but every request after the cold window must be a hit.
+    // Warm behavior: repeats hit.  Concurrent cold clients may race a
+    // program's very first analysis (each of the 3 clients can miss it once
+    // before the first insert lands), so misses are bounded per client, not
+    // globally unique — but every request after the cold window must be a
+    // hit.
     let clients = 3u64;
     let client_requests = clients * rounds * sources.len() as u64;
-    let stats = service.shard_stats();
-    let hits: u64 = stats.iter().map(|s| s.programs.hits).sum();
-    let misses: u64 = stats.iter().map(|s| s.programs.misses).sum();
+    let sil_engine::CacheStats { hits, misses, .. } = engine.stats().programs;
     assert_eq!(hits + misses, client_requests);
     assert!(
         (sources.len() as u64..=clients * sources.len() as u64).contains(&misses),
         "misses confined to the cold window: {misses}"
     );
     assert!(hits >= client_requests - clients * sources.len() as u64);
-
-    // Per-shard traffic confinement: a foreign shard never sees a byte of
-    // a program's traffic — if routing were not sticky, repeats would
-    // scatter across shards.
-    let mut homed = vec![0usize; shard_count];
-    for src in &sources {
-        homed[service.shard_for_source(src)] += 1;
-    }
-    for (index, shard) in stats.iter().enumerate() {
-        let touched = shard.programs.hits + shard.programs.misses;
-        if homed[index] == 0 {
-            assert_eq!(touched, 0, "shard {index} must stay untouched");
-        } else {
-            assert_eq!(
-                touched,
-                clients * rounds * homed[index] as u64,
-                "shard {index} serves all traffic for its homed programs"
-            );
-        }
-    }
-    // Residency lives in the one shared store: each program cached exactly
-    // once, regardless of how many shards and clients touched it.
-    let store = service.store().stats();
-    assert_eq!(
-        store.programs.entries,
-        sources.len(),
-        "each program cached exactly once in the shared store"
-    );
+    // Each program cached exactly once, however many clients touched it.
+    assert_eq!(engine.store_stats().programs.entries, sources.len());
 
     handle.shutdown();
 }
@@ -251,7 +216,7 @@ fn concurrent_clients_get_oracle_results_and_shards_stay_disjoint() {
 /// is visible in the `Stats` response (the acceptance criterion).
 #[test]
 fn warm_daemon_hit_is_visible_in_stats_response() {
-    let (_service, handle) = spawn_daemon("warmstats", 2);
+    let (_engine, handle) = spawn_daemon("warmstats");
     let remote = RemoteService::connect(&handle.addr().to_string()).unwrap();
     let src = Workload::AddAndReverse.source(4);
 
@@ -265,12 +230,9 @@ fn warm_daemon_hit_is_visible_in_stats_response() {
     assert!(warm.cache_hit, "repeat must be served from the cache");
     assert_eq!(warm.analysis_digest, cold.analysis_digest);
 
-    let (shards, total, store, server) = remote.service_stats().unwrap();
-    assert_eq!(shards.len(), 2);
+    let (total, store, server) = remote.service_stats().unwrap();
     assert_eq!(total.programs.hits, 1, "the warm hit shows in Stats");
     assert_eq!(total.programs.misses, 1);
-    let hot_shards = shards.iter().filter(|s| s.programs.hits > 0).count();
-    assert_eq!(hot_shards, 1, "the hit happened on the program's one shard");
     // The store's own counters travel too, with residency and the live
     // policy choice per namespace.
     assert_eq!(store.programs.entries, 1);
@@ -282,6 +244,32 @@ fn warm_daemon_hit_is_visible_in_stats_response() {
     assert_eq!(server.accepted, 1);
     assert_eq!(server.active, 1);
 
+    // On the wire the view counters ride twice: as `total`, and as the one
+    // element of the `shards` array that older clients require.
+    let reply = remote.call(Request::stats());
+    let Response::Stats { shards, total, .. } = &reply else {
+        panic!("{reply:?}");
+    };
+    assert_eq!(shards, &vec![*total]);
+
+    // A daemon that hosted four engines sent four elements; such a line
+    // still decodes, with the total it states.
+    let line = reply.encode();
+    let (head, rest) = line.split_once("\"shards\":[").unwrap();
+    let (view, tail) = rest.split_once("],\"total\":").unwrap();
+    let older = format!("{head}\"shards\":[{view},{view},{view},{view}],\"total\":{tail}");
+    match Response::decode(&older).unwrap() {
+        Response::Stats {
+            shards: four,
+            total: stated,
+            ..
+        } => {
+            assert_eq!(four, vec![*total; 4]);
+            assert_eq!(stated, *total);
+        }
+        other => panic!("{other:?}"),
+    }
+
     handle.shutdown();
 }
 
@@ -290,7 +278,7 @@ fn warm_daemon_hit_is_visible_in_stats_response() {
 /// serving current-version requests on the same connection.
 #[test]
 fn protocol_version_mismatch_negotiation() {
-    let (_service, handle) = spawn_daemon("version", 1);
+    let (_engine, handle) = spawn_daemon("version");
     let remote = RemoteService::connect(&handle.addr().to_string()).unwrap();
 
     match remote.call(Request::stats().with_version(99)) {
@@ -314,7 +302,7 @@ fn protocol_version_mismatch_negotiation() {
     }
     // …and the connection still serves the supported version.
     assert!(remote.handshake().is_ok());
-    let (_, total, _, _) = remote.service_stats().unwrap();
+    let (total, _, _) = remote.service_stats().unwrap();
     assert_eq!(total.programs.misses, 0);
 
     handle.shutdown();
@@ -325,7 +313,7 @@ fn protocol_version_mismatch_negotiation() {
 #[test]
 fn malformed_lines_are_answered_not_fatal() {
     use std::io::{BufRead, BufReader, Write};
-    let (_service, handle) = spawn_daemon("malformed", 1);
+    let (_engine, handle) = spawn_daemon("malformed");
     let Addr::Unix(path) = handle.addr().clone() else {
         panic!("expected a unix socket");
     };
@@ -361,7 +349,7 @@ fn malformed_lines_are_answered_not_fatal() {
 #[test]
 fn hostile_deep_nesting_is_a_parse_error_not_a_crash() {
     use std::io::{BufRead, BufReader, Write};
-    let (_service, handle) = spawn_daemon("deep-nesting", 1);
+    let (_engine, handle) = spawn_daemon("deep-nesting");
     let Addr::Unix(path) = handle.addr().clone() else {
         panic!("expected a unix socket");
     };
@@ -407,7 +395,7 @@ fn hostile_deep_nesting_is_a_parse_error_not_a_crash() {
 /// socket file.
 #[test]
 fn client_shutdown_request_stops_the_daemon() {
-    let (_service, handle) = spawn_daemon("shutdown", 2);
+    let (_engine, handle) = spawn_daemon("shutdown");
     let addr = handle.addr().clone();
     let remote = RemoteService::connect(&addr.to_string()).unwrap();
     match remote.call(Request::shutdown()) {
@@ -427,8 +415,11 @@ fn client_shutdown_request_stops_the_daemon() {
 /// The TCP transport serves the same protocol (port 0 → kernel-assigned).
 #[test]
 fn tcp_transport_works_end_to_end() {
-    let service = Arc::new(ShardedService::new(2, EngineConfig::default()));
-    let server = Server::bind(&Addr::Tcp("127.0.0.1:0".into()), service).unwrap();
+    let server = Server::bind(
+        &Addr::Tcp("127.0.0.1:0".into()),
+        Arc::new(Engine::default()),
+    )
+    .unwrap();
     let handle = server.spawn();
     let remote = RemoteService::connect(&handle.addr().to_string()).unwrap();
     remote.handshake().unwrap();
@@ -449,7 +440,7 @@ fn tcp_transport_works_end_to_end() {
 /// keeps input order, including error slots for broken sources.
 #[test]
 fn daemon_batches_keep_order_and_carry_per_item_errors() {
-    let (_service, handle) = spawn_daemon("batch", 3);
+    let (_engine, handle) = spawn_daemon("batch");
     let remote = RemoteService::connect(&handle.addr().to_string()).unwrap();
 
     let mut sources: Vec<String> = Workload::ALL
@@ -583,82 +574,27 @@ fn remote_tcp_timeout_fails_fast() {
     mute.join().unwrap();
 }
 
-/// `ClearCaches` over the wire empties every shard.
+/// `ClearCaches` over the wire empties the store.
 #[test]
 fn clear_caches_over_the_wire() {
-    let (service, handle) = spawn_daemon("clear", 2);
+    let (engine, handle) = spawn_daemon("clear");
     let remote = RemoteService::connect(&handle.addr().to_string()).unwrap();
     for workload in [Workload::TreeSum, Workload::Bisort, Workload::ListReverse] {
         remote
             .process_source(&workload.source(3), &ProcessOptions::default())
             .unwrap();
     }
-    assert_eq!(service.store().stats().programs.entries, 3);
+    assert_eq!(engine.store_stats().programs.entries, 3);
     assert!(matches!(
         remote.call(Request::clear_caches()),
         Response::Cleared { .. }
     ));
-    assert_eq!(service.store().stats().programs.entries, 0);
+    assert_eq!(engine.store_stats().programs.entries, 0);
     handle.shutdown();
 }
 
-/// Routing to a shard — single requests and batch partitioning alike —
-/// shows up as `shard-dispatch` spans in the trace dump, attributed to
-/// the requests that were routed.  Routing is the request's one front-end
-/// pass, so the `parse` span nests under it.
-#[test]
-fn shard_routing_is_traced() {
-    let service = ShardedService::new(2, EngineConfig::default());
-    match service.call(Request::analyze(Workload::TreeSum.source(3))) {
-        Response::Analyzed { .. } => {}
-        other => panic!("unexpected: {other:?}"),
-    }
-    let sources = vec![Workload::Bisort.source(3), Workload::ListSum.source(3)];
-    match service.call(Request::batch(sources, ProcessOptions::default())) {
-        Response::Batch { .. } => {}
-        other => panic!("unexpected: {other:?}"),
-    }
-    let spans = service.service_trace().unwrap();
-    let dispatches: Vec<_> = spans
-        .iter()
-        .filter(|s| s.span == "shard-dispatch")
-        .collect();
-    assert_eq!(dispatches.len(), 2, "one per routed request: {spans:?}");
-    assert!(
-        dispatches.iter().all(|s| s.request != 0),
-        "spans must carry the minted request id: {dispatches:?}"
-    );
-    // One parse per source, each inside its request's dispatch span.
-    let parses: Vec<_> = spans.iter().filter(|s| s.span == "parse").collect();
-    assert_eq!(parses.len(), 3, "{spans:?}");
-    for parse in parses {
-        let dispatch = dispatches
-            .iter()
-            .find(|d| d.request == parse.request)
-            .expect("every parse belongs to a routed request");
-        assert!(
-            dispatch.start_us <= parse.start_us && parse.end_us <= dispatch.end_us,
-            "{parse:?} outside {dispatch:?}"
-        );
-    }
-    // A single shard takes the same path: one dispatch span, one parse.
-    let single = ShardedService::new(1, EngineConfig::default());
-    match single.call(Request::analyze(Workload::TreeSum.source(3))) {
-        Response::Analyzed { .. } => {}
-        other => panic!("unexpected: {other:?}"),
-    }
-    let spans = single.service_trace().unwrap();
-    for name in ["shard-dispatch", "parse"] {
-        assert_eq!(
-            spans.iter().filter(|s| s.span == name).count(),
-            1,
-            "{name}: {spans:?}"
-        );
-    }
-}
-
 /// The spans of the most recent request a service answered.
-fn last_request_spans(service: &ShardedService) -> Vec<sil_engine::service::TraceSpan> {
+fn last_request_spans(service: &Engine) -> Vec<sil_engine::service::TraceSpan> {
     let spans = service.service_trace().unwrap();
     let last = spans.iter().map(|s| s.request).max().expect("no spans");
     spans.into_iter().filter(|s| s.request == last).collect()
@@ -668,11 +604,11 @@ fn count(spans: &[sil_engine::service::TraceSpan], name: &str) -> usize {
     spans.iter().filter(|s| s.span == name).count()
 }
 
-/// A warm request on a multi-shard service runs the front end once: the
-/// routing parse is the only one, and a product hit re-parses nothing.
+/// A warm request runs the front end once, and a product hit re-parses
+/// nothing.
 #[test]
-fn warm_requests_parse_once_on_a_sharded_service() {
-    let service = ShardedService::new(4, EngineConfig::default());
+fn warm_requests_parse_once() {
+    let service = Engine::default();
     let src = Workload::Bisort.source(5);
     for request in [
         Request::analyze(src.clone()),
@@ -687,7 +623,6 @@ fn warm_requests_parse_once_on_a_sharded_service() {
             }
             let spans = last_request_spans(&service);
             assert_eq!(count(&spans, "parse"), 1, "warm={warm}: {spans:?}");
-            assert_eq!(count(&spans, "shard-dispatch"), 1, "{spans:?}");
         }
         let spans = last_request_spans(&service);
         for absent in ["fixpoint", "pack", "pretty", "reparse", "verify"] {
@@ -697,65 +632,29 @@ fn warm_requests_parse_once_on_a_sharded_service() {
     assert_eq!(count(&last_request_spans(&service), "product-lookup"), 1);
 }
 
-/// The shard a request lands on is still `route_fingerprint(source) % N`,
-/// now computed from the one parse the request does; a source the front
-/// end rejects gets the same error bytes however many shards there are.
-#[test]
-fn single_parse_routing_agrees_with_route_fingerprint() {
-    use sil_engine::service::route_fingerprint;
-    let service = ShardedService::new(4, EngineConfig::default());
-    for (_, src) in &common::corpus() {
-        let before = service.shard_stats();
-        service.call(Request::analyze(src.clone()));
-        let after = service.shard_stats();
-        let touched: Vec<usize> = (0..4)
-            .filter(|&i| after[i].programs.misses > before[i].programs.misses)
-            .collect();
-        let expected = (route_fingerprint(src) % 4) as usize;
-        assert_eq!(touched, vec![expected]);
-        assert_eq!(service.shard_for_source(src), expected);
-    }
-
-    let broken = "program broken procedure";
-    assert_eq!(
-        service.shard_for_source(broken),
-        (route_fingerprint(broken) % 4) as usize
-    );
-    let single = ShardedService::new(1, EngineConfig::default());
-    for request in [
-        Request::analyze(broken),
-        Request::process(broken, ProcessOptions::default()),
-    ] {
-        let line = service.call(request.clone()).encode();
-        assert!(line.contains("\"type\":\"error\""), "{line}");
-        assert_eq!(line, single.call(request.clone()).encode());
-        assert_eq!(line, Engine::default().serve(request).encode());
-    }
-}
-
 /// What `process` does past the analysis is visible in the daemon's own
 /// trace: a cold request shows the whole derivation and its `serve` span
 /// is accounted for by its children; a warm one shows the product lookup
 /// that replaced it.
 #[test]
 fn process_spans_explain_the_serve_span() {
-    let (_service, handle) = spawn_daemon("process-spans", 4);
+    let (_engine, handle) = spawn_daemon("process-spans");
     let remote = RemoteService::connect(&handle.addr().to_string()).unwrap();
     let src = Workload::Bisort.source(6);
 
-    // The `serve` span of the latest routed request (the dump's own
-    // `serve` span is newer, and routes nothing) and everything under it.
+    // The `serve` span of the latest `process` request (the dump's own
+    // `serve` span is newer, and looks nothing up) and everything under it.
     let request_spans = |remote: &RemoteService| {
         let spans = remote.service_trace().unwrap();
-        let routed = spans
+        let lookup = spans
             .iter()
-            .filter(|s| s.span == "shard-dispatch")
+            .filter(|s| s.span == "product-lookup")
             .max_by_key(|s| s.start_us)
-            .expect("a routed request");
+            .expect("a process request");
         let serve = spans
             .iter()
-            .find(|s| s.span_id == routed.parent)
-            .expect("routing happens under a serve span")
+            .find(|s| s.span_id == lookup.parent)
+            .expect("the product lookup happens under a serve span")
             .clone();
         assert_eq!(serve.span, "serve");
         let below: Vec<_> = spans

@@ -105,7 +105,7 @@ impl fmt::Display for Cost {
 }
 
 /// A small table of projected speedups for a range of processor counts —
-/// the rows reported in EXPERIMENTS.md.
+/// the rows `repro` prints for E2 (see `repro --list`).
 #[derive(Debug, Clone)]
 pub struct CostReport {
     pub label: String,

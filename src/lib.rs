@@ -12,7 +12,7 @@
 //! | [`parallelizer`] | `sil-parallelizer` | statement/call packing, sequence splitting, parallel-program verification (§5) |
 //! | [`runtime`] | `sil-runtime` | interpreter, rayon-backed parallel executor, work/span cost model, race detector |
 //! | [`workloads`] | `sil-workloads` | benchmark SIL programs, random program generator, native Rust reference kernels |
-//! | [`engine`] | `sil-engine` | batched, memoizing analysis service: a unified content-addressed `SummaryStore` (typed program/summary/walk namespaces, lock-striped, least-recently-used eviction) shared across engine views, SCC-parallel scheduling, the typed Request/Response service protocol with the `sild` daemon (fingerprint-sharded engines over one shared store, Unix/TCP sockets), and the `silp` CLI |
+//! | [`engine`] | `sil-engine` | batched, memoizing analysis service: a unified content-addressed `SummaryStore` (typed program/summary/walk namespaces, lock-striped, least-recently-used eviction) behind an `Engine`, SCC-parallel scheduling, the typed Request/Response service protocol with the `sild` daemon (one engine behind a Unix/TCP socket, one thread per connection), and the `silp` CLI |
 //!
 //! ## The 30-second tour
 //!
@@ -58,8 +58,8 @@ pub use sil_workloads as workloads;
 pub mod prelude {
     pub use sil_analysis::{analyze_program, AbstractState, AnalysisResult, StructureKind};
     pub use sil_engine::{
-        Engine, EngineConfig, LocalService, ProcessOptions, RemoteService, Request, Response,
-        Service, ShardedService, SummaryStore,
+        Engine, EngineConfig, ProcessOptions, RemoteService, Request, Response, Service,
+        SummaryStore,
     };
     pub use sil_lang::{frontend, parse_program, pretty_program, Program};
     pub use sil_parallelizer::{parallelize_program, verify_parallel_program, TransformReport};
@@ -106,7 +106,7 @@ mod tests {
 
     #[test]
     fn service_protocol_is_reachable_through_the_facade() {
-        let service = ShardedService::new(2, EngineConfig::default());
+        let service = Engine::default();
         let src = Workload::TreeSum.source(3);
         match service.call(Request::analyze(src)) {
             Response::Analyzed { summary, .. } => {

@@ -291,12 +291,12 @@ fn figure_8_source_and_generated_parallelization_agree() {
 }
 
 /// The engine's hit path, end to end through the service layer: the
-/// 64-program golden corpus `process`ed twice over a sharded service.  The
-/// second pass is answered entirely from the store — every analysis a
+/// 64-program golden corpus `process`ed twice by one engine.  The second
+/// pass is answered entirely from the store — every analysis a
 /// program hit, every parallelization a product hit — with reports equal
 /// to the first pass and analysis digests equal to the pinned goldens.
 #[test]
-fn sharded_service_serves_the_golden_corpus_from_its_products() {
+fn engine_serves_the_golden_corpus_from_its_products() {
     const GOLDEN: &str = include_str!("../crates/engine/tests/golden/digests.txt");
     let corpus: Vec<(&str, String, u64)> = GOLDEN
         .lines()
@@ -316,7 +316,7 @@ fn sharded_service_serves_the_golden_corpus_from_its_products() {
         .collect();
     assert_eq!(corpus.len(), 64);
 
-    let service = ShardedService::new(4, EngineConfig::default());
+    let service = Engine::default();
     let options = ProcessOptions {
         emit_parallel_source: true,
         ..ProcessOptions::default()
@@ -325,7 +325,7 @@ fn sharded_service_serves_the_golden_corpus_from_its_products() {
         .iter()
         .map(|(_, src, _)| service.process_source(src, &options).unwrap())
         .collect();
-    let products = || service.store().stats().products.totals;
+    let products = || service.store_stats().products.totals;
     assert_eq!((products().hits, products().misses), (0, 64));
 
     for ((name, src, golden), cold) in corpus.iter().zip(first) {
@@ -340,5 +340,5 @@ fn sharded_service_serves_the_golden_corpus_from_its_products() {
         assert_eq!(warm, cold_as_hit, "{name}");
     }
     assert_eq!((products().hits, products().misses), (64, 64));
-    assert_eq!(service.store().stats().programs.totals.hits, 64);
+    assert_eq!(service.store_stats().programs.totals.hits, 64);
 }
