@@ -255,6 +255,29 @@ impl CallGraph {
     }
 }
 
+/// Everything the analysis derives from a program's call graph, computed
+/// once per analysis and shared by the summary pass, the cone-keyed cache
+/// lookups and the interprocedural fixpoint.
+#[derive(Debug, Clone)]
+pub struct CallPlan {
+    pub graph: CallGraph,
+    /// [`CallGraph::scc_levels`]: the bottom-up schedule.
+    pub levels: Vec<Vec<Vec<String>>>,
+    /// [`CallGraph::cone_fingerprints`]: the cache key of every procedure.
+    pub cones: HashMap<String, u64>,
+}
+
+impl CallPlan {
+    pub fn of_program(program: &Program) -> CallPlan {
+        let graph = CallGraph::of_program(program);
+        CallPlan {
+            levels: graph.scc_levels(),
+            cones: graph.cone_fingerprints(program),
+            graph,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -53,15 +53,16 @@ pub mod state;
 pub mod summary;
 pub mod transfer;
 
-pub use callgraph::CallGraph;
+pub use callgraph::{CallGraph, CallPlan};
 pub use interference::{
     call_call_interference, call_stmt_interference, interference_set, locations_of_call, read_set,
     statements_independent, write_set, Location, LocationKind,
 };
 pub use interproc::{
-    analyze_program, analyze_program_incremental, analyze_program_recording,
-    analyze_program_with_options, analyze_program_with_summaries, AnalysisResult, AnalysisSnapshot,
-    AnalyzeOptions, IncrementalStats, ProcedureAnalysis, ProgramPoint, WalkRecord,
+    analyze_program, analyze_program_incremental, analyze_program_planned,
+    analyze_program_recording, analyze_program_with_options, analyze_program_with_summaries,
+    AnalysisResult, AnalysisSnapshot, AnalyzeOptions, IncrementalStats, ProcedureAnalysis,
+    ProgramPoint, WalkRecord,
 };
 pub use sequences::{
     relative_interference, relative_read_set, relative_write_set, sequences_independent,

@@ -379,7 +379,7 @@ pub fn transfer_stmt(
 
 /// Observed information about one call site (used by the interprocedural
 /// driver to build callee entry contexts).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CallSite {
     pub caller: String,
     pub callee: String,
@@ -425,29 +425,12 @@ impl<'a> Analyzer<'a> {
         types: &'a ProgramTypes,
         summaries: HashMap<String, ProcSummary>,
     ) -> Analyzer<'a> {
-        Analyzer::with_tables(program, types, summaries, HashMap::new(), HashMap::new())
-    }
-
-    /// Build an analyzer with every dynamic table pre-seeded.
-    ///
-    /// The interprocedural driver walks independent call-graph components on
-    /// separate threads; each task gets its own analyzer seeded with the
-    /// round's current view of the function-return summaries and exit
-    /// structures (the analyzer itself holds them in thread-local
-    /// [`RefCell`]s).
-    pub fn with_tables(
-        program: &'a Program,
-        types: &'a ProgramTypes,
-        summaries: HashMap<String, ProcSummary>,
-        return_summaries: HashMap<String, ReturnSummary>,
-        exit_structures: HashMap<String, StructureKind>,
-    ) -> Analyzer<'a> {
         Analyzer {
             program,
             types,
             summaries,
-            return_summaries: RefCell::new(return_summaries),
-            exit_structures: RefCell::new(exit_structures),
+            return_summaries: RefCell::new(HashMap::new()),
+            exit_structures: RefCell::new(HashMap::new()),
             call_sites: RefCell::new(Vec::new()),
             record_calls: true,
         }

@@ -414,7 +414,7 @@ fn render_metrics(metrics: &MetricsSnapshot) -> String {
         let _ = writeln!(
             out,
             "  {:<34} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-            "histogram (µs)", "count", "p50", "p90", "p99", "p999", "max"
+            "histogram", "count", "p50", "p90", "p99", "p999", "max"
         );
         let mut histograms: Vec<_> = metrics.histograms.iter().collect();
         histograms.sort_unstable_by(|a, b| a.0.cmp(&b.0));

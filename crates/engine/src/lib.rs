@@ -34,10 +34,11 @@
 //! capacity-bounded, and evicts the least recently used entry of a full
 //! stripe; its [`CacheStats`] count hits, misses, insertions and evictions.
 //!
-//! Work inside the engine is concurrent on two axes: a batch fans out
-//! across programs via rayon, and within one program the call graph is
-//! condensed into SCCs whose independent components are scheduled in
-//! parallel, level by level.
+//! Concurrency is across requests: every caller's analysis runs on the
+//! caller's own thread, and a batch fans out across its programs via rayon
+//! ([`EngineConfig::parallel`]).  Within one analysis nothing forks: a
+//! call-graph level's body walks cost tens of microseconds each, less than
+//! handing them to another thread (README, "Incremental re-analysis").
 //!
 //! ```
 //! use sil_engine::{Engine, EngineConfig};
@@ -74,8 +75,8 @@ pub use store::{
 
 use rayon::prelude::*;
 use sil_analysis::{
-    analyze_program_with_options, compute_scc_summaries, AnalysisResult, AnalysisSnapshot,
-    AnalyzeOptions, CallGraph, IncrementalStats, ProcSummary, WalkRecord,
+    analyze_program_planned, compute_scc_summaries, AnalysisResult, AnalysisSnapshot,
+    AnalyzeOptions, CallPlan, IncrementalStats, ProcSummary, WalkRecord,
 };
 use sil_lang::hash::program_fingerprint;
 use sil_lang::types::ProgramTypes;
@@ -101,7 +102,8 @@ pub struct EngineConfig {
     pub procedure_cache_capacity: usize,
     /// Lock stripes per store namespace.
     pub store_stripes: usize,
-    /// Schedule batches and independent call-graph SCCs across rayon.
+    /// Fan a batch (`analyze_batch`, `process_batch`) out across rayon, one
+    /// task per program.  A single analysis never forks.
     pub parallel: bool,
     /// Record body walks and re-analyze edited programs incrementally: on a
     /// program-cache miss, every procedure whose cone fingerprint matches a
@@ -438,9 +440,12 @@ pub struct Engine {
     /// from a pre-peering daemon, by design).
     peer_serve: bool,
     fixpoint_us: Arc<ShardedHistogram>,
+    /// Whole-program rounds each miss's fixpoint took, one sample per miss.
+    fixpoint_rounds: Arc<ShardedHistogram>,
     summaries_us: Arc<ShardedHistogram>,
     walks_performed: Counter,
     walks_reused: Counter,
+    walks_skipped: Counter,
 }
 
 impl Default for Engine {
@@ -470,9 +475,11 @@ impl Engine {
         Engine {
             view: StoreView::register(&registry),
             fixpoint_us: registry.histogram("engine.fixpoint_us"),
+            fixpoint_rounds: registry.histogram("engine.fixpoint_rounds"),
             summaries_us: registry.histogram("engine.summaries_us"),
             walks_performed: registry.counter("engine.walks.performed"),
             walks_reused: registry.counter("engine.walks.reused"),
+            walks_skipped: registry.counter("engine.walks.skipped"),
             tracer,
             peer_serve: true,
             config,
@@ -571,47 +578,37 @@ impl Engine {
             return (hit, true);
         }
         self.view.programs.miss();
-        let (graph, summaries) = {
+        // The call graph, its schedule and the cone fingerprints: computed
+        // here once, for the summary pass, the walk lookup and the fixpoint.
+        let (plan, summaries) = {
             let _span = self.tracer.start("summaries");
-            let graph = CallGraph::of_program(&program);
-            let summaries = self.summaries_for(&program, &types, &graph);
-            (graph, summaries)
+            let plan = CallPlan::of_program(&program);
+            let summaries = self.summaries_for(&program, &types, &plan);
+            (plan, summaries)
         };
 
-        let (analysis, incremental) = if self.config.incremental {
-            let cones = graph.cone_fingerprints(&program);
-            let mut distinct: Vec<u64> = cones.values().copied().collect();
-            distinct.sort_unstable();
-            distinct.dedup();
-            let mut reuse = AnalysisSnapshot::new();
-            let mut retained: std::collections::HashSet<u64> = std::collections::HashSet::new();
-            for &cone in &distinct {
-                match self.store.walks().get(cone) {
-                    Some(records) => {
-                        self.view.walks.hit();
-                        retained.insert(cone);
-                        for record in records.iter() {
-                            reuse.insert(record.clone());
-                        }
-                    }
-                    None => self.view.walks.miss(),
-                }
-            }
-            let options = AnalyzeOptions {
-                parallel: self.config.parallel,
-                record: true,
-                reuse: Some(&reuse),
-            };
-            let fixpoint_start = silobs::ticks();
-            let (analysis, snapshot, mut stats) = {
-                let _span = self.tracer.start("fixpoint");
-                analyze_program_with_options(&program, &types, summaries, &options)
-            };
-            self.fixpoint_us
-                .record(silobs::ticks().saturating_sub(fixpoint_start));
-            self.walks_performed.add(stats.walks_performed as u64);
-            self.walks_reused.add(stats.walks_reused as u64);
-            for (name, cone) in &cones {
+        let retained = self
+            .config
+            .incremental
+            .then(|| self.retained_walks(&plan.cones));
+        let options = AnalyzeOptions {
+            record: self.config.incremental,
+            reuse: retained.as_ref().map(|(reuse, _)| reuse),
+        };
+        let fixpoint_start = silobs::ticks();
+        let (analysis, snapshot, mut stats) = {
+            let _span = self.tracer.start("fixpoint");
+            analyze_program_planned(&program, &types, summaries, &plan, &options)
+        };
+        self.fixpoint_us
+            .record(silobs::ticks().saturating_sub(fixpoint_start));
+        self.fixpoint_rounds.record(analysis.rounds as u64);
+        self.walks_performed.add(stats.walks_performed as u64);
+        self.walks_reused.add(stats.walks_reused as u64);
+        self.walks_skipped.add(stats.walks_skipped as u64);
+
+        let incremental = retained.map(|(_, retained)| {
+            for (name, cone) in &plan.cones {
                 // Only classify procedures the fixpoint actually walked:
                 // dead code (unreachable from `main`) never records walks,
                 // so its cone would otherwise count as "stale" forever.
@@ -624,52 +621,8 @@ impl Engine {
                     stats.procedures_stale += 1;
                 }
             }
-            // Persist this run's walks for the next edit, grouped by cone.
-            let snapshot = snapshot.expect("recording was requested");
-            let mut by_cone: HashMap<u64, Vec<Arc<WalkRecord>>> = HashMap::new();
-            for record in snapshot.records() {
-                by_cone.entry(record.cone).or_default().push(record.clone());
-            }
-            for (cone, fresh) in by_cone {
-                self.view.walks.insertion();
-                // Merge under the stripe lock: fresh records win, surviving
-                // older records (other entry contexts of the same cone) ride
-                // along up to the per-cone cap.  Concurrent analyses sharing
-                // a cone cannot drop each other's freshly recorded walks.
-                self.store.walks().merge(cone, |existing| {
-                    let mut merged = fresh;
-                    let mut seen: std::collections::HashSet<u64> =
-                        merged.iter().map(|r| r.key).collect();
-                    if let Some(existing) = existing {
-                        for record in existing.iter() {
-                            if merged.len() >= RECORDS_PER_CONE {
-                                break;
-                            }
-                            if seen.insert(record.key) {
-                                merged.push(record.clone());
-                            }
-                        }
-                    }
-                    merged.truncate(RECORDS_PER_CONE);
-                    Arc::new(merged)
-                });
-            }
-            (analysis, Some(stats))
-        } else {
-            let options = AnalyzeOptions {
-                parallel: self.config.parallel,
-                ..AnalyzeOptions::default()
-            };
-            let fixpoint_start = silobs::ticks();
-            let (analysis, _, stats) = {
-                let _span = self.tracer.start("fixpoint");
-                analyze_program_with_options(&program, &types, summaries, &options)
-            };
-            self.fixpoint_us
-                .record(silobs::ticks().saturating_sub(fixpoint_start));
-            self.walks_performed.add(stats.walks_performed as u64);
-            (analysis, None)
-        };
+            stats
+        });
 
         let entry = Arc::new(AnalyzedProgram {
             fingerprint,
@@ -678,9 +631,71 @@ impl Engine {
             analysis: Arc::new(analysis),
             incremental,
         });
+        let _span = self.tracer.start("store-insert");
+        if let Some(snapshot) = &snapshot {
+            self.retain_walks(snapshot);
+        }
         self.view.programs.insertion();
         self.store.store_program(fingerprint, entry.clone());
         (entry, false)
+    }
+
+    /// The walk records the store retains for `cones`, as one snapshot to
+    /// replay from, and the cones that had any.
+    fn retained_walks(
+        &self,
+        cones: &HashMap<String, u64>,
+    ) -> (AnalysisSnapshot, std::collections::HashSet<u64>) {
+        let mut distinct: Vec<u64> = cones.values().copied().collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let mut reuse = AnalysisSnapshot::new();
+        let mut retained = std::collections::HashSet::new();
+        for cone in distinct {
+            match self.store.walks().get(cone) {
+                Some(records) => {
+                    self.view.walks.hit();
+                    retained.insert(cone);
+                    for record in records.iter() {
+                        reuse.insert(record.clone());
+                    }
+                }
+                None => self.view.walks.miss(),
+            }
+        }
+        (reuse, retained)
+    }
+
+    /// Persist one run's walks for the next edit, grouped by cone.
+    fn retain_walks(&self, snapshot: &AnalysisSnapshot) {
+        let mut by_cone: HashMap<u64, Vec<Arc<WalkRecord>>> = HashMap::new();
+        for record in snapshot.records() {
+            by_cone.entry(record.cone).or_default().push(record.clone());
+        }
+        for (cone, fresh) in by_cone {
+            self.view.walks.insertion();
+            // Merge under the stripe lock: fresh records win, surviving
+            // older records (other entry contexts of the same cone) ride
+            // along up to the per-cone cap.  Concurrent analyses sharing
+            // a cone cannot drop each other's freshly recorded walks.
+            self.store.walks().merge(cone, |existing| {
+                let mut merged = fresh;
+                let mut seen: std::collections::HashSet<u64> =
+                    merged.iter().map(|r| r.key).collect();
+                if let Some(existing) = existing {
+                    for record in existing.iter() {
+                        if merged.len() >= RECORDS_PER_CONE {
+                            break;
+                        }
+                        if seen.insert(record.key) {
+                            merged.push(record.clone());
+                        }
+                    }
+                }
+                merged.truncate(RECORDS_PER_CONE);
+                Arc::new(merged)
+            });
+        }
     }
 
     /// [`Engine::analyze`] for the paths that go on to answer with the
@@ -697,54 +712,21 @@ impl Engine {
     }
 
     /// Argument-mode summaries for every procedure, reusing cached per-SCC
-    /// results and computing the misses level-by-level, independent SCCs of
-    /// one level in parallel.
+    /// results and computing the misses bottom-up, level by level.
     fn summaries_for(
         &self,
         program: &Program,
         types: &ProgramTypes,
-        graph: &CallGraph,
+        plan: &CallPlan,
     ) -> HashMap<String, ProcSummary> {
         let start = silobs::ticks();
-        let resolved = self.summaries_for_inner(program, types, graph);
+        let mut resolved: HashMap<String, ProcSummary> = HashMap::new();
+        for scc in plan.levels.iter().flatten() {
+            let table = self.scc_summaries(program, types, scc, &plan.cones, &resolved);
+            resolved.extend(table.iter().map(|(name, s)| (name.clone(), s.clone())));
+        }
         self.summaries_us
             .record(silobs::ticks().saturating_sub(start));
-        resolved
-    }
-
-    fn summaries_for_inner(
-        &self,
-        program: &Program,
-        types: &ProgramTypes,
-        graph: &CallGraph,
-    ) -> HashMap<String, ProcSummary> {
-        let cones = graph.cone_fingerprints(program);
-        let mut resolved: HashMap<String, ProcSummary> = HashMap::new();
-        for level in graph.scc_levels() {
-            let computed: Vec<HashMap<String, ProcSummary>> =
-                if self.config.parallel && level.len() > 1 {
-                    // Pool workers have no thread-local trace context of
-                    // their own; forward this thread's so their spans stay
-                    // in the request's trace tree.
-                    let ctx = silobs::current_context();
-                    level
-                        .par_iter()
-                        .map(|scc| {
-                            silobs::with_context_opt(ctx, || {
-                                self.scc_summaries(program, types, scc, &cones, &resolved)
-                            })
-                        })
-                        .collect()
-                } else {
-                    level
-                        .iter()
-                        .map(|scc| self.scc_summaries(program, types, scc, &cones, &resolved))
-                        .collect()
-                };
-            for summaries in computed {
-                resolved.extend(summaries);
-            }
-        }
         resolved
     }
 
@@ -755,19 +737,19 @@ impl Engine {
         members: &[String],
         cones: &HashMap<String, u64>,
         resolved: &HashMap<String, ProcSummary>,
-    ) -> HashMap<String, ProcSummary> {
+    ) -> Arc<HashMap<String, ProcSummary>> {
         let key = members
             .first()
             .and_then(|m| cones.get(m).copied())
             .unwrap_or_default();
         if let Some(hit) = self.store.lookup_summaries(key) {
             self.view.summaries.hit();
-            return (*hit).clone();
+            return hit;
         }
         self.view.summaries.miss();
-        let computed = compute_scc_summaries(program, types, members, resolved);
+        let computed = Arc::new(compute_scc_summaries(program, types, members, resolved));
         self.view.summaries.insertion();
-        self.store.store_summaries(key, Arc::new(computed.clone()));
+        self.store.store_summaries(key, computed.clone());
         computed
     }
 

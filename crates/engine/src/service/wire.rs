@@ -27,6 +27,7 @@
 
 use super::json::{hex64, parse_hex64, Json};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// The form a value takes when nothing else is said: counts as integers,
 /// lists as arrays, maps as sorted `[[key, value], …]` pairs.
@@ -196,6 +197,15 @@ impl<T: Wire> Wire for Box<T> {
     }
     fn from_json(value: &Json) -> Result<Self, String> {
         T::from_json(value).map(Box::new)
+    }
+}
+
+impl<T: Wire> Wire for Arc<T> {
+    fn to_json(&self) -> Json {
+        T::to_json(self)
+    }
+    fn from_json(value: &Json) -> Result<Self, String> {
+        T::from_json(value).map(Arc::new)
     }
 }
 

@@ -172,6 +172,10 @@ struct TierShared {
     /// Bumped by [`DurableTier::clear`]; jobs enqueued under an older
     /// generation are discarded instead of resurrecting cleared entries.
     generation: AtomicU64,
+    /// Programs enqueued and not yet appended.  Memory may evict an entry
+    /// while its write is still queued; it is served from here meanwhile,
+    /// so a stored program is never in neither tier.
+    pending: Mutex<HashMap<u64, Arc<AnalyzedProgram>>>,
     tracer: Arc<Tracer>,
 }
 
@@ -202,6 +206,7 @@ impl DurableTier {
             state: Mutex::new(TierState::default()),
             counters: DiskCounters::default(),
             generation: AtomicU64::new(0),
+            pending: Mutex::new(HashMap::new()),
             tracer,
         });
         {
@@ -271,11 +276,17 @@ impl DurableTier {
 
     /// Enqueue a whole-program entry for write-behind persistence.
     pub fn put_program(&self, key: u64, entry: Arc<AnalyzedProgram>) {
+        self.shared.pending().insert(key, entry.clone());
         self.send(Job::Program(
             key,
             entry,
             self.shared.generation.load(Ordering::SeqCst),
         ));
+    }
+
+    /// The program enqueued under `key`, while its write has not landed.
+    pub fn pending_program(&self, key: u64) -> Option<Arc<AnalyzedProgram>> {
+        self.shared.pending().get(&key).cloned()
     }
 
     /// Enqueue a per-SCC summary table for write-behind persistence.
@@ -300,6 +311,7 @@ impl DurableTier {
     pub fn clear(&self) {
         let mut state = self.shared.state.lock().unwrap();
         self.shared.generation.fetch_add(1, Ordering::SeqCst);
+        self.shared.pending().clear();
         state.writer = None;
         for meta in state.segments.values() {
             let _ = std::fs::remove_file(&meta.path);
@@ -393,6 +405,14 @@ impl TierState {
 }
 
 impl TierShared {
+    /// The pending map; every update leaves it valid, so a poisoned lock
+    /// is recovered rather than propagated.
+    fn pending(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Arc<AnalyzedProgram>>> {
+        self.pending
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// Scan every segment in id order (later segments win duplicate
     /// keys), truncating each to its intact prefix.
     fn recover(&self) -> io::Result<()> {
@@ -460,6 +480,12 @@ fn flusher_loop(shared: &Arc<TierShared>, receiver: &mpsc::Receiver<Job>) {
                     Job::Program(key, entry, generation) => {
                         let body = entry::program_document(&entry).encode();
                         append(shared, NS_PROGRAM, key, body.as_bytes(), generation);
+                        // Now the index answers for it (unless a newer
+                        // write of the key is still queued).
+                        let mut pending = shared.pending();
+                        if pending.get(&key).is_some_and(|p| Arc::ptr_eq(p, &entry)) {
+                            pending.remove(&key);
+                        }
                     }
                     Job::Summaries(key, table, generation) => {
                         let body = entry::summaries_document(&table, key).encode();
@@ -627,5 +653,43 @@ fn append_locked(
             }
         }
         Err(e) => eprintln!("sil durable store: append failed: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::store::{StoreConfig, SummaryStore};
+
+    /// Write-behind must not open a window in which a stored program is in
+    /// neither tier: with the flusher held at its first append, the entry
+    /// memory has already dropped is served from the queue, and from disk
+    /// once the write lands.
+    #[test]
+    fn a_program_evicted_before_its_write_lands_is_still_served() {
+        let dir = std::env::temp_dir().join(format!("sil-durable-pending-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = StoreConfig::default().with_durable(Some(DurableConfig::at(&dir)));
+        let store = SummaryStore::shared(config);
+        let tier = store.durable().expect("the tier opened");
+        let source = sil_workloads::Workload::TreeSum.source(3);
+        let entry = crate::Engine::default().analyze_source(&source).unwrap();
+        let key = entry.fingerprint;
+
+        let stalled = tier.shared.state.lock().unwrap();
+        store.store_program(key, entry.clone());
+        store.programs().clear();
+        assert!(tier.pending_program(key).is_some());
+        let served = store.lookup_program(key).expect("served from the queue");
+        assert!(Arc::ptr_eq(&served, &entry));
+        drop(stalled);
+
+        store.flush();
+        assert!(tier.pending_program(key).is_none());
+        store.programs().clear();
+        let from_disk = store.lookup_program(key).expect("served from disk");
+        assert_eq!(from_disk.analysis.digest(), entry.analysis.digest());
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

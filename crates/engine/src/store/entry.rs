@@ -316,6 +316,25 @@ mod tests {
         }
     }
 
+    /// Points a statement left alone share their state's allocation; a
+    /// stored entry keeps nothing of that — decoding allocates every state
+    /// afresh — and the digest does not depend on it.
+    #[test]
+    fn consecutive_equal_states_share_one_allocation() {
+        let engine = crate::Engine::default();
+        let source = sil_workloads::Workload::AddAndReverse.source(3);
+        let entry = engine.analyze_source(&source).unwrap();
+        let decoded = program_from_document(&program_document(&entry), entry.fingerprint)
+            .expect("round trip");
+        let shared = |analysis: &AnalysisResult| {
+            let points = &analysis.procedure("main").unwrap().points;
+            Arc::ptr_eq(&points[0].state, &points[1].state)
+        };
+        assert!(shared(&entry.analysis), "`i := …` leaves the state alone");
+        assert!(!shared(&decoded.analysis));
+        assert_eq!(decoded.analysis.digest(), entry.analysis.digest());
+    }
+
     fn sample_table() -> SummaryTable {
         let mut table = HashMap::new();
         table.insert(

@@ -359,16 +359,21 @@ impl SummaryStore {
     }
 
     /// Tiered whole-program lookup: the in-memory namespace first, then
-    /// the disk tier, then a verified peer fetch — each lower tier's hit
+    /// the disk tier (its write-behind queue, then its segments), then a
+    /// verified peer fetch — each lower tier's hit
     /// is promoted into the tiers above it.
     pub fn lookup_program(&self, fingerprint: u64) -> Option<Arc<AnalyzedProgram>> {
         if let Some(entry) = self.programs.get(fingerprint) {
             return Some(entry);
         }
-        if let Some(entry) = self
-            .disk_document(NS_PROGRAM, fingerprint)
-            .and_then(|document| entry::program_from_document(&document, fingerprint))
-        {
+        let queued = self
+            .durable
+            .as_ref()
+            .and_then(|tier| tier.pending_program(fingerprint));
+        if let Some(entry) = queued.or_else(|| {
+            self.disk_document(NS_PROGRAM, fingerprint)
+                .and_then(|document| entry::program_from_document(&document, fingerprint))
+        }) {
             self.programs.insert(fingerprint, entry.clone());
             return Some(entry);
         }

@@ -42,6 +42,36 @@ fn warm_reanalysis_is_identical_to_cold() {
     }
 }
 
+/// The fixpoint says what it did: a miss moves `engine.walks.skipped` and
+/// adds one `engine.fixpoint_rounds` sample, a hit moves neither.
+#[test]
+fn fixpoint_telemetry_moves_on_a_miss_and_stays_put_on_a_hit() {
+    let engine = Engine::default();
+    let read = || {
+        let metrics = engine.metrics_raw().summarize();
+        let rounds = metrics.histogram("engine.fixpoint_rounds").cloned();
+        (
+            metrics.counter("engine.walks.skipped").unwrap(),
+            metrics.counter("engine.walks.performed").unwrap(),
+            rounds.map_or((0, 0), |h| (h.count, h.max)),
+        )
+    };
+    assert_eq!(read(), (0, 0, (0, 0)));
+
+    let src = Workload::AddAndReverse.source(4);
+    let cold = engine.analyze_source(&src).unwrap();
+    let after_cold = read();
+    let stats = cold.incremental.unwrap();
+    assert!(stats.walks_skipped > 0, "{stats:?}");
+    assert_eq!(after_cold.0, stats.walks_skipped as u64);
+    assert_eq!(after_cold.1, stats.walks_performed as u64);
+    assert_eq!(after_cold.2, (1, cold.analysis.rounds as u64));
+
+    let (_, hit) = engine.analyze_source_traced(&src).unwrap();
+    assert!(hit);
+    assert_eq!(read(), after_cold);
+}
+
 #[test]
 fn concurrent_batch_matches_sequential_analysis_program_by_program() {
     let sources = generated_sources(50);
