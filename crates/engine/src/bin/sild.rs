@@ -30,7 +30,7 @@ usage: sild --listen <addr> [options]
 options:
   --listen <addr>     address to serve: unix:<path> or tcp:<host:port>
                       (tcp:host:0 picks a free port and prints it)
-  --data-dir <path>   persist the summary store in append-only segment
+  --data-dir <path>   persist analyzed programs in append-only segment
                       files under <path>; a restarted daemon recovers the
                       intact prefix of every segment and serves warm
                       (visible as store.disk.* in `silp --metrics`)

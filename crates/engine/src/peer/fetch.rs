@@ -1,15 +1,17 @@
 //! The peer fetch path: single-flight, deadline-bounded, breaker-guarded
-//! retrieval of one cache entry from the ring.
+//! retrieval of one whole-program entry from the ring.
 //!
-//! The store calls [`PeerRing::fetch_program`]/[`PeerRing::fetch_summaries`]
-//! after both local tiers miss.  Candidate peers are ordered by gossip
-//! knowledge — peers advertising the key first, every other live peer as
-//! fallback — and each is asked over a connection whose connect, read, and
-//! write timeouts are all the configured fetch deadline, so a hung peer
-//! costs one bounded wait, never a stall.  A returned body is the same
-//! entry document (`store/entry.rs`) the durable tier persists, and it is
-//! verified the same way before it counts as a hit; a body that fails
-//! verification is discarded and the next peer is tried.
+//! The store calls [`PeerRing::fetch_program`] after both local tiers
+//! miss — for a program, the only thing the ring is ever asked for, so a
+//! never-seen program costs one ask per live peer.  Candidate peers are
+//! ordered by gossip knowledge — peers advertising the key first, every
+//! other live peer as fallback — and each is asked over a connection whose
+//! connect, read, and write timeouts are all the configured fetch
+//! deadline, so a hung peer costs one bounded wait, never a stall.  A
+//! returned body is the same entry document (`store/entry.rs`) the durable
+//! tier persists, and it is verified the same way before it counts as a
+//! hit; a body that fails verification is discarded and the next peer is
+//! tried.
 //!
 //! Every `peer_entry` reply also carries the serving store's generation,
 //! which is reconciled against the gossiped inventory snapshot: a
@@ -18,37 +20,30 @@
 //! matching generation with an empty body means the one key was evicted
 //! and only that advertisement is dropped.
 //!
-//! Single-flight: concurrent misses on one `(namespace, key)` elect a
-//! leader; followers block on the leader's `Flight` slot and share its
-//! verified result, so a thundering herd on one hot cone issues exactly
-//! one network fetch.  The leader publishes through a drop guard — if it
-//! unwinds (or is torn down) mid-fetch, the guard publishes a miss and
-//! clears the flight entry, so followers can never hang on a dead leader
-//! and the key never wedges.  Followers additionally bound their wait at
-//! the leader's worst-case deadline across all candidates.
+//! Single-flight: concurrent misses on one key elect a leader; followers
+//! block on the leader's `Flight` slot and share its verified result, so a
+//! thundering herd on one hot program issues exactly one network fetch.
+//! The leader publishes through a drop guard — if it unwinds (or is torn
+//! down) mid-fetch, the guard publishes a miss and clears the flight
+//! entry, so followers can never hang on a dead leader and the key never
+//! wedges.  Followers additionally bound their wait at the leader's
+//! worst-case deadline across all candidates.
 
 use super::{Peer, PeerRing};
 use crate::service::proto::{ErrorKind, PeerNamespace, Request, Response, TraceSpan};
 use crate::service::RemoteService;
-use crate::store::{entry, SummaryTable};
+use crate::store::entry;
 use crate::AnalyzedProgram;
 use std::collections::hash_map::Entry;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// A verified entry fetched from a peer.
-#[derive(Debug, Clone)]
-pub(crate) enum Payload {
-    Program(Arc<AnalyzedProgram>),
-    Summaries(SummaryTable),
-}
-
 /// The single-flight rendezvous for one in-progress fetch: the leader
 /// publishes its result (hit or miss) and every follower clones it.
 #[derive(Debug, Default)]
 pub(crate) struct Flight {
-    slot: Mutex<Option<Option<Payload>>>,
+    slot: Mutex<Option<Option<Arc<AnalyzedProgram>>>>,
     ready: Condvar,
 }
 
@@ -56,7 +51,7 @@ impl Flight {
     /// Wait for the leader's result, at most `limit` — a follower whose
     /// leader has silently died (see [`FlightGuard`]) degrades to a miss
     /// instead of waiting forever.
-    fn wait(&self, limit: Duration) -> Option<Payload> {
+    fn wait(&self, limit: Duration) -> Option<Arc<AnalyzedProgram>> {
         let deadline = Instant::now().checked_add(limit);
         let mut slot = self.slot.lock().unwrap();
         while slot.is_none() {
@@ -77,7 +72,7 @@ impl Flight {
         slot.clone().unwrap()
     }
 
-    fn publish(&self, result: Option<Payload>) {
+    fn publish(&self, result: Option<Arc<AnalyzedProgram>>) {
         *self.slot.lock().unwrap() = Some(result);
         self.ready.notify_all();
     }
@@ -90,18 +85,18 @@ impl Flight {
 /// followers always wake and a later fetch of the same key starts fresh.
 struct FlightGuard<'a> {
     ring: &'a PeerRing,
-    key: (PeerNamespace, u64),
+    key: u64,
     flight: Arc<Flight>,
     done: bool,
 }
 
 impl FlightGuard<'_> {
-    fn complete(mut self, result: Option<Payload>) {
+    fn complete(mut self, result: Option<Arc<AnalyzedProgram>>) {
         self.done = true;
         self.finish(result);
     }
 
-    fn finish(&self, result: Option<Payload>) {
+    fn finish(&self, result: Option<Arc<AnalyzedProgram>>) {
         self.flight.publish(result);
         // `lock().ok()`: this also runs during unwinding, where a
         // poisoned map must not turn a panic into an abort.
@@ -177,7 +172,6 @@ pub(crate) fn exchange(ring: &PeerRing, peer: &Peer, request: Request) -> Exchan
             inner.failures = 0;
             inner.quarantined_until = None;
             inner.programs.clear();
-            inner.summaries.clear();
             inner.conn = Some(conn);
             Exchange::Unsupported
         }
@@ -204,28 +198,11 @@ pub(crate) fn note_failure(ring: &PeerRing, peer: &Peer) {
         inner.quarantined_until = Some(now + ring.config.quarantine);
         inner.generation = 0;
         inner.programs.clear();
-        inner.summaries.clear();
         ring.counters.quarantines.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 impl PeerRing {
-    /// Fetch and verify one whole-program entry from the ring.
-    pub fn fetch_program(&self, key: u64) -> Option<Arc<AnalyzedProgram>> {
-        match self.fetch(PeerNamespace::Programs, key)? {
-            Payload::Program(entry) => Some(entry),
-            Payload::Summaries(_) => None,
-        }
-    }
-
-    /// Fetch and verify one per-SCC summary table from the ring.
-    pub fn fetch_summaries(&self, key: u64) -> Option<SummaryTable> {
-        match self.fetch(PeerNamespace::Summaries, key)? {
-            Payload::Summaries(table) => Some(table),
-            Payload::Program(_) => None,
-        }
-    }
-
     /// The longest a well-behaved leader can take: each candidate costs
     /// at most a dial, a write, and a read, each bounded by the fetch
     /// timeout — plus slack for scheduling.  Followers give up (and fall
@@ -238,13 +215,14 @@ impl PeerRing {
             .saturating_add(Duration::from_secs(1))
     }
 
-    fn fetch(&self, namespace: PeerNamespace, key: u64) -> Option<Payload> {
+    /// Fetch and verify one whole-program entry from the ring.
+    pub fn fetch_program(&self, key: u64) -> Option<Arc<AnalyzedProgram>> {
         if self.peers.is_empty() {
             return None;
         }
         let (flight, leader) = {
             let mut flights = self.flights.lock().unwrap();
-            match flights.entry((namespace, key)) {
+            match flights.entry(key) {
                 Entry::Occupied(entry) => (entry.get().clone(), false),
                 Entry::Vacant(entry) => {
                     let flight = Arc::new(Flight::default());
@@ -258,14 +236,14 @@ impl PeerRing {
         }
         let guard = FlightGuard {
             ring: self,
-            key: (namespace, key),
+            key,
             flight,
             done: false,
         };
         let result = {
             let _span = self.tracer.start("peer-fetch");
             let start = silobs::ticks();
-            let result = self.fetch_from_peers(namespace, key);
+            let result = self.fetch_from_peers(key);
             self.fetch_us.record(silobs::ticks().saturating_sub(start));
             result
         };
@@ -277,7 +255,7 @@ impl PeerRing {
         result
     }
 
-    fn fetch_from_peers(&self, namespace: PeerNamespace, key: u64) -> Option<Payload> {
+    fn fetch_from_peers(&self, key: u64) -> Option<Arc<AnalyzedProgram>> {
         let now = Instant::now();
         // Gossip-informed candidate order: advertisers of the key first,
         // then every other live peer (gossip lags reality by up to one
@@ -289,7 +267,7 @@ impl PeerRing {
             if inner.unsupported || inner.in_quarantine(now) {
                 continue;
             }
-            if inner.advertises(namespace, key) {
+            if inner.programs.contains(&key) {
                 advertisers.push((index, true));
             } else {
                 fallback.push((index, false));
@@ -298,7 +276,8 @@ impl PeerRing {
         advertisers.extend(fallback);
         for (index, advertised) in advertisers {
             let peer = &self.peers[index];
-            let reply = match exchange(self, peer, Request::peer_fetch(namespace, key)) {
+            let fetch = Request::peer_fetch(PeerNamespace::Programs, key);
+            let reply = match exchange(self, peer, fetch) {
                 Exchange::Reply(reply) => reply,
                 Exchange::Failed | Exchange::Unsupported => continue,
             };
@@ -330,32 +309,17 @@ impl PeerRing {
                     // generation.
                     inner.generation = generation;
                     inner.programs.clear();
-                    inner.summaries.clear();
                 } else if advertised && body.is_none() {
                     // Same snapshot, entry gone: evicted.  Drop just this
                     // advertisement so candidate ordering stops
                     // preferring the peer for a key it no longer holds.
-                    match namespace {
-                        PeerNamespace::Programs => inner.programs.remove(&key),
-                        PeerNamespace::Summaries => inner.summaries.remove(&key),
-                    };
+                    inner.programs.remove(&key);
                 }
             }
-            if let Some(body) = body {
-                let payload = match namespace {
-                    PeerNamespace::Programs => {
-                        entry::program_from_document(&body, key).map(Payload::Program)
-                    }
-                    PeerNamespace::Summaries => {
-                        entry::summaries_from_document(&body, key).map(Payload::Summaries)
-                    }
-                };
-                // A body that fails fingerprint/digest verification is
-                // dropped on the floor; some other peer may hold a good
-                // copy.
-                if let Some(payload) = payload {
-                    return Some(payload);
-                }
+            // A body that fails fingerprint/digest verification is dropped
+            // on the floor; some other peer may hold a good copy.
+            if let Some(entry) = body.and_then(|b| entry::program_from_document(&b, key)) {
+                return Some(entry);
             }
         }
         None
@@ -379,7 +343,7 @@ mod tests {
     #[test]
     fn dropped_leader_guard_publishes_a_miss_and_clears_the_flight() {
         let ring = empty_ring();
-        let key = (PeerNamespace::Programs, 42);
+        let key = 42;
         let flight = Arc::new(Flight::default());
         ring.flights.lock().unwrap().insert(key, flight.clone());
 
@@ -408,21 +372,20 @@ mod tests {
     #[test]
     fn completed_guard_keeps_its_published_result() {
         let ring = empty_ring();
-        let key = (PeerNamespace::Summaries, 7);
+        let key = 7;
         let flight = Arc::new(Flight::default());
         ring.flights.lock().unwrap().insert(key, flight.clone());
-        let table: SummaryTable = Arc::new(std::collections::HashMap::new());
+        let source = sil_workloads::Workload::TreeSum.source(3);
+        let entry = crate::Engine::default().analyze_source(&source).unwrap();
         FlightGuard {
             ring: &ring,
             key,
             flight: flight.clone(),
             done: false,
         }
-        .complete(Some(Payload::Summaries(table)));
-        assert!(matches!(
-            flight.wait(Duration::from_millis(10)),
-            Some(Payload::Summaries(_))
-        ));
+        .complete(Some(entry.clone()));
+        let published = flight.wait(Duration::from_millis(10)).expect("published");
+        assert!(Arc::ptr_eq(&published, &entry));
         assert!(ring.flights.lock().unwrap().is_empty());
     }
 

@@ -2,7 +2,7 @@
 //! with every peer, which doubles as the breaker's health probe.
 //!
 //! Each round sends `peer_inventory` to every peer that is not sitting in
-//! quarantine and replaces that peer's advertised key sets wholesale (the
+//! quarantine and replaces that peer's advertised program set wholesale (the
 //! inventory is a full snapshot, not a delta — a few thousand 8-byte
 //! fingerprints per round is cheap, and full replacement means a missed
 //! round can never leave a tombstone behind).  The snapshot is tagged
@@ -69,16 +69,16 @@ impl PeerRing {
             Exchange::Unsupported | Exchange::Failed => return,
         };
         match *reply {
+            // The `summaries` list a daemon older than PR 23 still fills is
+            // ignored: tables are never fetched.
             Response::PeerInventory {
                 generation,
                 programs,
-                summaries,
                 ..
             } => {
                 let mut inner = peer.inner.lock().unwrap();
                 inner.generation = generation;
                 inner.programs = programs.into_iter().collect();
-                inner.summaries = summaries.into_iter().collect();
             }
             // A well-formed reply of the wrong shape means the peer is
             // confused; count it against the breaker like a transport

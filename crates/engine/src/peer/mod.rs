@@ -1,15 +1,18 @@
-//! Summary-cache peering: a ring of `sild` daemons that gossip digest
-//! inventories and fetch each other's cache misses before recomputing.
+//! Program-cache peering: a ring of `sild` daemons that gossip digest
+//! inventories and fetch each other's whole-program misses before
+//! recomputing.
 //!
 //! The NDN caching literature (see PAPERS.md) treats a network of caches
 //! as one storage fabric: content is fetched from the nearest replica and
 //! admitted locally per the node's own policy.  This module applies that
-//! model to analysis summaries.  A [`PeerRing`] holds typed handles to N
-//! peer daemons; an anti-entropy gossip loop ([`gossip`]) periodically
-//! exchanges compact inventories (store generation + held fingerprints)
-//! over the additive `peer_inventory` protocol kind, and the store's miss
-//! path calls into [`fetch`] so a cone analyzed anywhere in the cluster is
-//! a warm hit everywhere — memory → disk → **peer** → recompute.
+//! model to analyzed programs, the one kind of entry worth a round trip
+//! (see [`crate::store`]).  A [`PeerRing`] holds typed handles to N peer
+//! daemons; an anti-entropy gossip loop ([`gossip`]) periodically
+//! exchanges compact inventories (store generation + held program
+//! fingerprints) over the additive `peer_inventory` protocol kind, and the
+//! store's miss path calls into [`fetch`] so a program analyzed anywhere
+//! in the cluster is a warm hit everywhere — memory → disk → **peer** →
+//! recompute.
 //!
 //! Trust is identical to the disk tier: a fetched body is the same codec
 //! document the durable tier persists, and it is re-verified (stored
@@ -18,14 +21,13 @@
 //! to a wrong answer.  Robustness is built in: per-fetch deadlines reuse
 //! the [`RemoteService`] timeout plumbing, a failure-count breaker
 //! quarantines a dead peer and probes it back on expiry, single-flight
-//! dedup collapses a thundering herd on one cone into one fetch, and a
+//! dedup collapses a thundering herd on one program into one fetch, and a
 //! peer answers fetches from its own store only — never by recomputing,
 //! never by re-forwarding to *its* peers — so fetch chains cannot loop.
 
 pub mod fetch;
 pub mod gossip;
 
-use crate::service::proto::PeerNamespace;
 use crate::service::{Addr, RemoteService};
 use silobs::{HistogramSnapshot, ShardedHistogram, Tracer};
 use std::collections::{HashMap, HashSet};
@@ -111,7 +113,8 @@ pub struct PeerStats {
     pub bytes_out: u64,
     /// Peer inventory/fetch requests this daemon answered.
     pub serves: u64,
-    /// Remote fingerprints currently advertised to this ring by gossip.
+    /// Remote program fingerprints currently advertised to this ring by
+    /// gossip.
     pub known_keys: u64,
 }
 
@@ -127,13 +130,12 @@ pub(crate) struct PeerInner {
     /// The peer answered a peer kind with `malformed`: it is alive but
     /// does not speak the peering extension.  Not a breaker event.
     pub(crate) unsupported: bool,
-    /// The store generation the advertised sets belong to.  Fetch replies
+    /// The store generation the advertised set belongs to.  Fetch replies
     /// carry the serving store's current generation; on mismatch the
-    /// advertised sets are discarded as a stale snapshot (see
-    /// [`fetch`]).
+    /// advertised set is discarded as a stale snapshot (see [`fetch`]).
     pub(crate) generation: u64,
+    /// The program fingerprints the peer last advertised.
     pub(crate) programs: HashSet<u64>,
-    pub(crate) summaries: HashSet<u64>,
 }
 
 impl PeerInner {
@@ -141,13 +143,6 @@ impl PeerInner {
     /// probe)?
     pub(crate) fn in_quarantine(&self, now: Instant) -> bool {
         self.quarantined_until.is_some_and(|until| now < until)
-    }
-
-    pub(crate) fn advertises(&self, namespace: PeerNamespace, key: u64) -> bool {
-        match namespace {
-            PeerNamespace::Programs => self.programs.contains(&key),
-            PeerNamespace::Summaries => self.summaries.contains(&key),
-        }
     }
 }
 
@@ -186,7 +181,7 @@ pub struct PeerRing {
     pub(crate) peers: Vec<Peer>,
     pub(crate) counters: Counters,
     pub(crate) fetch_us: ShardedHistogram,
-    pub(crate) flights: Mutex<HashMap<(PeerNamespace, u64), Arc<fetch::Flight>>>,
+    pub(crate) flights: Mutex<HashMap<u64, Arc<fetch::Flight>>>,
     pub(crate) tracer: Arc<Tracer>,
     pub(crate) stop: Arc<Stop>,
     gossip_thread: Mutex<Option<JoinHandle<()>>>,
@@ -270,7 +265,7 @@ impl PeerRing {
             if inner.in_quarantine(now) {
                 quarantined += 1;
             }
-            known_keys += (inner.programs.len() + inner.summaries.len()) as u64;
+            known_keys += inner.programs.len() as u64;
         }
         PeerStats {
             peers: self.peers.len() as u64,
@@ -322,6 +317,16 @@ mod tests {
     }
 
     #[test]
+    fn known_keys_counts_advertised_programs() {
+        let peers = ["/tmp/a.sock", "/tmp/b.sock"].map(|p| Addr::Unix(p.into()));
+        let ring = test_ring(peers.to_vec());
+        ring.peers[0].inner.lock().unwrap().programs.extend([7, 9]);
+        ring.peers[1].inner.lock().unwrap().programs.insert(7);
+        let stats = ring.stats(0, 0);
+        assert_eq!((stats.peers, stats.known_keys), (2, 3));
+    }
+
+    #[test]
     fn quarantine_window_is_instant_bounded() {
         let mut inner = PeerInner::default();
         let now = Instant::now();
@@ -332,16 +337,5 @@ mod tests {
             !inner.in_quarantine(now + Duration::from_secs(6)),
             "an expired quarantine invites the probe"
         );
-    }
-
-    #[test]
-    fn advertised_sets_are_per_namespace() {
-        let mut inner = PeerInner::default();
-        inner.programs.insert(7);
-        inner.summaries.insert(9);
-        assert!(inner.advertises(PeerNamespace::Programs, 7));
-        assert!(!inner.advertises(PeerNamespace::Programs, 9));
-        assert!(inner.advertises(PeerNamespace::Summaries, 9));
-        assert!(!inner.advertises(PeerNamespace::Summaries, 7));
     }
 }

@@ -213,17 +213,18 @@ impl Engine {
             // disk) as the entry document the fetcher will re-verify: no
             // recomputation and no consulting *this* daemon's ring, so a
             // fetch from a peer can never fan back out into the cluster.
+            // Only programs are served.  The `summaries` list stays on the
+            // wire, always empty, so a daemon from before PR 23 never asks
+            // for a table; if one asks anyway, `peer_body` answers what an
+            // evicted key gets and the asker forgets the advertisement.
             Request::PeerInventory { .. } => {
                 let _span = self.tracer().start("peer-serve");
-                let (generation, programs, summaries) = self.store().peer_inventory();
-                Response::peer_inventory(generation, programs, summaries)
+                let (generation, programs) = self.store().peer_inventory();
+                Response::peer_inventory(generation, programs, Vec::new())
             }
             Request::PeerFetch { namespace, key, .. } => {
                 let _span = self.tracer().start("peer-serve");
-                let body = match namespace {
-                    PeerNamespace::Programs => self.store().peer_program_body(key),
-                    PeerNamespace::Summaries => self.store().peer_summary_body(key),
-                };
+                let body = self.store().peer_body(namespace, key);
                 Response::peer_entry(namespace, key, self.store().generation(), body)
             }
             // In process there is nothing to shut down; the daemon's server

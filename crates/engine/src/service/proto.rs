@@ -57,7 +57,7 @@ use std::collections::HashSet;
 ///
 /// Still v2 once more: the additive `peer_inventory` and `peer_fetch`
 /// request kinds (answered with `peer_inventory`/`peer_entry` responses)
-/// that back summary-cache peering, and the *optional* `peer` member on
+/// that back program-cache peering, and the *optional* `peer` member on
 /// the `stats` response.  A daemon without the feature answers the new
 /// kinds `malformed`, which a peering client treats as "feature absent"
 /// rather than a fault, so mixed-version clusters keep working.
@@ -290,10 +290,11 @@ impl Request {
     }
 }
 
-/// Which store namespace a [`Request::PeerFetch`] addresses.  Only the
-/// two durable namespaces are fetchable — walk records are derived data
-/// that every daemon can rebuild from a fetched program, so shipping them
-/// would spend bytes on nothing.
+/// Which store namespace a [`Request::PeerFetch`] addresses.  Only
+/// `Programs` is ever fetched or served.  `Summaries` stays on the wire
+/// for daemons from before PR 23, which served tables too: it still
+/// encodes and decodes, its inventory list is always empty, and a fetch
+/// for it is answered as an evicted key is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PeerNamespace {
     Programs,
@@ -536,8 +537,9 @@ pub enum Response {
     ShuttingDown { version: u32 },
     /// Answer to [`Request::PeerInventory`]: the answering store's
     /// generation (bumped on every cache clear, so a gossiper can discard
-    /// stale key sets wholesale) and the fingerprints it currently holds,
-    /// sorted, per fetchable namespace.
+    /// a stale key set wholesale) and the program fingerprints it
+    /// currently holds, sorted.  `summaries` is always empty from this
+    /// build and ignored when an older one fills it.
     PeerInventory {
         version: u32,
         generation: u64,

@@ -2,9 +2,10 @@
 //! [`SummaryStore`](crate::store::SummaryStore): a content-addressed,
 //! log-structured cache that survives daemon restarts.
 //!
-//! Summaries are immutable values keyed by stable content fingerprints,
-//! which makes the disk tier an append-only log with none of the usual
-//! update-in-place hazards:
+//! It holds one kind of entry: the whole analyzed program.  Entries are
+//! immutable values keyed by stable content fingerprints, which makes the
+//! disk tier an append-only log with none of the usual update-in-place
+//! hazards:
 //!
 //! * **Write-behind** — the analysis hot path enqueues the value (an
 //!   `Arc`, no copy) on an unbounded channel and returns; one background
@@ -17,6 +18,10 @@
 //!   entry); a torn final write or a corrupt entry truncates the segment
 //!   there.  Recovery is observable: a `disk-recovery` span plus
 //!   [`DiskStats::recovered_entries`] / [`DiskStats::dropped_bytes`].
+//!   An intact entry under another tag than the program one — the
+//!   summary tables a build before PR 23 wrote beside its programs — is
+//!   neither: it is left unindexed, counts as dead bytes, and the next
+//!   compaction of its segment reclaims it.
 //! * **Compaction & admission** — rewriting a key appends a fresh entry
 //!   and dead-letters the old one; when sealed segments are mostly dead
 //!   the flusher folds their live entries forward and deletes them.  When
@@ -30,8 +35,8 @@
 //! same `analysis_digest` the original analysis did — live in
 //! `store/entry.rs`.
 
+use super::entry;
 use super::segment::{self, EntryRef, SegmentWriter};
-use super::{entry, SummaryTable};
 use crate::AnalyzedProgram;
 use silobs::Tracer;
 use std::collections::{BTreeMap, HashMap};
@@ -41,10 +46,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
-/// Namespace tag of whole-program entries.
-pub const NS_PROGRAM: u8 = 0;
-/// Namespace tag of per-SCC summary-table entries.
-pub const NS_SUMMARY: u8 = 1;
+/// The segment format's tag byte of a whole-program entry, the one kind
+/// this tier reads and writes.
+const PROGRAM_TAG: u8 = 0;
 
 /// How the durable tier is shaped.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,7 +126,6 @@ pub struct DiskStats {
 /// encoding happens off the hot path, on the flusher.
 enum Job {
     Program(u64, Arc<AnalyzedProgram>, u64),
-    Summaries(u64, SummaryTable, u64),
     /// Ack once every job enqueued before this one is on disk.
     Barrier(mpsc::SyncSender<()>),
 }
@@ -148,7 +151,7 @@ struct TierState {
     segments: BTreeMap<u64, SegmentMeta>,
     active: u64,
     writer: Option<SegmentWriter>,
-    index: HashMap<(u8, u64), Slot>,
+    index: HashMap<u64, Slot>,
     clock: u64,
 }
 
@@ -239,15 +242,15 @@ impl DurableTier {
     }
 
     /// Read one entry's body back, touching its recency rank.
-    pub fn get(&self, namespace: u8, key: u64) -> Option<Vec<u8>> {
+    pub fn get(&self, key: u64) -> Option<Vec<u8>> {
         let mut state = self.shared.state.lock().unwrap();
-        let Some(slot) = state.index.get_mut(&(namespace, key)).copied() else {
+        let Some(slot) = state.index.get_mut(&key).copied() else {
             self.shared.counters.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         };
         state.clock += 1;
         let clock = state.clock;
-        if let Some(live) = state.index.get_mut(&(namespace, key)) {
+        if let Some(live) = state.index.get_mut(&key) {
             live.stamp = clock;
         }
         let body = state
@@ -267,7 +270,7 @@ impl DurableTier {
             None => {
                 // The bytes no longer verify (rot, external truncation):
                 // forget the entry rather than serving garbage.
-                state.drop_slot(namespace, key);
+                state.drop_slot(key);
                 self.shared.counters.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
@@ -287,15 +290,6 @@ impl DurableTier {
     /// The program enqueued under `key`, while its write has not landed.
     pub fn pending_program(&self, key: u64) -> Option<Arc<AnalyzedProgram>> {
         self.shared.pending().get(&key).cloned()
-    }
-
-    /// Enqueue a per-SCC summary table for write-behind persistence.
-    pub fn put_summaries(&self, key: u64, table: SummaryTable) {
-        self.send(Job::Summaries(
-            key,
-            table,
-            self.shared.generation.load(Ordering::SeqCst),
-        ));
     }
 
     /// Block until every job enqueued before this call is on disk (and
@@ -372,8 +366,8 @@ fn segment_id(path: &std::path::Path) -> Option<u64> {
 }
 
 impl TierState {
-    fn drop_slot(&mut self, namespace: u8, key: u64) {
-        if let Some(slot) = self.index.remove(&(namespace, key)) {
+    fn drop_slot(&mut self, key: u64) {
+        if let Some(slot) = self.index.remove(&key) {
             if let Some(meta) = self.segments.get_mut(&slot.segment) {
                 meta.live_bytes = meta.live_bytes.saturating_sub(slot.entry.stored_bytes());
                 meta.live_entries = meta.live_entries.saturating_sub(1);
@@ -382,11 +376,11 @@ impl TierState {
     }
 
     fn index_entry(&mut self, segment: u64, entry: EntryRef) {
-        self.drop_slot(entry.namespace, entry.key);
+        self.drop_slot(entry.key);
         self.clock += 1;
         let stamp = self.clock;
         self.index.insert(
-            (entry.namespace, entry.key),
+            entry.key,
             Slot {
                 segment,
                 entry,
@@ -429,9 +423,6 @@ impl TierShared {
                 Err(_) => continue, // unreadable file: leave it alone
             };
             self.counters
-                .recovered_entries
-                .fetch_add(report.entries.len() as u64, Ordering::Relaxed);
-            self.counters
                 .dropped_bytes
                 .fetch_add(report.dropped_bytes, Ordering::Relaxed);
             state.segments.insert(
@@ -443,8 +434,15 @@ impl TierShared {
                     live_entries: 0,
                 },
             );
+            // Anything not tagged as a program stays unindexed: dead
+            // bytes the next compaction of this segment reclaims.
             for entry in report.entries {
-                state.index_entry(id, entry);
+                if entry.namespace == PROGRAM_TAG {
+                    state.index_entry(id, entry);
+                    self.counters
+                        .recovered_entries
+                        .fetch_add(1, Ordering::Relaxed);
+                }
             }
             if report.dropped {
                 // Physically cut the untrusted tail so later appends (and
@@ -479,17 +477,15 @@ fn flusher_loop(shared: &Arc<TierShared>, receiver: &mpsc::Receiver<Job>) {
                 match job {
                     Job::Program(key, entry, generation) => {
                         let body = entry::program_document(&entry).encode();
-                        append(shared, NS_PROGRAM, key, body.as_bytes(), generation);
+                        let mut state = shared.state.lock().unwrap();
+                        append(shared, &mut state, key, body.as_bytes(), generation);
+                        drop(state);
                         // Now the index answers for it (unless a newer
                         // write of the key is still queued).
                         let mut pending = shared.pending();
                         if pending.get(&key).is_some_and(|p| Arc::ptr_eq(p, &entry)) {
                             pending.remove(&key);
                         }
-                    }
-                    Job::Summaries(key, table, generation) => {
-                        let body = entry::summaries_document(&table, key).encode();
-                        append(shared, NS_SUMMARY, key, body.as_bytes(), generation);
                     }
                     Job::Barrier(ack) => barriers.push(ack),
                 }
@@ -509,12 +505,6 @@ fn flusher_loop(shared: &Arc<TierShared>, receiver: &mpsc::Receiver<Job>) {
     }
 }
 
-/// Append one encoded entry to the active segment, rotating when full.
-fn append(shared: &Arc<TierShared>, namespace: u8, key: u64, body: &[u8], generation: u64) {
-    let mut state = shared.state.lock().unwrap();
-    append_locked(shared, &mut state, namespace, key, body, generation);
-}
-
 /// Background maintenance after a flush batch: byte-budget eviction,
 /// coldest first, then compaction of mostly-dead sealed segments.
 fn maintain(shared: &Arc<TierShared>) {
@@ -523,17 +513,17 @@ fn maintain(shared: &Arc<TierShared>) {
     // Eviction: shed the coldest entries until live bytes fit the budget.
     let budget = shared.config.byte_budget;
     if budget > 0 && state.live_bytes() > budget {
-        let mut ranked: Vec<((u8, u64), u64)> = state
+        let mut ranked: Vec<(u64, u64)> = state
             .index
             .iter()
             .map(|(&key, slot)| (key, slot.stamp))
             .collect();
         ranked.sort_by_key(|&(_, stamp)| stamp);
-        for ((ns, key), _) in ranked {
+        for (key, _) in ranked {
             if state.live_bytes() <= budget {
                 break;
             }
-            state.drop_slot(ns, key);
+            state.drop_slot(key);
             shared.counters.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -567,7 +557,7 @@ fn maintain(shared: &Arc<TierShared>) {
         };
         let path = meta.path.clone();
         // Copy the segment's live entries forward into the active writer.
-        let moved: Vec<((u8, u64), EntryRef)> = state
+        let moved: Vec<(u64, EntryRef)> = state
             .index
             .iter()
             .filter(|(_, slot)| slot.segment == id)
@@ -578,17 +568,17 @@ fn maintain(shared: &Arc<TierShared>) {
             Err(_) => continue,
         };
         let mut copied = true;
-        for ((ns, key), entry) in moved {
+        for (key, entry) in moved {
             let Ok(Some(body)) = segment::read_body(&mut source, &entry) else {
                 // Unreadable live entry: forget it rather than block
                 // compaction forever.
-                state.drop_slot(ns, key);
+                state.drop_slot(key);
                 continue;
             };
             let generation = shared.generation.load(Ordering::SeqCst);
             // Re-append through the normal path (handles rotation).
-            append_locked(shared, &mut state, ns, key, &body, generation);
-            if !state.index.contains_key(&(ns, key)) {
+            append(shared, &mut state, key, &body, generation);
+            if !state.index.contains_key(&key) {
                 copied = false;
             }
         }
@@ -600,15 +590,9 @@ fn maintain(shared: &Arc<TierShared>) {
     shared.counters.compactions.fetch_add(1, Ordering::Relaxed);
 }
 
-/// [`append`] for callers already holding the state lock.
-fn append_locked(
-    shared: &Arc<TierShared>,
-    state: &mut TierState,
-    namespace: u8,
-    key: u64,
-    body: &[u8],
-    generation: u64,
-) {
+/// Append one encoded entry to the active segment (the caller holds the
+/// state lock), rotating when full.
+fn append(shared: &Arc<TierShared>, state: &mut TierState, key: u64, body: &[u8], generation: u64) {
     if generation != shared.generation.load(Ordering::SeqCst) {
         return;
     }
@@ -636,7 +620,7 @@ fn append_locked(
     }
     let active = state.active;
     let writer = state.writer.as_mut().unwrap();
-    match writer.append(namespace, key, body) {
+    match writer.append(PROGRAM_TAG, key, body) {
         Ok(entry) => {
             let len = writer.len();
             shared

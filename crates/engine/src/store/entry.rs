@@ -1,18 +1,15 @@
-//! The entry documents of the two persistent namespaces — the one format
-//! the durable tier appends to its segments and a `peer_fetch` answers
-//! with.
+//! The entry document of the program namespace — the one format the
+//! durable tier appends to its segments and a `peer_fetch` answers with.
 //!
-//! A cached entry is one self-verifying named document, whichever tier
-//! holds it.  A program entry stores the pretty-printed source (the
-//! frontend round-trips it) plus the full [`AnalysisResult`]; a summary
-//! entry stores one per-SCC table.  Both carry an entry version, the
-//! fingerprint they were stored under and a digest of their content, and
-//! the `*_from_document` functions believe none of it: the version must be
-//! the one this build writes, the fingerprint must be the key that was
-//! asked for, the stored source must re-parse to a program with that
-//! fingerprint, and the decoded content must reproduce the digest.  A
-//! document that fails any check — a torn disk entry, a lying peer — is a
-//! miss, never a wrong answer.
+//! A cached program is one self-verifying named document, whichever tier
+//! holds it: the pretty-printed source (the frontend round-trips it) plus
+//! the full [`AnalysisResult`], under an entry version, the fingerprint it
+//! was stored under and the analysis digest.  [`program_from_document`]
+//! believes none of it: the version must be the one this build writes, the
+//! fingerprint must be the key that was asked for, the stored source must
+//! re-parse to a program with that fingerprint, and the decoded analysis
+//! must reproduce the digest.  A document that fails any check — a torn
+//! disk entry, a lying peer — is a miss, never a wrong answer.
 //!
 //! The unit of this module is a [`Json`] document; bytes exist only at the
 //! segment file (`parse`) and on the socket.  Every shape is described
@@ -20,7 +17,6 @@
 //! is one line here — `[or <default>]` if entries already on disk must
 //! keep decoding, a new entry version otherwise.
 
-use super::{segment, SummaryTable};
 use crate::service::json::Json;
 use crate::service::wire::{leaves, names, record, Hex, Wire};
 use crate::AnalyzedProgram;
@@ -31,13 +27,10 @@ use sil_analysis::{
 use sil_lang::hash::program_fingerprint;
 use sil_lang::{frontend, pretty_program};
 use sil_pathmatrix::{intern, Certainty, Dir, Link, Path as RelPath, PathMatrix, PathSet, Symbol};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The version a program entry is written with, and the only one believed.
 const PROGRAM_ENTRY: u64 = 1;
-/// The version of a summary entry (2: bound to its cone and digest).
-const SUMMARY_ENTRY: u64 = 2;
 
 names!(ArgMode {
     ReadOnly => "readonly",
@@ -228,55 +221,6 @@ pub(crate) fn program_from_document(document: &Json, key: u64) -> Option<Arc<Ana
     }))
 }
 
-/// What a summary entry holds: one per-SCC table and the cone fingerprint
-/// it was stored under.  Decoding refuses a version other than
-/// [`SUMMARY_ENTRY`] and a table that does not reproduce the stored digest.
-struct SummaryEntry {
-    cone: u64,
-    table: SummaryTable,
-}
-
-/// The content digest of a summary table: the checksum of its encoding,
-/// which sorts its keys and so is the same whatever map produced it.
-fn table_digest(table: &HashMap<String, ProcSummary>) -> u64 {
-    segment::checksum(table.to_json().encode().as_bytes())
-}
-
-record!(SummaryEntry: |entry| {
-    "v" => v: u64 = &SUMMARY_ENTRY,
-    "fingerprint" => cone as Hex = &entry.cone,
-    "digest" => digest: u64 as Hex = &table_digest(&entry.table),
-    "summaries" => table: HashMap<String, ProcSummary> = &*entry.table,
-} => {
-    if v != SUMMARY_ENTRY {
-        return Err("unknown summary entry version".to_string());
-    }
-    if table_digest(&table) != digest {
-        return Err("the decoded summaries do not reproduce their digest".to_string());
-    }
-    SummaryEntry { cone, table: Arc::new(table) }
-});
-
-/// The document of one per-SCC summary table, bound to the cone
-/// fingerprint it is stored under and to a digest of its own content so
-/// [`summaries_from_document`] can refuse a relabeled or tampered one.
-pub(crate) fn summaries_document(table: &SummaryTable, cone: u64) -> Json {
-    SummaryEntry {
-        cone,
-        table: table.clone(),
-    }
-    .to_json()
-}
-
-/// Decode a summary entry, refusing anything that was not stored under
-/// `key` or whose content fails to reproduce its digest — the same trust
-/// model as [`program_from_document`], so a disk-corrupt or peer-supplied
-/// document that was not encoded for exactly this cone degrades to a miss.
-pub(crate) fn summaries_from_document(document: &Json, key: u64) -> Option<SummaryTable> {
-    let entry = SummaryEntry::from_json(document).ok()?;
-    (entry.cone == key).then_some(entry.table)
-}
-
 /// The document in the body of a segment entry, if the bytes hold one.
 pub(crate) fn parse(body: &[u8]) -> Option<Json> {
     Json::parse(std::str::from_utf8(body).ok()?).ok()
@@ -286,11 +230,10 @@ pub(crate) fn parse(body: &[u8]) -> Option<Json> {
 mod tests {
     use super::*;
     use crate::service::wire::mutation::mutants;
-    use std::collections::BTreeMap;
 
-    /// The strictness pass the protocol's own samples go through, over one
-    /// body of each kind from the golden corpus: an entry has no optional
-    /// and no untyped member, so every damaged document is a miss.
+    /// The strictness pass the protocol's own samples go through, over a
+    /// body from the golden corpus: an entry has no optional and no
+    /// untyped member, so every damaged document is a miss.
     #[test]
     fn every_damaged_entry_body_is_a_miss() {
         let engine = crate::Engine::default();
@@ -300,18 +243,6 @@ mod tests {
         assert!(program_from_document(&program, entry.fingerprint).is_some());
         for mutant in mutants(&program, &[], &[]) {
             let decoded = program_from_document(&mutant.document, entry.fingerprint);
-            assert!(decoded.is_none(), "{} still decodes", mutant.path());
-        }
-
-        let summaries = engine.store().summaries();
-        let cone = *summaries
-            .keys()
-            .first()
-            .expect("the analysis stored a table");
-        let table = summaries_document(&summaries.peek(cone).unwrap(), cone);
-        assert!(summaries_from_document(&table, cone).is_some());
-        for mutant in mutants(&table, &[], &[]) {
-            let decoded = summaries_from_document(&mutant.document, cone);
             assert!(decoded.is_none(), "{} still decodes", mutant.path());
         }
     }
@@ -333,62 +264,5 @@ mod tests {
         assert!(shared(&entry.analysis), "`i := …` leaves the state alone");
         assert!(!shared(&decoded.analysis));
         assert_eq!(decoded.analysis.digest(), entry.analysis.digest());
-    }
-
-    fn sample_table() -> SummaryTable {
-        let mut table = HashMap::new();
-        table.insert(
-            "main".to_string(),
-            ProcSummary {
-                name: "main".to_string(),
-                handle_args: BTreeMap::from([
-                    ("t".to_string(), ArgMode::StructUpdate),
-                    ("u".to_string(), ArgMode::ReadOnly),
-                ]),
-                arg_modes: vec![Some(ArgMode::StructUpdate), None, Some(ArgMode::ReadOnly)],
-            },
-        );
-        Arc::new(table)
-    }
-
-    #[test]
-    fn summary_entries_round_trip_under_their_own_key() {
-        let document = summaries_document(&sample_table(), 0xfeed);
-        let table = summaries_from_document(&document, 0xfeed).expect("round trip");
-        assert_eq!(table.len(), 1);
-        assert_eq!(table["main"].arg_modes, sample_table()["main"].arg_modes);
-        assert_eq!(parse(document.encode().as_bytes()), Some(document));
-    }
-
-    /// A well-formed document encoded for one cone must not be admitted
-    /// under another key — this is what stops a peer (or a mislabeled
-    /// disk entry) from answering any requested cone with a table it
-    /// happens to hold.
-    #[test]
-    fn summary_entries_are_bound_to_their_cone_fingerprint() {
-        let document = summaries_document(&sample_table(), 0xfeed);
-        assert!(summaries_from_document(&document, 0xbeef).is_none());
-        assert!(summaries_from_document(&document, 0xfeed).is_some());
-    }
-
-    /// Edited content without a recomputed digest is refused: the
-    /// canonical re-encoding of the decoded table no longer reproduces
-    /// the embedded digest.
-    #[test]
-    fn tampered_summary_content_fails_its_digest() {
-        let text = summaries_document(&sample_table(), 0xfeed).encode();
-        let forged = text.replace("\"main\"", "\"evil\"");
-        assert_ne!(forged, text, "the tamper must have changed something");
-        let forged = parse(forged.as_bytes()).expect("still a document");
-        assert!(summaries_from_document(&forged, 0xfeed).is_none());
-    }
-
-    #[test]
-    fn unknown_summary_entry_versions_are_refused() {
-        let text = summaries_document(&sample_table(), 1)
-            .encode()
-            .replace("\"v\":2", "\"v\":1");
-        let older = parse(text.as_bytes()).expect("still a document");
-        assert!(summaries_from_document(&older, 1).is_none());
     }
 }

@@ -17,6 +17,12 @@
 //!   raw material of incremental re-analysis), and [`Namespace::Product`]
 //!   (what parallelization derives from a program, keyed by program
 //!   fingerprint) each get their own capacity and counters;
+//! * **one tiered namespace** — only whole programs live below memory
+//!   (the disk tier, then the peer ring): an entry costs about a
+//!   millisecond to recompute.  The other three are plain in-memory memos
+//!   read with `get` and filled with `insert`; a summary table in
+//!   particular is a 2 µs syntactic pass, less than the 4.8 µs a segment
+//!   read of one cost or the 80 µs a peer's answer did;
 //! * **lock-striped** — each namespace is a [`NamespaceCache`] of
 //!   independently locked stripes, so the store serves however many
 //!   connection threads call into it without a global lock;
@@ -38,10 +44,11 @@ pub mod namespace;
 pub mod segment;
 
 pub use crate::peer::{PeerConfig, PeerRing, PeerStats};
-pub use durable::{DiskStats, DurableConfig, DurableTier, NS_PROGRAM, NS_SUMMARY};
+pub use durable::{DiskStats, DurableConfig, DurableTier};
 pub use namespace::{CacheStats, NamespaceCache, NamespaceStats, DEFAULT_STRIPES};
 
 use crate::service::json::Json;
+use crate::service::proto::PeerNamespace;
 use crate::AnalyzedProgram;
 use sil_analysis::{ProcSummary, WalkRecord};
 use std::collections::HashMap;
@@ -211,8 +218,8 @@ pub struct SummaryStore {
     /// Memory-only like `walks`, and sized like `programs`: one product per
     /// program.
     products: NamespaceCache<Arc<ParallelProduct>>,
-    /// The disk tier under `programs`/`summaries` (walk records are
-    /// cheap-to-rebuild replay tapes and stay memory-only).
+    /// The disk tier under `programs`, the one namespace with tiers below
+    /// memory.
     durable: Option<DurableTier>,
     /// The peering tier under the disk tier — attached once, after
     /// construction, by the daemon that owns the ring (the store cannot
@@ -274,7 +281,8 @@ impl SummaryStore {
         &self.programs
     }
 
-    /// The per-SCC summary namespace.
+    /// The per-SCC summary namespace (memory-only: a table missing here is
+    /// recomputed, which costs less than reading one back from any tier).
     pub fn summaries(&self) -> &NamespaceCache<SummaryTable> {
         &self.summaries
     }
@@ -312,49 +320,35 @@ impl SummaryStore {
     }
 
     /// The inventory this store advertises to peers: generation plus the
-    /// sorted resident fingerprints of the two fetchable namespaces (walk
-    /// records are derived data and are never served).
-    pub fn peer_inventory(&self) -> (u64, Vec<u64>, Vec<u64>) {
+    /// sorted resident program fingerprints (nothing else is ever served).
+    pub fn peer_inventory(&self) -> (u64, Vec<u64>) {
         self.peer_serves.fetch_add(1, Ordering::Relaxed);
-        (
-            self.generation(),
-            self.programs.keys(),
-            self.summaries.keys(),
-        )
+        (self.generation(), self.programs.keys())
     }
 
-    /// Serve one whole-program entry to a fetching peer, as the same
-    /// verifiable entry document (`store/entry.rs`) the durable tier persists.
-    /// Memory first (building the document on demand), then disk; never
-    /// recomputes.
-    pub fn peer_program_body(&self, fingerprint: u64) -> Option<Json> {
-        self.served(match self.programs.peek(fingerprint) {
-            Some(entry) => Some(entry::program_document(&entry)),
-            None => self.disk_document(NS_PROGRAM, fingerprint),
-        })
-    }
-
-    /// Serve one per-SCC summary table to a fetching peer (see
-    /// [`SummaryStore::peer_program_body`]).
-    pub fn peer_summary_body(&self, cone: u64) -> Option<Json> {
-        self.served(match self.summaries.peek(cone) {
-            Some(table) => Some(entry::summaries_document(&table, cone)),
-            None => self.disk_document(NS_SUMMARY, cone),
-        })
-    }
-
-    /// Count one answered fetch, and the bytes its body is on the wire.
-    fn served(&self, body: Option<Json>) -> Option<Json> {
+    /// Answer one `peer_fetch`.  A whole-program entry is served as the
+    /// same verifiable entry document (`store/entry.rs`) the durable tier
+    /// persists: memory first (building the document on demand), then
+    /// disk; never recomputed.  A summary table is never served — the
+    /// namespace lives in memory only — so an older daemon that still asks
+    /// for one gets the answer an evicted key gets.
+    pub fn peer_body(&self, namespace: PeerNamespace, key: u64) -> Option<Json> {
         self.peer_serves.fetch_add(1, Ordering::Relaxed);
-        let body = body?;
+        let body = match namespace {
+            PeerNamespace::Programs => match self.programs.peek(key) {
+                Some(entry) => Some(entry::program_document(&entry)),
+                None => self.disk_document(key),
+            },
+            PeerNamespace::Summaries => None,
+        }?;
         self.peer_bytes_out
             .fetch_add(body.encoded_len() as u64, Ordering::Relaxed);
         Some(body)
     }
 
     /// The entry document the disk tier holds under `key`, parsed.
-    fn disk_document(&self, namespace: u8, key: u64) -> Option<Json> {
-        let body = self.durable.as_ref()?.get(namespace, key)?;
+    fn disk_document(&self, key: u64) -> Option<Json> {
+        let body = self.durable.as_ref()?.get(key)?;
         entry::parse(&body)
     }
 
@@ -371,7 +365,7 @@ impl SummaryStore {
             .as_ref()
             .and_then(|tier| tier.pending_program(fingerprint));
         if let Some(entry) = queued.or_else(|| {
-            self.disk_document(NS_PROGRAM, fingerprint)
+            self.disk_document(fingerprint)
                 .and_then(|document| entry::program_from_document(&document, fingerprint))
         }) {
             self.programs.insert(fingerprint, entry.clone());
@@ -391,32 +385,6 @@ impl SummaryStore {
         self.programs.insert(fingerprint, entry.clone());
         if let Some(tier) = &self.durable {
             tier.put_program(fingerprint, entry);
-        }
-    }
-
-    /// Tiered per-SCC summary lookup: memory, then disk, then a verified
-    /// peer fetch, promoting lower-tier hits.
-    pub fn lookup_summaries(&self, cone: u64) -> Option<SummaryTable> {
-        if let Some(table) = self.summaries.get(cone) {
-            return Some(table);
-        }
-        if let Some(table) = self
-            .disk_document(NS_SUMMARY, cone)
-            .and_then(|document| entry::summaries_from_document(&document, cone))
-        {
-            self.summaries.insert(cone, table.clone());
-            return Some(table);
-        }
-        let table = self.peer.get()?.fetch_summaries(cone)?;
-        self.store_summaries(cone, table.clone());
-        Some(table)
-    }
-
-    /// Store a per-SCC summary table in both tiers.
-    pub fn store_summaries(&self, cone: u64, table: SummaryTable) {
-        self.summaries.insert(cone, table.clone());
-        if let Some(tier) = &self.durable {
-            tier.put_summaries(cone, table);
         }
     }
 

@@ -45,7 +45,8 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 /// Where one intact entry lives inside a segment file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntryRef {
-    /// Namespace tag byte (see `durable::NS_*`).
+    /// Namespace tag byte: 0 for a whole-program entry, the only kind the
+    /// durable tier indexes (1 was a summary table until PR 23).
     pub namespace: u8,
     /// The content-addressed key.
     pub key: u64,

@@ -5,12 +5,10 @@
 //! it dropped — and a restarted daemon serves previously analyzed
 //! programs from disk with digests byte-identical to a fresh analysis.
 
-use sil_analysis::{ArgMode, ProcSummary};
 use sil_engine::store::segment::{self, SegmentWriter};
-use sil_engine::{DurableConfig, Engine, EngineConfig, SummaryStore};
+use sil_engine::{AnalyzedProgram, DurableConfig, Engine, EngineConfig, SummaryStore};
 use sil_workloads::generator::{GeneratorConfig, ProgramGenerator};
-use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -33,24 +31,26 @@ fn generated_sources(count: u64) -> Vec<String> {
         .collect()
 }
 
-fn sample_table() -> Arc<HashMap<String, ProcSummary>> {
-    let mut table = HashMap::new();
-    table.insert(
-        "main".to_string(),
-        ProcSummary {
-            name: "main".to_string(),
-            handle_args: BTreeMap::from([
-                ("t".to_string(), ArgMode::StructUpdate),
-                ("u".to_string(), ArgMode::ReadOnly),
-            ]),
-            arg_modes: vec![Some(ArgMode::StructUpdate), None, Some(ArgMode::ReadOnly)],
-        },
-    );
-    Arc::new(table)
+/// `count` distinct analyzed programs, each to be stored under its own
+/// fingerprint (a program read back from disk is verified against its key).
+fn sample_programs(count: u64) -> Vec<Arc<AnalyzedProgram>> {
+    let engine = Engine::default();
+    generated_sources(count)
+        .iter()
+        .map(|src| engine.analyze_source(src).unwrap())
+        .collect()
 }
 
-fn durable_store(dir: &std::path::Path) -> SummaryStore {
+fn durable_store(dir: &Path) -> SummaryStore {
     SummaryStore::new(sil_engine::StoreConfig::default().with_durable(Some(DurableConfig::at(dir))))
+}
+
+fn segment_files(dir: &Path) -> Vec<PathBuf> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "sil"))
+        .collect()
 }
 
 /// The headline property: a second engine over the same data directory
@@ -88,9 +88,9 @@ fn restart_warm_engine_serves_from_disk_with_identical_digests() {
     }
     let disk = engine.store().stats().disk.expect("disk tier configured");
     assert_eq!(disk.hits, sources.len() as u64);
-    // Recovery loads the program entries *and* the per-SCC summary
-    // tables the first engine persisted alongside them.
-    assert!(disk.recovered_entries >= sources.len() as u64);
+    // What is on disk is the programs and nothing else.
+    assert_eq!(disk.recovered_entries, sources.len() as u64);
+    assert_eq!(disk.entries, sources.len() as u64);
     assert_eq!(disk.dropped_bytes, 0);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -101,19 +101,16 @@ fn restart_warm_engine_serves_from_disk_with_identical_digests() {
 #[test]
 fn torn_final_entry_is_dropped_and_the_prefix_survives() {
     let dir = temp_dir("torn");
+    let programs = sample_programs(5);
     {
         let store = durable_store(&dir);
-        for key in 1..=5u64 {
-            store.store_summaries(key, sample_table());
+        for entry in &programs {
+            store.store_program(entry.fingerprint, entry.clone());
         }
         store.flush();
     }
     // Simulate the crash: half an entry header at the end of the segment.
-    let segment = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .find(|p| p.extension().is_some_and(|ext| ext == "sil"))
-        .expect("a segment file");
+    let segment = segment_files(&dir).pop().expect("a segment file");
     let mut bytes = std::fs::read(&segment).unwrap();
     bytes.extend_from_slice(&[0x40, 0x00, 0x00]);
     std::fs::write(&segment, &bytes).unwrap();
@@ -122,11 +119,11 @@ fn torn_final_entry_is_dropped_and_the_prefix_survives() {
     let disk = store.stats().disk.unwrap();
     assert_eq!(disk.recovered_entries, 5);
     assert_eq!(disk.dropped_bytes, 3);
-    for key in 1..=5u64 {
-        let table = store
-            .lookup_summaries(key)
+    for entry in &programs {
+        let served = store
+            .lookup_program(entry.fingerprint)
             .expect("intact prefix entry must be served");
-        assert_eq!(*table, *sample_table());
+        assert_eq!(served.analysis.digest(), entry.analysis.digest());
     }
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -217,21 +214,23 @@ fn single_bit_corruption_never_panics_and_keeps_the_prefix() {
 fn clear_truncates_disk_and_discards_stale_queued_writes() {
     let dir = temp_dir("clear");
     let store = durable_store(&dir);
-    store.store_summaries(7, sample_table());
+    let programs = sample_programs(2);
+    let (flushed, queued) = (&programs[0], &programs[1]);
+    store.store_program(flushed.fingerprint, flushed.clone());
     store.flush();
-    assert!(store.lookup_summaries(7).is_some());
+    assert!(store.lookup_program(flushed.fingerprint).is_some());
 
     // Enqueue a write, then clear before it can be flushed: the write
     // must not resurrect after the clear.
-    store.store_summaries(8, sample_table());
+    store.store_program(queued.fingerprint, queued.clone());
     store.clear();
     store.flush();
 
     let disk = store.stats().disk.unwrap();
     assert_eq!(disk.entries, 0);
     assert_eq!(disk.live_bytes, 0);
-    assert!(store.lookup_summaries(7).is_none());
-    assert!(store.lookup_summaries(8).is_none());
+    assert!(store.lookup_program(flushed.fingerprint).is_none());
+    assert!(store.lookup_program(queued.fingerprint).is_none());
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -244,11 +243,13 @@ fn compaction_reclaims_mostly_dead_segments() {
     let dir = temp_dir("compact");
     let store = SummaryStore::new(
         sil_engine::StoreConfig::default()
-            .with_durable(Some(DurableConfig::at(&dir).with_segment_bytes(512))),
+            .with_durable(Some(DurableConfig::at(&dir).with_segment_bytes(64 << 10))),
     );
+    let programs = sample_programs(2);
     for _ in 0..60 {
-        store.store_summaries(1, sample_table());
-        store.store_summaries(2, sample_table());
+        for entry in &programs {
+            store.store_program(entry.fingerprint, entry.clone());
+        }
         store.flush();
     }
     let disk = store.stats().disk.unwrap();
@@ -259,8 +260,10 @@ fn compaction_reclaims_mostly_dead_segments() {
         "dead segments must be deleted (still {} on disk)",
         disk.segments
     );
-    assert!(store.lookup_summaries(1).is_some());
-    assert!(store.lookup_summaries(2).is_some());
+    store.programs().clear();
+    for entry in &programs {
+        assert!(store.lookup_program(entry.fingerprint).is_some());
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -271,16 +274,18 @@ fn byte_budget_evicts_cold_entries() {
     let dir = temp_dir("budget");
     let store = SummaryStore::new(
         sil_engine::StoreConfig::default()
-            .with_durable(Some(DurableConfig::at(&dir).with_byte_budget(1024))),
+            .with_durable(Some(DurableConfig::at(&dir).with_byte_budget(64 << 10))),
     );
+    // Never read back, so one body under 64 keys will do.
+    let entry = sample_programs(1).remove(0);
     for key in 1..=64u64 {
-        store.store_summaries(key, sample_table());
+        store.store_program(key, entry.clone());
     }
     store.flush();
     let disk = store.stats().disk.unwrap();
     assert!(disk.evictions > 0, "the budget must shed entries");
-    assert!(disk.live_bytes <= 1024);
-    assert!(disk.entries < 64);
+    assert!(disk.live_bytes <= 64 << 10);
+    assert!(disk.entries > 0 && disk.entries < 64, "{disk:?}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -294,7 +299,68 @@ fn unopenable_data_dir_degrades_to_memory_only() {
     std::fs::write(&file, b"occupied").unwrap();
     let store = durable_store(&file.join("sub"));
     assert!(store.stats().disk.is_none());
-    store.store_summaries(1, sample_table());
-    assert!(store.lookup_summaries(1).is_some());
+    let entry = sample_programs(1).remove(0);
+    store.store_program(entry.fingerprint, entry.clone());
+    assert!(store.lookup_program(entry.fingerprint).is_some());
     let _ = std::fs::remove_file(&file);
+}
+
+/// A data directory as a build before PR 23 left it: beside the program
+/// there is a summary table under tag 1, and (for good measure) an entry
+/// under a tag no build ever wrote.  Both are intact entries, so they are
+/// not a torn tail: opening neither panics nor truncates.  They are simply
+/// not indexed — dead bytes the next compaction of the segment reclaims.
+#[test]
+fn entries_under_other_tags_are_skipped_and_compacted_away() {
+    let dir = temp_dir("foreign");
+    let entry = sample_programs(1).remove(0);
+    {
+        let store = durable_store(&dir);
+        store.store_program(entry.fingerprint, entry.clone());
+        store.flush();
+    }
+    let segment = segment_files(&dir).pop().expect("a segment file");
+    let program_bytes = std::fs::metadata(&segment).unwrap().len();
+    let mut writer = SegmentWriter::recover(&segment, program_bytes).unwrap();
+    let table = br#"{"v":2,"fingerprint":"000000000000feed","digest":"00000000000000aa","summaries":{"main":{"name":"main","handle_args":{},"arg_modes":[]}}}"#;
+    writer.append(1, 0xfeed, table).unwrap();
+    writer.append(9, 0xbeef, b"from no version").unwrap();
+    let with_foreign = writer.len();
+    drop(writer);
+
+    // One-byte segments: the next append seals the recovered segment.
+    let store = SummaryStore::new(
+        sil_engine::StoreConfig::default()
+            .with_durable(Some(DurableConfig::at(&dir).with_segment_bytes(1))),
+    );
+    let disk = store.stats().disk.expect("the tier opened");
+    assert_eq!(disk.entries, 1, "only the program is indexed");
+    assert_eq!(disk.recovered_entries, 1);
+    assert_eq!(disk.dropped_bytes, 0, "intact entries are not a torn tail");
+    assert_eq!(disk.live_bytes, program_bytes - segment::MAGIC.len() as u64);
+    assert_eq!(std::fs::metadata(&segment).unwrap().len(), with_foreign);
+    let served = store
+        .lookup_program(entry.fingerprint)
+        .expect("the program is served from disk");
+    assert_eq!(served.analysis.digest(), entry.analysis.digest());
+    assert_eq!(store.stats().disk.unwrap().hits, 1);
+
+    // The rewrite lands in the recovered segment and seals it.  More than
+    // half of it is now dead (the older copy and the foreign entries), so
+    // compaction folds the live copy forward and deletes the file.
+    store.store_program(entry.fingerprint, served);
+    store.flush();
+    let disk = store.stats().disk.unwrap();
+    assert!(disk.compactions > 0);
+    assert_eq!(disk.entries, 1);
+    assert!(!segment.exists(), "the sealed segment was reclaimed");
+    let on_disk: u64 = segment_files(&dir)
+        .iter()
+        .map(|p| std::fs::metadata(p).unwrap().len())
+        .sum();
+    assert_eq!(on_disk, program_bytes, "what is left is the program");
+    store.programs().clear();
+    assert!(store.lookup_program(entry.fingerprint).is_some());
+
+    let _ = std::fs::remove_dir_all(&dir);
 }

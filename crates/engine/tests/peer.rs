@@ -1,4 +1,4 @@
-//! Integration tests of summary-cache peering: small clusters of daemons
+//! Integration tests of program-cache peering: small clusters of daemons
 //! on temp unix sockets gossiping inventories and serving each other's
 //! cache misses — plus the failure half (breaker trips, kill -9'd peers,
 //! half-open connections, loop prevention).
@@ -69,12 +69,10 @@ fn cold_daemon_serves_peer_hits_without_recomputing() {
     let cold_service = Engine::default();
     let ring = test_ring(&cold_service, vec![warm_handle.addr().clone()]);
     ring.gossip_once();
-    // The inventory advertises summary fingerprints alongside the 3
-    // programs, so the known-key count is a floor, not an exact figure.
-    assert!(
-        ring.stats(0, 0).known_keys >= 3,
-        "gossip learned the keys: {:?}",
-        ring.stats(0, 0)
+    assert_eq!(
+        ring.stats(0, 0).known_keys,
+        3,
+        "gossip learned the three programs and nothing else"
     );
 
     for (src, want) in sources.iter().zip(&warm_digests) {
@@ -234,6 +232,66 @@ fn survivor_keeps_serving_after_a_peer_is_killed_dash_nine() {
     let _ = std::fs::remove_file(&sock);
 }
 
+/// What a program no daemon has seen costs a peered engine: one ask per
+/// peer, for the program.  Its SCC summary tables are computed in place —
+/// the ring is never asked for one.
+#[test]
+fn a_never_seen_program_costs_one_ask_per_peer() {
+    let (warm_service, warm_handle) = spawn_daemon("oneask-warm");
+    let (idle_service, idle_handle) = spawn_daemon("oneask-idle");
+    analyze(&warm_service, &Workload::TreeSum.source(4));
+
+    let service = Engine::default();
+    let ring = test_ring(
+        &service,
+        vec![warm_handle.addr().clone(), idle_handle.addr().clone()],
+    );
+    ring.gossip_once();
+    let serves = |peer: &Engine| peer.store().stats().peer.expect("it served").serves;
+    let before = (serves(&warm_service), serves(&idle_service));
+
+    let summary = analyze(&service, &Workload::ListSum.source(5));
+    assert!(!summary.cache_hit, "neither peer holds it");
+    let stats = service.store().stats();
+    assert!(
+        stats.summaries.totals.insertions > 0,
+        "tables were computed"
+    );
+    let peer = stats.peer.expect("peer stats");
+    assert_eq!((peer.hits, peer.misses), (0, 1), "{peer:?}");
+    assert_eq!(serves(&warm_service), before.0 + 1);
+    assert_eq!(serves(&idle_service), before.1 + 1);
+
+    warm_handle.shutdown();
+    idle_handle.shutdown();
+}
+
+/// Summary tables left the peer protocol without moving the wire: the
+/// `summaries` list of an inventory is always empty, so a daemon from
+/// before PR 23 never asks for one, and a `peer_fetch` for one is answered
+/// as an absent key is — even while the table sits in this daemon's memory.
+#[test]
+fn a_summaries_fetch_is_answered_like_an_absent_program() {
+    let service = Engine::default();
+    analyze(&service, &Workload::TreeSum.source(4));
+    let cone = *service
+        .store()
+        .summaries()
+        .keys()
+        .first()
+        .expect("the analysis memoized a table");
+
+    let inventory = service.call(Request::peer_inventory()).encode();
+    assert!(inventory.contains(r#""summaries":[]"#), "{inventory}");
+    let table = service.call(Request::peer_fetch(PeerNamespace::Summaries, cone));
+    let absent = service.call(Request::peer_fetch(PeerNamespace::Programs, cone));
+    assert!(matches!(&table, Response::PeerEntry { body: None, .. }));
+    assert_eq!(
+        table.encode(),
+        absent.encode().replace("programs", "summaries")
+    );
+}
+
 /// Loop prevention: a daemon answers `peer_fetch` from its own store
 /// only.  A cold daemon with a warm peer of its own must answer a miss —
 /// never forward the fetch around the ring.
@@ -375,65 +433,6 @@ fn half_open_peer_fails_within_the_deadline_naming_it() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// The trust model, adversarially: a peer that answers a summary fetch
-/// with a *forged* table — well-formed JSON, but encoded for a different
-/// cone (or with a digest its content does not reproduce) — is refused.
-/// The fetch degrades to a miss; nothing is admitted to the store.
-#[test]
-fn forged_summary_bodies_from_a_lying_peer_are_refused() {
-    let Addr::Unix(path) = temp_socket("liar") else {
-        unreachable!()
-    };
-    let requested_key: u64 = 0x00c0_ffee;
-    let other_cone: u64 = 0x0bad_cafe;
-    // A minimal daemon that speaks just enough protocol to lie: every
-    // request line is answered with a peer_entry holding an empty-but-
-    // well-formed summary table that was encoded for a *different* cone.
-    let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
-    let liar = std::thread::spawn(move || {
-        use std::io::{BufRead, BufReader, Write};
-        let (stream, _) = listener.accept().unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut stream = stream;
-        let mut line = String::new();
-        while reader.read_line(&mut line).is_ok_and(|n| n > 0) {
-            let forged = Json::obj(vec![
-                ("v", Json::Int(2)),
-                ("fingerprint", json::hex64(other_cone)),
-                ("digest", json::hex64(0)),
-                ("summaries", Json::Arr(vec![])),
-            ]);
-            let reply =
-                Response::peer_entry(PeerNamespace::Summaries, requested_key, 0, Some(forged));
-            if stream
-                .write_all(format!("{}\n", reply.encode()).as_bytes())
-                .is_err()
-            {
-                break;
-            }
-            line.clear();
-        }
-    });
-
-    let service = Engine::default();
-    let ring = test_ring(&service, vec![Addr::Unix(path.clone())]);
-    assert!(
-        ring.fetch_summaries(requested_key).is_none(),
-        "a table encoded for another cone must not be admitted"
-    );
-    let stats = ring.stats(0, 0);
-    assert_eq!(stats.hits, 0, "a refused forgery is not a hit: {stats:?}");
-    assert_eq!(stats.misses, 1);
-    assert!(stats.bytes_in > 0, "the reply line itself was metered");
-
-    // The store holds the other Arc of the ring; drop both so the cached
-    // connection closes and the liar's read loop ends.
-    drop(ring);
-    drop(service);
-    liar.join().unwrap();
-    let _ = std::fs::remove_file(&path);
-}
-
 /// A peer that answers with bytes and never a newline — fast enough that
 /// no single read times out — cannot grow the fetching daemon without
 /// limit: the reply is refused at the protocol's 64 MiB line bound with a
@@ -518,14 +517,20 @@ fn an_endless_reply_from_a_lying_peer_is_refused_at_the_line_bound() {
 /// implementation, say) that writes `"body":null` where this build leaves
 /// the member out means the same thing — "I no longer have it" — and
 /// loses that one stale advertisement, not a failed verification.
+///
+/// The peer here also does what a daemon older than PR 23 may: it lists
+/// summary tables in its inventory, which count for nothing, and answers
+/// its first program fetch with a table-shaped body, which is refused
+/// like any other document that is not the program asked for.
 #[test]
 fn a_null_body_from_a_peer_forgets_the_advertised_key() {
     let Addr::Unix(path) = temp_socket("nullbody") else {
         unreachable!()
     };
     let key: u64 = 0x00c0_ffee;
-    // A minimal daemon: it advertises `key`, then answers the fetch for
-    // it with a null body under the same generation.
+    // A minimal daemon: it advertises `key` and two tables, answers the
+    // first fetch with a table, then every later one with a null body
+    // under the same generation.
     let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
     let evictor = std::thread::spawn(move || {
         use std::io::{BufRead, BufReader, Write};
@@ -533,10 +538,21 @@ fn a_null_body_from_a_peer_forgets_the_advertised_key() {
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut stream = stream;
         let mut line = String::new();
+        let mut fetches = 0;
         while reader.read_line(&mut line).is_ok_and(|n| n > 0) {
             let reply = match Request::decode(line.trim_end()).unwrap() {
                 Request::PeerInventory { .. } => {
-                    Response::peer_inventory(4, vec![key], vec![]).encode()
+                    Response::peer_inventory(4, vec![key], vec![0xfeed, 0xbeef]).encode()
+                }
+                Request::PeerFetch { .. } if fetches == 0 => {
+                    fetches += 1;
+                    let table = Json::obj(vec![
+                        ("v", Json::Int(2)),
+                        ("fingerprint", json::hex64(key)),
+                        ("digest", json::hex64(0)),
+                        ("summaries", Json::Arr(vec![])),
+                    ]);
+                    Response::peer_entry(PeerNamespace::Programs, key, 4, Some(table)).encode()
                 }
                 Request::PeerFetch { .. } => format!(
                     "{{\"protocol_version\":2,\"type\":\"peer_entry\",\"namespace\":\"programs\",\
@@ -554,14 +570,30 @@ fn a_null_body_from_a_peer_forgets_the_advertised_key() {
     let service = Engine::default();
     let ring = test_ring(&service, vec![Addr::Unix(path.clone())]);
     ring.gossip_once();
-    assert_eq!(ring.stats(0, 0).known_keys, 1, "gossip learned the key");
+    assert_eq!(
+        ring.stats(0, 0).known_keys,
+        1,
+        "gossip learned the program; the advertised tables are ignored"
+    );
+    assert!(
+        ring.fetch_program(key).is_none(),
+        "a table is not the program asked for"
+    );
+    let stats = ring.stats(0, 0);
+    assert_eq!((stats.hits, stats.misses), (0, 1), "{stats:?}");
+    assert_eq!(stats.known_keys, 1, "a refused body is not an eviction");
+    assert!(
+        service.store().programs().is_empty(),
+        "nothing was admitted"
+    );
+
     assert!(ring.fetch_program(key).is_none(), "nothing to admit");
     let stats = ring.stats(0, 0);
     assert_eq!(
         stats.known_keys, 0,
         "an evicted entry's advertisement is dropped: {stats:?}"
     );
-    assert_eq!(stats.misses, 1);
+    assert_eq!(stats.misses, 2);
     assert_eq!(stats.quarantines, 0, "a clean miss is not a fault");
 
     drop(ring);
