@@ -32,6 +32,15 @@
 //!   verifier violations), keyed by the program fingerprint, so a warm
 //!   [`Engine::process`] packs and verifies nothing.
 //!
+//! In front of the program namespace sits a source-text memo
+//! ([`SummaryStore::sources`]): the exact bytes of a request's source,
+//! keyed by their FNV-1a hash, with the fingerprint the front end derived
+//! from them.  A byte-identical repeat goes straight to the program lookup
+//! and pays no parse and no fingerprint — [`Engine::analyze_source_traced`]
+//! is the one entry point that consults it, for `analyze` and `process`
+//! alike.  A hit needs byte equality, never only the hash, so a collision
+//! cannot serve one program's analysis for another's text.
+//!
 //! An [`Engine`] is a *view* over an `Arc<SummaryStore>`: it holds no cache
 //! and no lock of its own, so one engine serves every connection of a
 //! daemon, and engines built with [`Engine::with_store`] over one store
@@ -83,7 +92,7 @@ use sil_analysis::{
     analyze_program_planned, compute_scc_summaries, AnalysisResult, AnalysisSnapshot,
     AnalyzeOptions, CallPlan, IncrementalStats, ProcSummary, WalkRecord,
 };
-use sil_lang::hash::program_fingerprint;
+use sil_lang::hash::{fnv1a, program_fingerprint_and_len};
 use sil_lang::types::ProgramTypes;
 use sil_lang::{frontend, pretty_program, Program, SilError};
 use sil_parallelizer::{pack_program_with_analysis, verify_parallel_program, PackOptions};
@@ -218,24 +227,30 @@ pub struct AnalyzedProgram {
 
 /// A program that passed the front end, paired with the content
 /// fingerprint that addresses everything the store derives from it.  The
-/// fingerprint is computed here and nowhere else on a request's path, so a
-/// request pays for one front-end pass and one hash however many layers
-/// (the program namespace, the product namespace) key off it — and no
-/// caller can file an entry under a fingerprint that is not its content's.
+/// fingerprint is computed here and nowhere else, so no caller can file an
+/// entry under a fingerprint that is not its content's.  A request pays
+/// for at most one front-end pass and one hash however many layers (the
+/// program namespace, the product namespace) key off it, and for none when
+/// its text is an exact repeat the store's source memo holds: the memo
+/// only remembers what a `Normalized` computed.
 #[derive(Debug)]
 pub struct Normalized {
     program: Program,
     types: ProgramTypes,
     fingerprint: u64,
+    /// Byte length of the canonical rendering the fingerprint hashes.
+    canonical_len: usize,
 }
 
 impl Normalized {
     /// Fingerprint an already-normalized, type-checked program.
     pub fn new(program: Program, types: ProgramTypes) -> Normalized {
+        let (fingerprint, canonical_len) = program_fingerprint_and_len(&program);
         Normalized {
-            fingerprint: program_fingerprint(&program),
             program,
             types,
+            fingerprint,
+            canonical_len,
         }
     }
 
@@ -363,16 +378,19 @@ impl StoreView {
     }
 }
 
-/// Fold a [`StoreStats`] snapshot into `raw` as `store.*` counters and
-/// gauges, making the store's authoritative numbers (including
-/// evictions, which no engine view can see) part of one `Metrics`
-/// response.
-fn export_store_metrics(stats: &StoreStats, raw: &mut RawMetrics) {
+/// Fold a [`StoreStats`] snapshot and the source memo's counters into
+/// `raw` as `store.*` counters and gauges, making the store's
+/// authoritative numbers (including evictions, which no engine view can
+/// see) part of one `Metrics` response.
+fn export_store_metrics(store: &SummaryStore, raw: &mut RawMetrics) {
+    let stats = store.stats();
+    let sources = store.sources().stats();
     for (name, namespace) in [
         ("programs", &stats.programs),
         ("summaries", &stats.summaries),
         ("walks", &stats.walks),
         ("products", &stats.products),
+        ("sources", &sources),
     ] {
         raw.push_counter(&format!("store.{name}.hits"), namespace.totals.hits);
         raw.push_counter(&format!("store.{name}.misses"), namespace.totals.misses);
@@ -519,7 +537,7 @@ impl Engine {
     /// entries, the `analysis.*` gauges and the tracer's `trace.*` counters.
     pub fn metrics_raw(&self) -> RawMetrics {
         let mut raw = self.registry.collect();
-        export_store_metrics(&self.store.stats(), &mut raw);
+        export_store_metrics(&self.store, &mut raw);
         export_analysis_metrics(&mut raw);
         if let Some(ring) = self.store.peers() {
             raw.push_histogram("store.peer.fetch_us", &ring.fetch_us());
@@ -550,11 +568,46 @@ impl Engine {
 
     /// Like [`Engine::analyze_source`], also reporting whether the program
     /// namespace served the request.
+    ///
+    /// The one front door of every request that carries source text: a
+    /// text the store's source memo holds byte for byte goes straight to
+    /// the program lookup under the fingerprint filed for it, without a
+    /// front-end pass; any other text is parsed and then filed, when it is
+    /// no longer than its canonical rendering.  Either way the request
+    /// makes exactly one program lookup.
     pub fn analyze_source_traced(
         &self,
         src: &str,
     ) -> Result<(Arc<AnalyzedProgram>, bool), EngineError> {
-        Ok(self.analyze(Normalized::parse(&self.tracer, src)?))
+        let key = fnv1a(src.as_bytes());
+        let filed = {
+            let _span = self.tracer.start("source-lookup");
+            self.store.filed_fingerprint(key, src)
+        };
+        let Some(fingerprint) = filed else {
+            let normalized = Normalized::parse(&self.tracer, src)?;
+            if src.len() <= normalized.canonical_len {
+                self.store.file_source(key, src, normalized.fingerprint);
+            }
+            return Ok(self.analyze(normalized));
+        };
+        // Debug builds check what the memo rests on: the front end maps
+        // the filed text to the filed fingerprint.
+        if cfg!(debug_assertions) {
+            assert_eq!(
+                frontend(src)
+                    .ok()
+                    .map(|(program, types)| Normalized::new(program, types).fingerprint),
+                Some(fingerprint),
+                "a filed source no longer yields its filed fingerprint"
+            );
+        }
+        if let Some(hit) = self.lookup(fingerprint) {
+            return Ok((hit, true));
+        }
+        // The program left every tier: analyze it without asking them again.
+        let normalized = Normalized::parse(&self.tracer, src)?;
+        Ok((self.analyze_miss(normalized), false))
     }
 
     /// Analyze a program that already went through the front end, also
@@ -567,20 +620,34 @@ impl Engine {
     /// same store — so an edited variant of a cached program only
     /// re-analyzes the edit's stale cone.
     pub fn analyze(&self, normalized: Normalized) -> (Arc<AnalyzedProgram>, bool) {
-        let Normalized {
-            program,
-            types,
-            fingerprint,
-        } = normalized;
+        match self.lookup(normalized.fingerprint) {
+            Some(hit) => (hit, true),
+            None => (self.analyze_miss(normalized), false),
+        }
+    }
+
+    /// The tiered program lookup (memory, disk, peers), counted in this
+    /// engine's view.
+    fn lookup(&self, fingerprint: u64) -> Option<Arc<AnalyzedProgram>> {
         let looked_up = {
             let _span = self.tracer.start("store-lookup");
             self.store.lookup_program(fingerprint)
         };
-        if let Some(hit) = looked_up {
-            self.view.programs.hit();
-            return (hit, true);
+        match &looked_up {
+            Some(_) => self.view.programs.hit(),
+            None => self.view.programs.miss(),
         }
-        self.view.programs.miss();
+        looked_up
+    }
+
+    /// Analyze a program every tier missed, and file the result.
+    fn analyze_miss(&self, normalized: Normalized) -> Arc<AnalyzedProgram> {
+        let Normalized {
+            program,
+            types,
+            fingerprint,
+            ..
+        } = normalized;
         // The call graph, its schedule and the cone fingerprints: computed
         // here once, for the summary pass, the walk lookup and the fixpoint.
         let (plan, summaries) = {
@@ -640,7 +707,7 @@ impl Engine {
         }
         self.view.programs.insertion();
         self.store.store_program(fingerprint, entry.clone());
-        (entry, false)
+        entry
     }
 
     /// The walk records the store retains for `cones`, as one snapshot to
@@ -701,17 +768,20 @@ impl Engine {
         }
     }
 
-    /// [`Engine::analyze`] for the paths that go on to answer with the
-    /// analysis digest: a fresh analysis renders it here (it is memoized
-    /// from then on), under a `digest` span, so a cold request's trace
-    /// accounts for the rendering instead of showing a gap.
-    pub(crate) fn analyze_digested(&self, normalized: Normalized) -> (Arc<AnalyzedProgram>, bool) {
-        let (entry, cache_hit) = self.analyze(normalized);
+    /// [`Engine::analyze_source_traced`] for the paths that go on to answer
+    /// with the analysis digest: a fresh analysis renders it here (it is
+    /// memoized from then on), under a `digest` span, so a cold request's
+    /// trace accounts for the rendering instead of showing a gap.
+    pub(crate) fn analyze_digested(
+        &self,
+        src: &str,
+    ) -> Result<(Arc<AnalyzedProgram>, bool), EngineError> {
+        let (entry, cache_hit) = self.analyze_source_traced(src)?;
         if !cache_hit {
             let _span = self.tracer.start("digest");
             entry.analysis.digest();
         }
-        (entry, cache_hit)
+        Ok((entry, cache_hit))
     }
 
     /// Argument-mode summaries for every procedure, reusing cached per-SCC
@@ -809,8 +879,7 @@ impl Engine {
         src: &str,
         options: &ProcessOptions,
     ) -> Result<ProgramReport, EngineError> {
-        let normalized = Normalized::parse(&self.tracer, src)?;
-        let (entry, cache_hit) = self.analyze_digested(normalized);
+        let (entry, cache_hit) = self.analyze_digested(src)?;
         let analysis = &entry.analysis;
         let structure = analysis
             .procedure("main")

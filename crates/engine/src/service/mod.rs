@@ -30,7 +30,7 @@ pub use server::{Server, ServerHandle, ServerOptions};
 
 use crate::report::{ProcessOptions, ProgramReport};
 use crate::store::StoreStats;
-use crate::{AnalyzedProgram, Engine, EngineConfig, EngineError, EngineStats, Normalized};
+use crate::{AnalyzedProgram, Engine, EngineConfig, EngineStats};
 use sil_lang::{frontend, program_fingerprint};
 use silobs::{HistorySample, MetricsSnapshot, RawMetrics, TraceContext, Tracer};
 use std::path::PathBuf;
@@ -170,12 +170,9 @@ impl Engine {
 
     fn dispatch(&self, request: Request) -> Response {
         match request {
-            Request::Analyze { source, .. } => match Normalized::parse(self.tracer(), &source) {
-                Ok(normalized) => {
-                    let (entry, cache_hit) = self.analyze_digested(normalized);
-                    Response::analyzed(summarize(&entry, cache_hit))
-                }
-                Err(e) => Response::error((&EngineError::from(e)).into()),
+            Request::Analyze { source, .. } => match self.analyze_digested(&source) {
+                Ok((entry, cache_hit)) => Response::analyzed(summarize(&entry, cache_hit)),
+                Err(e) => Response::error((&e).into()),
             },
             Request::Process {
                 source, options, ..

@@ -432,7 +432,7 @@ fn handle_line(
     counters.requests.incr();
     silobs::with_request(id, || {
         let decoded = {
-            let _span = counters.tracer.start("parse");
+            let _span = counters.tracer.start("decode");
             Request::decode(line)
         };
         let (response, shutdown) = match decoded {
@@ -589,7 +589,7 @@ mod tests {
             .filter(|span| span.request == id)
             .map(|span| span.name.as_ref())
             .collect();
-        assert_eq!(names, vec!["parse", "serve", "encode"]);
+        assert_eq!(names, vec!["decode", "serve", "encode"]);
     }
 
     /// A service call outlasting `--slow-us` lands its span tree in the

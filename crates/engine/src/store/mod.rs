@@ -23,6 +23,16 @@
 //!   read with `get` and filled with `insert`; a summary table in
 //!   particular is a 2 µs syntactic pass, less than the 4.8 µs a segment
 //!   read of one cost or the 80 µs a peer's answer did;
+//! * **a source-text memo in front** — [`SummaryStore::sources`] maps the
+//!   exact bytes of a request's source to the program fingerprint the
+//!   front end derived from them, so an exact repeat skips parsing and
+//!   fingerprinting.  It is keyed by FNV-1a of the raw text, which anyone
+//!   can collide, so a hit needs byte equality, never only the key.  It
+//!   holds a text only when it is no longer than its program's canonical
+//!   rendering, so it never holds more bytes than the canonical forms of
+//!   programs the store has analyzed.  Memory-only, sized like `programs`,
+//!   and not a [`Namespace`]: a [`StoreStats`] reply does not carry it, and
+//!   it reports as the `store.sources.*` metrics;
 //! * **lock-striped** — each namespace is a [`NamespaceCache`] of
 //!   independently locked stripes, so the store serves however many
 //!   connection threads call into it without a global lock;
@@ -206,6 +216,14 @@ impl ParallelProduct {
     }
 }
 
+/// A request text the front end accepted and the program fingerprint it
+/// produced (the value type of [`SummaryStore::sources`]).
+#[derive(Debug)]
+pub struct FiledSource {
+    text: Box<str>,
+    fingerprint: u64,
+}
+
 /// The unified content-addressed store.  One instance is shared (via
 /// `Arc`) by every engine that should see the same summaries; a `sild`
 /// daemon's one engine serves every connection from it.
@@ -218,6 +236,10 @@ pub struct SummaryStore {
     /// Memory-only like `walks`, and sized like `programs`: one product per
     /// program.
     products: NamespaceCache<Arc<ParallelProduct>>,
+    /// Request texts the front end accepted, keyed by FNV-1a of the text:
+    /// memory-only, sized like `programs`, and not a [`Namespace`] — its
+    /// key addresses bytes, not program content.
+    sources: NamespaceCache<Arc<FiledSource>>,
     /// The disk tier under `programs`, the one namespace with tiers below
     /// memory.
     durable: Option<DurableTier>,
@@ -262,6 +284,7 @@ impl SummaryStore {
             summaries: NamespaceCache::with_stripes(config.summary_capacity, config.stripes),
             walks: NamespaceCache::with_stripes(config.walk_capacity, config.stripes),
             products: NamespaceCache::with_stripes(config.program_capacity, config.stripes),
+            sources: NamespaceCache::with_stripes(config.program_capacity, config.stripes),
             config,
         }
     }
@@ -296,6 +319,34 @@ impl SummaryStore {
     /// to disk or served to peers).
     pub fn products(&self) -> &NamespaceCache<Arc<ParallelProduct>> {
         &self.products
+    }
+
+    /// The source-text memo in front of the program namespace (its
+    /// counters are the `store.sources.*` metrics).
+    pub fn sources(&self) -> &NamespaceCache<Arc<FiledSource>> {
+        &self.sources
+    }
+
+    /// The program fingerprint filed for exactly `text` under `key`.  The
+    /// key is a non-cryptographic hash anyone can collide, so a hit needs
+    /// the filed bytes to equal `text`; an entry that only shares the key
+    /// is a miss.
+    pub fn filed_fingerprint(&self, key: u64, text: &str) -> Option<u64> {
+        self.sources
+            .get_if(key, |filed| *filed.text == *text)
+            .map(|filed| filed.fingerprint)
+    }
+
+    /// File `text` under `key` as the source of the program `fingerprint`
+    /// addresses (replacing whatever held the key).
+    pub fn file_source(&self, key: u64, text: &str, fingerprint: u64) {
+        self.sources.insert(
+            key,
+            Arc::new(FiledSource {
+                text: text.into(),
+                fingerprint,
+            }),
+        );
     }
 
     /// The durable disk tier, when one is configured and healthy.
@@ -428,6 +479,7 @@ impl SummaryStore {
         self.summaries.clear();
         self.walks.clear();
         self.products.clear();
+        self.sources.clear();
         if let Some(tier) = &self.durable {
             tier.clear();
         }
@@ -464,11 +516,34 @@ mod tests {
         assert_eq!(store.stats().summaries.entries, 1);
         assert_eq!(store.stats().namespace(Namespace::WalkRecord).entries, 1);
         assert_eq!(store.stats().programs.capacity, 2);
+        store.file_source(1, "program p", 7);
+        assert_eq!(store.sources().len(), 1);
+        assert_eq!(
+            store.sources().capacity(),
+            2,
+            "follows the program namespace"
+        );
 
         store.clear();
         assert!(store.summaries().is_empty());
         assert!(store.walks().is_empty());
         assert!(store.products().is_empty());
+        assert!(store.sources().is_empty());
+    }
+
+    #[test]
+    fn a_filed_source_hits_only_on_its_exact_bytes() {
+        let store = SummaryStore::default();
+        store.file_source(1, "program a", 10);
+        assert_eq!(store.filed_fingerprint(1, "program a"), Some(10));
+        assert_eq!(
+            store.filed_fingerprint(1, "program b"),
+            None,
+            "key collision"
+        );
+        assert_eq!(store.filed_fingerprint(2, "program a"), None);
+        let totals = store.sources().totals();
+        assert_eq!((totals.hits, totals.misses), (1, 2));
     }
 
     #[test]

@@ -100,11 +100,11 @@ pub struct NamespaceCache<V> {
 }
 
 /// Take a stripe's lock, recovering the guard if a thread panicked while
-/// holding it.  Sound because the one guarded section that runs foreign
-/// code ([`NamespaceCache::merge`]) calls it before mutating anything, and
-/// no other guarded section can unwind between two mutations — so a
-/// poisoned stripe is still a valid one, and a panicking caller must not
-/// take an eighth of the key space down with it.
+/// holding it.  Sound because the guarded sections that run foreign code
+/// ([`NamespaceCache::merge`], [`NamespaceCache::get_if`]) call it before
+/// mutating anything, and no other guarded section can unwind between two
+/// mutations — so a poisoned stripe is still a valid one, and a panicking
+/// caller must not take an eighth of the key space down with it.
 fn lock<V>(stripe: &Mutex<Stripe<V>>) -> MutexGuard<'_, Stripe<V>> {
     stripe.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -147,17 +147,22 @@ impl<V: Clone> NamespaceCache<V> {
 
     /// Look up a fingerprint, recording a hit or miss.
     pub fn get(&self, key: u64) -> Option<V> {
-        let mut stripe = self.stripe(key);
-        stripe.tick += 1;
-        let tick = stripe.tick;
+        self.get_if(key, |_| true)
+    }
+
+    /// [`NamespaceCache::get`] for a key that does not prove its value: a
+    /// resident entry `accept` rejects is a miss, and keeps its recency.
+    pub fn get_if(&self, key: u64, accept: impl FnOnce(&V) -> bool) -> Option<V> {
+        let mut guard = self.stripe(key);
+        let stripe = &mut *guard;
         match stripe.entries.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                let value = entry.value.clone();
+            Some(entry) if accept(&entry.value) => {
+                stripe.tick += 1;
+                entry.last_used = stripe.tick;
                 stripe.stats.hits += 1;
-                Some(value)
+                Some(entry.value.clone())
             }
-            None => {
+            _ => {
                 stripe.stats.misses += 1;
                 None
             }
@@ -333,6 +338,21 @@ mod tests {
         cache.insert(3, 3);
         assert_eq!(cache.peek(1), None, "1 was evicted despite the peek");
         assert_eq!(cache.peek(2), Some(2));
+    }
+
+    #[test]
+    fn a_rejected_entry_is_a_miss_and_keeps_its_recency() {
+        let cache = cache(2);
+        cache.insert(1, "one");
+        cache.insert(2, "two");
+        assert_eq!(cache.get_if(1, |v| *v == "uno"), None);
+        assert_eq!(cache.get_if(2, |v| *v == "two"), Some("two"));
+        assert_eq!(cache.totals().hits, 1);
+        assert_eq!(cache.totals().misses, 1);
+        // The rejected lookup did not refresh 1: it is still the LRU victim.
+        cache.insert(3, "three");
+        assert_eq!(cache.peek(1), None);
+        assert_eq!(cache.peek(2), Some("two"));
     }
 
     #[test]

@@ -604,12 +604,14 @@ fn count(spans: &[sil_engine::service::TraceSpan], name: &str) -> usize {
     spans.iter().filter(|s| s.span == name).count()
 }
 
-/// A warm request runs the front end once, and a product hit re-parses
-/// nothing.
+/// The first sighting of a text runs the front end once; every exact
+/// repeat — `analyze` or `process` — runs it not at all, only the source
+/// memo and the program lookup, and a product hit re-parses nothing.
 #[test]
 fn warm_requests_parse_once() {
     let service = Engine::default();
     let src = Workload::Bisort.source(5);
+    let mut first_sighting = true;
     for request in [
         Request::analyze(src.clone()),
         Request::process(&src, ProcessOptions::default()),
@@ -622,7 +624,11 @@ fn warm_requests_parse_once() {
                 other => panic!("unexpected: {other:?}"),
             }
             let spans = last_request_spans(&service);
-            assert_eq!(count(&spans, "parse"), 1, "warm={warm}: {spans:?}");
+            let parses = usize::from(first_sighting);
+            assert_eq!(count(&spans, "parse"), parses, "warm={warm}: {spans:?}");
+            assert_eq!(count(&spans, "source-lookup"), 1, "{spans:?}");
+            assert_eq!(count(&spans, "store-lookup"), 1, "{spans:?}");
+            first_sighting = false;
         }
         let spans = last_request_spans(&service);
         for absent in ["fixpoint", "pack", "pretty", "reparse", "verify"] {
@@ -634,8 +640,8 @@ fn warm_requests_parse_once() {
 
 /// What `process` does past the analysis is visible in the daemon's own
 /// trace: a cold request shows the whole derivation and its `serve` span
-/// is accounted for by its children; a warm one shows the product lookup
-/// that replaced it.
+/// is accounted for by its children; a warm exact repeat shows the source
+/// memo and the product lookup that replaced them, and no `parse`.
 #[test]
 fn process_spans_explain_the_serve_span() {
     let (_engine, handle) = spawn_daemon("process-spans");
@@ -670,7 +676,14 @@ fn process_spans_explain_the_serve_span() {
         .unwrap();
     assert!(!cold.cache_hit);
     let (serve, spans) = request_spans(&remote);
-    for name in ["product-lookup", "pack", "pretty", "reparse", "verify"] {
+    for name in [
+        "parse",
+        "product-lookup",
+        "pack",
+        "pretty",
+        "reparse",
+        "verify",
+    ] {
         assert_eq!(count(&spans, name), 1, "{name}: {spans:?}");
     }
     let covered: u64 = spans
@@ -689,9 +702,10 @@ fn process_spans_explain_the_serve_span() {
         .unwrap();
     assert!(warm.cache_hit);
     let (_, spans) = request_spans(&remote);
-    assert_eq!(count(&spans, "product-lookup"), 1, "{spans:?}");
-    assert_eq!(count(&spans, "parse"), 1, "{spans:?}");
-    for name in ["pack", "pretty", "reparse", "verify", "fixpoint"] {
+    for name in ["source-lookup", "store-lookup", "product-lookup"] {
+        assert_eq!(count(&spans, name), 1, "{name}: {spans:?}");
+    }
+    for name in ["parse", "pack", "pretty", "reparse", "verify", "fixpoint"] {
         assert_eq!(count(&spans, name), 0, "{name}: {spans:?}");
     }
 

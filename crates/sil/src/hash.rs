@@ -91,10 +91,18 @@ pub fn procedure_fingerprint(proc: &Procedure) -> u64 {
 /// The stable fingerprint of a whole program, covering its name and every
 /// procedure in declaration order.
 pub fn program_fingerprint(program: &Program) -> u64 {
+    program_fingerprint_and_len(program).0
+}
+
+/// [`program_fingerprint`] and the byte length of the canonical rendering
+/// it hashes, so a caller can bound what it keeps beside a fingerprint by
+/// the program's canonical size without rendering the program twice.
+pub fn program_fingerprint_and_len(program: &Program) -> (u64, usize) {
+    let canonical = pretty_program(program);
     let mut hasher = StableHasher::new();
     hasher.write_str("sil-program-v1");
-    hasher.write_str(&pretty_program(program));
-    hasher.finish()
+    hasher.write_str(&canonical);
+    (hasher.finish(), canonical.len())
 }
 
 #[cfg(test)]
@@ -130,6 +138,10 @@ end
         let p1 = parse_program(SRC).unwrap();
         let p2 = parse_program(&reformatted).unwrap();
         assert_eq!(program_fingerprint(&p1), program_fingerprint(&p2));
+        assert_eq!(
+            program_fingerprint_and_len(&p2),
+            (program_fingerprint(&p1), pretty_program(&p1).len())
+        );
     }
 
     #[test]

@@ -351,7 +351,7 @@ impl Tracer {
     }
 
     /// Every retained span belonging to `trace`, plus untraced spans
-    /// attributed to `request` (the server's `parse` of the request line
+    /// attributed to `request` (the server's `decode` of the request line
     /// runs before the wire header is known, so it links by request id
     /// only).  Origins resolved — this is the shape piggybacked to a
     /// remote caller.
