@@ -34,12 +34,13 @@
 //!
 //! In front of the program namespace sits a source-text memo
 //! ([`SummaryStore::sources`]): the exact bytes of a request's source,
-//! keyed by their FNV-1a hash, with the fingerprint the front end derived
-//! from them.  A byte-identical repeat goes straight to the program lookup
-//! and pays no parse and no fingerprint — [`Engine::analyze_source_traced`]
-//! is the one entry point that consults it, for `analyze` and `process`
-//! alike.  A hit needs byte equality, never only the hash, so a collision
-//! cannot serve one program's analysis for another's text.
+//! keyed by [`SummaryStore::source_key`], with the fingerprint the front
+//! end derived from them.  A byte-identical repeat goes straight to the
+//! program lookup and pays no parse and no fingerprint —
+//! [`Engine::analyze_source_traced`] is the one entry point that consults
+//! it, for `analyze` and `process` alike.  A hit needs byte equality,
+//! never only the hash, so a collision cannot serve one program's analysis
+//! for another's text.
 //!
 //! An [`Engine`] is a *view* over an `Arc<SummaryStore>`: it holds no cache
 //! and no lock of its own, so one engine serves every connection of a
@@ -92,7 +93,7 @@ use sil_analysis::{
     analyze_program_planned, compute_scc_summaries, AnalysisResult, AnalysisSnapshot,
     AnalyzeOptions, CallPlan, IncrementalStats, ProcSummary, WalkRecord,
 };
-use sil_lang::hash::{fnv1a, program_fingerprint_and_len};
+use sil_lang::hash::program_fingerprint_and_len;
 use sil_lang::types::ProgramTypes;
 use sil_lang::{frontend, pretty_program, Program, SilError};
 use sil_parallelizer::{pack_program_with_analysis, verify_parallel_program, PackOptions};
@@ -579,7 +580,7 @@ impl Engine {
         &self,
         src: &str,
     ) -> Result<(Arc<AnalyzedProgram>, bool), EngineError> {
-        let key = fnv1a(src.as_bytes());
+        let key = SummaryStore::source_key(src);
         let filed = {
             let _span = self.tracer.start("source-lookup");
             self.store.filed_fingerprint(key, src)

@@ -9,7 +9,7 @@
 //! in-process run.
 
 use crate::service::json::{escape, Json};
-use crate::service::wire::{record, Hex, Wire};
+use crate::service::wire::{encode, record, Hex, Wire};
 use std::fmt::Write as _;
 
 /// What the pipeline should do beyond the (always-run) analysis.
@@ -150,7 +150,7 @@ record!(ProgramReport {
 impl ProgramReport {
     /// Render the report as a single JSON object.
     pub fn to_json(&self) -> String {
-        Wire::to_json(self).encode()
+        encode(self)
     }
 
     /// Parse a report rendered by [`ProgramReport::to_json`].
@@ -295,7 +295,11 @@ mod tests {
             emit_parallel_source: true,
             store_capacity: 123,
         };
-        assert_eq!(ProcessOptions::from_json(&options.to_json()), Ok(options));
+        let line = encode(&options);
+        assert_eq!(
+            ProcessOptions::from_json(&Json::parse(&line).unwrap()),
+            Ok(options)
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! A self-contained JSON value module: serializer plus a small
-//! recursive-descent parser.
+//! A self-contained JSON value module: the writers every encoder streams
+//! through, a tree type with its serializer, and a small recursive-descent
+//! parser.
 //!
 //! The environment has no serde, and the old hand-rolled `to_json` in
 //! `report.rs` was write-only — nothing could read its output back.  The
@@ -110,63 +111,8 @@ impl Json {
     /// Render to a compact JSON string (no whitespace).
     pub fn encode(&self) -> String {
         let mut out = String::new();
-        self.encode_into(&mut out);
+        encode_json(self, &mut out);
         out
-    }
-
-    fn encode_into(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Json::Float(f) => encode_float(*f, out),
-            Json::Str(s) => encode_str(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.encode_into(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    encode_str(key, out);
-                    out.push(':');
-                    value.encode_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    /// The length of [`Json::encode`]'s output, without building it.
-    pub fn encoded_len(&self) -> usize {
-        let list = |len: usize, inside: usize| 2 + len.saturating_sub(1) + inside;
-        match self {
-            Json::Null | Json::Bool(true) => 4,
-            Json::Bool(false) => 5,
-            Json::Int(n) => (*n < 0) as usize + n.unsigned_abs().max(1).ilog10() as usize + 1,
-            Json::Float(_) => self.encode().len(),
-            Json::Str(s) => str_len(s),
-            Json::Arr(items) => list(items.len(), items.iter().map(Json::encoded_len).sum()),
-            Json::Obj(fields) => list(
-                fields.len(),
-                fields
-                    .iter()
-                    .map(|(key, value)| str_len(key) + 1 + value.encoded_len())
-                    .sum(),
-            ),
-        }
     }
 
     /// Parse one JSON value from `src` (trailing garbage is an error).
@@ -186,10 +132,73 @@ impl Json {
     }
 }
 
+/// Write `value` as compact JSON text (no whitespace).
+pub(crate) fn encode_json(value: &Json, out: &mut String) {
+    match value {
+        Json::Null => out.push_str("null"),
+        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Json::Int(n) => encode_int(n, out),
+        Json::Float(f) => encode_float(*f, out),
+        Json::Str(s) => encode_str(s, out),
+        Json::Arr(items) => encode_array(items, out, encode_json),
+        Json::Obj(fields) => encode_object(fields, out, encode_json),
+    }
+}
+
+/// Write `fields` as a JSON object, in their order, each value by `value`.
+pub(crate) fn encode_object<'a, V: 'a>(
+    fields: impl IntoIterator<Item = &'a (String, V)>,
+    out: &mut String,
+    mut value: impl FnMut(&V, &mut String),
+) {
+    out.push('{');
+    for (i, (key, field)) in fields.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        encode_str(key, out);
+        out.push(':');
+        value(field, out);
+    }
+    out.push('}');
+}
+
+/// Write `items` as a JSON array, each one by `item`.
+pub(crate) fn encode_array<I: IntoIterator>(
+    items: I,
+    out: &mut String,
+    mut item: impl FnMut(I::Item, &mut String),
+) {
+    out.push('[');
+    for (i, value) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(value, out);
+    }
+    out.push(']');
+}
+
+/// Write an integer in decimal, straight into `out`.
+pub(crate) fn encode_int(n: impl std::fmt::Display, out: &mut String) {
+    let _ = write!(out, "{n}");
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Write `value` as [`hex64`] does, without going through a formatter.
+pub(crate) fn encode_hex64(value: u64, out: &mut String) {
+    let mut text = *b"\"0000000000000000\"";
+    for (i, digit) in text[1..17].iter_mut().enumerate() {
+        *digit = HEX_DIGITS[(value >> (60 - 4 * i)) as usize & 0xf];
+    }
+    out.push_str(std::str::from_utf8(&text).expect("ASCII hex"));
+}
+
 /// Floats always carry a `.` or an exponent so they never collide with the
 /// integer syntax: `2.0` encodes as `"2.0"`, not `"2"`.  The digits are
 /// Rust's shortest representation that parses back to the same bits.
-fn encode_float(f: f64, out: &mut String) {
+pub(crate) fn encode_float(f: f64, out: &mut String) {
     if !f.is_finite() {
         // JSON has no NaN/Infinity; reports never produce them.
         out.push_str("null");
@@ -202,39 +211,36 @@ fn encode_float(f: f64, out: &mut String) {
     }
 }
 
-/// Write `s` as a JSON string literal, escaping `"`/`\` and *every* control
-/// character U+0000–U+001F (the common ones by name, the rest as `\u00XX`).
-fn encode_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// Whether `b` cannot appear raw inside a JSON string literal.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
 }
 
-/// The length of [`encode_str`]'s output for `s`.
-fn str_len(s: &str) -> usize {
-    let escapes: usize = s
-        .bytes()
-        .map(|b| match b {
-            b'"' | b'\\' | 0x08 | 0x0c | b'\n' | b'\r' | b'\t' => 1,
-            b if b < 0x20 => 5,
-            _ => 0,
-        })
-        .sum();
-    s.len() + 2 + escapes
+/// Write `s` as a JSON string literal, escaping `"`/`\` and *every* control
+/// character U+0000–U+001F (the common ones by name, the rest as `\u00XX`).
+/// Runs that need no escape are copied whole: every byte that does is
+/// ASCII, so each run ends on a scalar boundary.
+pub(crate) fn encode_str(s: &str, out: &mut String) {
+    out.push('"');
+    let mut rest = s;
+    while let Some(at) = rest.bytes().position(needs_escape) {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
+    out.push('"');
 }
 
 /// Escape a string for embedding in a JSON string literal (without the
@@ -449,7 +455,7 @@ impl Parser<'_> {
                     let rest = &self.bytes[self.pos..];
                     let len = rest
                         .iter()
-                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .position(|&b| needs_escape(b))
                         .unwrap_or(rest.len());
                     let run =
                         std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid utf-8"))?;
@@ -563,31 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn encoded_len_counts_what_encode_writes() {
-        let controls: String = (0u32..0x20).filter_map(char::from_u32).collect();
-        let value = Json::obj(vec![
-            ("empty", Json::Arr(vec![])),
-            ("none", Json::Obj(vec![])),
-            ("text", Json::Str(format!("a\"b\\c é😀 {controls}"))),
-            (
-                "numbers",
-                Json::Arr(
-                    [0, 9, 10, -1, -10, 12345, i64::MAX, i64::MIN]
-                        .into_iter()
-                        .map(Json::Int)
-                        .chain([Json::Float(2.0), Json::Float(1e-8), Json::Float(f64::NAN)])
-                        .collect(),
-                ),
-            ),
-            (
-                "flags",
-                Json::Arr(vec![Json::Null, Json::Bool(true), Json::Bool(false)]),
-            ),
-        ]);
-        assert_eq!(value.encoded_len(), value.encode().len());
-    }
-
-    #[test]
     fn named_escapes_are_used() {
         assert_eq!(
             Json::Str("\u{08}\u{0c}\n\r\t\"\\".into()).encode(),
@@ -695,6 +676,15 @@ mod tests {
     fn hex64_round_trips() {
         for v in [0u64, 1, 0xabcdef0123456789, u64::MAX] {
             assert_eq!(parse_hex64(&hex64(v)).unwrap(), v);
+        }
+    }
+
+    #[test]
+    fn hex_writer_matches_hex64() {
+        for v in [0u64, 1, 0xabcdef0123456789, u64::MAX] {
+            let mut out = String::new();
+            encode_hex64(v, &mut out);
+            assert_eq!(out, hex64(v).encode());
         }
     }
 

@@ -1,12 +1,14 @@
-//! The one line reader both ends of the wire use: the server loop reading
-//! requests and [`super::RemoteService`] reading replies.
+//! The one line reader and writer both ends of the wire use: the server
+//! loop reading requests and writing replies, and [`super::RemoteService`]
+//! writing requests and reading replies.
 //!
 //! A line comes from outside the process, so two things about it are
 //! checked here, before anything is decoded: its length is bounded, and
 //! bytes that are not UTF-8 are replaced rather than trusted or fatal.
+//! A line goes out as one write: the text and its `\n` together.
 
 use std::borrow::Cow;
-use std::io::{self, BufRead, Read};
+use std::io::{self, BufRead, Read, Write};
 
 /// Upper bound on one framed line (request or response).  Batch requests
 /// carry whole program corpora, so the bound is generous — but it exists,
@@ -44,6 +46,15 @@ pub(crate) fn read_bounded_line<'a>(
         ));
     }
     Ok(Some(String::from_utf8_lossy(line)))
+}
+
+/// Send `line` (which holds no newline: the JSON encoder escapes every
+/// control character) with the `\n` that frames it, appended to it, in
+/// one `write_all` — on an unbuffered stream, one `write` — then flush.
+pub(crate) fn write_line(writer: &mut impl Write, line: &mut String) -> io::Result<()> {
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
+    writer.flush()
 }
 
 #[cfg(test)]
@@ -93,6 +104,39 @@ mod tests {
             out[..n].fill(b'a');
             self.remaining -= n;
             Ok(n)
+        }
+    }
+
+    /// A writer that takes everything it is handed and counts the calls.
+    #[derive(Default)]
+    struct Counting {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(data);
+            Ok(data.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_line_and_its_newline_go_out_in_one_write() {
+        // The long line is far past the 8 KiB a standard I/O buffer holds.
+        for len in [9, 1 << 20] {
+            let mut line = "x".repeat(len);
+            let mut sink = Counting::default();
+            write_line(&mut sink, &mut line).unwrap();
+            assert_eq!(sink.writes, 1, "{len}-byte line");
+            assert_eq!(sink.bytes.len(), len + 1);
+            assert_eq!(sink.bytes, line.as_bytes(), "the line, newline appended");
+            assert!(line.ends_with('\n'));
         }
     }
 

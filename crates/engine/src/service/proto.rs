@@ -280,7 +280,7 @@ impl Request {
     /// One-line wire encoding (contains no raw newlines: the JSON encoder
     /// escapes every control character).
     pub fn encode(&self) -> String {
-        self.to_json().encode()
+        super::wire::encode(self)
     }
 
     pub fn decode(line: &str) -> Result<Request, ServiceError> {
@@ -604,7 +604,7 @@ message!(Response: |response| {
     } trace_spans,
     "metrics_history" => MetricsHistory { "samples" => samples },
     "error" => Error { "error" => error },
-} "trace_spans" => response.spans().filter(|spans| !spans.is_empty()));
+} "trace_spans" => Some(response.trace_spans()).filter(|spans| !spans.is_empty()));
 
 // One batch item: the report, or why there is none.
 record!(Result<ProgramReport, ServiceError>: |item| {
@@ -757,16 +757,6 @@ impl Response {
 
     /// The piggyback slot of the kinds that have one — only work-carrying
     /// responses do.
-    fn spans(&self) -> Option<&Vec<TraceSpan>> {
-        match self {
-            Response::Analyzed { trace_spans, .. }
-            | Response::Report { trace_spans, .. }
-            | Response::Batch { trace_spans, .. }
-            | Response::PeerEntry { trace_spans, .. } => Some(trace_spans),
-            _ => None,
-        }
-    }
-
     fn spans_mut(&mut self) -> Option<&mut Vec<TraceSpan>> {
         match self {
             Response::Analyzed { trace_spans, .. }
@@ -780,7 +770,13 @@ impl Response {
     /// The piggybacked callee spans this response carries (empty on kinds
     /// that cannot carry them).
     pub fn trace_spans(&self) -> &[TraceSpan] {
-        self.spans().map_or(&[], Vec::as_slice)
+        match self {
+            Response::Analyzed { trace_spans, .. }
+            | Response::Report { trace_spans, .. }
+            | Response::Batch { trace_spans, .. }
+            | Response::PeerEntry { trace_spans, .. } => trace_spans,
+            _ => &[],
+        }
     }
 
     /// Take the piggybacked spans out for adoption into a local tracer,
@@ -807,7 +803,7 @@ impl Response {
 
     /// One-line wire encoding.
     pub fn encode(&self) -> String {
-        self.to_json().encode()
+        super::wire::encode(self)
     }
 
     pub fn decode(line: &str) -> Result<Response, ServiceError> {
@@ -1124,9 +1120,16 @@ mod tests {
         }
     }
 
+    /// The streaming encoder writes exactly what the tree serializer
+    /// writes for the document it encoded.
+    fn assert_tree_agrees(line: &str) {
+        assert_eq!(Json::parse(line).unwrap().encode(), line);
+    }
+
     fn round_trip_request(request: Request) {
         let line = request.encode();
         assert!(!line.contains('\n'), "wire lines must be newline-free");
+        assert_tree_agrees(&line);
         let back = Request::decode(&line).unwrap();
         assert_eq!(back, request);
         assert_eq!(back.encode(), line);
@@ -1136,6 +1139,7 @@ mod tests {
     fn round_trip_response(response: Response) {
         let line = response.encode();
         assert!(!line.contains('\n'));
+        assert_tree_agrees(&line);
         let back = Response::decode(&line).unwrap();
         assert_eq!(back, response);
         assert_eq!(back.encode(), line);
@@ -1201,7 +1205,7 @@ mod tests {
         // entirely so old-style strict decoders never see a null.
         let body = Json::obj(vec![
             ("v", Json::Int(1)),
-            ("fingerprint", Wire::<Hex>::to_json(&0xfeed)),
+            ("fingerprint", super::super::json::hex64(0xfeed)),
         ]);
         round_trip_response(Response::peer_entry(
             PeerNamespace::Programs,
@@ -1399,10 +1403,10 @@ mod tests {
 
     #[test]
     fn ndjson_is_one_object_per_line() {
-        let tracer = silobs::Tracer::new(8);
-        tracer.record(1, "parse", 10, 25);
-        tracer.record(1, "fixpoint", 26, 100);
-        let spans: Vec<TraceSpan> = tracer.snapshot().iter().map(TraceSpan::from).collect();
+        let spans = vec![
+            flat_span(1, "parse", 10, 25),
+            flat_span(1, "fixpoint", 26, 100),
+        ];
         let dump = TraceSpan::to_ndjson(&spans);
         let lines: Vec<&str> = dump.lines().collect();
         assert_eq!(lines.len(), 2);

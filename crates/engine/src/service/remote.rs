@@ -6,8 +6,9 @@
 //! The JSON encoder escapes every control character, so an encoded message
 //! can never contain a raw newline and the framing is unambiguous.
 
-use super::line::read_bounded_line;
+use super::line::{read_bounded_line, write_line};
 use super::proto::{Request, Response, ServiceError, TraceHeader, PROTOCOL_VERSION};
+use super::wire::Wire;
 use super::{Addr, Service};
 use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -115,6 +116,8 @@ impl Write for Conn {
 struct Pipe {
     reader: BufReader<Conn>,
     writer: Conn,
+    /// Every request line of the connection is encoded into this buffer.
+    line: String,
     /// Set after any transport failure.  The protocol has no correlation
     /// ids, so once a write/read fails (a timeout especially — the late
     /// response may still arrive, or a partial line may sit in the
@@ -174,6 +177,7 @@ impl RemoteService {
             pipe: Mutex::new(Pipe {
                 reader: BufReader::new(reader),
                 writer,
+                line: String::new(),
                 broken: false,
             }),
         })
@@ -219,11 +223,12 @@ impl RemoteService {
         ServiceError::transport(format!("{direction} {}: {error}", self.addr))
     }
 
-    /// Send `line`, read the reply line: its text, and how many bytes it
-    /// was on the wire.  A reply longer than the protocol's line bound is
-    /// a transport error like any other — a peer that streams without
-    /// ever sending a newline costs bounded memory, not the process.
-    fn exchange(&self, line: &str) -> Result<(String, u64), ServiceError> {
+    /// Send `request` as one line, read the reply line: its text, and how
+    /// many bytes it was on the wire.  A reply longer than the protocol's
+    /// line bound is a transport error like any other — a peer that
+    /// streams without ever sending a newline costs bounded memory, not
+    /// the process.
+    fn exchange(&self, request: &Request) -> Result<(String, u64), ServiceError> {
         let mut pipe = self.pipe.lock().unwrap();
         if pipe.broken {
             return Err(ServiceError::transport(format!(
@@ -231,12 +236,10 @@ impl RemoteService {
                 self.addr
             )));
         }
-        if let Err(e) = pipe
-            .writer
-            .write_all(line.as_bytes())
-            .and_then(|_| pipe.writer.write_all(b"\n"))
-            .and_then(|_| pipe.writer.flush())
-        {
+        let Pipe { writer, line, .. } = &mut *pipe;
+        line.clear();
+        request.encode_into(line);
+        if let Err(e) = write_line(writer, line) {
             pipe.broken = true;
             return Err(self.transport_error("write to", &e));
         }
@@ -279,8 +282,7 @@ impl RemoteService {
             }
             _ => request,
         };
-        let line = request.encode();
-        match self.exchange(&line) {
+        match self.exchange(&request) {
             Ok((reply, wire_bytes)) => {
                 let response = match Response::decode(&reply) {
                     Ok(response) => response,

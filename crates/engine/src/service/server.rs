@@ -10,8 +10,10 @@
 //!
 //! A request line is at most 64 MiB long (a longer one closes its
 //! connection) and is decoded lossily (bytes that are not UTF-8 are
-//! answered `malformed` like any other non-JSON line); `line.rs` holds the
-//! reader, which the client side uses for replies too.
+//! answered `malformed` like any other non-JSON line).  Each connection
+//! encodes its replies into one reused buffer and sends each as one write.
+//! `line.rs` holds the reader and the writer, which the client side uses
+//! too.
 //!
 //! The `sild` binary is a thin shell around [`Server`]; tests spawn the
 //! same server in-process on a temp socket, so the daemon path is
@@ -25,8 +27,9 @@
 //! version is answered with the version error and does *not* stop the
 //! daemon.
 
-use super::line::read_bounded_line;
+use super::line::{read_bounded_line, write_line};
 use super::proto::{Request, Response, ServerStats, ServiceError, TraceSpan, PROTOCOL_VERSION};
+use super::wire::Wire;
 use super::{Addr, Service};
 use silobs::{
     Counter, FlightRecorder, Gauge, MetricsSnapshot, Registry, ShardedHistogram, TraceContext,
@@ -311,6 +314,8 @@ fn serve_connection(
     };
     let mut reader = BufReader::new(reader);
     let mut buf = Vec::new();
+    // Every reply of the connection is encoded into this one buffer.
+    let mut reply = String::new();
     // Hung up, failed, or sent a line past the bound: either way this
     // connection is over, and only this one.
     while let Ok(Some(line)) = read_bounded_line(&mut reader, &mut buf) {
@@ -321,20 +326,20 @@ fn serve_connection(
         // The request id is minted the moment the line is framed, so its
         // spans cover everything that happens to it from here on.
         let id = counters.tracer.mint();
-        match handle_line(service.as_ref(), counters, id, trimmed) {
-            LineOutcome::Respond(response) => {
-                if write_response(&mut writer, &response).is_err() {
-                    return;
-                }
-            }
-            LineOutcome::ShutdownAfter(response) => {
-                // Acknowledge, then stop the daemon: flag + self-dial
-                // wakes the accept loop.
-                let _ = write_response(&mut writer, &response);
-                shutdown.store(true, Ordering::SeqCst);
-                wake(&addr);
-                return;
-            }
+        let stop = handle_line(service.as_ref(), counters, id, trimmed, &mut reply);
+        let written = silobs::with_request(id, || {
+            let _span = counters.tracer.start("write");
+            write_line(&mut writer, &mut reply)
+        });
+        if stop {
+            // Acknowledged; now stop the daemon: flag + self-dial wakes
+            // the accept loop.
+            shutdown.store(true, Ordering::SeqCst);
+            wake(&addr);
+            return;
+        }
+        if written.is_err() {
+            return;
         }
     }
 }
@@ -401,16 +406,6 @@ fn wake(addr: &Addr) {
     }
 }
 
-/// What the per-line dispatch decided.  The response is already encoded —
-/// `handle_line` times the encode under its span.
-enum LineOutcome {
-    /// Send this response line and keep serving the connection.
-    Respond(String),
-    /// Send this response line, then stop the whole daemon (a
-    /// well-versioned [`Request::Shutdown`] arrived).
-    ShutdownAfter(String),
-}
-
 /// The per-line protocol dispatch: decode, negotiate the version,
 /// intercept shutdown, execute against the service, and decorate
 /// `Stats`/`Metrics`/`Trace` responses with the daemon's own counters,
@@ -419,12 +414,16 @@ enum LineOutcome {
 /// `id` is the request id the connection thread minted when it framed the
 /// line (from the server's tracer); every span recorded while the
 /// request executes — here and down in the engine — attributes to it.
+/// The response line replaces what `reply` held; the result says whether
+/// to stop the whole daemon once it is sent (a well-versioned
+/// [`Request::Shutdown`] arrived).
 fn handle_line(
     service: &(dyn Service + Send + Sync),
     counters: &ServerCounters,
     id: u64,
     line: &str,
-) -> LineOutcome {
+    reply: &mut String,
+) -> bool {
     // Sample the uptime exactly once, before any work, so the whole
     // second a `stats` reply reports does not depend on how long the
     // request took to serve.
@@ -510,23 +509,13 @@ fn handle_line(
                 (response, false)
             }
         };
-        let encoded = {
+        {
             let _span = counters.tracer.start("encode");
-            response.encode()
-        };
-        if shutdown {
-            LineOutcome::ShutdownAfter(encoded)
-        } else {
-            LineOutcome::Respond(encoded)
+            reply.clear();
+            response.encode_into(reply);
         }
+        shutdown
     })
-}
-
-/// Write one already-encoded response line.
-fn write_response(writer: &mut dyn Write, line: &str) -> std::io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
 }
 
 #[cfg(test)]
@@ -557,10 +546,17 @@ mod tests {
         let counters = ServerCounters::with_started(&ServerOptions::default(), started);
         let service = Slow(Engine::default());
         let id = counters.tracer.mint();
-        let line = match handle_line(&service, &counters, id, &Request::stats().encode()) {
-            LineOutcome::Respond(line) => line,
-            LineOutcome::ShutdownAfter(_) => panic!("stats must not shut the daemon down"),
-        };
+        let mut line = String::new();
+        assert!(
+            !handle_line(
+                &service,
+                &counters,
+                id,
+                &Request::stats().encode(),
+                &mut line,
+            ),
+            "stats must not shut the daemon down"
+        );
         match Response::decode(&line).expect("stats response decodes") {
             Response::Stats { server, .. } => {
                 let server = server.expect("daemon path attaches server stats");
@@ -579,10 +575,11 @@ mod tests {
         let counters = ServerCounters::new(&ServerOptions::default());
         let service = Engine::default();
         let id = counters.tracer.mint();
-        match handle_line(&service, &counters, id, &Request::clear_caches().encode()) {
-            LineOutcome::Respond(_) => {}
-            LineOutcome::ShutdownAfter(_) => panic!("clear_caches must keep serving"),
-        }
+        let line = Request::clear_caches().encode();
+        assert!(
+            !handle_line(&service, &counters, id, &line, &mut String::new()),
+            "clear_caches must keep serving"
+        );
         let spans = counters.tracer.snapshot();
         let names: Vec<&str> = spans
             .iter()
@@ -590,6 +587,59 @@ mod tests {
             .map(|span| span.name.as_ref())
             .collect();
         assert_eq!(names, vec!["decode", "serve", "encode"]);
+    }
+
+    /// A warm exact repeat over a real connection: the connection thread
+    /// records `decode`, `serve`, `encode` and `write` under the request's
+    /// id, in that order, and the engine's two lookups nest under `serve`.
+    #[test]
+    fn a_warm_repeat_traces_decode_serve_encode_write() {
+        use std::io::BufRead;
+        let engine = Arc::new(Engine::default());
+        let counters = ServerCounters::new(&ServerOptions::default());
+        let (client, server) = UnixStream::pair().unwrap();
+        std::thread::scope(|scope| {
+            let service: Arc<dyn Service + Send + Sync> = engine.clone();
+            let counters = &counters;
+            scope.spawn(move || {
+                let addr = Addr::Unix(PathBuf::new());
+                serve_connection(
+                    Stream::Unix(server),
+                    service,
+                    Default::default(),
+                    addr,
+                    counters,
+                )
+            });
+            let mut replies = std::io::BufReader::new(client.try_clone().unwrap());
+            let mut writer = client;
+            let request = Request::analyze(sil_workloads::Workload::TreeSum.source(3));
+            for _ in 0..2 {
+                write_line(&mut writer, &mut request.encode()).unwrap();
+                let mut reply = String::new();
+                replies.read_line(&mut reply).unwrap();
+                assert!(
+                    reply.ends_with('\n') && reply.contains("\"analyzed\""),
+                    "{reply}"
+                );
+            }
+        });
+        let server_spans = counters.tracer.snapshot();
+        let warm = server_spans.iter().map(|span| span.request).max().unwrap();
+        let of_warm = |spans: Vec<silobs::SpanRecord>| -> Vec<silobs::SpanRecord> {
+            spans
+                .into_iter()
+                .filter(|span| span.request == warm)
+                .collect()
+        };
+        let server_spans = of_warm(server_spans);
+        let names: Vec<&str> = server_spans.iter().map(|span| span.name.as_ref()).collect();
+        assert_eq!(names, ["decode", "serve", "encode", "write"]);
+        let serve = server_spans[1].span_id;
+        let engine_spans = of_warm(engine.tracer().snapshot());
+        let names: Vec<&str> = engine_spans.iter().map(|span| span.name.as_ref()).collect();
+        assert_eq!(names, ["source-lookup", "store-lookup"]);
+        assert!(engine_spans.iter().all(|span| span.parent == serve));
     }
 
     /// A service call outlasting `--slow-us` lands its span tree in the
@@ -604,10 +654,11 @@ mod tests {
         let counters = ServerCounters::new(&options);
         let service = Slow(Engine::default());
         let id = counters.tracer.mint();
-        match handle_line(&service, &counters, id, &Request::analyze("f(){}").encode()) {
-            LineOutcome::Respond(_) => {}
-            LineOutcome::ShutdownAfter(_) => panic!("analyze must keep serving"),
-        }
+        let analyze = Request::analyze("f(){}").encode();
+        assert!(
+            !handle_line(&service, &counters, id, &analyze, &mut String::new()),
+            "analyze must keep serving"
+        );
         let dump = counters.tracer.snapshot_all();
         let captured = dump
             .iter()
@@ -626,20 +677,24 @@ mod tests {
         let service = Engine::default();
         let id = counters.tracer.mint();
         counters.sample_recorder(&service);
-        match handle_line(&service, &counters, id, &Request::analyze("f(){}").encode()) {
-            LineOutcome::Respond(_) => {}
-            LineOutcome::ShutdownAfter(_) => panic!("analyze must keep serving"),
-        }
+        let mut line = String::new();
+        let analyze = Request::analyze("f(){}").encode();
+        assert!(
+            !handle_line(&service, &counters, id, &analyze, &mut line),
+            "analyze must keep serving"
+        );
         counters.sample_recorder(&service);
-        let line = match handle_line(
-            &service,
-            &counters,
-            counters.tracer.mint(),
-            &Request::metrics_history().encode(),
-        ) {
-            LineOutcome::Respond(line) => line,
-            LineOutcome::ShutdownAfter(_) => panic!("metrics_history must keep serving"),
-        };
+        let history = Request::metrics_history().encode();
+        assert!(
+            !handle_line(
+                &service,
+                &counters,
+                counters.tracer.mint(),
+                &history,
+                &mut line,
+            ),
+            "metrics_history must keep serving"
+        );
         match Response::decode(&line).expect("metrics_history response decodes") {
             Response::MetricsHistory { samples, .. } => {
                 assert!(samples.len() >= 2, "both manual ticks retained");

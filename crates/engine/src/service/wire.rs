@@ -1,14 +1,16 @@
 //! One description per wire and disk document.
 //!
-//! Everything this crate puts on a socket or in a segment file is a
-//! [`Json`] document, and every such document is described **once**: a
-//! type implements [`Wire`], and both directions come from that one
-//! implementation.  The leaf shapes (counts, flags, strings, hex ids,
-//! lists, maps, fixed-size arrays) are implemented here; a struct is
-//! described by `record!`, which names each wire key exactly once, in
-//! wire order, and says how the member behaves when it is absent; the two
-//! message enums are described by `message!`, a `type` → fields table
-//! around one shared envelope.
+//! Everything this crate puts on a socket or in a segment file is JSON
+//! text, and every such document is described **once**: a type implements
+//! [`Wire`], and both directions come from that one implementation.
+//! Encoding streams the text straight into a `String`; decoding reads a
+//! parsed [`Json`] tree.  No encoder builds a tree — a caller that wants
+//! one parses the encoder's bytes.  The leaf shapes (counts, flags,
+//! strings, hex ids, lists, maps, fixed-size arrays) are implemented here;
+//! a struct is described by `record!`, which names each wire key exactly
+//! once, in wire order, and says how the member behaves when it is absent;
+//! the two message enums are described by `message!`, a `type` → fields
+//! table around one shared envelope.
 //!
 //! What a member may be:
 //!
@@ -25,7 +27,10 @@
 //! without a version bump.  Decoding never panics: every mismatch is an
 //! `Err` naming the path of keys that led to it.
 
-use super::json::{hex64, parse_hex64, Json};
+use super::json::{
+    encode_array, encode_float, encode_hex64, encode_int, encode_json, encode_object, encode_str,
+    parse_hex64, Json,
+};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -44,26 +49,34 @@ pub struct Named;
 /// `decode(encode(v)) == v` and `encode(decode(encode(v)))` reproduces the
 /// bytes, for every implementation.
 pub trait Wire<Form = Plain>: Sized {
-    fn to_json(&self) -> Json;
+    /// Append this value's JSON text to `out`.
+    fn encode_into(&self, out: &mut String);
     fn from_json(value: &Json) -> Result<Self, String>;
 }
 
+/// `value`'s JSON text.
+pub fn encode<Form, T: Wire<Form>>(value: &T) -> String {
+    let mut out = String::new();
+    value.encode_into(&mut out);
+    out
+}
+
 /// What a `record!` member encodes from: a reference to a [`Wire`] value,
-/// or a document built by hand where a typed value to go through would
-/// have to be copied together first.
+/// a slice of them, or a writer of the member's own where a typed value to
+/// go through would have to be copied together first.
 pub trait Encoded<Form> {
-    fn into_json(self) -> Json;
+    fn encode_member(self, out: &mut String);
 }
 
 impl<Form, T: Wire<Form>> Encoded<Form> for &T {
-    fn into_json(self) -> Json {
-        self.to_json()
+    fn encode_member(self, out: &mut String) {
+        self.encode_into(out)
     }
 }
 
-impl<Form> Encoded<Form> for Json {
-    fn into_json(self) -> Json {
-        self
+impl<T: Wire> Encoded<Plain> for &[T] {
+    fn encode_member(self, out: &mut String) {
+        encode_array(self, out, T::encode_into)
     }
 }
 
@@ -78,12 +91,12 @@ fn items(value: &Json) -> Result<&[Json], String> {
         .ok_or_else(|| "expected an array".to_string())
 }
 
-/// Leaf shapes: `type [as Form]: what it is, |it| encode, |raw| decode;`
+/// Leaf shapes: `type [as Form]: what it is, |it, out| encode, |raw| decode;`
 /// where `decode` yields `None` for any other JSON value.
 macro_rules! leaves {
-    ($($ty:ty $(as $form:ty)?: $what:literal, |$it:ident| $enc:expr, |$raw:ident| $dec:expr;)+) => {$(
+    ($($ty:ty $(as $form:ty)?: $what:literal, |$it:ident, $out:ident| $enc:expr, |$raw:ident| $dec:expr;)+) => {$(
         impl $crate::service::wire::Wire$(<$form>)? for $ty {
-            fn to_json(&self) -> $crate::service::json::Json {
+            fn encode_into(&self, $out: &mut String) {
                 let $it = self;
                 $enc
             }
@@ -96,19 +109,20 @@ macro_rules! leaves {
 pub(crate) use leaves;
 
 leaves! {
-    u64: "a count", |n| Json::Int(*n as i64), |raw| raw.as_u64();
-    u32: "a count", |n| Json::Int(*n as i64), |raw| raw.as_u64().and_then(|n| u32::try_from(n).ok());
-    usize: "a count", |n| Json::Int(*n as i64), |raw| raw.as_u64().and_then(|n| usize::try_from(n).ok());
-    i64: "an integer", |n| Json::Int(*n), |raw| raw.as_i64();
-    bool: "a bool", |b| Json::Bool(*b), |raw| raw.as_bool();
-    f64: "a number", |f| Json::Float(*f), |raw| raw.as_f64();
-    String: "a string", |s| Json::Str(s.clone()), |raw| raw.as_str().map(str::to_string);
-    Json: "a document", |doc| doc.clone(), |raw| Some(raw.clone());
-    u64 as Hex: "a hex id", |id| hex64(*id), |raw| parse_hex64(raw).ok();
+    u64: "a count", |n, out| encode_int(n, out), |raw| raw.as_u64();
+    u32: "a count", |n, out| encode_int(n, out), |raw| raw.as_u64().and_then(|n| u32::try_from(n).ok());
+    usize: "a count", |n, out| encode_int(n, out), |raw| raw.as_u64().and_then(|n| usize::try_from(n).ok());
+    i64: "an integer", |n, out| encode_int(n, out), |raw| raw.as_i64();
+    bool: "a bool", |b, out| encode_json(&Json::Bool(*b), out), |raw| raw.as_bool();
+    f64: "a number", |f, out| encode_float(*f, out), |raw| raw.as_f64();
+    String: "a string", |s, out| encode_str(s, out), |raw| raw.as_str().map(str::to_string);
+    Json: "a document", |doc, out| encode_json(doc, out), |raw| Some(raw.clone());
+    u64 as Hex: "a hex id", |id, out| encode_hex64(*id, out), |raw| parse_hex64(raw).ok();
 }
 
-/// A unit-variant enum as one of a fixed set of strings.  `local` also
-/// gives an enum of this crate a `wire_name` to print itself by.
+/// A unit-variant enum as one of a fixed set of strings (each needing no
+/// escape).  `local` also gives an enum of this crate a `wire_name` to
+/// print itself by.
 macro_rules! names {
     (local $ty:ident { $($variant:ident => $name:literal),+ $(,)? }) => {
         impl $ty {
@@ -123,13 +137,10 @@ macro_rules! names {
     };
     ($ty:ident { $($variant:ident => $name:literal),+ $(,)? }) => {
         impl $crate::service::wire::Wire for $ty {
-            fn to_json(&self) -> $crate::service::json::Json {
-                $crate::service::json::Json::Str(
-                    match self {
-                        $($ty::$variant => $name),+
-                    }
-                    .to_string(),
-                )
+            fn encode_into(&self, out: &mut String) {
+                out.push_str(match self {
+                    $($ty::$variant => concat!("\"", $name, "\"")),+
+                });
             }
             fn from_json(value: &$crate::service::json::Json) -> Result<Self, String> {
                 match value.as_str() {
@@ -143,8 +154,8 @@ macro_rules! names {
 pub(crate) use names;
 
 impl<T: Wire> Wire for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(T::to_json).collect())
+    fn encode_into(&self, out: &mut String) {
+        encode_array(self, out, T::encode_into)
     }
     fn from_json(value: &Json) -> Result<Self, String> {
         items(value)?.iter().map(T::from_json).collect()
@@ -152,8 +163,8 @@ impl<T: Wire> Wire for Vec<T> {
 }
 
 impl Wire<Hex> for Vec<u64> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().copied().map(hex64).collect())
+    fn encode_into(&self, out: &mut String) {
+        encode_array(self, out, |id, out| encode_hex64(*id, out))
     }
     fn from_json(value: &Json) -> Result<Self, String> {
         items(value)?.iter().map(parse_hex64).collect()
@@ -161,12 +172,8 @@ impl Wire<Hex> for Vec<u64> {
 }
 
 impl<T: Wire> Wire<Named> for Vec<(String, T)> {
-    fn to_json(&self) -> Json {
-        Json::Obj(
-            self.iter()
-                .map(|(name, value)| (name.clone(), value.to_json()))
-                .collect(),
-        )
+    fn encode_into(&self, out: &mut String) {
+        encode_object(self, out, T::encode_into)
     }
     fn from_json(value: &Json) -> Result<Self, String> {
         value
@@ -180,8 +187,11 @@ impl<T: Wire> Wire<Named> for Vec<(String, T)> {
 
 /// `None` is `null`.  A record member marked `[opt]` is left out instead.
 impl<T: Wire> Wire for Option<T> {
-    fn to_json(&self) -> Json {
-        self.as_ref().map_or(Json::Null, T::to_json)
+    fn encode_into(&self, out: &mut String) {
+        match self {
+            Some(value) => value.encode_into(out),
+            None => out.push_str("null"),
+        }
     }
     fn from_json(value: &Json) -> Result<Self, String> {
         match value {
@@ -191,27 +201,24 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
-impl<T: Wire> Wire for Box<T> {
-    fn to_json(&self) -> Json {
-        T::to_json(self)
-    }
-    fn from_json(value: &Json) -> Result<Self, String> {
-        T::from_json(value).map(Box::new)
-    }
+/// A pointer to a value is the value.
+macro_rules! pointers {
+    ($($ptr:ident),+) => {$(
+        impl<T: Wire> Wire for $ptr<T> {
+            fn encode_into(&self, out: &mut String) {
+                T::encode_into(self, out)
+            }
+            fn from_json(value: &Json) -> Result<Self, String> {
+                T::from_json(value).map($ptr::new)
+            }
+        }
+    )+};
 }
-
-impl<T: Wire> Wire for Arc<T> {
-    fn to_json(&self) -> Json {
-        T::to_json(self)
-    }
-    fn from_json(value: &Json) -> Result<Self, String> {
-        T::from_json(value).map(Arc::new)
-    }
-}
+pointers!(Box, Arc);
 
 impl Wire for BTreeSet<String> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(String::to_json).collect())
+    fn encode_into(&self, out: &mut String) {
+        encode_array(self, out, String::encode_into)
     }
     fn from_json(value: &Json) -> Result<Self, String> {
         Ok(<Vec<String> as Wire>::from_json(value)?
@@ -220,44 +227,42 @@ impl Wire for BTreeSet<String> {
     }
 }
 
-impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
-    }
-    fn from_json(value: &Json) -> Result<Self, String> {
-        match items(value)? {
-            [a, b] => Ok((A::from_json(a)?, B::from_json(b)?)),
-            _ => Err("expected an array of two".to_string()),
+/// Fixed-size arrays of mixed members, `[a, b]` and `[a, b, c]`.
+macro_rules! tuples {
+    ($($len:literal: $($ty:ident $index:tt $raw:ident),+;)+) => {$(
+        impl<$($ty: Wire),+> Wire for ($($ty,)+) {
+            fn encode_into(&self, out: &mut String) {
+                out.push('[');
+                $(self.$index.encode_into(out); out.push(',');)+
+                out.pop(); // the comma after the last member
+                out.push(']');
+            }
+            fn from_json(value: &Json) -> Result<Self, String> {
+                match items(value)? {
+                    [$($raw),+] => Ok(($($ty::from_json($raw)?,)+)),
+                    _ => Err(concat!("expected an array of ", $len).to_string()),
+                }
+            }
         }
-    }
+    )+};
 }
-
-impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json(), self.2.to_json()])
-    }
-    fn from_json(value: &Json) -> Result<Self, String> {
-        match items(value)? {
-            [a, b, c] => Ok((A::from_json(a)?, B::from_json(b)?, C::from_json(c)?)),
-            _ => Err("expected an array of three".to_string()),
-        }
-    }
-}
+tuples!("two": A 0 a, B 1 b; "three": A 0 a, B 1 b, C 2 c;);
 
 /// A string-keyed map as `[[key, value], …]` with the keys sorted, so the
 /// bytes are the same whatever order the map iterates in.
 macro_rules! sorted_maps {
     ($($map:ident),+) => {$(
         impl<V: Wire> Wire for $map<String, V> {
-            fn to_json(&self) -> Json {
+            fn encode_into(&self, out: &mut String) {
                 let mut entries: Vec<(&String, &V)> = self.iter().collect();
                 entries.sort_by_key(|(key, _)| *key);
-                Json::Arr(
-                    entries
-                        .into_iter()
-                        .map(|(key, value)| Json::Arr(vec![key.to_json(), value.to_json()]))
-                        .collect(),
-                )
+                encode_array(entries, out, |(key, value), out| {
+                    out.push('[');
+                    encode_str(key, out);
+                    out.push(',');
+                    value.encode_into(out);
+                    out.push(']');
+                })
             }
             fn from_json(value: &Json) -> Result<Self, String> {
                 Ok(<Vec<(String, V)> as Wire>::from_json(value)?
@@ -288,21 +293,27 @@ sorted_maps!(HashMap, BTreeMap);
 ///
 /// `as Form` picks a non-[`Plain`] form; `[kind]` is one of the member
 /// kinds in the module docs.  An `[opt]` member encodes an
-/// `Option<&T>` (or `&Option<T>`).
+/// `Option<&T>` (or `&Option<T>`).  Keys are written as given, so they
+/// must need no escape.
 macro_rules! record {
     (@form []) => { $crate::service::wire::Plain };
     (@form [$form:ty]) => { $form };
 
-    (@put $members:ident, $key:literal, $get:expr, $form:tt [opt]) => {
+    (@put $out:ident, $key:literal, $get:expr, $form:tt [opt]) => {
         if let Some(inner) = $get {
-            $crate::service::wire::record!(@put $members, $key, inner, $form);
+            $crate::service::wire::record!(@put $out, $key, inner, $form);
         }
     };
-    (@put $members:ident, $key:literal, $get:expr, $form:tt $([$($kind:tt)+])?) => {
-        $members.push((
-            $key.to_string(),
-            $crate::service::wire::Encoded::<$crate::service::wire::record!(@form $form)>::into_json($get),
-        ))
+    (@put $out:ident, $key:literal, $get:expr, $form:tt $([$($kind:tt)+])?) => {
+        // No comma before an object's first member: no complete value
+        // ends in `{`.
+        if !$out.ends_with('{') {
+            $out.push(',');
+        }
+        $out.push_str(concat!("\"", $key, "\":"));
+        $crate::service::wire::Encoded::<$crate::service::wire::record!(@form $form)>::encode_member(
+            $get, $out,
+        );
     };
 
     (@take $value:ident, $key:literal, $form:tt [derived]) => { () };
@@ -330,11 +341,11 @@ macro_rules! record {
         $($key:literal => $name:ident $(: $as:ty)? $(as $form:ty)? $([$($kind:tt)+])? = $get:expr),+ $(,)?
     } => $build:expr) => {
         impl $crate::service::wire::Wire for $ty {
-            fn to_json(&self) -> $crate::service::json::Json {
+            fn encode_into(&self, out: &mut String) {
                 let $it = self;
-                let mut members = Vec::with_capacity([$($key),+].len());
-                $($crate::service::wire::record!(@put members, $key, $get, [$($form)?] $([$($kind)+])?);)+
-                $crate::service::json::Json::Obj(members)
+                out.push('{');
+                $($crate::service::wire::record!(@put out, $key, $get, [$($form)?] $([$($kind)+])?);)+
+                out.push('}');
             }
             fn from_json(value: &$crate::service::json::Json) -> Result<Self, String> {
                 $(let $name $(: $as)? =
@@ -346,31 +357,27 @@ macro_rules! record {
 }
 pub(crate) use record;
 
-/// The two members every protocol message opens with.
-const VERSION: &str = "protocol_version";
-const KIND: &str = "type";
-
-/// The start of a message's members: the envelope's head, for the kind's
+/// Open a message: its `{` and the envelope's two members, for the kind's
 /// own members and then the optional trailing one to follow.
-pub(crate) fn head(version: u32, kind: &str) -> Vec<(String, Json)> {
-    vec![
-        (VERSION.to_string(), version.to_json()),
-        (KIND.to_string(), Json::Str(kind.to_string())),
-    ]
+pub(crate) fn head(out: &mut String, version: u32, kind: &str) {
+    out.push_str("{\"protocol_version\":");
+    version.encode_into(out);
+    out.push_str(",\"type\":");
+    encode_str(kind, out);
 }
 
 /// The `(protocol_version, type)` a message opens with.
 pub(crate) fn read_head(value: &Json) -> Result<(u32, &str), String> {
     let get = |key| value.get(key).ok_or_else(|| format!("missing {key:?}"));
-    let kind = get(KIND)?.as_str().ok_or("\"type\": expected a string")?;
-    Ok((member(get(VERSION)?, VERSION)?, kind))
+    let kind = get("type")?.as_str().ok_or("\"type\": expected a string")?;
+    Ok((member(get("protocol_version")?, "protocol_version")?, kind))
 }
 
 /// Describe a message enum as a `type` → members table.  Every variant has
 /// a `version` field, filled from the envelope; a variant followed by an
 /// identifier also has that field, filled from the trailing member (absent
-/// means its default).  After the table: the trailing member's key and the
-/// `Option<&T>` to encode for it.
+/// means its default).  After the table: the trailing member's key and an
+/// `Option` of what to encode for it (see [`Encoded`]).
 ///
 /// Besides [`Wire`], the enum gets `kind()`, `version()` and
 /// `with_version()`.
@@ -406,16 +413,16 @@ macro_rules! message {
         }
 
         impl $crate::service::wire::Wire for $ty {
-            fn to_json(&self) -> $crate::service::json::Json {
+            fn encode_into(&self, out: &mut String) {
                 let $it = self;
-                let mut members = $crate::service::wire::head(self.version(), self.kind());
+                $crate::service::wire::head(out, self.version(), self.kind());
                 match self {
                     $($ty::$variant { $($field,)* .. } => {
-                        $($crate::service::wire::record!(@put members, $key, $field, [$($form)?] $([$($how)+])?);)*
+                        $($crate::service::wire::record!(@put out, $key, $field, [$($form)?] $([$($how)+])?);)*
                     })+
                 }
-                $crate::service::wire::record!(@put members, $tail_key, $tail, [] [opt]);
-                $crate::service::json::Json::Obj(members)
+                $crate::service::wire::record!(@put out, $tail_key, $tail, [] [opt]);
+                out.push('}');
             }
             fn from_json(value: &$crate::service::json::Json) -> Result<Self, String> {
                 let (version, kind) = $crate::service::wire::read_head(value)?;
@@ -609,7 +616,7 @@ mod tests {
 
     #[test]
     fn a_record_writes_its_members_in_order_and_reads_them_back() {
-        let line = sample().to_json().encode();
+        let line = encode(&sample());
         assert_eq!(
             line,
             r#"{"id":"000000000000feed","count":3,"label":"l","tags":["a"],"limit":9}"#
@@ -622,7 +629,7 @@ mod tests {
             extra: Some(true),
             ..sample()
         };
-        assert!(with_extra.to_json().encode().ends_with(r#","extra":true}"#));
+        assert!(encode(&with_extra).ends_with(r#","extra":true}"#));
     }
 
     #[test]
@@ -650,13 +657,17 @@ mod tests {
     #[test]
     fn maps_encode_sorted_whatever_order_they_iterate_in() {
         let map: HashMap<String, u64> = [("b".to_string(), 2), ("a".to_string(), 1)].into();
-        assert_eq!(Wire::to_json(&map).encode(), r#"[["a",1],["b",2]]"#);
-        assert_eq!(HashMap::from_json(&Wire::to_json(&map)).unwrap(), map);
-        let named = vec![("z".to_string(), 1u64), ("a".to_string(), 2)];
-        let doc = Wire::<Named>::to_json(&named);
-        assert_eq!(doc.encode(), r#"{"z":1,"a":2}"#);
+        let line = encode(&map);
+        assert_eq!(line, r#"[["a",1],["b",2]]"#);
         assert_eq!(
-            <Vec<(String, u64)> as Wire<Named>>::from_json(&doc),
+            HashMap::from_json(&Json::parse(&line).unwrap()).unwrap(),
+            map
+        );
+        let named = vec![("z".to_string(), 1u64), ("a".to_string(), 2)];
+        let line = encode::<Named, _>(&named);
+        assert_eq!(line, r#"{"z":1,"a":2}"#);
+        assert_eq!(
+            <Vec<(String, u64)> as Wire<Named>>::from_json(&Json::parse(&line).unwrap()),
             Ok(named)
         );
     }
@@ -665,8 +676,9 @@ mod tests {
     fn fixed_arrays_refuse_the_wrong_length() {
         type Triple = (String, bool, Option<u32>);
         let triple: Triple = ("x".into(), true, None);
-        assert_eq!(triple.to_json().encode(), r#"["x",true,null]"#);
-        assert_eq!(Triple::from_json(&triple.to_json()), Ok(triple));
+        let line = encode(&triple);
+        assert_eq!(line, r#"["x",true,null]"#);
+        assert_eq!(Triple::from_json(&Json::parse(&line).unwrap()), Ok(triple));
         let short = Json::parse(r#"["x",true]"#).unwrap();
         assert!(Triple::from_json(&short).is_err());
         assert!(<(String, bool)>::from_json(&short).is_ok());

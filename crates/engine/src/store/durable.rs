@@ -476,7 +476,7 @@ fn flusher_loop(shared: &Arc<TierShared>, receiver: &mpsc::Receiver<Job>) {
             for job in batch {
                 match job {
                     Job::Program(key, entry, generation) => {
-                        let body = entry::program_document(&entry).encode();
+                        let body = entry::encode_program(&entry);
                         let mut state = shared.state.lock().unwrap();
                         append(shared, &mut state, key, body.as_bytes(), generation);
                         drop(state);

@@ -11,14 +11,14 @@
 //! must reproduce the digest.  A document that fails any check — a torn
 //! disk entry, a lying peer — is a miss, never a wrong answer.
 //!
-//! The unit of this module is a [`Json`] document; bytes exist only at the
-//! segment file (`parse`) and on the socket.  Every shape is described
-//! once, through [`crate::service::wire`], so adding a member to an entry
-//! is one line here — `[or <default>]` if entries already on disk must
-//! keep decoding, a new entry version otherwise.
+//! An entry is written straight to its bytes ([`encode_program`]) and read
+//! from a parsed [`Json`] document.  Every shape is described once,
+//! through [`crate::service::wire`], so adding a member to an entry is one
+//! line here — `[or <default>]` if entries already on disk must keep
+//! decoding, a new entry version otherwise.
 
-use crate::service::json::Json;
-use crate::service::wire::{leaves, names, record, Hex, Wire};
+use crate::service::json::{encode_array, encode_str, Json};
+use crate::service::wire::{encode, leaves, names, record, Encoded, Hex, Plain, Wire};
 use crate::AnalyzedProgram;
 use sil_analysis::{
     AbstractState, AnalysisResult, ArgMode, ProcSummary, ProcedureAnalysis, ProgramPoint,
@@ -44,8 +44,8 @@ names!(Dir { Left => "L", Right => "R", Down => "D" });
 
 /// A link is `[dir_letter, min, exact]`.
 impl Wire for Link {
-    fn to_json(&self) -> Json {
-        (self.dir, self.min, self.exact).to_json()
+    fn encode_into(&self, out: &mut String) {
+        (self.dir, self.min, self.exact).encode_into(out)
     }
     fn from_json(value: &Json) -> Result<Self, String> {
         let (dir, min, exact) = Wire::from_json(value)?;
@@ -60,12 +60,15 @@ impl Wire for Link {
 /// A path is `[definite, links]`: `links` is `null` for `S`ame, else a
 /// non-empty list.
 impl Wire for RelPath {
-    fn to_json(&self) -> Json {
-        let links = match self.links() {
-            [] => Json::Null,
-            links => Json::Arr(links.iter().map(Link::to_json).collect()),
-        };
-        Json::Arr(vec![self.certainty.is_definite().to_json(), links])
+    fn encode_into(&self, out: &mut String) {
+        out.push('[');
+        self.certainty.is_definite().encode_into(out);
+        out.push(',');
+        match self.links() {
+            [] => out.push_str("null"),
+            links => encode_array(links, out, Link::encode_into),
+        }
+        out.push(']');
     }
     fn from_json(value: &Json) -> Result<Self, String> {
         let (definite, links): (bool, Option<Vec<Link>>) = Wire::from_json(value)?;
@@ -83,8 +86,8 @@ impl Wire for RelPath {
 }
 
 impl Wire for PathSet {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.paths().iter().map(RelPath::to_json).collect())
+    fn encode_into(&self, out: &mut String) {
+        encode_array(self.paths(), out, RelPath::encode_into)
     }
     fn from_json(value: &Json) -> Result<Self, String> {
         Ok(PathSet::from_paths(<Vec<RelPath> as Wire>::from_json(
@@ -95,31 +98,36 @@ impl Wire for PathSet {
 
 // Interned on sight, which is what a matrix is built from.
 leaves! {
-    Symbol: "a handle name", |name| Json::Str(name.as_str().to_string()), |raw| raw.as_str().map(intern);
+    Symbol: "a handle name", |name, out| encode_str(name.as_str(), out), |raw| raw.as_str().map(intern);
 }
 
-/// The non-empty relations of `matrix` as `[[a, b, paths], …]`, sorted by
-/// handle names.  Built by hand: a list of triples to encode from would
+/// The non-empty relations of a matrix as `[[a, b, paths], …]`, sorted by
+/// handle names.  Written by hand: a list of triples to encode from would
 /// copy every path set.
-fn relations(matrix: &PathMatrix) -> Json {
-    let mut entries: Vec<_> = matrix.related_pairs().collect();
-    entries.sort_by_key(|&(a, b, _)| (a, b));
-    let name = |name: &str| Json::Str(name.to_string());
-    Json::Arr(
-        entries
-            .into_iter()
-            .map(|(a, b, set)| Json::Arr(vec![name(a), name(b), set.to_json()]))
-            .collect(),
-    )
+struct Relations<'a>(&'a PathMatrix);
+
+impl Encoded<Plain> for Relations<'_> {
+    fn encode_member(self, out: &mut String) {
+        let mut entries: Vec<_> = self.0.related_pairs().collect();
+        entries.sort_by_key(|&(a, b, _)| (a, b));
+        encode_array(entries, out, |(a, b, set), out| {
+            out.push('[');
+            encode_str(a, out);
+            out.push(',');
+            encode_str(b, out);
+            out.push(',');
+            set.encode_into(out);
+            out.push(']');
+        });
+    }
 }
 
 // Handles are stored *in matrix insertion order* — `render()` (and through
 // it the analysis digest) depends on that order.
 record!(AbstractState: |state| {
     "structure" => structure = &state.structure,
-    "handles" => handles: Vec<Symbol> =
-        Json::Arr(state.matrix.handles().iter().map(Symbol::to_json).collect()),
-    "entries" => entries: Vec<(Symbol, Symbol, PathSet)> = relations(&state.matrix),
+    "handles" => handles: Vec<Symbol> = state.matrix.handles(),
+    "entries" => entries: Vec<(Symbol, Symbol, PathSet)> = Relations(&state.matrix),
     "attached" => attached = &state.attached,
     "shared" => shared = &state.shared,
 } => {
@@ -190,14 +198,20 @@ record!(ProgramEntry: |entry| {
     ProgramEntry { fingerprint, source, analysis: Arc::new(analysis) }
 });
 
-/// The document of one analyzed program.
-pub(crate) fn program_document(entry: &AnalyzedProgram) -> Json {
-    ProgramEntry {
+/// The document of one analyzed program, as the bytes a segment holds and
+/// a peer is served.
+pub(crate) fn encode_program(entry: &AnalyzedProgram) -> String {
+    encode(&ProgramEntry {
         fingerprint: entry.fingerprint,
         source: pretty_program(&entry.program),
         analysis: entry.analysis.clone(),
-    }
-    .to_json()
+    })
+}
+
+/// [`encode_program`]'s document, parsed.
+#[cfg(test)]
+pub(crate) fn program_document(entry: &AnalyzedProgram) -> Json {
+    parse(encode_program(entry).as_bytes()).expect("the encoder writes JSON")
 }
 
 /// Decode a program entry, refusing anything that was not stored under

@@ -26,8 +26,8 @@
 //! * **a source-text memo in front** — [`SummaryStore::sources`] maps the
 //!   exact bytes of a request's source to the program fingerprint the
 //!   front end derived from them, so an exact repeat skips parsing and
-//!   fingerprinting.  It is keyed by FNV-1a of the raw text, which anyone
-//!   can collide, so a hit needs byte equality, never only the key.  It
+//!   fingerprinting.  It is keyed by [`SummaryStore::source_key`] of the
+//!   raw text, a non-cryptographic hash anyone can collide, so a hit needs byte equality, never only the key.  It
 //!   holds a text only when it is no longer than its program's canonical
 //!   rendering, so it never holds more bytes than the canonical forms of
 //!   programs the store has analyzed.  Memory-only, sized like `programs`,
@@ -236,7 +236,8 @@ pub struct SummaryStore {
     /// Memory-only like `walks`, and sized like `programs`: one product per
     /// program.
     products: NamespaceCache<Arc<ParallelProduct>>,
-    /// Request texts the front end accepted, keyed by FNV-1a of the text:
+    /// Request texts the front end accepted, keyed by
+    /// [`SummaryStore::source_key`] of the text:
     /// memory-only, sized like `programs`, and not a [`Namespace`] — its
     /// key addresses bytes, not program content.
     sources: NamespaceCache<Arc<FiledSource>>,
@@ -327,6 +328,13 @@ impl SummaryStore {
         &self.sources
     }
 
+    /// The key a request text is filed and looked up under in
+    /// [`SummaryStore::sources`]: a word-at-a-time hash of its bytes (the
+    /// memo never leaves memory, so the key is free to change).
+    pub fn source_key(text: &str) -> u64 {
+        sil_lang::hash::word_hash(text.as_bytes())
+    }
+
     /// The program fingerprint filed for exactly `text` under `key`.  The
     /// key is a non-cryptographic hash anyone can collide, so a hit needs
     /// the filed bytes to equal `text`; an entry that only shares the key
@@ -379,22 +387,24 @@ impl SummaryStore {
 
     /// Answer one `peer_fetch`.  A whole-program entry is served as the
     /// same verifiable entry document (`store/entry.rs`) the durable tier
-    /// persists: memory first (building the document on demand), then
-    /// disk; never recomputed.  A summary table is never served — the
+    /// persists: memory first (encoding the document on demand), then
+    /// disk; never recomputed.  Either way the reply's member is those
+    /// bytes, parsed.  A summary table is never served — the
     /// namespace lives in memory only — so an older daemon that still asks
     /// for one gets the answer an evicted key gets.
     pub fn peer_body(&self, namespace: PeerNamespace, key: u64) -> Option<Json> {
         self.peer_serves.fetch_add(1, Ordering::Relaxed);
         let body = match namespace {
             PeerNamespace::Programs => match self.programs.peek(key) {
-                Some(entry) => Some(entry::program_document(&entry)),
-                None => self.disk_document(key),
+                Some(entry) => entry::encode_program(&entry).into_bytes(),
+                None => self.durable.as_ref()?.get(key)?,
             },
-            PeerNamespace::Summaries => None,
-        }?;
+            PeerNamespace::Summaries => return None,
+        };
+        let document = entry::parse(&body)?;
         self.peer_bytes_out
-            .fetch_add(body.encoded_len() as u64, Ordering::Relaxed);
-        Some(body)
+            .fetch_add(body.len() as u64, Ordering::Relaxed);
+        Some(document)
     }
 
     /// The entry document the disk tier holds under `key`, parsed.

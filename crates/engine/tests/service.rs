@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sil_engine::service::{
-    ErrorKind, RemoteService, Request, Response, Server, Service, PROTOCOL_VERSION,
+    ErrorKind, Json, RemoteService, Request, Response, Server, Service, PROTOCOL_VERSION,
 };
 use sil_engine::{Addr, Engine, ExecutionReport, IncrementalReport, ProcessOptions, ProgramReport};
 use sil_workloads::Workload;
@@ -73,7 +73,9 @@ fn generated_report(rng: &mut StdRng) -> ProgramReport {
 }
 
 /// encode → parse → encode is the identity on 300 generated reports, and
-/// the parsed value equals the original field for field.
+/// the parsed value equals the original field for field.  The streaming
+/// encoder also writes exactly what the tree serializer writes for the
+/// document it produced.
 #[test]
 fn generated_reports_round_trip_exactly() {
     for seed in 0..300u64 {
@@ -88,6 +90,12 @@ fn generated_reports_round_trip_exactly() {
             ProgramReport::from_json(&json).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{json}"));
         assert_eq!(decoded, report, "seed {seed}");
         assert_eq!(decoded.to_json(), json, "seed {seed}: re-encode diverged");
+        let tree = Json::parse(&json).unwrap();
+        assert_eq!(
+            tree.encode(),
+            json,
+            "seed {seed}: the tree serializer disagrees"
+        );
     }
 }
 

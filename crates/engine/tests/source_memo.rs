@@ -8,8 +8,7 @@
 
 use sil_analysis::analyze_program;
 use sil_engine::service::{ErrorKind, Request, Response, Service, TraceSpan};
-use sil_engine::{Engine, EngineConfig};
-use sil_lang::hash::fnv1a;
+use sil_engine::{Engine, EngineConfig, SummaryStore};
 use sil_lang::{frontend, pretty_program};
 use sil_workloads::Workload;
 
@@ -51,15 +50,26 @@ fn a_hash_collision_cannot_serve_another_programs_analysis() {
     let a = Workload::TreeSum.source(4);
     let b = Workload::ListSum.source(4);
     let a_fingerprint = engine.analyze_source(&a).unwrap().fingerprint;
-    engine
-        .store()
-        .file_source(fnv1a(b.as_bytes()), &a, a_fingerprint);
+    let b_key = SummaryStore::source_key(&b);
+    engine.store().file_source(b_key, &a, a_fingerprint);
 
     let (hit, digest) = analyze(&engine, &b);
     assert!(!hit);
     assert_eq!(digest, direct_digest(&b));
     assert_ne!(digest, direct_digest(&a));
     assert_eq!(parses(&engine), 1);
+    // The request really met the collision: it looked `b` up under the
+    // very key `a` was filed under, and filed `b` over it.
+    let b_fingerprint = frontend(&b).map(|(p, _)| sil_lang::program_fingerprint(&p));
+    assert_eq!(
+        engine.store().filed_fingerprint(b_key, &b),
+        b_fingerprint.ok()
+    );
+    assert_eq!(
+        engine.store().sources().len(),
+        2,
+        "`a` under its own key, `b` under b_key"
+    );
 }
 
 /// Reformatting a cached program changes its bytes, not its content: the

@@ -5,7 +5,8 @@
 //! stable across processes and runs — `std::collections::hash_map`'s
 //! randomized hasher cannot be used — so this module provides a plain
 //! FNV-1a 64-bit hasher and fingerprints computed over the canonical form of
-//! the AST.
+//! the AST, plus [`word_hash`], a faster hash for keys that never leave
+//! memory.
 //!
 //! The canonical form is the pretty-printed rendering of [`crate::pretty`]:
 //! the workspace already relies on pretty-printing being a total, faithful
@@ -29,6 +30,30 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// A 64-bit hash of a byte slice that reads it a word (8 bytes) per step:
+/// seeded with the length, each word folded in by a multiply and a
+/// rotate, finished with splitmix64's avalanche.  About eight times fewer
+/// dependent steps than [`fnv1a`], for keys that live in memory only —
+/// nothing stored or sent may depend on its value.
+pub fn word_hash(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let fold = |hash: u64, word: u64| (hash ^ word).wrapping_mul(K).rotate_left(29);
+    let mut words = bytes.chunks_exact(8);
+    let mut hash = (bytes.len() as u64).wrapping_mul(K);
+    for word in &mut words {
+        hash = fold(hash, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        hash = fold(hash, u64::from_le_bytes(last));
+    }
+    hash = (hash ^ (hash >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    hash = (hash ^ (hash >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    hash ^ (hash >> 31)
 }
 
 /// An incremental FNV-1a hasher with length-prefixed field framing, so that
@@ -163,6 +188,25 @@ end
         let mut b = StableHasher::new();
         b.write_str("a").write_str("bc");
         assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn word_hash_sees_every_byte_and_the_length() {
+        let text = "program t procedure main() begin end".repeat(3);
+        let bytes = text.as_bytes();
+        let mut seen = std::collections::HashSet::new();
+        // Every prefix (so every tail length), and every one-byte change.
+        for len in 0..=bytes.len() {
+            assert!(seen.insert(word_hash(&bytes[..len])), "prefix {len}");
+        }
+        for at in 0..bytes.len() {
+            let mut changed = bytes.to_vec();
+            changed[at] ^= 1;
+            assert!(seen.insert(word_hash(&changed)), "byte {at}");
+        }
+        // Zero padding is not the same text: the length seeds the hash.
+        assert_ne!(word_hash(b"ab"), word_hash(b"ab\0"));
+        assert_eq!(word_hash(bytes), word_hash(text.clone().as_bytes()));
     }
 
     #[test]

@@ -129,16 +129,35 @@ pub fn current_request() -> Option<u64> {
     current_context().map(|ctx| ctx.request)
 }
 
+/// How many span ids a thread takes from the process counter at a time.
+const ID_BLOCK: u64 = 4096;
+
 /// Mint a process-unique span id.  The counter is seeded from the pid and
 /// the wall clock so two daemons' id ranges are disjoint in practice —
-/// a trace assembled from several daemons never sees a collision.
+/// a trace assembled from several daemons never sees a collision.  Each
+/// thread takes ids from the counter a block at a time, so minting does
+/// not bounce the counter's cache line between cores on every span.
 pub fn mint_span_id() -> u64 {
     static NEXT: OnceLock<AtomicU64> = OnceLock::new();
-    let next = NEXT.get_or_init(|| AtomicU64::new(seed()));
+    thread_local! {
+        static BLOCK: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+    BLOCK.with(|block| next_id(block, NEXT.get_or_init(|| AtomicU64::new(seed()))))
+}
+
+/// The next id of the `[next, end)` block in `block`, taking a fresh block
+/// from `counter` when it is used up.  Blocks are disjoint ranges of the
+/// counter (modulo 2^64), and the one id that is 0 is skipped.
+fn next_id(block: &Cell<(u64, u64)>, counter: &AtomicU64) -> u64 {
     loop {
-        let id = next.fetch_add(1, Ordering::Relaxed);
-        if id != 0 {
-            return id;
+        let (mut next, mut end) = block.get();
+        if next == end {
+            next = counter.fetch_add(ID_BLOCK, Ordering::Relaxed);
+            end = next.wrapping_add(ID_BLOCK);
+        }
+        block.set((next.wrapping_add(1), end));
+        if next != 0 {
+            return next;
         }
     }
 }
@@ -234,21 +253,6 @@ impl Tracer {
     pub fn export_metrics(&self, raw: &mut RawMetrics) {
         raw.push_counter("trace.dropped_spans", self.dropped_spans());
         raw.push_counter("trace.slow_captures", self.slow_captures());
-    }
-
-    /// Record a completed span with no tree coordinates (the shape of
-    /// spans minted before any context exists).
-    pub fn record(&self, request: u64, name: &'static str, start_us: u64, end_us: u64) {
-        self.record_span(SpanRecord {
-            request,
-            name: Cow::Borrowed(name),
-            start_us,
-            end_us,
-            trace: 0,
-            span_id: mint_span_id(),
-            parent: 0,
-            origin: None,
-        });
     }
 
     /// Record a completed span, evicting (and counting) the oldest record
@@ -432,6 +436,44 @@ impl Drop for SpanTimer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Tracer {
+        /// Record a completed span with no tree coordinates.
+        fn record(&self, request: u64, name: &'static str, start_us: u64, end_us: u64) {
+            self.record_span(SpanRecord {
+                request,
+                name: Cow::Borrowed(name),
+                start_us,
+                end_us,
+                trace: 0,
+                span_id: mint_span_id(),
+                parent: 0,
+                origin: None,
+            });
+        }
+    }
+
+    #[test]
+    fn span_ids_from_many_threads_are_distinct_and_nonzero() {
+        let minted: Vec<Vec<u64>> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..8)
+                .map(|_| scope.spawn(|| (0..10_000).map(|_| mint_span_id()).collect()))
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        let all: HashSet<u64> = minted.iter().flatten().copied().collect();
+        assert_eq!(all.len(), 8 * 10_000);
+        assert!(!all.contains(&0));
+    }
+
+    #[test]
+    fn an_id_block_that_wraps_skips_zero() {
+        let counter = AtomicU64::new(u64::MAX - 2);
+        let block = Cell::new((0, 0));
+        let ids: Vec<u64> = (0..5).map(|_| next_id(&block, &counter)).collect();
+        assert_eq!(ids, [u64::MAX - 2, u64::MAX - 1, u64::MAX, 1, 2]);
+        assert_eq!(counter.load(Ordering::Relaxed), ID_BLOCK - 3);
+    }
 
     #[test]
     fn mint_never_returns_zero_and_increments() {
