@@ -42,18 +42,18 @@
 //! never only the hash, so a collision cannot serve one program's analysis
 //! for another's text.
 //!
-//! An [`Engine`] is a *view* over an `Arc<SummaryStore>`: it holds no cache
-//! and no lock of its own, so one engine serves every connection of a
-//! daemon, and engines built with [`Engine::with_store`] over one store
-//! warm-hit each other's entries.  Each namespace is lock-striped,
+//! An [`Engine`] holds no cache and no lock of its own, so one engine
+//! serves every connection of a daemon.  Each namespace is lock-striped,
 //! capacity-bounded, and evicts the least recently used entry of a full
 //! stripe; its [`CacheStats`] count hits, misses, insertions and evictions.
+//! The engine also owns the daemon's one [`Tracer`] and one [`Registry`]:
+//! the server records its spans and `server.*` instruments into them.
 //!
 //! Concurrency is across requests: every caller's analysis runs on the
-//! caller's own thread, and a batch fans out across its programs via rayon
-//! ([`EngineConfig::parallel`]).  Within one analysis nothing forks: a
-//! call-graph level's body walks cost tens of microseconds each, less than
-//! handing them to another thread (README, "Incremental re-analysis").
+//! caller's own thread, and a batch fans out across its programs via
+//! rayon.  Within one analysis nothing forks: a call-graph level's body
+//! walks cost tens of microseconds each, less than handing them to another
+//! thread (README, "Incremental re-analysis").
 //!
 //! ```
 //! use sil_engine::{Engine, EngineConfig};
@@ -102,24 +102,13 @@ use silobs::{Counter, RawMetrics, Registry, ShardedHistogram, Tracer};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Engine construction parameters.  The cache-shaped fields describe the
-/// [`SummaryStore`] an [`Engine::new`] builds for itself; an engine
-/// attached to an existing store via [`Engine::with_store`] inherits that
-/// store's shape instead.
+/// Engine construction parameters: the shape of the [`SummaryStore`] an
+/// [`Engine::new`] builds for itself, and whether it re-analyzes
+/// incrementally.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Capacity of the whole-program namespace.
-    pub program_cache_capacity: usize,
-    /// Capacity of the per-SCC summary namespace.
-    pub summary_cache_capacity: usize,
-    /// Capacity (in cones) of the walk-record namespace that backs
-    /// incremental re-analysis.
-    pub procedure_cache_capacity: usize,
-    /// Lock stripes per store namespace.
-    pub store_stripes: usize,
-    /// Fan a batch (`analyze_batch`, `process_batch`) out across rayon, one
-    /// task per program.  A single analysis never forks.
-    pub parallel: bool,
+    /// Namespace capacities, lock stripes and the optional disk tier.
+    pub store: StoreConfig,
     /// Record body walks and re-analyze edited programs incrementally: on a
     /// program-cache miss, every procedure whose cone fingerprint matches a
     /// retained one replays its recorded walks, and only the stale cone of
@@ -135,53 +124,21 @@ pub struct EngineConfig {
     /// against 25 MiB resident), so it turns this off unless
     /// `--incremental` asks for it.
     pub incremental: bool,
-    /// Durable disk tier under the in-memory store (`None` = memory-only).
-    pub durable: Option<DurableConfig>,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            program_cache_capacity: 256,
-            summary_cache_capacity: 1024,
-            procedure_cache_capacity: 512,
-            store_stripes: store::DEFAULT_STRIPES,
-            parallel: true,
+            store: StoreConfig::default(),
             incremental: true,
-            durable: None,
         }
     }
 }
 
-/// Builder-style setters: `EngineConfig::default().with_parallel(false)
+/// Builder-style setters: `EngineConfig::default().with_data_dir(dir)
 /// .with_incremental(false)` reads better at construction sites than
-/// struct-update syntax and keeps working if fields grow defaults.
+/// struct-update syntax.
 impl EngineConfig {
-    pub fn with_program_cache_capacity(mut self, capacity: usize) -> Self {
-        self.program_cache_capacity = capacity;
-        self
-    }
-
-    pub fn with_summary_cache_capacity(mut self, capacity: usize) -> Self {
-        self.summary_cache_capacity = capacity;
-        self
-    }
-
-    pub fn with_procedure_cache_capacity(mut self, capacity: usize) -> Self {
-        self.procedure_cache_capacity = capacity;
-        self
-    }
-
-    pub fn with_store_stripes(mut self, stripes: usize) -> Self {
-        self.store_stripes = stripes;
-        self
-    }
-
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
     pub fn with_incremental(mut self, incremental: bool) -> Self {
         self.incremental = incremental;
         self
@@ -189,24 +146,13 @@ impl EngineConfig {
 
     /// Put a durable disk tier under the store (or remove it with `None`).
     pub fn with_durable(mut self, durable: Option<DurableConfig>) -> Self {
-        self.durable = durable;
+        self.store.durable = durable;
         self
     }
 
     /// Shorthand: a durable tier with default sizing rooted at `data_dir`.
     pub fn with_data_dir(self, data_dir: impl Into<std::path::PathBuf>) -> Self {
         self.with_durable(Some(DurableConfig::at(data_dir)))
-    }
-
-    /// The shape of the [`SummaryStore`] this config describes.
-    pub fn store_config(&self) -> StoreConfig {
-        StoreConfig {
-            program_capacity: self.program_cache_capacity,
-            summary_capacity: self.summary_cache_capacity,
-            walk_capacity: self.procedure_cache_capacity,
-            stripes: self.store_stripes,
-            durable: self.durable.clone(),
-        }
     }
 }
 
@@ -294,9 +240,7 @@ impl From<SilError> for EngineError {
 
 /// One engine's *view counters* over its store: the lookups this engine
 /// made, per namespace.  The store's own [`StoreStats`] are the
-/// authoritative cache counters (including evictions and residency); when
-/// several engines share one store, engine B's view records a hit on an
-/// entry only engine A ever inserted.
+/// authoritative cache counters (including evictions and residency).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Whole-program lookups through this engine.
@@ -457,16 +401,16 @@ const RECORDS_PER_CONE: usize = 64;
 
 /// The memoizing analysis service.  `Engine` is `Sync`: one instance serves
 /// concurrent callers, and all its methods take `&self`.
-///
-/// An engine is a view over an [`Arc<SummaryStore>`]: [`Engine::new`]
-/// builds a private store from its config, [`Engine::with_store`] attaches
-/// to a shared one.
 #[derive(Debug)]
 pub struct Engine {
-    config: EngineConfig,
+    /// [`EngineConfig::incremental`].
+    incremental: bool,
     store: Arc<SummaryStore>,
     view: StoreView,
+    /// Every instrument of the process: the engine's own, and the
+    /// `server.*` ones of a daemon serving it.
     registry: Registry,
+    /// The process's one span ring.
     tracer: Arc<Tracer>,
     /// Answer `peer_inventory`/`peer_fetch` requests (`sild
     /// --no-peer-serve` turns this off; the refusal is indistinguishable
@@ -488,16 +432,9 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// An engine over its own private store, shaped by `config`.
+    /// An engine over its own store, shaped by `config`.
     pub fn new(config: EngineConfig) -> Engine {
-        let store = SummaryStore::shared(config.store_config());
-        Engine::with_store(config, store)
-    }
-
-    /// An engine over an existing (typically shared) store.  The config's
-    /// cache-shaped fields are ignored — the store was already built —
-    /// only `parallel` and `incremental` govern this view.
-    pub fn with_store(config: EngineConfig, store: Arc<SummaryStore>) -> Engine {
+        let store = SummaryStore::shared(config.store);
         let registry = Registry::new();
         // Adopt the store's durable-tier tracer when there is one, so the
         // flusher's `disk-*` spans surface in this engine's trace dumps.
@@ -515,7 +452,7 @@ impl Engine {
             walks_skipped: registry.counter("engine.walks.skipped"),
             tracer,
             peer_serve: true,
-            config,
+            incremental: config.incremental,
             store,
             registry,
         }
@@ -527,15 +464,22 @@ impl Engine {
         self
     }
 
-    /// This engine's span ring.
+    /// This engine's span ring: under a daemon, the server's spans share it.
     pub fn tracer(&self) -> &Arc<Tracer> {
         &self.tracer
     }
 
+    /// The registry a serving daemon registers its `server.*` instruments
+    /// on, beside the engine's own.
+    pub(crate) fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
     /// The raw (full-bucket) registry read behind both the `Metrics`
-    /// response and the daemon's flight recorder: this engine's `engine.*`
-    /// lookup counters and timing histograms, its store's `store.*`
-    /// entries, the `analysis.*` gauges and the tracer's `trace.*` counters.
+    /// response and the daemon's flight recorder: the registry's `engine.*`
+    /// lookup counters and timing histograms (and a daemon's `server.*`
+    /// instruments), the store's `store.*` entries, the `analysis.*` gauges
+    /// and the tracer's `trace.*` counters.
     pub fn metrics_raw(&self) -> RawMetrics {
         let mut raw = self.registry.collect();
         export_store_metrics(&self.store, &mut raw);
@@ -547,11 +491,7 @@ impl Engine {
         raw
     }
 
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// The store this engine is a view over.
+    /// The store this engine answers from.
     pub fn store(&self) -> &Arc<SummaryStore> {
         &self.store
     }
@@ -616,10 +556,8 @@ impl Engine {
     ///
     /// On a program-cache miss the analysis is (with
     /// [`EngineConfig::incremental`]) seeded from the walk records of every
-    /// cone this program shares with previously analyzed ones — whether
-    /// those were produced through this engine or any other view of the
-    /// same store — so an edited variant of a cached program only
-    /// re-analyzes the edit's stale cone.
+    /// cone this program shares with previously analyzed ones, so an edited
+    /// variant of a cached program only re-analyzes the edit's stale cone.
     pub fn analyze(&self, normalized: Normalized) -> (Arc<AnalyzedProgram>, bool) {
         match self.lookup(normalized.fingerprint) {
             Some(hit) => (hit, true),
@@ -658,12 +596,9 @@ impl Engine {
             (plan, summaries)
         };
 
-        let retained = self
-            .config
-            .incremental
-            .then(|| self.retained_walks(&plan.cones));
+        let retained = self.incremental.then(|| self.retained_walks(&plan.cones));
         let options = AnalyzeOptions {
-            record: self.config.incremental,
+            record: self.incremental,
             reuse: retained.as_ref().map(|(reuse, _)| reuse),
         };
         let fixpoint_start = silobs::ticks();
@@ -827,10 +762,10 @@ impl Engine {
         computed
     }
 
-    /// Map `op` over `items` in input order — across rayon when the engine
-    /// is [`EngineConfig::parallel`] and there is more than one item.
+    /// Map `op` over `items` in input order — across rayon when there is
+    /// more than one item.
     fn fan_out<T: Send, R: Send>(&self, items: Vec<T>, op: impl Fn(T) -> R + Sync) -> Vec<R> {
-        if !self.config.parallel || items.len() < 2 {
+        if items.len() < 2 {
             return items.into_iter().map(op).collect();
         }
         // Pool workers have no thread-local trace context of their own;
@@ -854,8 +789,8 @@ impl Engine {
             .collect()
     }
 
-    /// Analyze a batch of programs.  With [`EngineConfig::parallel`] the
-    /// batch fans out across rayon; results come back in input order.
+    /// Analyze a batch of programs, fanning out across rayon; results come
+    /// back in input order.
     pub fn analyze_batch<S: AsRef<str> + Sync>(
         &self,
         sources: &[S],
@@ -1032,8 +967,7 @@ impl Engine {
     }
 
     /// Drop all cached entries from the store (counters survive; useful
-    /// for cold-vs-warm measurements).  Affects every engine sharing the
-    /// store.
+    /// for cold-vs-warm measurements).
     pub fn clear_caches(&self) {
         self.store.clear();
     }
@@ -1118,30 +1052,6 @@ mod tests {
             after > before,
             "expected shared-cone summary hits ({before} -> {after})"
         );
-    }
-
-    #[test]
-    fn two_engines_over_one_store_share_their_summaries() {
-        let store = SummaryStore::shared(EngineConfig::default().store_config());
-        let a = Engine::with_store(EngineConfig::default(), store.clone());
-        let b = Engine::with_store(EngineConfig::default(), store);
-
-        let src = Workload::TreeSum.source(4);
-        a.analyze_source(&src).unwrap();
-        // The *same program* through the other view is a whole-program hit
-        // even though engine `b` never analyzed anything.
-        let (_, hit) = b.analyze_source_traced(&src).unwrap();
-        assert!(hit, "engine b must warm-hit engine a's store entry");
-        assert_eq!(b.stats().programs.hits, 1);
-        assert_eq!(b.stats().programs.misses, 0);
-        assert_eq!(a.stats().programs.hits, 0, "a's view saw none of b's hits");
-
-        // A *variant* through the other view reuses summaries and walks.
-        let variant = Workload::TreeSum.source(5);
-        let (_, variant_hit) = b.analyze_source_traced(&variant).unwrap();
-        assert!(!variant_hit);
-        assert!(b.stats().summaries.hits > 0, "cross-engine summary reuse");
-        assert!(b.stats().walks.hits > 0, "cross-engine walk reuse");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! reports to a remote `silp` that then renders byte-identical output to an
 //! in-process run.
 
-use crate::service::json::{escape, Json};
+use crate::service::json::Json;
 use crate::service::wire::{encode, record, Hex, Wire};
 use std::fmt::Write as _;
 
@@ -118,14 +118,6 @@ pub struct ProgramReport {
     pub sequential_execution: Option<ExecutionReport>,
     /// Parallelized execution metrics (when requested and parallelized).
     pub parallel_execution: Option<ExecutionReport>,
-}
-
-/// Escape a string for embedding in a JSON string literal.
-///
-/// Thin wrapper kept for compatibility; new code should build
-/// [`Json`] values instead of splicing strings.
-pub fn json_escape(s: &str) -> String {
-    escape(s)
 }
 
 // Optional members are left out (not `null`) when absent, and the member
@@ -238,12 +230,6 @@ mod tests {
             }),
             parallel_execution: None,
         }
-    }
-
-    #[test]
-    fn json_escaping_covers_controls_and_quotes() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

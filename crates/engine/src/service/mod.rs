@@ -12,6 +12,11 @@
 //! `silp` is written against `dyn Service`, which is what makes
 //! `--in-process` and `--connect` byte-identical: the same requests flow
 //! through the same rendering code, only the transport differs.
+//!
+//! The [`Server`] behind a daemon's socket serves an [`Engine`], not any
+//! `Service`: it records its spans and its `server.*` instruments into the
+//! engine's one tracer and one registry, so the engine's `metrics` and
+//! `trace_dump` answers cover the whole daemon.
 
 pub mod json;
 mod line;
@@ -32,9 +37,8 @@ use crate::report::{ProcessOptions, ProgramReport};
 use crate::store::StoreStats;
 use crate::{AnalyzedProgram, Engine, EngineConfig, EngineStats};
 use sil_lang::{frontend, program_fingerprint};
-use silobs::{HistorySample, MetricsSnapshot, RawMetrics, TraceContext, Tracer};
+use silobs::{HistorySample, MetricsSnapshot, TraceContext};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// Anything that answers protocol requests.
 ///
@@ -89,7 +93,7 @@ pub trait Service {
     }
 
     /// [`Request::Metrics`], expecting the service's observability
-    /// registry (plus the daemon's own `server.*` entries when remote).
+    /// registry (which holds a daemon's `server.*` entries too).
     fn service_metrics(&self) -> Result<MetricsSnapshot, ServiceError> {
         match self.call(Request::metrics()) {
             Response::Metrics { metrics, .. } => Ok(metrics),
@@ -98,7 +102,7 @@ pub trait Service {
         }
     }
 
-    /// [`Request::TraceDump`], expecting the retained spans oldest-first.
+    /// [`Request::TraceDump`], expecting the retained spans in start order.
     fn service_trace(&self) -> Result<Vec<TraceSpan>, ServiceError> {
         match self.call(Request::trace_dump()) {
             Response::Trace { spans, .. } => Ok(spans),
@@ -115,19 +119,6 @@ pub trait Service {
             Response::Error { error, .. } => Err(error),
             other => Err(unexpected("metrics_history", &other)),
         }
-    }
-
-    /// The tracer this service records spans into, when it exposes one.
-    /// The daemon uses it to name the service's origin, to collect
-    /// piggybacked span trees, and to capture slow requests.
-    fn service_tracer(&self) -> Option<Arc<Tracer>> {
-        None
-    }
-
-    /// A raw (full-bucket) read of this service's metrics registry, when
-    /// it can provide one — what the daemon's flight recorder samples.
-    fn raw_metrics(&self) -> Option<RawMetrics> {
-        None
     }
 }
 
@@ -192,13 +183,18 @@ impl Engine {
             // `total`: an older `silp` requires the member to handshake.
             Request::Stats { .. } => Response::stats(vec![self.stats()], self.store_stats()),
             Request::Metrics { .. } => Response::metrics(self.metrics_raw().summarize()),
-            Request::TraceDump { .. } => Response::trace(
-                self.tracer()
-                    .snapshot()
+            // Ring plus slow captures, each span once; under a daemon the
+            // ring holds the server's spans too.
+            Request::TraceDump { .. } => {
+                let mut spans: Vec<TraceSpan> = self
+                    .tracer()
+                    .snapshot_all()
                     .iter()
                     .map(TraceSpan::from)
-                    .collect(),
-            ),
+                    .collect();
+                spans.sort_by_key(|span| (span.start_us, span.request));
+                Response::trace(spans)
+            }
             Request::ClearCaches { .. } => {
                 self.clear_caches();
                 Response::cleared()
@@ -260,14 +256,6 @@ fn summarize(entry: &AnalyzedProgram, cache_hit: bool) -> AnalyzeSummary {
 impl Service for Engine {
     fn call(&self, request: Request) -> Response {
         self.serve(request)
-    }
-
-    fn service_tracer(&self) -> Option<Arc<Tracer>> {
-        Some(self.tracer().clone())
-    }
-
-    fn raw_metrics(&self) -> Option<RawMetrics> {
-        Some(self.metrics_raw())
     }
 }
 

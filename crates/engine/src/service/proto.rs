@@ -32,7 +32,6 @@ use crate::report::{ProcessOptions, ProgramReport};
 use crate::store::{DiskStats, NamespaceStats, PeerStats, StoreStats};
 use crate::{CacheStats, EngineError, EngineStats};
 use silobs::{HistogramSummary, HistorySample, MetricsSnapshot, SpanRecord};
-use std::collections::HashSet;
 
 /// The one protocol version this build speaks.
 ///
@@ -679,38 +678,6 @@ impl Response {
         }
     }
 
-    /// Splice the daemon's own `server.*` metrics into a
-    /// [`Response::Metrics`] on its way out (other responses pass through
-    /// unchanged) — the server-side sibling of [`Response::with_server_stats`].
-    pub fn with_server_metrics(mut self, server: MetricsSnapshot) -> Response {
-        if let Response::Metrics { metrics, .. } = &mut self {
-            metrics.extend_disjoint(server);
-        }
-        self
-    }
-
-    /// Merge the daemon's own spans into a [`Response::Trace`] on its way
-    /// out, keeping the combined dump ordered by start tick (other
-    /// responses pass through unchanged).  Spans already present are
-    /// skipped by span id — a slow capture held by the server tracer may
-    /// duplicate spans still live in the service tracer's ring.
-    pub fn with_server_spans(mut self, server: Vec<TraceSpan>) -> Response {
-        if let Response::Trace { spans, .. } = &mut self {
-            let mut seen: HashSet<u64> = spans
-                .iter()
-                .map(|span| span.span_id)
-                .filter(|id| *id != 0)
-                .collect();
-            for span in server {
-                if span.span_id == 0 || seen.insert(span.span_id) {
-                    spans.push(span);
-                }
-            }
-            spans.sort_by_key(|span| (span.start_us, span.request));
-        }
-        self
-    }
-
     pub fn cleared() -> Response {
         Response::Cleared {
             version: PROTOCOL_VERSION,
@@ -1335,70 +1302,6 @@ mod tests {
         assert_eq!(record.origin.as_deref(), Some("unix:/tmp/a.sock"));
         assert_eq!(record.trace, 0x2a);
         assert_eq!(TraceSpan::from(&record), span);
-    }
-
-    #[test]
-    fn server_metrics_decoration_splices_disjoint_namespaces() {
-        let server = MetricsSnapshot {
-            counters: vec![("server.accepted".to_string(), 4)],
-            gauges: vec![("server.active".to_string(), 2)],
-            histograms: Vec::new(),
-        };
-        match Response::metrics(sample_metrics()).with_server_metrics(server) {
-            Response::Metrics { metrics, .. } => {
-                assert_eq!(metrics.counter("engine.programs.hits"), Some(12));
-                assert_eq!(metrics.counter("server.accepted"), Some(4));
-                assert_eq!(metrics.gauge("server.active"), Some(2));
-                let names: Vec<&str> = metrics.counters.iter().map(|(n, _)| n.as_str()).collect();
-                let mut sorted = names.clone();
-                sorted.sort();
-                assert_eq!(names, sorted, "decorated counters stay sorted");
-            }
-            other => panic!("{other:?}"),
-        }
-        // Decoration leaves non-metrics responses untouched.
-        assert_eq!(
-            Response::cleared().with_server_metrics(MetricsSnapshot::default()),
-            Response::cleared()
-        );
-    }
-
-    #[test]
-    fn server_span_decoration_merges_in_tick_order() {
-        let engine_spans = vec![flat_span(2, "fixpoint", 50, 90)];
-        let server_spans = vec![
-            flat_span(2, "parse", 40, 45),
-            flat_span(2, "encode", 95, 99),
-        ];
-        match Response::trace(engine_spans).with_server_spans(server_spans) {
-            Response::Trace { spans, .. } => {
-                let names: Vec<&str> = spans.iter().map(|s| s.span.as_str()).collect();
-                assert_eq!(names, vec!["parse", "fixpoint", "encode"]);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn server_span_decoration_dedups_by_span_id() {
-        let shared = tree_span(2, "serve", 0x2a, 0x1f, 0);
-        // Span-id dedup: a slow capture on the server tracer can hold the
-        // same span the service ring still retains.  Id-less (legacy)
-        // spans are never collapsed.
-        let merged = Response::trace(vec![shared.clone(), flat_span(2, "parse", 1, 2)])
-            .with_server_spans(vec![
-                shared,
-                flat_span(2, "parse", 1, 2),
-                tree_span(2, "encode", 0x2a, 0x20, 0x1f),
-            ]);
-        match merged {
-            Response::Trace { spans, .. } => {
-                assert_eq!(spans.iter().filter(|s| s.span == "serve").count(), 1);
-                assert_eq!(spans.iter().filter(|s| s.span == "parse").count(), 2);
-                assert_eq!(spans.iter().filter(|s| s.span == "encode").count(), 1);
-            }
-            other => panic!("{other:?}"),
-        }
     }
 
     #[test]

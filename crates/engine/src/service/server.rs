@@ -15,6 +15,13 @@
 //! `line.rs` holds the reader and the writer, which the client side uses
 //! too.
 //!
+//! The server keeps no tracer and no registry of its own.  It mints
+//! request ids from its [`Engine`]'s tracer, records its `decode`, `serve`,
+//! `encode` and `write` spans into it, and registers its `server.*`
+//! instruments on the engine's registry — so the engine's `metrics` and
+//! `trace_dump` answers already cover the whole daemon, and a request's
+//! spans all sit in one ring.
+//!
 //! The `sild` binary is a thin shell around [`Server`]; tests spawn the
 //! same server in-process on a temp socket, so the daemon path is
 //! exercised by `cargo test` without managing child processes.
@@ -30,11 +37,9 @@
 use super::line::{read_bounded_line, write_line};
 use super::proto::{Request, Response, ServerStats, ServiceError, TraceSpan, PROTOCOL_VERSION};
 use super::wire::Wire;
-use super::{Addr, Service};
-use silobs::{
-    Counter, FlightRecorder, Gauge, MetricsSnapshot, Registry, ShardedHistogram, TraceContext,
-    Tracer,
-};
+use super::Addr;
+use crate::Engine;
+use silobs::{Counter, FlightRecorder, Gauge, ShardedHistogram, TraceContext};
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -69,24 +74,18 @@ impl Default for ServerOptions {
 }
 
 /// Live daemon-side instrumentation, shared between the accept loop and
-/// connection threads (which update it) and the per-line dispatch (which
-/// snapshots it into `Stats`/`Metrics` responses).
+/// connection threads (which update it) and the per-line dispatch.
 ///
-/// The counters live on a [`Registry`] under the `server.*` namespace, so
-/// a `Metrics` response can splice them next to the engine's `engine.*` /
-/// `store.*` entries; the legacy [`ServerStats`] wire shape is a view over
-/// the same atomics, byte-identical to what it reported before.
+/// The instruments live on the engine's registry under the `server.*`
+/// namespace; the [`ServerStats`] a `stats` reply carries is a view over
+/// the same atomics.
 #[derive(Debug)]
 struct ServerCounters {
-    registry: Registry,
     accepted: Counter,
     active: Gauge,
     requests: Counter,
     serve_us: Arc<ShardedHistogram>,
-    /// Request ids are minted from it and server-side spans recorded into
-    /// it.
-    tracer: Arc<Tracer>,
-    recorder: Arc<FlightRecorder>,
+    recorder: FlightRecorder,
     /// Service calls slower than this many microseconds are captured into
     /// the tracer's slow buffer; 0 disables.
     slow_us: u64,
@@ -94,23 +93,21 @@ struct ServerCounters {
 }
 
 impl ServerCounters {
-    fn new(options: &ServerOptions) -> ServerCounters {
-        ServerCounters::with_started(options, Instant::now())
+    fn new(engine: &Engine, options: &ServerOptions) -> ServerCounters {
+        ServerCounters::with_started(engine, options, Instant::now())
     }
 
     /// [`ServerCounters::new`] with an explicit start instant (tests back-
     /// date it to pin the uptime the snapshot must report).
-    fn with_started(options: &ServerOptions, started: Instant) -> ServerCounters {
-        let registry = Registry::new();
+    fn with_started(engine: &Engine, options: &ServerOptions, started: Instant) -> ServerCounters {
+        let registry = engine.registry();
         ServerCounters {
             accepted: registry.counter("server.accepted"),
             active: registry.gauge("server.active"),
             requests: registry.counter("server.requests"),
             serve_us: registry.histogram("server.serve_us"),
-            tracer: Arc::new(Tracer::default()),
-            recorder: Arc::new(FlightRecorder::new(options.recorder_capacity.max(2))),
+            recorder: FlightRecorder::new(options.recorder_capacity.max(2)),
             slow_us: options.slow_us,
-            registry,
             started,
         }
     }
@@ -142,26 +139,10 @@ impl ServerCounters {
         }
     }
 
-    /// The `server.*` metrics namespace (plus the server tracer's
-    /// `trace.*` counters), as spliced into `Metrics` responses.  The
-    /// service exports its own tracer's counters too; the splice sums
-    /// them into daemon-wide totals.
-    fn metrics(&self) -> MetricsSnapshot {
-        let mut raw = self.registry.collect();
-        self.tracer.export_metrics(&mut raw);
-        raw.summarize()
-    }
-
-    /// One flight-recorder tick: the server registry, the server tracer's
-    /// counters, and everything the service can read, merged raw so
-    /// histogram deltas are exact.
-    fn sample_recorder(&self, service: &(dyn Service + Send + Sync)) {
-        let mut raw = self.registry.collect();
-        self.tracer.export_metrics(&mut raw);
-        if let Some(service_raw) = service.raw_metrics() {
-            raw.absorb(&service_raw);
-        }
-        self.recorder.sample(raw);
+    /// One flight-recorder tick: the engine's raw registry read, which
+    /// holds the `server.*` instruments too.
+    fn sample_recorder(&self, engine: &Engine) {
+        self.recorder.sample(engine.metrics_raw());
     }
 }
 
@@ -173,7 +154,7 @@ enum Listener {
 /// A bound, not-yet-running protocol server.
 pub struct Server {
     listener: Listener,
-    service: Arc<dyn Service + Send + Sync>,
+    engine: Arc<Engine>,
     shutdown: Arc<AtomicBool>,
     addr: Addr,
     options: ServerOptions,
@@ -181,18 +162,18 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind `addr` and wrap `service` with default [`ServerOptions`].  A
+    /// Bind `addr` and serve `engine` with default [`ServerOptions`].  A
     /// stale Unix socket file at the path is removed first (the daemon
     /// owns its socket path); for `tcp:host:0` the resolved port is
     /// visible via [`Server::addr`].
-    pub fn bind(addr: &Addr, service: Arc<dyn Service + Send + Sync>) -> std::io::Result<Server> {
-        Server::bind_with(addr, service, ServerOptions::default())
+    pub fn bind(addr: &Addr, engine: Arc<Engine>) -> std::io::Result<Server> {
+        Server::bind_with(addr, engine, ServerOptions::default())
     }
 
     /// [`Server::bind`] with explicit tracing and flight-recorder options.
     pub fn bind_with(
         addr: &Addr,
-        service: Arc<dyn Service + Send + Sync>,
+        engine: Arc<Engine>,
         options: ServerOptions,
     ) -> std::io::Result<Server> {
         let (listener, resolved) = match addr {
@@ -207,20 +188,16 @@ impl Server {
                 (Listener::Tcp(listener), resolved)
             }
         };
-        let counters = Arc::new(ServerCounters::new(&options));
-        // Name this daemon on both tracers, so spans piggybacked to a
-        // remote caller say where they were recorded.  First set wins:
-        // a service shared across servers keeps its first address.
-        counters.tracer.set_origin(&resolved.to_string());
-        if let Some(tracer) = service.service_tracer() {
-            tracer.set_origin(&resolved.to_string());
-        }
+        // Name this daemon on its tracer, so spans piggybacked to a remote
+        // caller say where they were recorded.  First set wins: an engine
+        // served by several servers keeps its first address.
+        engine.tracer().set_origin(&resolved.to_string());
         Ok(Server {
             listener,
-            service,
+            counters: Arc::new(ServerCounters::new(&engine, &options)),
+            engine,
             shutdown: Arc::new(AtomicBool::new(false)),
             addr: resolved,
-            counters,
             options,
         })
     }
@@ -236,13 +213,13 @@ impl Server {
     pub fn run(self) {
         let Server {
             listener,
-            service,
+            engine,
             shutdown,
             addr,
             options,
             counters,
         } = self;
-        let sampler = spawn_recorder_sampler(&service, &shutdown, &counters, &options);
+        let sampler = spawn_recorder_sampler(&engine, &shutdown, &counters, &options);
         loop {
             let stream = match &listener {
                 Listener::Unix(listener, _) => listener.accept().map(|(s, _)| Stream::Unix(s)),
@@ -258,12 +235,12 @@ impl Server {
                 continue;
             };
             counters.connection_opened();
-            let service = service.clone();
+            let engine = engine.clone();
             let shutdown = shutdown.clone();
             let addr = addr.clone();
             let counters = counters.clone();
             std::thread::spawn(move || {
-                serve_connection(stream, service, shutdown, addr, &counters);
+                serve_connection(stream, &engine, shutdown, addr, &counters);
                 counters.connection_closed();
             });
         }
@@ -297,7 +274,7 @@ enum Stream {
 /// line overflows the bound, or a shutdown request arrives.
 fn serve_connection(
     stream: Stream,
-    service: Arc<dyn Service + Send + Sync>,
+    engine: &Engine,
     shutdown: Arc<AtomicBool>,
     addr: Addr,
     counters: &ServerCounters,
@@ -325,10 +302,10 @@ fn serve_connection(
         }
         // The request id is minted the moment the line is framed, so its
         // spans cover everything that happens to it from here on.
-        let id = counters.tracer.mint();
-        let stop = handle_line(service.as_ref(), counters, id, trimmed, &mut reply);
+        let id = engine.tracer().mint();
+        let stop = handle_line(engine, counters, id, trimmed, &mut reply);
         let written = silobs::with_request(id, || {
-            let _span = counters.tracer.start("write");
+            let _span = engine.tracer().start("write");
             write_line(&mut writer, &mut reply)
         });
         if stop {
@@ -348,7 +325,7 @@ fn serve_connection(
 /// the bounded ring, for as long as the daemon serves.  Sleeps in short
 /// chunks so shutdown stays prompt at any interval.
 fn spawn_recorder_sampler(
-    service: &Arc<dyn Service + Send + Sync>,
+    engine: &Arc<Engine>,
     shutdown: &Arc<AtomicBool>,
     counters: &Arc<ServerCounters>,
     options: &ServerOptions,
@@ -356,13 +333,13 @@ fn spawn_recorder_sampler(
     if options.recorder_interval_ms == 0 {
         return None;
     }
-    let service = service.clone();
+    let engine = engine.clone();
     let shutdown = shutdown.clone();
     let counters = counters.clone();
     let interval = Duration::from_millis(options.recorder_interval_ms);
     Some(std::thread::spawn(move || {
         while !shutdown.load(Ordering::SeqCst) {
-            counters.sample_recorder(service.as_ref());
+            counters.sample_recorder(&engine);
             let mut slept = Duration::ZERO;
             while slept < interval && !shutdown.load(Ordering::SeqCst) {
                 let chunk = (interval - slept).min(Duration::from_millis(50));
@@ -407,18 +384,17 @@ fn wake(addr: &Addr) {
 }
 
 /// The per-line protocol dispatch: decode, negotiate the version,
-/// intercept shutdown, execute against the service, and decorate
-/// `Stats`/`Metrics`/`Trace` responses with the daemon's own counters,
-/// `server.*` metrics, and spans.
+/// intercept shutdown and `metrics_history`, execute against the engine,
+/// and attach the daemon's own counters to a `Stats` reply.
 ///
 /// `id` is the request id the connection thread minted when it framed the
-/// line (from the server's tracer); every span recorded while the
-/// request executes — here and down in the engine — attributes to it.
-/// The response line replaces what `reply` held; the result says whether
-/// to stop the whole daemon once it is sent (a well-versioned
+/// line (from the engine's tracer); every span recorded while the request
+/// executes — here and down in the engine — attributes to it.  The
+/// response line replaces what `reply` held; the result says whether to
+/// stop the whole daemon once it is sent (a well-versioned
 /// [`Request::Shutdown`] arrived).
 fn handle_line(
-    service: &(dyn Service + Send + Sync),
+    engine: &Engine,
     counters: &ServerCounters,
     id: u64,
     line: &str,
@@ -429,9 +405,10 @@ fn handle_line(
     // request took to serve.
     let uptime_ticks = counters.uptime_ticks();
     counters.requests.incr();
+    let tracer = engine.tracer();
     silobs::with_request(id, || {
         let decoded = {
-            let _span = counters.tracer.start("decode");
+            let _span = tracer.start("decode");
             Request::decode(line)
         };
         let (response, shutdown) = match decoded {
@@ -450,7 +427,7 @@ fn handle_line(
                 // the one the caller propagated on the wire, or a fresh id
                 // minted here — so `silp --trace` sees trees without
                 // clients having to opt in.  The "serve" root span covers
-                // the whole service call; engine spans recorded inside
+                // the whole engine call; engine spans recorded inside
                 // nest under it via the thread-local parent.
                 let header = request.trace_header();
                 let trace = header.map(|h| h.id).unwrap_or_else(silobs::mint_trace_id);
@@ -461,56 +438,33 @@ fn handle_line(
                 };
                 let start = silobs::ticks();
                 let mut response = silobs::with_context(ctx, || {
-                    let _serve = counters.tracer.start("serve");
-                    service.call(request)
+                    let _serve = tracer.start("serve");
+                    engine.serve(request)
                 });
                 let elapsed = silobs::ticks().saturating_sub(start);
                 counters.serve_us.record(elapsed);
-                // Decorate only the response kinds that carry daemon-side
-                // state — never the Analyze/Process hot path.
-                if let Response::Stats { server, .. } = &mut response {
-                    *server = Some(counters.snapshot_at(uptime_ticks));
+                // Only a `stats` reply carries daemon-side state the engine
+                // cannot see — never the Analyze/Process hot path.
+                if matches!(response, Response::Stats { .. }) {
+                    response = response.with_server_stats(counters.snapshot_at(uptime_ticks));
                 }
-                let mut response = match response {
-                    Response::Metrics { .. } => response.with_server_metrics(counters.metrics()),
-                    Response::Trace { .. } => response.with_server_spans(
-                        counters
-                            .tracer
-                            .snapshot_all()
-                            .iter()
-                            .map(TraceSpan::from)
-                            .collect(),
-                    ),
-                    other => other,
-                };
                 // Piggyback this hop's spans only to callers that sent a
                 // trace header (daemon-to-daemon hops): plain clients keep
                 // byte-identical responses, while the origin daemon
                 // assembles the cross-daemon tree from these.
                 if header.is_some() {
-                    let mut spans: Vec<TraceSpan> = counters
-                        .tracer
-                        .spans_for(trace, id)
-                        .iter()
-                        .map(TraceSpan::from)
-                        .collect();
-                    if let Some(tracer) = service.service_tracer() {
-                        spans.extend(tracer.spans_for(trace, id).iter().map(TraceSpan::from));
-                    }
-                    response = response.with_trace_spans(spans);
+                    let spans = tracer.spans_for(trace, id);
+                    response =
+                        response.with_trace_spans(spans.iter().map(TraceSpan::from).collect());
                 }
                 if counters.slow_us > 0 && elapsed > counters.slow_us {
-                    let mut capture = counters.tracer.spans_for(trace, id);
-                    if let Some(tracer) = service.service_tracer() {
-                        capture.extend(tracer.spans_for(trace, id));
-                    }
-                    counters.tracer.capture_slow(capture);
+                    tracer.capture_slow(tracer.spans_for(trace, id));
                 }
                 (response, false)
             }
         };
         {
-            let _span = counters.tracer.start("encode");
+            let _span = tracer.start("encode");
             reply.clear();
             response.encode_into(reply);
         }
@@ -521,43 +475,43 @@ fn handle_line(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Engine;
-    use std::time::Duration;
+    use sil_workloads::Workload;
 
-    /// A service that takes over a second to answer, exposing where the
-    /// uptime sample happens relative to the call.
-    struct Slow(Engine);
-
-    impl Service for Slow {
-        fn call(&self, request: Request) -> Response {
-            std::thread::sleep(Duration::from_millis(1200));
-            self.0.call(request)
-        }
+    /// Answer `request` as the daemon does, returning the decoded reply.
+    fn answer(engine: &Engine, counters: &ServerCounters, request: Request) -> Response {
+        let mut line = String::new();
+        let id = engine.tracer().mint();
+        assert!(
+            !handle_line(engine, counters, id, &request.encode(), &mut line),
+            "only shutdown stops the daemon"
+        );
+        Response::decode(&line).expect("the daemon's reply decodes")
     }
 
-    /// Regression: uptime must be sampled once, at line entry.  With the
-    /// server 10s old and a service that takes 1.2s, sampling after the
-    /// call would report 11.
+    /// Regression: uptime must be sampled once, at line entry.  The server
+    /// is 10 s old, and a `stats` request takes over a second: another
+    /// thread holds a `walks` stripe lock for 1.2 s, and the store's stats
+    /// wait for every stripe.  Sampling after the call would report 11.
     #[test]
     fn uptime_is_sampled_before_the_service_runs() {
         let started = Instant::now()
             .checked_sub(Duration::from_secs(10))
             .expect("clock predates process start");
-        let counters = ServerCounters::with_started(&ServerOptions::default(), started);
-        let service = Slow(Engine::default());
-        let id = counters.tracer.mint();
-        let mut line = String::new();
-        assert!(
-            !handle_line(
-                &service,
-                &counters,
-                id,
-                &Request::stats().encode(),
-                &mut line,
-            ),
-            "stats must not shut the daemon down"
-        );
-        match Response::decode(&line).expect("stats response decodes") {
+        let engine = Engine::default();
+        let counters = ServerCounters::with_started(&engine, &ServerOptions::default(), started);
+        let (locked, wait) = std::sync::mpsc::channel();
+        let response = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                engine.store().walks().merge(0, |_| {
+                    locked.send(()).unwrap();
+                    std::thread::sleep(Duration::from_millis(1200));
+                    Arc::new(Vec::new())
+                })
+            });
+            wait.recv().unwrap();
+            answer(&engine, &counters, Request::stats())
+        });
+        match response {
             Response::Stats { server, .. } => {
                 let server = server.expect("daemon path attaches server stats");
                 assert_eq!(
@@ -572,15 +526,15 @@ mod tests {
 
     #[test]
     fn handle_line_attributes_spans_to_the_minted_id() {
-        let counters = ServerCounters::new(&ServerOptions::default());
-        let service = Engine::default();
-        let id = counters.tracer.mint();
+        let engine = Engine::default();
+        let counters = ServerCounters::new(&engine, &ServerOptions::default());
+        let id = engine.tracer().mint();
         let line = Request::clear_caches().encode();
         assert!(
-            !handle_line(&service, &counters, id, &line, &mut String::new()),
+            !handle_line(&engine, &counters, id, &line, &mut String::new()),
             "clear_caches must keep serving"
         );
-        let spans = counters.tracer.snapshot();
+        let spans = engine.tracer().snapshot();
         let names: Vec<&str> = spans
             .iter()
             .filter(|span| span.request == id)
@@ -589,23 +543,22 @@ mod tests {
         assert_eq!(names, vec!["decode", "serve", "encode"]);
     }
 
-    /// A warm exact repeat over a real connection: the connection thread
-    /// records `decode`, `serve`, `encode` and `write` under the request's
-    /// id, in that order, and the engine's two lookups nest under `serve`.
+    /// A warm exact repeat over a real connection: the one ring holds its
+    /// six spans under the request's id, in the order they ended, and the
+    /// engine's two lookups nest under `serve`.
     #[test]
     fn a_warm_repeat_traces_decode_serve_encode_write() {
         use std::io::BufRead;
-        let engine = Arc::new(Engine::default());
-        let counters = ServerCounters::new(&ServerOptions::default());
+        let engine = Engine::default();
+        let counters = ServerCounters::new(&engine, &ServerOptions::default());
         let (client, server) = UnixStream::pair().unwrap();
         std::thread::scope(|scope| {
-            let service: Arc<dyn Service + Send + Sync> = engine.clone();
-            let counters = &counters;
+            let (engine, counters) = (&engine, &counters);
             scope.spawn(move || {
                 let addr = Addr::Unix(PathBuf::new());
                 serve_connection(
                     Stream::Unix(server),
-                    service,
+                    engine,
                     Default::default(),
                     addr,
                     counters,
@@ -613,7 +566,7 @@ mod tests {
             });
             let mut replies = std::io::BufReader::new(client.try_clone().unwrap());
             let mut writer = client;
-            let request = Request::analyze(sil_workloads::Workload::TreeSum.source(3));
+            let request = Request::analyze(Workload::TreeSum.source(3));
             for _ in 0..2 {
                 write_line(&mut writer, &mut request.encode()).unwrap();
                 let mut reply = String::new();
@@ -624,78 +577,166 @@ mod tests {
                 );
             }
         });
-        let server_spans = counters.tracer.snapshot();
-        let warm = server_spans.iter().map(|span| span.request).max().unwrap();
-        let of_warm = |spans: Vec<silobs::SpanRecord>| -> Vec<silobs::SpanRecord> {
-            spans
-                .into_iter()
-                .filter(|span| span.request == warm)
-                .collect()
-        };
-        let server_spans = of_warm(server_spans);
-        let names: Vec<&str> = server_spans.iter().map(|span| span.name.as_ref()).collect();
-        assert_eq!(names, ["decode", "serve", "encode", "write"]);
-        let serve = server_spans[1].span_id;
-        let engine_spans = of_warm(engine.tracer().snapshot());
-        let names: Vec<&str> = engine_spans.iter().map(|span| span.name.as_ref()).collect();
-        assert_eq!(names, ["source-lookup", "store-lookup"]);
-        assert!(engine_spans.iter().all(|span| span.parent == serve));
+        let spans = engine.tracer().snapshot();
+        let warm = spans.iter().map(|span| span.request).max().unwrap();
+        let spans: Vec<_> = spans
+            .into_iter()
+            .filter(|span| span.request == warm)
+            .collect();
+        let names: Vec<&str> = spans.iter().map(|span| span.name.as_ref()).collect();
+        assert_eq!(
+            names,
+            [
+                "decode",
+                "source-lookup",
+                "store-lookup",
+                "serve",
+                "encode",
+                "write"
+            ]
+        );
+        let serve = spans[3].span_id;
+        assert!(spans[1..3].iter().all(|span| span.parent == serve));
     }
 
-    /// A service call outlasting `--slow-us` lands its span tree in the
-    /// slow buffer: visible via `snapshot_all`, counted by the
-    /// `trace.slow_captures` metric.
+    /// A cold `analyze` of a real workload outlasts `slow_us: 1`, so its
+    /// span tree lands in the slow buffer: counted by the
+    /// `trace.slow_captures` metric, and still in the dump once the ring
+    /// has churned past it.
     #[test]
     fn slow_requests_are_captured_past_ring_churn() {
+        let engine = Engine::default();
         let options = ServerOptions {
-            slow_us: 1, // the 1.2s Slow service always trips this
+            slow_us: 1,
             ..ServerOptions::default()
         };
-        let counters = ServerCounters::new(&options);
-        let service = Slow(Engine::default());
-        let id = counters.tracer.mint();
-        let analyze = Request::analyze("f(){}").encode();
+        let counters = ServerCounters::new(&engine, &options);
+        let id = engine.tracer().mint();
+        let analyze = Request::analyze(Workload::Bisort.source(4)).encode();
         assert!(
-            !handle_line(&service, &counters, id, &analyze, &mut String::new()),
+            !handle_line(&engine, &counters, id, &analyze, &mut String::new()),
             "analyze must keep serving"
         );
-        let dump = counters.tracer.snapshot_all();
-        let captured = dump
-            .iter()
-            .filter(|span| span.request == id && span.name == "serve")
-            .count();
-        assert!(captured > 0, "slow serve span survives in the dump");
-        let metrics = counters.metrics();
+        let captured = |spans: Vec<silobs::SpanRecord>| {
+            spans
+                .iter()
+                .any(|span| span.request == id && span.name == "serve")
+        };
+        // Churn through a server that captures nothing, three spans per
+        // request: enough requests to wrap the ring.
+        let quiet = ServerCounters::new(&engine, &ServerOptions::default());
+        for _ in 0..engine.tracer().capacity() / 3 + 10 {
+            answer(&engine, &quiet, Request::clear_caches());
+        }
+        assert!(!captured(engine.tracer().snapshot()), "the ring churned");
+        assert!(
+            captured(engine.tracer().snapshot_all()),
+            "the capture kept it"
+        );
+        let Response::Metrics { metrics, .. } = answer(&engine, &quiet, Request::metrics()) else {
+            panic!("expected a metrics reply");
+        };
         assert_eq!(metrics.counter("trace.slow_captures"), Some(1));
+    }
+
+    /// A cold `analyze` of a real workload outlasts `slow_us: 1`, so its
+    /// span tree lands in the slow buffer.  The capture's spans are still
+    /// in the ring too, and the daemon's dump holds each of them once, in
+    /// `(start_us, request)` order.
+    #[test]
+    fn a_slow_capture_appears_once_in_a_sorted_trace_dump() {
+        let engine = Engine::default();
+        let options = ServerOptions {
+            slow_us: 1,
+            ..ServerOptions::default()
+        };
+        let counters = ServerCounters::new(&engine, &options);
+        answer(
+            &engine,
+            &counters,
+            Request::analyze(Workload::Bisort.source(4)),
+        );
+        assert_eq!(engine.tracer().slow_captures(), 1);
+        let Response::Trace { spans, .. } = answer(&engine, &counters, Request::trace_dump())
+        else {
+            panic!("expected a trace reply");
+        };
+        let mut ids: Vec<u64> = spans.iter().map(|span| span.span_id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), spans.len(), "a span id repeats: {spans:?}");
+        assert!(
+            spans
+                .windows(2)
+                .all(|pair| (pair[0].start_us, pair[0].request)
+                    <= (pair[1].start_us, pair[1].request))
+        );
+        for name in ["serve", "fixpoint"] {
+            assert_eq!(spans.iter().filter(|span| span.span == name).count(), 1);
+        }
+    }
+
+    /// `trace.dropped_spans` is exactly the one ring's evictions.  The
+    /// metrics reply is read inside `serve`; its `serve` and `encode` spans
+    /// are recorded after it, each evicting one more.
+    #[test]
+    fn trace_dropped_spans_counts_the_one_ring() {
+        let engine = Engine::default();
+        let counters = ServerCounters::new(&engine, &ServerOptions::default());
+        let capacity = engine.tracer().capacity();
+        // Three spans per request: enough requests to wrap the ring.
+        for _ in 0..capacity / 3 + 10 {
+            answer(&engine, &counters, Request::clear_caches());
+        }
+        let Response::Metrics { metrics, .. } = answer(&engine, &counters, Request::metrics())
+        else {
+            panic!("expected a metrics reply");
+        };
+        let reported = metrics.counter("trace.dropped_spans").unwrap();
+        assert!(reported > 0, "the ring wrapped");
+        assert_eq!(reported + 2, engine.tracer().dropped_spans());
+        assert_eq!(metrics.counter("trace.slow_captures"), Some(0));
+    }
+
+    /// The `server.*` instruments are entries of the engine's registry:
+    /// a `metrics` reply lists them, sorted, beside `engine.*` and
+    /// `store.*`, each name once.
+    #[test]
+    fn server_metrics_join_the_engine_registry() {
+        let engine = Engine::default();
+        let counters = ServerCounters::new(&engine, &ServerOptions::default());
+        counters.connection_opened();
+        answer(
+            &engine,
+            &counters,
+            Request::analyze(Workload::TreeSum.source(3)),
+        );
+        let Response::Metrics { metrics, .. } = answer(&engine, &counters, Request::metrics())
+        else {
+            panic!("expected a metrics reply");
+        };
+        assert_eq!(metrics.counter("server.accepted"), Some(1));
+        assert_eq!(metrics.gauge("server.active"), Some(1));
+        assert_eq!(metrics.counter("server.requests"), Some(2));
+        assert_eq!(metrics.histogram("server.serve_us").unwrap().count, 1);
+        assert_eq!(metrics.counter("engine.programs.misses"), Some(1));
+        let names: Vec<&str> = metrics.counters.iter().map(|(n, _)| n.as_str()).collect();
+        assert!(
+            names.windows(2).all(|pair| pair[0] < pair[1]),
+            "sorted, each once: {names:?}"
+        );
     }
 
     /// The recorder sampler path: two manual ticks produce a monotone
     /// `server.requests` series a `metrics_history` response can diff.
     #[test]
     fn metrics_history_answers_from_the_recorder() {
-        let counters = ServerCounters::new(&ServerOptions::default());
-        let service = Engine::default();
-        let id = counters.tracer.mint();
-        counters.sample_recorder(&service);
-        let mut line = String::new();
-        let analyze = Request::analyze("f(){}").encode();
-        assert!(
-            !handle_line(&service, &counters, id, &analyze, &mut line),
-            "analyze must keep serving"
-        );
-        counters.sample_recorder(&service);
-        let history = Request::metrics_history().encode();
-        assert!(
-            !handle_line(
-                &service,
-                &counters,
-                counters.tracer.mint(),
-                &history,
-                &mut line,
-            ),
-            "metrics_history must keep serving"
-        );
-        match Response::decode(&line).expect("metrics_history response decodes") {
+        let engine = Engine::default();
+        let counters = ServerCounters::new(&engine, &ServerOptions::default());
+        counters.sample_recorder(&engine);
+        answer(&engine, &counters, Request::analyze("f(){}"));
+        counters.sample_recorder(&engine);
+        match answer(&engine, &counters, Request::metrics_history()) {
             Response::MetricsHistory { samples, .. } => {
                 assert!(samples.len() >= 2, "both manual ticks retained");
                 let requests: Vec<u64> = samples

@@ -43,10 +43,6 @@
 //!   11 points of hit ratio on the first and lost 18–68 on the other two, and
 //!   an arbiter switching between the two rules stayed within 4.5 points
 //!   of plain recency everywhere (the README has the table).
-//!
-//! Engines are *views* over an `Arc<SummaryStore>`: they read and write
-//! the shared namespaces and keep only their own per-view hit/miss
-//! counters.
 
 pub mod durable;
 pub(crate) mod entry;
@@ -224,8 +220,7 @@ pub struct FiledSource {
     fingerprint: u64,
 }
 
-/// The unified content-addressed store.  One instance is shared (via
-/// `Arc`) by every engine that should see the same summaries; a `sild`
+/// The unified content-addressed store behind an engine; a `sild`
 /// daemon's one engine serves every connection from it.
 #[derive(Debug)]
 pub struct SummaryStore {
@@ -290,7 +285,7 @@ impl SummaryStore {
         }
     }
 
-    /// A store behind an `Arc`, ready to hand to engines.
+    /// A store behind an `Arc`.
     pub fn shared(config: StoreConfig) -> Arc<SummaryStore> {
         Arc::new(SummaryStore::new(config))
     }

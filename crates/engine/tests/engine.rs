@@ -3,7 +3,7 @@
 //! tiny capacities, and the cold-vs-warm speedup the caches exist for.
 
 use sil_analysis::analyze_program;
-use sil_engine::{Engine, EngineConfig};
+use sil_engine::{Engine, EngineConfig, StoreConfig};
 use sil_lang::frontend;
 use sil_workloads::generator::{GeneratorConfig, ProgramGenerator};
 use sil_workloads::Workload;
@@ -77,10 +77,7 @@ fn concurrent_batch_matches_sequential_analysis_program_by_program() {
     let sources = generated_sources(50);
     assert!(sources.len() >= 50);
 
-    let engine = Engine::new(EngineConfig {
-        parallel: true,
-        ..EngineConfig::default()
-    });
+    let engine = Engine::default();
     let batch = engine.analyze_batch(&sources);
 
     for (i, (src, result)) in sources.iter().zip(&batch).enumerate() {
@@ -118,10 +115,11 @@ fn eviction_stats_behave_at_small_capacities() {
     // One lock stripe: globally ordered eviction, so the counts below
     // are exact rather than per-stripe-distribution-dependent.
     let engine = Engine::new(EngineConfig {
-        program_cache_capacity: 2,
-        summary_cache_capacity: 4,
-        parallel: false,
-        store_stripes: 1,
+        store: StoreConfig {
+            program_capacity: 2,
+            summary_capacity: 4,
+            ..StoreConfig::default().with_stripes(1)
+        },
         ..EngineConfig::default()
     });
     let sources = generated_sources(8);
@@ -156,10 +154,11 @@ fn a_program_queried_between_cold_insertions_stays_resident() {
     let hot = Workload::TreeSum.source(4);
     let colds = generated_sources(6);
     let engine = Engine::new(EngineConfig {
-        program_cache_capacity: 2,
-        summary_cache_capacity: 64,
-        parallel: false,
-        store_stripes: 1,
+        store: StoreConfig {
+            program_capacity: 2,
+            summary_capacity: 64,
+            ..StoreConfig::default().with_stripes(1)
+        },
         ..EngineConfig::default()
     });
     engine.analyze_source(&hot).unwrap();

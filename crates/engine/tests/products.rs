@@ -8,7 +8,7 @@
 mod common;
 
 use common::corpus;
-use sil_engine::{Engine, EngineConfig, ProcessOptions, ProgramReport};
+use sil_engine::{Engine, EngineConfig, ProcessOptions, ProgramReport, StoreConfig};
 use sil_workloads::Workload;
 use std::sync::Barrier;
 
@@ -175,11 +175,13 @@ fn clear_caches_forgets_products() {
 /// product still answers — correctly — for the re-analyzed program.
 #[test]
 fn a_product_outlives_its_evicted_program_entry() {
-    let engine = Engine::new(
-        EngineConfig::default()
-            .with_program_cache_capacity(1)
-            .with_store_stripes(1),
-    );
+    let engine = Engine::new(EngineConfig {
+        store: StoreConfig {
+            program_capacity: 1,
+            ..StoreConfig::default().with_stripes(1)
+        },
+        ..EngineConfig::default()
+    });
     let options = ProcessOptions {
         emit_parallel_source: true,
         ..ProcessOptions::default()

@@ -3,7 +3,7 @@
 //! and a fixed-capacity stream served through the protocol path.
 
 use sil_engine::service::{Request, Response, Service};
-use sil_engine::{Engine, EngineConfig, ProcessOptions};
+use sil_engine::{Engine, EngineConfig, ProcessOptions, StoreConfig};
 use sil_workloads::Workload;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -18,7 +18,7 @@ fn mixed_traffic_under_contention_matches_the_sequential_oracle() {
         .collect();
 
     // Sequential oracle: one fresh engine, one program at a time.
-    let oracle_engine = Engine::new(EngineConfig::default().with_parallel(false));
+    let oracle_engine = Engine::default();
     let oracle: Vec<u64> = sources
         .iter()
         .map(|src| oracle_engine.analyze_source(src).unwrap().analysis.digest())
@@ -100,12 +100,13 @@ fn shared_store_at_fixed_total_capacity_matches_the_single_engine_baseline() {
     // tail appears rarely (Zipf-like without the rand dependency).
     let stream: Vec<usize> = (0..120).map(|i| (i * i + i / 3) % corpus.len()).collect();
     let engine = || {
-        Engine::new(
-            EngineConfig::default()
-                .with_program_cache_capacity(4)
-                .with_store_stripes(1)
-                .with_incremental(false),
-        )
+        Engine::new(EngineConfig {
+            store: StoreConfig {
+                program_capacity: 4,
+                ..StoreConfig::default().with_stripes(1)
+            },
+            incremental: false,
+        })
     };
     let hit_ratio = |engine: &Engine| -> f64 {
         let programs = engine.stats().programs;

@@ -19,7 +19,7 @@
 //!   stamp their spans, and spans adopted from other daemons assemble
 //!   into one cross-daemon trace tree.
 //! - **Snapshots** ([`RawMetrics`], [`MetricsSnapshot`]): a registry
-//!   collects into raw (mergeable) form; summarizing produces the compact
+//!   collects into raw (full-bucket) form; summarizing produces the compact
 //!   name→value / name→quantile shape that crosses the wire.
 //! - **Flight recorder** ([`FlightRecorder`], [`HistorySample`]): a
 //!   bounded ring of periodic metrics samples — cumulative counters and

@@ -130,8 +130,8 @@ impl Registry {
 }
 
 /// A point-in-time read of a registry, still carrying full histogram
-/// bucket arrays so reads from several registries (one per engine shard)
-/// merge into exact combined distributions before quantile extraction.
+/// bucket arrays so two reads of the same instruments give an exact
+/// interval distribution before quantile extraction.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RawMetrics {
     counters: Vec<(String, u64)>,
@@ -176,27 +176,6 @@ impl RawMetrics {
             Err(at) => self
                 .histograms
                 .insert(at, (name.to_string(), snapshot.clone())),
-        }
-    }
-
-    /// Merge another read into this one: counters and gauges sum by name,
-    /// histograms merge bucket-by-bucket.  Used to combine per-shard
-    /// engine registries into one service-wide view.
-    pub fn absorb(&mut self, other: &RawMetrics) {
-        for (name, value) in &other.counters {
-            self.push_counter(name, *value);
-        }
-        for (name, value) in &other.gauges {
-            self.push_gauge(name, *value);
-        }
-        for (name, snapshot) in &other.histograms {
-            match self
-                .histograms
-                .binary_search_by(|(n, _)| n.as_str().cmp(name))
-            {
-                Ok(at) => self.histograms[at].1.merge(snapshot),
-                Err(at) => self.histograms.insert(at, (name.clone(), snapshot.clone())),
-            }
         }
     }
 
@@ -289,32 +268,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Splice in metrics from a disjoint namespace (the server layer's
-    /// `server.*` entries joining an engine's `engine.*`/`store.*`).
-    /// Colliding counter/gauge names sum; colliding histogram names keep
-    /// the existing entry (quantile summaries cannot be merged exactly,
-    /// and layer prefixes make collisions a bug upstream).
-    pub fn extend_disjoint(&mut self, other: MetricsSnapshot) {
-        for (name, value) in other.counters {
-            match self.counters.binary_search_by(|(n, _)| n.cmp(&name)) {
-                Ok(at) => self.counters[at].1 += value,
-                Err(at) => self.counters.insert(at, (name, value)),
-            }
-        }
-        for (name, value) in other.gauges {
-            match self.gauges.binary_search_by(|(n, _)| n.cmp(&name)) {
-                Ok(at) => self.gauges[at].1 += value,
-                Err(at) => self.gauges.insert(at, (name, value)),
-            }
-        }
-        for (name, summary) in other.histograms {
-            match self.histograms.binary_search_by(|(n, _)| n.cmp(&name)) {
-                Ok(_) => debug_assert!(false, "histogram name collision: {name}"),
-                Err(at) => self.histograms.insert(at, (name, summary)),
-            }
-        }
-    }
-
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters
             .binary_search_by(|(n, _)| n.as_str().cmp(name))
@@ -386,48 +339,5 @@ mod tests {
         assert_eq!(lat.max, 100);
         assert!(lat.p50 >= 45 && lat.p50 <= 55, "p50 = {}", lat.p50);
         assert!(snap.histogram("nope").is_none());
-    }
-
-    #[test]
-    fn absorb_merges_shards_exactly() {
-        let a = Registry::new();
-        let b = Registry::new();
-        a.counter("hits").add(3);
-        b.counter("hits").add(4);
-        b.counter("misses").add(1);
-        a.gauge("depth").set(2);
-        b.gauge("depth").set(5);
-        for v in 0..500u64 {
-            a.histogram("lat").record(v);
-            b.histogram("lat").record(v + 500);
-        }
-        let mut merged = a.collect();
-        merged.absorb(&b.collect());
-        let snap = merged.summarize();
-        assert_eq!(snap.counter("hits"), Some(7));
-        assert_eq!(snap.counter("misses"), Some(1));
-        assert_eq!(snap.gauge("depth"), Some(7));
-        let lat = snap.histogram("lat").unwrap();
-        assert_eq!(lat.count, 1000);
-        assert_eq!(lat.min, 0);
-        assert_eq!(lat.max, 999);
-    }
-
-    #[test]
-    fn extend_disjoint_splices_namespaces() {
-        let engine = Registry::new();
-        engine.counter("engine.requests").add(10);
-        let server = Registry::new();
-        server.counter("server.accepted").add(2);
-        server.histogram("server.serve_us").record(40);
-        let mut snap = engine.collect().summarize();
-        snap.extend_disjoint(server.collect().summarize());
-        assert_eq!(snap.counter("engine.requests"), Some(10));
-        assert_eq!(snap.counter("server.accepted"), Some(2));
-        assert_eq!(snap.histogram("server.serve_us").unwrap().count, 1);
-        let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted);
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! A request id is minted once where the request enters the process (the
 //! server's line framing, or the engine itself for in-process use) and
-//! propagated through a thread-local ([`with_request`]) — both serving
-//! strategies dispatch to the engine synchronously on the handling
-//! thread, so the thread-local is exactly as wide as the request.  Layers
+//! propagated through a thread-local ([`with_request`]) — the server
+//! dispatches to the engine synchronously on the connection's thread, so
+//! the thread-local is exactly as wide as the request.  Layers
 //! record named spans against the current context; the ring keeps the
 //! most recent spans and drops the oldest (counted in
 //! [`Tracer::dropped_spans`]), so tracing is always on and never grows
@@ -15,9 +15,8 @@
 //!
 //! - a **trace id**, minted once per causal story ([`mint_trace_id`],
 //!   seeded per process so ids from different daemons do not collide) and
-//!   forwarded across the wire, so every hop of a request — shard
-//!   dispatch, peer fetch, the remote daemon's own serving — lands in the
-//!   same tree;
+//!   forwarded across the wire, so every hop of a request — peer fetch,
+//!   the remote daemon's own serving — lands in the same tree;
 //! - a **span id** minted per span; and
 //! - a **parent** span id: [`Tracer::start`] publishes its freshly minted
 //!   span id as the thread-local parent for its scope, so nested
@@ -183,22 +182,31 @@ fn seed() -> u64 {
 /// How many slow-request captures the dedicated buffer retains.
 const SLOW_CAPTURES: usize = 32;
 
+/// One position of the ring: a span and its `n` (see [`Tracer`]).
+type Slot = Mutex<Option<(u64, SpanRecord)>>;
+
 /// A bounded ring of [`SpanRecord`]s plus the request-id mint, a
 /// dedicated buffer of slow-request captures, and eviction counters.
 #[derive(Debug)]
 pub struct Tracer {
-    ring: Mutex<VecDeque<SpanRecord>>,
-    capacity: usize,
+    /// Span `n` (counting from 0) sits in slot `n % capacity`, tagged with
+    /// `n`, until span `n + capacity` takes its place.  Every slot has its
+    /// own lock, so the threads of a daemon recording at once share only
+    /// the `recorded` counter, never a lock.
+    slots: Box<[Slot]>,
+    /// Spans recorded so far: the next span's `n`.
+    recorded: AtomicU64,
     slow: Mutex<VecDeque<Vec<SpanRecord>>>,
     next_id: AtomicU64,
-    dropped: AtomicU64,
     slow_captures: AtomicU64,
     origin: OnceLock<Arc<str>>,
 }
 
+/// A daemon keeps one tracer, so its one ring holds every layer's spans:
+/// the socket's, the engine's, the disk tier's and the adopted remote ones.
 impl Default for Tracer {
     fn default() -> Tracer {
-        Tracer::new(4096)
+        Tracer::new(8192)
     }
 }
 
@@ -206,18 +214,17 @@ impl Tracer {
     /// A tracer keeping at most `capacity` (at least 1) recent spans.
     pub fn new(capacity: usize) -> Tracer {
         Tracer {
-            ring: Mutex::new(VecDeque::new()),
-            capacity: capacity.max(1),
+            slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
+            recorded: AtomicU64::new(0),
             slow: Mutex::new(VecDeque::new()),
             next_id: AtomicU64::new(1),
-            dropped: AtomicU64::new(0),
             slow_captures: AtomicU64::new(0),
             origin: OnceLock::new(),
         }
     }
 
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.slots.len()
     }
 
     /// Name this tracer's daemon (its listen address).  First call wins;
@@ -239,7 +246,10 @@ impl Tracer {
     /// Spans evicted from the ring to make room — the count behind the
     /// `trace.dropped_spans` metric.
     pub fn dropped_spans(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        let capacity = self.slots.len() as u64;
+        self.recorded
+            .load(Ordering::Relaxed)
+            .saturating_sub(capacity)
     }
 
     /// Slow requests captured into the dedicated buffer.
@@ -248,8 +258,6 @@ impl Tracer {
     }
 
     /// Export this tracer's eviction counters into a raw metrics read.
-    /// Counters sum on name collision, so a server and its service each
-    /// exporting their own tracer yields the daemon-wide totals.
     pub fn export_metrics(&self, raw: &mut RawMetrics) {
         raw.push_counter("trace.dropped_spans", self.dropped_spans());
         raw.push_counter("trace.slow_captures", self.slow_captures());
@@ -258,12 +266,28 @@ impl Tracer {
     /// Record a completed span, evicting (and counting) the oldest record
     /// when full.
     pub fn record_span(&self, span: SpanRecord) {
-        let mut ring = self.ring.lock().unwrap();
-        if ring.len() == self.capacity {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        let n = self.recorded.fetch_add(1, Ordering::Relaxed);
+        let capacity = self.slots.len() as u64;
+        let mut slot = self.slots[(n % capacity) as usize].lock().unwrap();
+        // The span a whole ring later may have got here first; it stays.
+        if slot.as_ref().is_none_or(|(held, _)| *held < n) {
+            *slot = Some((n, span));
         }
-        ring.push_back(span);
+    }
+
+    /// Visit the retained spans oldest first.  A span whose slot was taken
+    /// over while the walk ran is skipped (it is one of the dropped), as is
+    /// one still being written.
+    fn for_each_retained(&self, mut visit: impl FnMut(&SpanRecord)) {
+        let end = self.recorded.load(Ordering::Relaxed);
+        let capacity = self.slots.len() as u64;
+        for n in end.saturating_sub(capacity)..end {
+            if let Some((held, span)) = &*self.slots[(n % capacity) as usize].lock().unwrap() {
+                if *held == n {
+                    visit(span);
+                }
+            }
+        }
     }
 
     /// Start a span attributed to the current context (or request 0); it
@@ -291,7 +315,7 @@ impl Tracer {
         }
     }
 
-    /// Copy `spans` (a slow request's tree, gathered across tracers) into
+    /// Copy `spans` (a slow request's tree) into
     /// the dedicated slow buffer, which holds the 32 most recent captures
     /// regardless of main-ring churn.
     pub fn capture_slow(&self, spans: Vec<SpanRecord>) {
@@ -310,10 +334,10 @@ impl Tracer {
     /// name or origin are dropped, and span ids already present are
     /// skipped so re-fetching a hop never duplicates its subtree.
     pub fn adopt(&self, spans: Vec<SpanRecord>) {
-        let mut seen: HashSet<u64> = {
-            let ring = self.ring.lock().unwrap();
-            ring.iter().map(|s| s.span_id).collect()
-        };
+        let mut seen = HashSet::new();
+        self.for_each_retained(|span| {
+            seen.insert(span.span_id);
+        });
         for span in spans {
             if span.span_id == 0 || !seen.insert(span.span_id) {
                 continue;
@@ -328,12 +352,9 @@ impl Tracer {
     /// The retained ring spans, oldest first, origins resolved.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
         let origin = self.origin();
-        self.ring
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|span| resolve(span, &origin))
-            .collect()
+        let mut spans = Vec::new();
+        self.for_each_retained(|span| spans.push(resolve(span, &origin)));
+        spans
     }
 
     /// Ring spans plus slow captures, deduplicated by span id — the view
@@ -361,15 +382,13 @@ impl Tracer {
     /// remote caller.
     pub fn spans_for(&self, trace: u64, request: u64) -> Vec<SpanRecord> {
         let origin = self.origin();
-        self.ring
-            .lock()
-            .unwrap()
-            .iter()
-            .filter(|span| {
-                (trace != 0 && span.trace == trace) || (span.trace == 0 && span.request == request)
-            })
-            .map(|span| resolve(span, &origin))
-            .collect()
+        let mut spans = Vec::new();
+        self.for_each_retained(|span| {
+            if (trace != 0 && span.trace == trace) || (span.trace == 0 && span.request == request) {
+                spans.push(resolve(span, &origin));
+            }
+        });
+        spans
     }
 }
 
@@ -501,6 +520,35 @@ mod tests {
         let snap = raw.summarize();
         assert_eq!(snap.counter("trace.dropped_spans"), Some(2));
         assert_eq!(snap.counter("trace.slow_captures"), Some(0));
+    }
+
+    #[test]
+    fn concurrent_recorders_keep_the_newest_spans_each_once() {
+        let tracer = Tracer::new(64);
+        std::thread::scope(|scope| {
+            for thread in 0..4u64 {
+                let tracer = &tracer;
+                scope.spawn(move || {
+                    for i in 0..1000 {
+                        tracer.record(thread, "parse", i, i + 1);
+                    }
+                });
+            }
+        });
+        let spans = tracer.snapshot();
+        assert_eq!(spans.len(), 64);
+        assert_eq!(tracer.dropped_spans(), 4000 - 64);
+        let ids: HashSet<u64> = spans.iter().map(|s| s.span_id).collect();
+        assert_eq!(ids.len(), 64);
+        // Each thread's spans come out in the order it recorded them.
+        for thread in 0..4u64 {
+            let starts: Vec<u64> = spans
+                .iter()
+                .filter(|s| s.request == thread)
+                .map(|s| s.start_us)
+                .collect();
+            assert!(starts.windows(2).all(|pair| pair[0] < pair[1]));
+        }
     }
 
     #[test]

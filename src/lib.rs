@@ -93,18 +93,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_store_is_reachable_through_the_facade() {
-        let store = SummaryStore::shared(EngineConfig::default().store_config());
-        let a = Engine::with_store(EngineConfig::default(), store.clone());
-        let b = Engine::with_store(EngineConfig::default(), store);
-        let src = Workload::TreeSum.source(3);
-        a.analyze_source(&src).unwrap();
-        b.analyze_source(&src).unwrap();
-        assert_eq!(b.stats().programs.hits, 1, "b warm-hits a's store entry");
-        assert_eq!(b.store_stats().programs.entries, 1);
-    }
-
-    #[test]
     fn service_protocol_is_reachable_through_the_facade() {
         let service = Engine::default();
         let src = Workload::TreeSum.source(3);
