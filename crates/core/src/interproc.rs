@@ -181,25 +181,17 @@ impl AnalysisResult {
 
         let mut names: Vec<&String> = self.procedures.keys().collect();
         names.sort();
+        let mut rendered = RenderedStates::default();
         for name in names {
             let analysis = &self.procedures[name];
             hasher.write_str(name);
-            hash_state(&mut hasher, &analysis.entry);
-            // Rendering the matrix is most of what a digest costs, and
-            // states that share an allocation render the same bytes.
-            let mut rendered: HashMap<*const AbstractState, String> = HashMap::new();
-            let mut hash_shared = |hasher: &mut StableHasher, state: &Arc<AbstractState>| {
-                let matrix = rendered
-                    .entry(Arc::as_ptr(state))
-                    .or_insert_with(|| state.matrix.render());
-                hash_rendered_state(hasher, state, matrix);
-            };
-            hash_shared(&mut hasher, &analysis.exit);
+            rendered.hash(&mut hasher, &analysis.entry);
+            rendered.hash(&mut hasher, &analysis.exit);
             hasher.write_usize(analysis.points.len());
             for point in analysis.points.iter() {
                 hasher.write_str(&point.label);
                 hasher.write_str(&point.statement);
-                hash_shared(&mut hasher, &point.state);
+                rendered.hash(&mut hasher, &point.state);
             }
         }
 
@@ -238,19 +230,36 @@ impl AnalysisResult {
     }
 }
 
-fn hash_state(hasher: &mut StableHasher, state: &AbstractState) {
-    hash_rendered_state(hasher, state, &state.matrix.render());
+/// The digest's view of states: each hashed by its rendering.  Rendering
+/// the matrix is most of what a digest costs, and states that share an
+/// allocation render the same bytes, so each distinct state is rendered
+/// once, into one buffer, and found again by address.
+#[derive(Default)]
+struct RenderedStates {
+    text: String,
+    at: HashMap<*const AbstractState, std::ops::Range<usize>>,
 }
 
-/// [`hash_state`] given `state.matrix.render()`.
-fn hash_rendered_state(hasher: &mut StableHasher, state: &AbstractState, matrix: &str) {
-    hasher.write_str(&state.structure.to_string());
-    hasher.write_str(matrix);
-    for h in &state.attached {
-        hasher.write_str(h);
-    }
-    for h in &state.shared {
-        hasher.write_str(h);
+impl RenderedStates {
+    fn hash(&mut self, hasher: &mut StableHasher, state: &AbstractState) {
+        let text = &mut self.text;
+        let range = self
+            .at
+            .entry(state)
+            .or_insert_with(|| {
+                let start = text.len();
+                state.matrix.render_into(text);
+                start..text.len()
+            })
+            .clone();
+        hasher.write_str(state.structure.name());
+        hasher.write_str(&self.text[range]);
+        for h in &state.attached {
+            hasher.write_str(h);
+        }
+        for h in &state.shared {
+            hasher.write_str(h);
+        }
     }
 }
 
@@ -601,11 +610,20 @@ pub fn analyze_program_incremental(
     (result, recorded.expect("recording was requested"), stats)
 }
 
-/// The memoization key of one body walk: a stable hash over everything the
-/// walk reads — the procedure's cone fingerprint (own canonical text plus
-/// every transitive callee's, which also pins the argument-mode summaries
-/// the walk consults), the entry state, and the current function-return
+/// The memoization key of one body walk: a hash over everything the walk
+/// reads — the procedure's cone fingerprint (own canonical text plus every
+/// transitive callee's, which also pins the argument-mode summaries the
+/// walk consults), the entry state, and the current function-return
 /// summary and exit structure of every direct callee.
+///
+/// The entry state goes in as its exact layout
+/// ([`sil_pathmatrix::PathMatrix::layout_words`]: handle symbols in order,
+/// entry keys, every path's links and certainty), not as its rendering, so
+/// the key tells apart at least what the rendering would — handle order
+/// included — without rendering.  Symbols are process-local ids, so a key
+/// is stable only within one process.  That is all it needs: records live
+/// only in memory (the engine's memory-only `walks` namespace), and no
+/// wire, disk or golden file carries a walk key.
 fn walk_key(
     cone: u64,
     name: &str,
@@ -615,10 +633,19 @@ fn walk_key(
     exit_structures: &HashMap<String, StructureKind>,
 ) -> u64 {
     let mut hasher = StableHasher::new();
-    hasher.write_str("sil-walk-v1");
+    hasher.write_str("sil-walk-v2");
     hasher.write_u64(cone);
     hasher.write_str(name);
-    hash_state(&mut hasher, entry);
+    hasher.write_u64(entry.structure as u64);
+    entry.matrix.layout_words(|word| {
+        hasher.write_u64(word);
+    });
+    for handles in [&entry.attached, &entry.shared] {
+        hasher.write_usize(handles.len());
+        for h in handles {
+            hasher.write_str(h);
+        }
+    }
     for callee in callees {
         hasher.write_str(callee);
         match return_summaries.get(*callee) {
@@ -633,7 +660,7 @@ fn walk_key(
         match exit_structures.get(*callee) {
             Some(kind) => {
                 hasher.write_u64(1);
-                hasher.write_str(&kind.to_string());
+                hasher.write_u64(*kind as u64);
             }
             None => {
                 hasher.write_u64(0);
@@ -1132,6 +1159,34 @@ end
             "{stats:?}"
         );
         assert_eq!(result.digest(), analyze_program(&program, &types).digest());
+    }
+
+    #[test]
+    fn walk_keys_tell_apart_what_the_rendering_does() {
+        use sil_pathmatrix::{exact, Dir, PathSet};
+        let state = |order: [&str; 2]| {
+            let mut s = AbstractState::with_handles(order);
+            s.matrix
+                .set("a", "b", PathSet::singleton(exact(Dir::Left, 1)));
+            s.mark_attached("b");
+            s
+        };
+        let key = |s: &AbstractState| walk_key(7, "p", s, &[], &HashMap::new(), &HashMap::new());
+        let (ab, ba) = (state(["a", "b"]), state(["b", "a"]));
+        assert!(ab.same_as(&ba), "equal relations");
+        assert_ne!(ab.matrix.render(), ba.matrix.render());
+        assert_ne!(key(&ab), key(&ba), "handle order changes the key");
+        assert_eq!(
+            key(&ab),
+            key(&state(["a", "b"])),
+            "equal states, equal keys"
+        );
+        // The node sets are framed: moving a handle from `attached` to
+        // `shared` is a different state.
+        let mut moved = ab.clone();
+        moved.attached.clear();
+        moved.shared.insert("b".to_string());
+        assert_ne!(key(&ab), key(&moved));
     }
 
     #[test]

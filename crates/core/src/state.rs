@@ -45,15 +45,20 @@ impl StructureKind {
     pub fn is_tree(self) -> bool {
         self == StructureKind::Tree
     }
+
+    /// The rendering used in reports and hashed by the analysis digest.
+    pub fn name(self) -> &'static str {
+        match self {
+            StructureKind::Tree => "TREE",
+            StructureKind::PossiblyDag => "DAG?",
+            StructureKind::PossiblyCyclic => "CYCLE?",
+        }
+    }
 }
 
 impl fmt::Display for StructureKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StructureKind::Tree => write!(f, "TREE"),
-            StructureKind::PossiblyDag => write!(f, "DAG?"),
-            StructureKind::PossiblyCyclic => write!(f, "CYCLE?"),
-        }
+        f.write_str(self.name())
     }
 }
 

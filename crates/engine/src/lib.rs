@@ -26,7 +26,10 @@
 //!   numbers);
 //! * **walk-record namespace** — the interprocedural fixpoint's recorded
 //!   body walks, keyed by cone fingerprint, which make re-analysis of
-//!   edited programs incremental;
+//!   edited programs incremental.  A cone's records are admitted only on
+//!   its second sighting — when the request found the cone's summary table
+//!   already in the store — so a never-seen program keeps none, and an
+//!   edit replays the unchanged cones of a program seen before;
 //! * **product namespace** — what parallelization derives from a program
 //!   ([`ParallelProduct`]: transform count, printed parallel source,
 //!   verifier violations), keyed by the program fingerprint, so a warm
@@ -99,7 +102,7 @@ use sil_lang::{frontend, pretty_program, Program, SilError};
 use sil_parallelizer::{pack_program_with_analysis, verify_parallel_program, PackOptions};
 use sil_runtime::{Interpreter, RunConfig};
 use silobs::{Counter, RawMetrics, Registry, ShardedHistogram, Tracer};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 /// Engine construction parameters: the shape of the [`SummaryStore`] an
@@ -115,14 +118,14 @@ pub struct EngineConfig {
     /// the edit is re-walked.  The result is bit-identical to a full
     /// analysis (same digests); this only trades memory for time.
     ///
-    /// The switch stays because its two callers need different values.  A
-    /// daemon sees edits of programs it holds and replays: measured end to
-    /// end, `edit_stream` costs 824 µs of CPU per request with replay
-    /// against 1 341 µs without.  A one-shot `silp --in-process` analyzes
-    /// each input once, never replays, and would only pay the recording
-    /// (`cold_unique`: 1 688 µs with against 1 377 µs without, 45 MiB
-    /// against 25 MiB resident), so it turns this off unless
-    /// `--incremental` asks for it.
+    /// A daemon sees edits of programs it holds and replays: measured end
+    /// to end, `edit_stream` costs 620 µs of CPU per request with replay
+    /// against 1 163 µs without.  A one-shot `silp --in-process` analyzes
+    /// each input once and turns this off unless `--incremental` asks for
+    /// it.  Walk records are kept only from a cone's second sighting on, so
+    /// a never-seen program records nothing, and turning this off saves it
+    /// nothing measurable (`cold_unique`: 1 181 µs of CPU per request with
+    /// against 1 187 µs without, 26.8 MiB against 26.3 MiB resident).
     pub incremental: bool,
 }
 
@@ -423,6 +426,8 @@ pub struct Engine {
     walks_performed: Counter,
     walks_reused: Counter,
     walks_skipped: Counter,
+    /// Cones whose fresh walk records were not admitted to `walks`.
+    walks_declined: Counter,
 }
 
 impl Default for Engine {
@@ -450,6 +455,7 @@ impl Engine {
             walks_performed: registry.counter("engine.walks.performed"),
             walks_reused: registry.counter("engine.walks.reused"),
             walks_skipped: registry.counter("engine.walks.skipped"),
+            walks_declined: registry.counter("engine.walks.declined"),
             tracer,
             peer_serve: true,
             incremental: config.incremental,
@@ -555,9 +561,10 @@ impl Engine {
     /// reporting whether the program namespace served it.
     ///
     /// On a program-cache miss the analysis is (with
-    /// [`EngineConfig::incremental`]) seeded from the walk records of every
-    /// cone this program shares with previously analyzed ones, so an edited
-    /// variant of a cached program only re-analyzes the edit's stale cone.
+    /// [`EngineConfig::incremental`]) seeded from the walk records the store
+    /// kept for the cones this program shares with earlier ones — kept from
+    /// a cone's second sighting on — so an edited variant of a program seen
+    /// before only re-analyzes the edit's stale cone.
     pub fn analyze(&self, normalized: Normalized) -> (Arc<AnalyzedProgram>, bool) {
         match self.lookup(normalized.fingerprint) {
             Some(hit) => (hit, true),
@@ -589,7 +596,7 @@ impl Engine {
         } = normalized;
         // The call graph, its schedule and the cone fingerprints: computed
         // here once, for the summary pass, the walk lookup and the fixpoint.
-        let (plan, summaries) = {
+        let (plan, (summaries, seen_before)) = {
             let _span = self.tracer.start("summaries");
             let plan = CallPlan::of_program(&program);
             let summaries = self.summaries_for(&program, &types, &plan);
@@ -598,7 +605,9 @@ impl Engine {
 
         let retained = self.incremental.then(|| self.retained_walks(&plan.cones));
         let options = AnalyzeOptions {
-            record: self.incremental,
+            // Only the records of cones seen before are kept
+            // (`retain_walks`): with none, there is nothing to record.
+            record: self.incremental && !seen_before.is_empty(),
             reuse: retained.as_ref().map(|(reuse, _)| reuse),
         };
         let fixpoint_start = silobs::ticks();
@@ -614,6 +623,7 @@ impl Engine {
         self.walks_skipped.add(stats.walks_skipped as u64);
 
         let incremental = retained.map(|(_, retained)| {
+            let mut declined = HashSet::new();
             for (name, cone) in &plan.cones {
                 // Only classify procedures the fixpoint actually walked:
                 // dead code (unreachable from `main`) never records walks,
@@ -626,7 +636,11 @@ impl Engine {
                 } else {
                     stats.procedures_stale += 1;
                 }
+                if !seen_before.contains(cone) {
+                    declined.insert(*cone);
+                }
             }
+            self.walks_declined.add(declined.len() as u64);
             stats
         });
 
@@ -639,7 +653,7 @@ impl Engine {
         });
         let _span = self.tracer.start("store-insert");
         if let Some(snapshot) = &snapshot {
-            self.retain_walks(snapshot);
+            self.retain_walks(snapshot, &seen_before);
         }
         self.view.programs.insertion();
         self.store.store_program(fingerprint, entry.clone());
@@ -648,15 +662,12 @@ impl Engine {
 
     /// The walk records the store retains for `cones`, as one snapshot to
     /// replay from, and the cones that had any.
-    fn retained_walks(
-        &self,
-        cones: &HashMap<String, u64>,
-    ) -> (AnalysisSnapshot, std::collections::HashSet<u64>) {
+    fn retained_walks(&self, cones: &HashMap<String, u64>) -> (AnalysisSnapshot, HashSet<u64>) {
         let mut distinct: Vec<u64> = cones.values().copied().collect();
         distinct.sort_unstable();
         distinct.dedup();
         let mut reuse = AnalysisSnapshot::new();
-        let mut retained = std::collections::HashSet::new();
+        let mut retained = HashSet::new();
         for cone in distinct {
             match self.store.walks().get(cone) {
                 Some(records) => {
@@ -672,11 +683,18 @@ impl Engine {
         (reuse, retained)
     }
 
-    /// Persist one run's walks for the next edit, grouped by cone.
-    fn retain_walks(&self, snapshot: &AnalysisSnapshot) {
+    /// Keep one run's walks for the next edit, grouped by cone — but only
+    /// the cones in `seen_before`, whose summary table this request found
+    /// already in the store.  A cone on its first sighting (every cone of a
+    /// never-seen program) is declined: its records would only wait for an
+    /// eviction.  A cone that comes back is admitted then, and replays from
+    /// the sighting after.
+    fn retain_walks(&self, snapshot: &AnalysisSnapshot, seen_before: &HashSet<u64>) {
         let mut by_cone: HashMap<u64, Vec<Arc<WalkRecord>>> = HashMap::new();
         for record in snapshot.records() {
-            by_cone.entry(record.cone).or_default().push(record.clone());
+            if seen_before.contains(&record.cone) {
+                by_cone.entry(record.cone).or_default().push(record.clone());
+            }
         }
         for (cone, fresh) in by_cone {
             self.view.walks.insertion();
@@ -686,8 +704,7 @@ impl Engine {
             // a cone cannot drop each other's freshly recorded walks.
             self.store.walks().merge(cone, |existing| {
                 let mut merged = fresh;
-                let mut seen: std::collections::HashSet<u64> =
-                    merged.iter().map(|r| r.key).collect();
+                let mut seen: HashSet<u64> = merged.iter().map(|r| r.key).collect();
                 if let Some(existing) = existing {
                     for record in existing.iter() {
                         if merged.len() >= RECORDS_PER_CONE {
@@ -721,45 +738,42 @@ impl Engine {
     }
 
     /// Argument-mode summaries for every procedure, reusing cached per-SCC
-    /// results and computing the misses bottom-up, level by level.
+    /// results and computing the misses bottom-up, level by level; and the
+    /// cones whose table the store already held.  Every member of an SCC
+    /// has the SCC's cone fingerprint, which also groups its walk records.
     fn summaries_for(
         &self,
         program: &Program,
         types: &ProgramTypes,
         plan: &CallPlan,
-    ) -> HashMap<String, ProcSummary> {
+    ) -> (HashMap<String, ProcSummary>, HashSet<u64>) {
         let start = silobs::ticks();
         let mut resolved: HashMap<String, ProcSummary> = HashMap::new();
+        let mut seen_before = HashSet::new();
         for scc in plan.levels.iter().flatten() {
-            let table = self.scc_summaries(program, types, scc, &plan.cones, &resolved);
+            let cone = scc
+                .first()
+                .and_then(|m| plan.cones.get(m).copied())
+                .unwrap_or_default();
+            let table = match self.store.summaries().get(cone) {
+                Some(hit) => {
+                    self.view.summaries.hit();
+                    seen_before.insert(cone);
+                    hit
+                }
+                None => {
+                    self.view.summaries.miss();
+                    let computed = Arc::new(compute_scc_summaries(program, types, scc, &resolved));
+                    self.view.summaries.insertion();
+                    self.store.summaries().insert(cone, computed.clone());
+                    computed
+                }
+            };
             resolved.extend(table.iter().map(|(name, s)| (name.clone(), s.clone())));
         }
         self.summaries_us
             .record(silobs::ticks().saturating_sub(start));
-        resolved
-    }
-
-    fn scc_summaries(
-        &self,
-        program: &Program,
-        types: &ProgramTypes,
-        members: &[String],
-        cones: &HashMap<String, u64>,
-        resolved: &HashMap<String, ProcSummary>,
-    ) -> Arc<HashMap<String, ProcSummary>> {
-        let key = members
-            .first()
-            .and_then(|m| cones.get(m).copied())
-            .unwrap_or_default();
-        if let Some(hit) = self.store.summaries().get(key) {
-            self.view.summaries.hit();
-            return hit;
-        }
-        self.view.summaries.miss();
-        let computed = Arc::new(compute_scc_summaries(program, types, members, resolved));
-        self.view.summaries.insertion();
-        self.store.summaries().insert(key, computed.clone());
-        computed
+        (resolved, seen_before)
     }
 
     /// Map `op` over `items` in input order — across rayon when there is

@@ -14,7 +14,10 @@
 //!   `AnalysisResult`s), [`Namespace::SccSummary`] (per-SCC argument-mode
 //!   summaries keyed by cone fingerprint), [`Namespace::WalkRecord`]
 //!   (retained interprocedural body walks keyed by cone fingerprint, the
-//!   raw material of incremental re-analysis), and [`Namespace::Product`]
+//!   raw material of incremental re-analysis; the engine admits a cone's
+//!   records only on its second sighting, when the request found the
+//!   cone's summary table already here, so a never-seen program leaves
+//!   none behind), and [`Namespace::Product`]
 //!   (what parallelization derives from a program, keyed by program
 //!   fingerprint) each get their own capacity and counters;
 //! * **one tiered namespace** — only whole programs live below memory

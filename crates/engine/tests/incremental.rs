@@ -367,7 +367,11 @@ fn single_procedure_edit_reuses_everything_outside_the_dependent_cone() {
     let unchanged_sccs = distinct(&edited_cones, &|n| !stale.contains(n)).len();
     let stale_sccs = distinct(&edited_cones, &|n| stale.contains(n)).len();
 
+    // Walk records are kept from a cone's second sighting on, so the base
+    // is sighted twice before the edit.
     let engine = Engine::default();
+    engine.analyze_source(&base_src).unwrap();
+    engine.clear_program_cache();
     engine.analyze_source(&base_src).unwrap();
     let before = engine.stats();
     let entry = engine.analyze_source(&edited_src).unwrap();
@@ -423,7 +427,10 @@ fn unreachable_procedures_do_not_count_as_stale() {
     let with_dead = apply_mutation(&base_program, Mutation::AddDeadProcedure, &mut rng).unwrap();
     let with_dead_src = pretty_program(&with_dead);
 
+    // Sighted twice, so its cones' walk records are kept.
     let engine = Engine::default();
+    engine.analyze_source(&with_dead_src).unwrap();
+    engine.clear_program_cache();
     engine.analyze_source(&with_dead_src).unwrap();
 
     // Edit main only: sum and build stay reusable, the dead procedure is
@@ -434,6 +441,55 @@ fn unreachable_procedures_do_not_count_as_stale() {
     let stats = entry.incremental.expect("incremental path was taken");
     assert_eq!(stats.procedures_stale, 1, "{stats:?}");
     assert_eq!(stats.procedures_reused, 2, "{stats:?}");
+}
+
+/// Walk records enter the store only for cones this request found in the
+/// `summaries` namespace: a never-seen program keeps none, its second
+/// sighting keeps them all, and an edit after that replays.
+#[test]
+fn walk_records_are_kept_from_a_cones_second_sighting() {
+    let src = Workload::TreeSum.source(4);
+    let edited = src.replace("d := 4", "d := 3");
+    assert_ne!(edited, src, "edit must apply");
+    let engine = Engine::default();
+    let declined = || {
+        engine
+            .metrics_raw()
+            .summarize()
+            .counter("engine.walks.declined")
+            .expect("the engine registers engine.walks.declined")
+    };
+
+    // First sighting: every cone is new, and no record is kept.
+    let first = engine.analyze_source(&src).unwrap();
+    assert!(first.incremental.expect("incremental").walks_performed > 0);
+    assert_eq!(engine.store_stats().walks.entries, 0);
+    assert_eq!(engine.stats().walks.insertions, 0);
+    let cones = declined();
+    assert!(cones > 0);
+
+    // Second sighting: every table hits, so every cone's records are kept,
+    // though none were there to replay.
+    engine.clear_program_cache();
+    let second = engine.analyze_source(&src).unwrap();
+    assert_eq!(second.incremental.expect("incremental").walks_reused, 0);
+    assert_eq!(engine.store_stats().walks.entries as u64, cones);
+    assert_eq!(declined(), cones, "nothing declined on a second sighting");
+
+    // An edit of main: the callee cones replay, and main's new cone is the
+    // one declined.
+    let third = engine.analyze_source(&edited).unwrap();
+    let stats = third.incremental.expect("incremental");
+    assert!(stats.walks_reused > 0, "{stats:?}");
+    assert_eq!(declined(), cones + 1);
+
+    for (entry, src) in [(&first, &src), (&second, &src), (&third, &edited)] {
+        let (program, types) = frontend(src).unwrap();
+        assert_eq!(
+            entry.analysis.digest(),
+            analyze_program(&program, &types).digest()
+        );
+    }
 }
 
 /// Alpha-conversion sanity: renaming a local is a real edit (digest moves

@@ -20,7 +20,7 @@ use crate::intern::{self, Symbol};
 use crate::path::Path;
 use crate::pathset::PathSet;
 use crate::Certainty;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A path matrix over a set of named handles.
 ///
@@ -547,46 +547,103 @@ impl PathMatrix {
         self.entries == theirs
     }
 
+    /// The matrix's exact layout as a sequence of words: the handle
+    /// symbols in insertion order, then every entry's key and the links
+    /// and certainty of each of its paths, each group prefixed by its
+    /// length.  Two matrices yield the same words iff they have the same
+    /// handles in the same order and the same entries — so whatever
+    /// [`PathMatrix::render`] tells apart, these words tell apart too.
+    /// Symbols are process-local ids: the words may key memory-only
+    /// tables, never anything stored or sent.
+    pub fn layout_words(&self, mut word: impl FnMut(u64)) {
+        word(self.handles.len() as u64);
+        for sym in &self.handles {
+            word(u64::from(sym.index()));
+        }
+        word(self.entries.len() as u64);
+        for (k, set) in &self.entries {
+            word(*k);
+            word(set.len() as u64);
+            for path in set.iter() {
+                word((path.links().len() as u64) << 1 | u64::from(!path.is_definite()));
+                for link in path.links() {
+                    word(u64::from(link.min) << 3 | u64::from(link.exact) << 2 | link.dir as u64);
+                }
+            }
+        }
+    }
+
     /// Render the matrix as the kind of table printed in the paper's figures.
     pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out);
+        out
+    }
+
+    /// [`PathMatrix::render`], appended to `out`.  Every entry's text is
+    /// written once, into one scratch buffer, so the column widths can be
+    /// known before the first line; each cell is then copied from there
+    /// and padded in place, and each line trimmed in place.
+    pub fn render_into(&self, out: &mut String) {
         if self.handles.is_empty() {
-            return String::from("(empty path matrix)\n");
+            out.push_str("(empty path matrix)\n");
+            return;
         }
         let names: Vec<&str> = self.handle_names().collect();
-        let n = names.len();
-        let mut cells: Vec<Vec<String>> = Vec::with_capacity(n + 1);
-        let mut header = vec![String::new()];
-        header.extend(names.iter().map(|s| s.to_string()));
-        cells.push(header);
-        for (i, a) in names.iter().enumerate() {
-            let mut row = vec![a.to_string()];
-            for j in 0..n {
-                let entry = self.get_at(i as u32, j as u32);
-                row.push(if entry.is_empty() {
-                    String::new()
-                } else {
-                    entry.to_string()
-                });
-            }
-            cells.push(row);
+        // Entry texts, in `entries` order: entry `e` is
+        // `texts[starts[e]..starts[e + 1]]`.
+        let mut texts = String::new();
+        let mut starts = Vec::with_capacity(self.entries.len() + 1);
+        starts.push(0);
+        for (_, set) in &self.entries {
+            write!(texts, "{set}").expect("writing to a String cannot fail");
+            starts.push(texts.len());
         }
-        let cols = n + 1;
-        let mut widths = vec![0usize; cols];
-        for row in &cells {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
-            }
+        let text = |e: usize| &texts[starts[e]..starts[e + 1]];
+        // Column 0 holds the row names; column `j + 1` holds handle `j`'s
+        // entries under its name, with `S` on the diagonal.
+        let mut widths = Vec::with_capacity(names.len() + 1);
+        widths.push(names.iter().map(|s| s.len()).max().unwrap_or(0));
+        widths.extend(names.iter().map(|s| s.len().max(1)));
+        for (e, (k, _)) in self.entries.iter().enumerate() {
+            let col = *k as u32 as usize + 1;
+            widths[col] = widths[col].max(text(e).len());
         }
-        let mut out = String::new();
-        for row in &cells {
-            let mut line = String::new();
-            for (i, cell) in row.iter().enumerate() {
-                line.push_str(&format!("{:<width$}  ", cell, width = widths[i]));
-            }
-            out.push_str(line.trim_end());
+        let cell = |out: &mut String, col: usize, text: &str| {
+            out.push_str(text);
+            let pad = widths[col].saturating_sub(text.chars().count()) + 2;
+            out.extend(std::iter::repeat_n(' ', pad));
+        };
+        let end_line = |out: &mut String, start: usize| {
+            let kept = out[start..].trim_end().len();
+            out.truncate(start + kept);
             out.push('\n');
+        };
+        let start = out.len();
+        cell(out, 0, "");
+        for (j, name) in names.iter().enumerate() {
+            cell(out, j + 1, name);
         }
-        out
+        end_line(out, start);
+        // `entries` is sorted row-major, so one cursor walks it in step
+        // with the grid.
+        let mut next = 0usize;
+        for (i, name) in names.iter().enumerate() {
+            let start = out.len();
+            cell(out, 0, name);
+            for j in 0..names.len() {
+                let k = key(i as u32, j as u32);
+                if i == j {
+                    cell(out, j + 1, "S");
+                } else if self.entries.get(next).is_some_and(|&(e, _)| e == k) {
+                    cell(out, j + 1, text(next));
+                    next += 1;
+                } else {
+                    cell(out, j + 1, "");
+                }
+            }
+            end_line(out, start);
+        }
     }
 }
 
@@ -600,7 +657,7 @@ impl Eq for PathMatrix {}
 
 impl fmt::Display for PathMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.render())
+        f.write_str(&self.render())
     }
 }
 
@@ -830,6 +887,64 @@ mod tests {
         assert!(rendered.contains("R1"), "{rendered}");
         let lines: Vec<&str> = rendered.lines().collect();
         assert_eq!(lines.len(), 4);
+    }
+
+    #[test]
+    fn render_bytes_are_pinned() {
+        // `l`'s column is as wide as its widest entry, not its name; `x`
+        // relates to nothing, so `root`'s and `l`'s lines end in an empty
+        // cell whose padding is trimmed.
+        let mut m = PathMatrix::with_handles(["root", "l", "x"]);
+        m.set(
+            "root",
+            "l",
+            PathSet::from_paths([exact(Dir::Left, 1), at_least(Dir::Right, 1).weakened()]),
+        );
+        assert_eq!(m.get("root", "l").to_string(), "L1,R+?");
+        let table = concat!(
+            "      root  l       x\n",
+            "root  S     L1,R+?\n",
+            "l           S\n",
+            "x                   S\n",
+        );
+        assert_eq!(m.render(), table);
+        assert_eq!(format!("{m}"), m.render());
+        let mut appended = String::from("before\n");
+        m.render_into(&mut appended);
+        assert_eq!(appended, format!("before\n{table}"));
+
+        let one = PathMatrix::with_handles(["a"]);
+        assert_eq!(one.render(), "   a\na  S\n");
+        assert_eq!(format!("{one}"), one.render());
+        assert_eq!(PathMatrix::new().render(), "(empty path matrix)\n");
+        assert_eq!(format!("{}", PathMatrix::new()), PathMatrix::new().render());
+    }
+
+    #[test]
+    fn layout_words_see_handle_order_and_every_path() {
+        let words = |m: &PathMatrix| {
+            let mut out = Vec::new();
+            m.layout_words(|w| out.push(w));
+            out
+        };
+        let mut ab = PathMatrix::with_handles(["a", "b"]);
+        ab.set("a", "b", PathSet::singleton(exact(Dir::Left, 1)));
+        let mut ba = PathMatrix::with_handles(["b", "a"]);
+        ba.set("a", "b", PathSet::singleton(exact(Dir::Left, 1)));
+        assert!(ab.same_relations(&ba));
+        assert_ne!(words(&ab), words(&ba), "handle order is part of the layout");
+        assert_eq!(words(&ab), words(&ab.clone()));
+        for other in [
+            PathSet::singleton(exact(Dir::Left, 1).weakened()),
+            PathSet::singleton(exact(Dir::Left, 2)),
+            PathSet::singleton(at_least(Dir::Left, 1)),
+            PathSet::singleton(exact(Dir::Right, 1)),
+            PathSet::from_paths([exact(Dir::Left, 1), exact(Dir::Right, 1)]),
+        ] {
+            let mut changed = ab.clone();
+            changed.set("a", "b", other);
+            assert_ne!(words(&ab), words(&changed), "{other}");
+        }
     }
 
     #[test]

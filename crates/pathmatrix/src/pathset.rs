@@ -266,8 +266,13 @@ impl fmt::Display for PathSet {
         if self.is_empty() {
             return write!(f, "·");
         }
-        let rendered: Vec<String> = self.iter().map(|p| p.to_string()).collect();
-        write!(f, "{}", rendered.join(","))
+        for (i, path) in self.iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
+            }
+            write!(f, "{path}")?;
+        }
+        Ok(())
     }
 }
 
