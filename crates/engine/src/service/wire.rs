@@ -158,7 +158,14 @@ impl<T: Wire> Wire for Vec<T> {
         encode_array(self, out, T::encode_into)
     }
     fn from_json(value: &Json) -> Result<Self, String> {
-        items(value)?.iter().map(T::from_json).collect()
+        // Sized up front: collecting through `Result` would grow by
+        // doubling, and an entry's lists run to hundreds of elements.
+        let items = items(value)?;
+        let mut out = Vec::with_capacity(items.len());
+        for item in items {
+            out.push(T::from_json(item)?);
+        }
+        Ok(out)
     }
 }
 
@@ -227,7 +234,7 @@ impl Wire for BTreeSet<String> {
     }
 }
 
-/// Fixed-size arrays of mixed members, `[a, b]` and `[a, b, c]`.
+/// Fixed-size arrays of mixed members, `[a, b]` to `[a, b, c, d, e]`.
 macro_rules! tuples {
     ($($len:literal: $($ty:ident $index:tt $raw:ident),+;)+) => {$(
         impl<$($ty: Wire),+> Wire for ($($ty,)+) {
@@ -246,7 +253,12 @@ macro_rules! tuples {
         }
     )+};
 }
-tuples!("two": A 0 a, B 1 b; "three": A 0 a, B 1 b, C 2 c;);
+tuples!(
+    "two": A 0 a, B 1 b;
+    "three": A 0 a, B 1 b, C 2 c;
+    "four": A 0 a, B 1 b, C 2 c, D 3 d;
+    "five": A 0 a, B 1 b, C 2 c, D 3 d, E 4 e;
+);
 
 /// A string-keyed map as `[[key, value], …]` with the keys sorted, so the
 /// bytes are the same whatever order the map iterates in.

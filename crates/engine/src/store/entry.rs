@@ -11,13 +11,31 @@
 //! must reproduce the digest.  A document that fails any check — a torn
 //! disk entry, a lying peer — is a miss, never a wrong answer.
 //!
+//! Version 2 stores each distinct state once.  `"states"` is a table of
+//! rows `[structure, handles, relations, attached, shared]`, and a
+//! procedure names its entry, its exit and each point's state by index
+//! into it; a point is `[label, statement, callee, state]`.  Each path set
+//! is the text the paper prints and the digest hashes (`"L1,R+?"`), read
+//! back by `PathSet`'s `FromStr`.  The encoder lists states in the order
+//! they first appear — procedures by name, then each one's entry, exit and
+//! points — and tells them apart by content, so the bytes are
+//! deterministic and equal states in two procedures share a row.  Decoding
+//! makes each row one `Arc<AbstractState>` that every point and exit
+//! naming it shares, so verifying the digest renders each distinct state
+//! once; a state index past the table, or a row whose matrix is not one
+//! (a handle listed twice, a relation on the diagonal, out of range or out
+//! of order) is refused like any other damage.  A version 1 entry — one
+//! state written out per point, every path a nested array, three times the
+//! bytes — is refused as an unknown version: the program is analyzed again
+//! and rewritten under the same key.
+//!
 //! An entry is written straight to its bytes ([`encode_program`]) and read
 //! from a parsed [`Json`] document.  Every shape is described once,
 //! through [`crate::service::wire`], so adding a member to an entry is one
 //! line here — `[or <default>]` if entries already on disk must keep
 //! decoding, a new entry version otherwise.
 
-use crate::service::json::{encode_array, encode_str, Json};
+use crate::service::json::{encode_array, encode_int, encode_str, Json};
 use crate::service::wire::{encode, leaves, names, record, Encoded, Hex, Plain, Wire};
 use crate::AnalyzedProgram;
 use sil_analysis::{
@@ -26,11 +44,14 @@ use sil_analysis::{
 };
 use sil_lang::hash::program_fingerprint;
 use sil_lang::{frontend, pretty_program};
-use sil_pathmatrix::{intern, Certainty, Dir, Link, Path as RelPath, PathMatrix, PathSet, Symbol};
+use sil_pathmatrix::{intern, ParsePathSetError, PathMatrix, PathSet, Symbol};
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::BTreeSet;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// The version a program entry is written with, and the only one believed.
-const PROGRAM_ENTRY: u64 = 1;
+const PROGRAM_ENTRY: u64 = 2;
 
 names!(ArgMode {
     ReadOnly => "readonly",
@@ -40,59 +61,15 @@ names!(ArgMode {
 
 names!(StructureKind { Tree => "TREE", PossiblyDag => "DAG?", PossiblyCyclic => "CYCLE?" });
 
-names!(Dir { Left => "L", Right => "R", Down => "D" });
-
-/// A link is `[dir_letter, min, exact]`.
-impl Wire for Link {
-    fn encode_into(&self, out: &mut String) {
-        (self.dir, self.min, self.exact).encode_into(out)
-    }
-    fn from_json(value: &Json) -> Result<Self, String> {
-        let (dir, min, exact) = Wire::from_json(value)?;
-        let link = Link { dir, min, exact };
-        if link.min < 1 {
-            return Err("a link spans at least one edge".to_string());
-        }
-        Ok(link)
-    }
-}
-
-/// A path is `[definite, links]`: `links` is `null` for `S`ame, else a
-/// non-empty list.
-impl Wire for RelPath {
-    fn encode_into(&self, out: &mut String) {
-        out.push('[');
-        self.certainty.is_definite().encode_into(out);
-        out.push(',');
-        match self.links() {
-            [] => out.push_str("null"),
-            links => encode_array(links, out, Link::encode_into),
-        }
-        out.push(']');
-    }
-    fn from_json(value: &Json) -> Result<Self, String> {
-        let (definite, links): (bool, Option<Vec<Link>>) = Wire::from_json(value)?;
-        let certainty = if definite {
-            Certainty::Definite
-        } else {
-            Certainty::Possible
-        };
-        match links {
-            None => Ok(RelPath::same(certainty)),
-            Some(links) if links.is_empty() => Err("a path's links are non-empty".to_string()),
-            Some(links) => Ok(RelPath::from_links(links, certainty)),
-        }
-    }
-}
-
+/// A path set is its text, as the paper prints it: `L1,R+?`, `·` if empty.
 impl Wire for PathSet {
     fn encode_into(&self, out: &mut String) {
-        encode_array(self.paths(), out, RelPath::encode_into)
+        // Link letters, counts, `+?,` and `·`: nothing to escape.
+        let _ = write!(out, "\"{self}\"");
     }
     fn from_json(value: &Json) -> Result<Self, String> {
-        Ok(PathSet::from_paths(<Vec<RelPath> as Wire>::from_json(
-            value,
-        )?))
+        let text = value.as_str().ok_or("expected a path set")?;
+        text.parse().map_err(|e: ParsePathSetError| e.to_string())
     }
 }
 
@@ -101,45 +78,123 @@ leaves! {
     Symbol: "a handle name", |name, out| encode_str(name.as_str(), out), |raw| raw.as_str().map(intern);
 }
 
-/// The non-empty relations of a matrix as `[[a, b, paths], …]`, sorted by
-/// handle names.  Written by hand: a list of triples to encode from would
-/// copy every path set.
-struct Relations<'a>(&'a PathMatrix);
-
-impl Encoded<Plain> for Relations<'_> {
-    fn encode_member(self, out: &mut String) {
-        let mut entries: Vec<_> = self.0.related_pairs().collect();
-        entries.sort_by_key(|&(a, b, _)| (a, b));
-        encode_array(entries, out, |(a, b, set), out| {
-            out.push('[');
-            encode_str(a, out);
-            out.push(',');
-            encode_str(b, out);
-            out.push(',');
-            set.encode_into(out);
-            out.push(']');
-        });
+/// A state is `[structure, handles, relations, attached, shared]`.  The
+/// handles are in matrix insertion order — `render()`, and through it the
+/// analysis digest, depends on that order — and a relation is `[row, col,
+/// paths]` by index into them, in the matrix's own row-major order.
+/// Encoded by hand: a tuple to encode from would copy every path set.
+impl Wire for AbstractState {
+    fn encode_into(&self, out: &mut String) {
+        out.push('[');
+        self.structure.encode_into(out);
+        out.push(',');
+        encode_array(self.matrix.handles(), out, Symbol::encode_into);
+        out.push(',');
+        encode_array(
+            self.matrix.indexed_relations(),
+            out,
+            |(row, col, set), out| {
+                out.push('[');
+                encode_int(row, out);
+                out.push(',');
+                encode_int(col, out);
+                out.push(',');
+                set.encode_into(out);
+                out.push(']');
+            },
+        );
+        out.push(',');
+        self.attached.encode_into(out);
+        out.push(',');
+        self.shared.encode_into(out);
+        out.push(']');
+    }
+    fn from_json(value: &Json) -> Result<Self, String> {
+        type Row = (
+            StructureKind,
+            Vec<Symbol>,
+            Vec<(u32, u32, PathSet)>,
+            BTreeSet<String>,
+            BTreeSet<String>,
+        );
+        let (structure, handles, relations, attached, shared): Row = Wire::from_json(value)?;
+        Ok(AbstractState {
+            matrix: PathMatrix::from_indexed(handles, relations)?,
+            structure,
+            attached,
+            shared,
+        })
     }
 }
 
-// Handles are stored *in matrix insertion order* — `render()` (and through
-// it the analysis digest) depends on that order.
-record!(AbstractState: |state| {
-    "structure" => structure = &state.structure,
-    "handles" => handles: Vec<Symbol> = state.matrix.handles(),
-    "entries" => entries: Vec<(Symbol, Symbol, PathSet)> = Relations(&state.matrix),
-    "attached" => attached = &state.attached,
-    "shared" => shared = &state.shared,
-} => {
-    let mut matrix = PathMatrix::new();
-    for handle in handles {
-        matrix.add_handle_sym(handle);
+/// The distinct states of an analysis as an entry lists them — each once,
+/// in the order they first appear: procedures by name, then each one's
+/// entry, exit and points — and where each state the analysis holds is in
+/// that list.  States are told apart by their encoded row, so equal states
+/// in two procedures share one.
+#[derive(Default)]
+struct StateTable {
+    /// The `"states"` member: the rows, as one array.
+    rows: String,
+    /// Each state's index, by address: a state shared by consecutive points
+    /// is encoded once.
+    at: HashMap<*const AbstractState, usize>,
+}
+
+impl StateTable {
+    fn of(analysis: &AnalysisResult) -> StateTable {
+        let mut table = StateTable::default();
+        let mut by_row: HashMap<String, usize> = HashMap::new();
+        let mut row = String::new();
+        table.rows.push('[');
+        for (_, procedure) in by_name(analysis) {
+            let points = procedure.points.iter().map(|point| &*point.state);
+            for state in [&procedure.entry, &*procedure.exit]
+                .into_iter()
+                .chain(points)
+            {
+                let Entry::Vacant(slot) = table.at.entry(state) else {
+                    continue;
+                };
+                row.clear();
+                state.encode_into(&mut row);
+                let index = match by_row.get(&row) {
+                    Some(&index) => index,
+                    None => {
+                        let index = by_row.len();
+                        if index > 0 {
+                            table.rows.push(',');
+                        }
+                        table.rows.push_str(&row);
+                        by_row.insert(row.clone(), index);
+                        index
+                    }
+                };
+                slot.insert(index);
+            }
+        }
+        table.rows.push(']');
+        table
     }
-    for (a, b, set) in entries {
-        matrix.set_sym(a, b, set);
+
+    fn index(&self, state: &AbstractState) -> usize {
+        self.at[&(state as *const AbstractState)]
     }
-    AbstractState { matrix, structure, attached, shared }
-});
+}
+
+impl Encoded<Plain> for &StateTable {
+    fn encode_member(self, out: &mut String) {
+        out.push_str(&self.rows);
+    }
+}
+
+/// The procedures in name order: the order an entry lists them, and so
+/// the order their states first appear in.
+fn by_name(analysis: &AnalysisResult) -> Vec<(&String, &ProcedureAnalysis)> {
+    let mut procedures: Vec<_> = analysis.procedure_map().iter().collect();
+    procedures.sort_by_key(|&(name, _)| name);
+    procedures
+}
 
 record!(StructureWarning {
     "procedure" => procedure,
@@ -148,14 +203,17 @@ record!(StructureWarning {
     "message" => message,
 });
 
-record!(ProgramPoint {
-    "label" => label,
-    "statement" => statement,
-    "callee" => callee,
-    "state" => state,
-});
+/// A procedure as an entry holds it: its states are indices into the
+/// entry's state table, and a point is `[label, statement, callee, state]`.
+struct StoredProcedure {
+    name: String,
+    entry: usize,
+    exit: usize,
+    points: Vec<(String, String, Option<String>, usize)>,
+    warnings: Arc<Vec<StructureWarning>>,
+}
 
-record!(ProcedureAnalysis {
+record!(StoredProcedure {
     "name" => name,
     "entry" => entry,
     "exit" => exit,
@@ -163,17 +221,79 @@ record!(ProcedureAnalysis {
     "warnings" => warnings,
 });
 
+impl StoredProcedure {
+    /// Every procedure of `analysis`, by name, as `states` indexes them.
+    fn all(analysis: &AnalysisResult, states: &StateTable) -> Vec<(String, StoredProcedure)> {
+        by_name(analysis)
+            .into_iter()
+            .map(|(name, procedure)| (name.clone(), StoredProcedure::of(procedure, states)))
+            .collect()
+    }
+
+    fn of(procedure: &ProcedureAnalysis, states: &StateTable) -> StoredProcedure {
+        let points = procedure.points.iter().map(|point| {
+            let state = states.index(&point.state);
+            (
+                point.label.clone(),
+                point.statement.clone(),
+                point.callee.clone(),
+                state,
+            )
+        });
+        StoredProcedure {
+            name: procedure.name.clone(),
+            entry: states.index(&procedure.entry),
+            exit: states.index(&procedure.exit),
+            points: points.collect(),
+            warnings: procedure.warnings.clone(),
+        }
+    }
+
+    /// The procedure, its states looked up in the entry's decoded table:
+    /// every point and exit shares its row's allocation.
+    fn resolve(self, states: &[Arc<AbstractState>]) -> Result<ProcedureAnalysis, String> {
+        let state = |index: usize| {
+            states
+                .get(index)
+                .cloned()
+                .ok_or_else(|| format!("state {index} of {}", states.len()))
+        };
+        let points = self
+            .points
+            .into_iter()
+            .map(|(label, statement, callee, index)| {
+                Ok(ProgramPoint {
+                    label,
+                    statement,
+                    callee,
+                    state: state(index)?,
+                })
+            });
+        Ok(ProcedureAnalysis {
+            entry: AbstractState::clone(&*state(self.entry)?),
+            exit: state(self.exit)?,
+            points: Arc::new(points.collect::<Result<_, String>>()?),
+            name: self.name,
+            warnings: self.warnings,
+        })
+    }
+}
+
 record!(ProcSummary { "name" => name, "handle_args" => handle_args, "arg_modes" => arg_modes });
 
 record!(ReturnSummary { "fresh" => fresh, "relations" => relations });
 
 /// What a program entry holds, checked as far as the document alone can
-/// be: decoding refuses a version other than [`PROGRAM_ENTRY`] and an
-/// analysis that does not reproduce the stored digest.
+/// be: decoding refuses a version other than [`PROGRAM_ENTRY`], a state
+/// index out of range and an analysis that does not reproduce the stored
+/// digest.
 struct ProgramEntry {
     fingerprint: u64,
     source: String,
     analysis: Arc<AnalysisResult>,
+    /// The analysis's states, as encoding lists them (a decoded entry's is
+    /// empty: it has its states in `analysis`).
+    states: StateTable,
 }
 
 record!(ProgramEntry: |entry| {
@@ -182,7 +302,9 @@ record!(ProgramEntry: |entry| {
     "digest" => digest: u64 as Hex = &entry.analysis.digest(),
     "source" => source = &entry.source,
     "rounds" => rounds = &entry.analysis.rounds,
-    "procedures" => procedures = entry.analysis.procedure_map(),
+    "states" => states: Vec<Arc<AbstractState>> = &entry.states,
+    "procedures" => procedures: Vec<(String, StoredProcedure)> =
+        &StoredProcedure::all(&entry.analysis, &entry.states),
     "summaries" => summaries = &entry.analysis.summaries,
     "return_summaries" => return_summaries = &entry.analysis.return_summaries,
     "warnings" => warnings = &entry.analysis.warnings,
@@ -190,12 +312,21 @@ record!(ProgramEntry: |entry| {
     if v != PROGRAM_ENTRY {
         return Err("unknown program entry version".to_string());
     }
+    let procedures = procedures
+        .into_iter()
+        .map(|(name, stored)| Ok((name, stored.resolve(&states)?)))
+        .collect::<Result<_, String>>()?;
     let analysis =
         AnalysisResult::from_parts(procedures, summaries, return_summaries, warnings, rounds);
     if analysis.digest() != digest {
         return Err("the decoded analysis does not reproduce its digest".to_string());
     }
-    ProgramEntry { fingerprint, source, analysis: Arc::new(analysis) }
+    ProgramEntry {
+        fingerprint,
+        source,
+        analysis: Arc::new(analysis),
+        states: StateTable::default(),
+    }
 });
 
 /// The document of one analyzed program, as the bytes a segment holds and
@@ -205,6 +336,7 @@ pub(crate) fn encode_program(entry: &AnalyzedProgram) -> String {
         fingerprint: entry.fingerprint,
         source: pretty_program(&entry.program),
         analysis: entry.analysis.clone(),
+        states: StateTable::of(&entry.analysis),
     })
 }
 
@@ -261,11 +393,11 @@ mod tests {
         }
     }
 
-    /// Points a statement left alone share their state's allocation; a
-    /// stored entry keeps nothing of that — decoding allocates every state
-    /// afresh — and the digest does not depend on it.
+    /// Points a statement left alone share their state's allocation, and
+    /// so does a decoded entry: a state is one row of the entry's table,
+    /// decoded once, whichever points refer to it.
     #[test]
-    fn consecutive_equal_states_share_one_allocation() {
+    fn consecutive_equal_states_decode_to_one_allocation() {
         let engine = crate::Engine::default();
         let source = sil_workloads::Workload::AddAndReverse.source(3);
         let entry = engine.analyze_source(&source).unwrap();
@@ -276,7 +408,100 @@ mod tests {
             Arc::ptr_eq(&points[0].state, &points[1].state)
         };
         assert!(shared(&entry.analysis), "`i := …` leaves the state alone");
-        assert!(!shared(&decoded.analysis));
+        assert!(shared(&decoded.analysis));
         assert_eq!(decoded.analysis.digest(), entry.analysis.digest());
+    }
+
+    /// Equal states are one row however far apart they are: two
+    /// procedures the analysis walked separately, each with its own
+    /// allocation of one state, decode to a single allocation of it.
+    #[test]
+    fn equal_states_of_two_procedures_decode_to_one_allocation() {
+        let engine = crate::Engine::default();
+        let source = sil_workloads::Workload::AddAndReverse.source(3);
+        let entry = engine.analyze_source(&source).unwrap();
+        let decoded = program_from_document(&program_document(&entry), entry.fingerprint)
+            .expect("round trip");
+        let states = |analysis: &AnalysisResult, name: &str| {
+            let procedure = analysis.procedure(name).unwrap();
+            let points = procedure.points.iter().map(|point| point.state.clone());
+            std::iter::once(procedure.exit.clone())
+                .chain(points)
+                .collect::<Vec<_>>()
+        };
+        let (add, reverse) = (
+            states(&decoded.analysis, "add_n"),
+            states(&decoded.analysis, "reverse"),
+        );
+        let shared: Vec<(usize, usize)> = (0..add.len())
+            .flat_map(|i| (0..reverse.len()).map(move |j| (i, j)))
+            .filter(|&(i, j)| Arc::ptr_eq(&add[i], &reverse[j]))
+            .collect();
+        assert!(!shared.is_empty(), "add_n and reverse share no state");
+        let (add, reverse) = (
+            states(&entry.analysis, "add_n"),
+            states(&entry.analysis, "reverse"),
+        );
+        for (i, j) in shared {
+            assert!(!Arc::ptr_eq(&add[i], &reverse[j]));
+            assert_eq!(add[i].matrix.render(), reverse[j].matrix.render());
+        }
+        assert_eq!(decoded.analysis.digest(), entry.analysis.digest());
+    }
+
+    /// The one decoded `Json` member at `path` (keys and indices).
+    fn member<'a>(document: &'a mut Json, path: &[&str]) -> &'a mut Json {
+        path.iter().fold(document, |node, step| match node {
+            Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == step).unwrap().1,
+            Json::Arr(items) => &mut items[step.parse::<usize>().unwrap()],
+            _ => panic!("no member {step}"),
+        })
+    }
+
+    /// What the strictness pass cannot reach — values of the right type
+    /// that break the table's indexing — is refused too.
+    #[test]
+    fn a_broken_state_index_or_row_is_a_miss() {
+        let engine = crate::Engine::default();
+        let source = sil_workloads::Workload::AddAndReverse.source(3);
+        let entry = engine.analyze_source(&source).unwrap();
+        let program = program_document(&entry);
+        let decodes =
+            |document: &Json| program_from_document(document, entry.fingerprint).is_some();
+        assert!(decodes(&program));
+        let Json::Arr(states) = program.get("states").unwrap() else {
+            panic!("states is an array");
+        };
+        let rows = states.len() as i64;
+
+        // A state index one past the table, as an exit and as a point's.
+        let mut damaged = program.clone();
+        *member(&mut damaged, &["procedures", "0", "1", "exit"]) = Json::Int(rows);
+        assert!(!decodes(&damaged), "exit past the table");
+        let mut damaged = program.clone();
+        *member(&mut damaged, &["procedures", "0", "1", "points", "0", "3"]) = Json::Int(rows);
+        assert!(!decodes(&damaged), "point past the table");
+
+        // A relation on the diagonal: `[i, i, paths]`.
+        let related = states
+            .iter()
+            .position(|row| {
+                row.as_arr()
+                    .is_some_and(|row| row[2].as_arr().is_some_and(|r| !r.is_empty()))
+            })
+            .expect("some state relates two handles")
+            .to_string();
+        let mut damaged = program.clone();
+        let relation = member(&mut damaged, &["states", &related, "2", "0"]);
+        let row = member(relation, &["0"]).clone();
+        *member(relation, &["1"]) = row;
+        assert!(!decodes(&damaged), "a relation on the diagonal");
+
+        // A handle list that names one handle twice.
+        let mut damaged = program.clone();
+        let handles = member(&mut damaged, &["states", &related, "1"]);
+        let first = member(handles, &["0"]).clone();
+        *member(handles, &["1"]) = first;
+        assert!(!decodes(&damaged), "a repeated handle");
     }
 }

@@ -405,10 +405,17 @@ impl SummaryStore {
         Some(document)
     }
 
-    /// The entry document the disk tier holds under `key`, parsed.
-    fn disk_document(&self, key: u64) -> Option<Json> {
-        let body = self.durable.as_ref()?.get(key)?;
-        entry::parse(&body)
+    /// The program the disk tier holds under `key`, read back and
+    /// verified: a `disk-read` span for the segment read and its checksum,
+    /// an `entry-decode` span for parsing, decoding and checking the entry.
+    fn disk_program(&self, key: u64) -> Option<Arc<AnalyzedProgram>> {
+        let tier = self.durable.as_ref()?;
+        let body = {
+            let _span = tier.tracer().start("disk-read");
+            tier.get(key)?
+        };
+        let _span = tier.tracer().start("entry-decode");
+        entry::program_from_document(&entry::parse(&body)?, key)
     }
 
     /// Tiered whole-program lookup: the in-memory namespace first, then
@@ -423,10 +430,7 @@ impl SummaryStore {
             .durable
             .as_ref()
             .and_then(|tier| tier.pending_program(fingerprint));
-        if let Some(entry) = queued.or_else(|| {
-            self.disk_document(fingerprint)
-                .and_then(|document| entry::program_from_document(&document, fingerprint))
-        }) {
+        if let Some(entry) = queued.or_else(|| self.disk_program(fingerprint)) {
             self.programs.insert(fingerprint, entry.clone());
             return Some(entry);
         }

@@ -5,9 +5,11 @@
 //! it dropped — and a restarted daemon serves previously analyzed
 //! programs from disk with digests byte-identical to a fresh analysis.
 
+use sil_engine::service::{Request, Response, Service};
 use sil_engine::store::segment::{self, SegmentWriter};
 use sil_engine::{AnalyzedProgram, DurableConfig, Engine, EngineConfig, SummaryStore};
 use sil_workloads::generator::{GeneratorConfig, ProgramGenerator};
+use sil_workloads::Workload;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -361,6 +363,87 @@ fn entries_under_other_tags_are_skipped_and_compacted_away() {
     assert_eq!(on_disk, program_bytes, "what is left is the program");
     store.programs().clear();
     assert!(store.lookup_program(entry.fingerprint).is_some());
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What a build before program entry version 2 wrote for `leftmost@3`:
+/// every path a nested array, every point's state written out in full.
+const VERSION_1_ENTRY: &str = include_str!("golden/program_entry_v1.json");
+
+/// A data directory an older build left: its entry is refused like any
+/// unknown version, so the program is a miss and is analyzed again.  The
+/// new entry replaces the old one under the same key, and the next daemon
+/// over the directory serves it from disk.
+#[test]
+fn a_version_1_entry_is_reanalyzed_and_rewritten_as_version_2() {
+    let dir = temp_dir("version-1");
+    std::fs::create_dir_all(&dir).unwrap();
+    let source = Workload::Leftmost.source(3);
+    let fresh = Engine::default().analyze_source(&source).unwrap();
+    let key = fresh.fingerprint;
+    let stored_under = format!(r#"{{"v":1,"fingerprint":"{key:016x}","#);
+    assert!(VERSION_1_ENTRY.starts_with(&stored_under));
+    let mut writer = SegmentWriter::create(&dir.join("seg-000001.sil")).unwrap();
+    writer
+        .append(0, key, VERSION_1_ENTRY.trim_end().as_bytes())
+        .unwrap();
+    drop(writer);
+
+    let config = EngineConfig::default().with_durable(Some(DurableConfig::at(&dir)));
+    {
+        let engine = Engine::new(config.clone());
+        let (entry, hit) = engine.analyze_source_traced(&source).unwrap();
+        assert!(!hit, "a version 1 entry is a miss");
+        assert_eq!(entry.analysis.digest(), fresh.analysis.digest());
+        engine.store().flush();
+        let tier = engine.store().durable().expect("the tier opened");
+        let body = tier.get(key).expect("the key is on disk");
+        assert!(
+            body.starts_with(br#"{"v":2,"#),
+            "the key now holds version 2"
+        );
+        assert_eq!(tier.stats().entries, 1);
+    }
+    let engine = Engine::new(config);
+    let (entry, hit) = engine.analyze_source_traced(&source).unwrap();
+    assert!(hit, "the rewritten entry is a disk hit");
+    assert_eq!(entry.analysis.digest(), fresh.analysis.digest());
+    let disk = engine.store().stats().disk.unwrap();
+    assert_eq!((disk.hits, disk.entries), (1, 1));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A disk hit accounts for its lookup: under its `store-lookup` are a
+/// `disk-read` (the segment read and its checksum) and an `entry-decode`
+/// (parsing the entry, decoding it and verifying it).
+#[test]
+fn a_disk_hit_shows_its_read_and_its_decode() {
+    let dir = temp_dir("disk-spans");
+    let source = generated_sources(1).remove(0);
+    let config = EngineConfig::default().with_durable(Some(DurableConfig::at(&dir)));
+    {
+        let engine = Engine::new(config.clone());
+        engine.analyze_source(&source).unwrap();
+        engine.store().flush();
+    }
+    let engine = Engine::new(config);
+    match engine.call(Request::analyze(source)) {
+        Response::Analyzed { summary, .. } => assert!(summary.cache_hit),
+        other => panic!("unexpected: {other:?}"),
+    }
+    let spans = engine.service_trace().unwrap();
+    let lookup = spans
+        .iter()
+        .rfind(|span| span.span == "store-lookup")
+        .expect("the request looked the program up");
+    let children: Vec<&str> = spans
+        .iter()
+        .filter(|span| span.request == lookup.request && span.parent == lookup.span_id)
+        .map(|span| span.span.as_str())
+        .collect();
+    assert_eq!(children, ["disk-read", "entry-decode"], "{spans:?}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -18,6 +18,7 @@ mod common;
 use common::corpus;
 use sil_analysis::analyze_program;
 use sil_lang::frontend;
+use sil_pathmatrix::PathSet;
 
 const GOLDEN: &str = include_str!("golden/digests.txt");
 
@@ -61,4 +62,42 @@ fn corpus_digests_match_golden_file() {
     for (want, got) in golden.iter().zip(fresh.iter()) {
         assert_eq!(want, got, "analysis digest drifted from the pinned golden");
     }
+}
+
+/// A path set's text is what a stored entry holds, so over the whole
+/// corpus every set the analysis produces — each relation of each state,
+/// each side of each return summary — reads back from its text as itself
+/// and renders back to the same text.
+#[test]
+fn every_corpus_path_set_reads_back_from_its_text() {
+    let mut checked = 0usize;
+    let mut check = |set: &PathSet| {
+        let text = set.to_string();
+        assert_eq!(text.parse::<PathSet>().as_ref(), Ok(set), "{text}");
+        assert_eq!(text.parse::<PathSet>().unwrap().to_string(), text);
+        checked += 1;
+    };
+    for (name, src) in corpus() {
+        let (program, types) = frontend(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let analysis = analyze_program(&program, &types);
+        for procedure in analysis.procedures() {
+            let points = procedure.points.iter().map(|point| &*point.state);
+            for state in [&procedure.entry, &*procedure.exit]
+                .into_iter()
+                .chain(points)
+            {
+                state
+                    .matrix
+                    .indexed_relations()
+                    .for_each(|(_, _, set)| check(set));
+            }
+        }
+        for summary in analysis.return_summaries.values() {
+            for (_, to_result, from_result) in &summary.relations {
+                check(to_result);
+                check(from_result);
+            }
+        }
+    }
+    assert!(checked > 1_000, "only {checked} path sets in the corpus");
 }

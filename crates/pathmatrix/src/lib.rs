@@ -49,7 +49,7 @@ pub use intern::{intern, lookup, matrix_bytes_high_water, symbol_count, Symbol};
 pub use link::{Dir, Link};
 pub use matrix::PathMatrix;
 pub use path::{Certainty, Path};
-pub use pathset::PathSet;
+pub use pathset::{ParsePathSetError, PathSet};
 
 /// Convenience constructor: the definite path `S` (same node).
 pub fn same() -> Path {

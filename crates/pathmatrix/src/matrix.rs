@@ -395,16 +395,48 @@ impl PathMatrix {
         }
     }
 
-    /// Iterate over all non-empty off-diagonal entries, in row-major index
-    /// order.
-    pub fn related_pairs(&self) -> impl Iterator<Item = (&'static str, &'static str, &PathSet)> {
-        self.entries.iter().map(|(k, set)| {
-            (
-                self.handles[(k >> 32) as usize].as_str(),
-                self.handles[*k as u32 as usize].as_str(),
-                set,
-            )
-        })
+    /// Every non-empty off-diagonal entry as `(row, col, set)`, the indices
+    /// into [`PathMatrix::handles`], in row-major index order.
+    pub fn indexed_relations(&self) -> impl Iterator<Item = (u32, u32, &PathSet)> {
+        self.entries
+            .iter()
+            .map(|(k, set)| ((k >> 32) as u32, *k as u32, set))
+    }
+
+    /// The matrix over `handles`, in that insertion order, whose entries are
+    /// exactly `relations` — what [`PathMatrix::indexed_relations`] yields.
+    /// Refused unless the handles are distinct and every entry is non-empty,
+    /// off the diagonal, in range and in strictly increasing row-major
+    /// order: the matrix that yields `handles` and `relations` back.
+    pub fn from_indexed(
+        handles: Vec<Symbol>,
+        relations: impl IntoIterator<Item = (u32, u32, PathSet)>,
+    ) -> Result<PathMatrix, &'static str> {
+        let relations = relations.into_iter();
+        let mut matrix = PathMatrix {
+            handles,
+            pos: Vec::new(),
+            entries: Vec::with_capacity(relations.size_hint().0),
+        };
+        matrix.rebuild_pos();
+        if matrix.pos.windows(2).any(|pair| pair[0].0 == pair[1].0) {
+            return Err("a handle is listed twice");
+        }
+        let n = matrix.handles.len() as u64;
+        for (row, col, set) in relations {
+            let k = key(row, col);
+            if u64::from(row) >= n || u64::from(col) >= n {
+                return Err("an entry names no handle");
+            }
+            if row == col || set.is_empty() {
+                return Err("an entry on the diagonal or empty");
+            }
+            if matrix.entries.last().is_some_and(|&(last, _)| last >= k) {
+                return Err("entries out of row-major order");
+            }
+            matrix.entries.push((k, set));
+        }
+        Ok(matrix)
     }
 
     /// Number of non-empty off-diagonal entries.
@@ -675,6 +707,47 @@ mod tests {
         assert!(m.get("a", "b").is_empty());
         assert!(m.unrelated("a", "b"));
         assert!(!m.unrelated("a", "a"));
+    }
+
+    #[test]
+    fn indexed_relations_rebuild_the_matrix_and_nothing_else() {
+        let mut m = PathMatrix::with_handles(["z", "a", "m"]);
+        m.set("m", "z", PathSet::singleton(exact(Dir::Left, 1)));
+        m.set(
+            "z",
+            "a",
+            PathSet::from_paths([same().weakened(), at_least(Dir::Down, 1)]),
+        );
+        let relations: Vec<_> = m.indexed_relations().map(|(r, c, s)| (r, c, *s)).collect();
+        assert_eq!(
+            relations
+                .iter()
+                .map(|&(r, c, _)| (r, c))
+                .collect::<Vec<_>>(),
+            [(0, 1), (2, 0)]
+        );
+        let rebuilt = PathMatrix::from_indexed(m.handles().to_vec(), relations.clone()).unwrap();
+        assert_eq!(rebuilt.render(), m.render());
+        assert!(rebuilt.handles() == m.handles() && rebuilt == m);
+
+        let set = relations[0].2;
+        let refused = |handles: &[&str], relations: &[(u32, u32, PathSet)]| {
+            let handles = handles.iter().map(|h| intern::intern(h)).collect();
+            PathMatrix::from_indexed(handles, relations.iter().copied()).is_err()
+        };
+        assert!(refused(&["a", "b", "a"], &[]), "a repeated handle");
+        assert!(refused(&["a", "b"], &[(0, 2, set)]), "out of range");
+        assert!(refused(&["a", "b"], &[(1, 1, set)]), "on the diagonal");
+        assert!(refused(&["a", "b"], &[(0, 1, PathSet::empty())]), "empty");
+        assert!(
+            refused(&["a", "b"], &[(1, 0, set), (0, 1, set)]),
+            "out of order"
+        );
+        assert!(
+            refused(&["a", "b"], &[(0, 1, set), (0, 1, set)]),
+            "repeated"
+        );
+        assert!(!refused(&["a", "b"], &[(0, 1, set), (1, 0, set)]));
     }
 
     #[test]

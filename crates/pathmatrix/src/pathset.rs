@@ -11,10 +11,16 @@
 //! Like [`Path`], the set is stored inline (`[Path; MAX_PATHS + 1]` plus a
 //! length byte; one spare slot holds the transient overflow while widening
 //! runs), so a `PathSet` is `Copy` and cloning a matrix entry is a memcpy.
+//!
+//! A set's text is the one the paper prints — `S?,D+?`, `R1L1`, `·` for the
+//! empty set — and it reads back: [`str::parse`] is the exact inverse of
+//! [`Display`](fmt::Display), which is how a stored analysis holds its sets.
 
-use crate::path::{Certainty, Path};
+use crate::link::{Dir, Link};
+use crate::path::{Certainty, Path, MAX_LINKS};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::str::FromStr;
 
 /// Maximum number of paths retained per matrix entry before widening.
 pub const MAX_PATHS: usize = 4;
@@ -276,6 +282,101 @@ impl fmt::Display for PathSet {
     }
 }
 
+/// Why a text is not the rendering of a path set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParsePathSetError(&'static str);
+
+impl fmt::Display for ParsePathSetError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+impl std::error::Error for ParsePathSetError {}
+
+/// The inverse of `Display`: `·` is the empty set; anything else is paths
+/// separated by `,`, each `S` or a run of links (`L1`, `R+`, `D2+`), with
+/// `?` after a possible one.  Only what `Display` writes is accepted — the
+/// paths in set order, none absorbing another, each link in its shortest
+/// form and no two adjacent links in one direction — so a text that parses
+/// renders back to itself.  Anything else is an `Err`, never a panic: a
+/// stored set is outside input.
+impl FromStr for PathSet {
+    type Err = ParsePathSetError;
+
+    fn from_str(text: &str) -> Result<PathSet, ParsePathSetError> {
+        if text == "·" {
+            return Ok(PathSet::empty());
+        }
+        let mut set = PathSet::empty();
+        let mut last: Option<Path> = None;
+        for (count, text) in text.split(',').enumerate() {
+            let path = parse_path(text)?;
+            if last.is_some_and(|last| last >= path) {
+                return Err(ParsePathSetError("paths out of set order"));
+            }
+            set.insert(path);
+            if set.len() != count + 1 {
+                return Err(ParsePathSetError("a path the set absorbs"));
+            }
+            last = Some(path);
+        }
+        Ok(set)
+    }
+}
+
+/// One path of a set's text: `S` or one to [`MAX_LINKS`] links, then `?`
+/// if it is possible.
+fn parse_path(text: &str) -> Result<Path, ParsePathSetError> {
+    let (mut rest, certainty) = match text.strip_suffix('?') {
+        Some(body) => (body.as_bytes(), Certainty::Possible),
+        None => (text.as_bytes(), Certainty::Definite),
+    };
+    match rest {
+        b"S" => return Ok(Path::same(certainty)),
+        [] => return Err(ParsePathSetError("an empty path")),
+        _ => {}
+    }
+    let mut links = [Link::exact(Dir::Left, 1); MAX_LINKS];
+    let mut len = 0;
+    // What `Path::from_links` sums; bounded here so it cannot overflow.
+    let mut edges = 0u32;
+    while let Some((&letter, tail)) = rest.split_first() {
+        let dir = match letter {
+            b'L' => Dir::Left,
+            b'R' => Dir::Right,
+            b'D' => Dir::Down,
+            _ => return Err(ParsePathSetError("an unknown direction")),
+        };
+        let digits = tail.iter().take_while(|b| b.is_ascii_digit()).count();
+        let (count, tail) = tail.split_at(digits);
+        let (exact, tail) = match tail.split_first() {
+            Some((b'+', tail)) => (false, tail),
+            _ => (true, tail),
+        };
+        let min = match (count, exact) {
+            ([], false) => 1,
+            ([], true) => return Err(ParsePathSetError("a link without a count")),
+            ([b'0', ..], _) => return Err(ParsePathSetError("a zero or zero-padded count")),
+            ([b'1'], false) => return Err(ParsePathSetError("`1+` is written `+`")),
+            (count, _) => std::str::from_utf8(count)
+                .ok()
+                .and_then(|count| count.parse().ok())
+                .ok_or(ParsePathSetError("a count too large"))?,
+        };
+        edges = edges
+            .checked_add(min)
+            .ok_or(ParsePathSetError("a path too long"))?;
+        if len == MAX_LINKS || (len > 0 && links[len - 1].dir == dir) {
+            return Err(ParsePathSetError("links a path would have merged"));
+        }
+        links[len] = Link { dir, min, exact };
+        len += 1;
+        rest = tail;
+    }
+    Ok(Path::from_links(links[..len].iter().copied(), certainty))
+}
+
 impl FromIterator<Path> for PathSet {
     fn from_iter<T: IntoIterator<Item = Path>>(iter: T) -> Self {
         PathSet::from_paths(iter)
@@ -423,5 +524,78 @@ mod tests {
         let t = PathSet::from_paths(vec![same().weakened(), at_least(Dir::Down, 1).weakened()]);
         assert_eq!(s.to_string(), t.to_string());
         assert_eq!(s.to_string(), "S?,D+?");
+    }
+
+    #[test]
+    fn every_form_of_the_text_reads_back_to_itself() {
+        let texts = [
+            "·",
+            "S",
+            "S?",
+            "L1",
+            "R+",
+            "D2+",
+            "D+?",
+            "L12",
+            "R1L1",
+            "R1D+",
+            "L1R2+D3L+?",
+            "S?,D+?",
+            "S,L1?",
+            "L1,R1",
+            "L2?,R1L1,D1R+?,D3+",
+        ];
+        for text in texts {
+            let set: PathSet = text.parse().unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(set.to_string(), text);
+        }
+        let mixed = PathSet::from_paths([
+            same().weakened(),
+            exact(Dir::Left, 1),
+            at_least(Dir::Down, 2),
+        ]);
+        assert_eq!(mixed.to_string().parse(), Ok(mixed));
+        assert_eq!("·".parse(), Ok(PathSet::empty()));
+    }
+
+    #[test]
+    fn anything_display_never_writes_is_refused() {
+        for text in [
+            "",
+            "?",
+            "??",
+            "L1??",
+            "X1",
+            "l1",
+            "S1",
+            "SL1",
+            "·,L1",
+            "L1,",
+            ",L1",
+            "L1,,R1",
+            "L",
+            "L?",
+            "R1D",
+            "L0",
+            "L0+",
+            "L01",
+            "L1+",
+            "L+3",
+            "L1L1",
+            "L+L2",
+            "L1R1L1R1L1",
+            "L4294967296",
+            "L4294967295R4294967295",
+            "L1,L1",
+            "L1?,L1",
+            "R1,L1",
+            "D+,L1?",
+            "L1,R1,D1,L2,R2",
+            " L1",
+            "L1 ",
+            "D+?,",
+        ] {
+            assert!(text.parse::<PathSet>().is_err(), "{text:?} parsed");
+        }
     }
 }
