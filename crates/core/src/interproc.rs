@@ -563,11 +563,13 @@ pub fn analyze_program_with_summaries(
     types: &ProgramTypes,
     summaries: HashMap<String, ProcSummary>,
 ) -> AnalysisResult {
-    analyze_program_with_options(program, types, summaries, &AnalyzeOptions::default()).0
+    let plan = CallPlan::of_program(program);
+    analyze_program_planned(program, types, summaries, &plan, &AnalyzeOptions::default()).0
 }
 
 /// Analyze a program and record every body walk, so a later edited variant
-/// can be analyzed incrementally against the returned snapshot.
+/// can be analyzed incrementally against the returned snapshot (through
+/// [`analyze_program_planned`] with it as [`AnalyzeOptions::reuse`]).
 pub fn analyze_program_recording(
     program: &Program,
     types: &ProgramTypes,
@@ -577,37 +579,10 @@ pub fn analyze_program_recording(
         record: true,
         reuse: None,
     };
+    let plan = CallPlan::of_program(program);
     let (result, snapshot, stats) =
-        analyze_program_with_options(program, types, summaries, &options);
+        analyze_program_planned(program, types, summaries, &plan, &options);
     (result, snapshot.expect("recording was requested"), stats)
-}
-
-/// Incrementally analyze a program against the walk records of a previous
-/// run (of this program, an earlier version of it, or any program sharing
-/// procedures with it).
-///
-/// The interprocedural fixpoint is re-run in full, but every body walk whose
-/// exact inputs match a retained record is served from the record instead of
-/// being recomputed — so only the *stale cone* of an edit (the procedures
-/// whose own text, entry context, or callee summaries actually changed) pays
-/// for re-analysis, and the result is bit-identical (`AnalysisResult::digest`)
-/// to a from-scratch [`analyze_program`].
-///
-/// `summaries` must be the cone-pure argument-mode summaries of `program`
-/// (what [`compute_summaries`] returns, possibly served from a cache).
-pub fn analyze_program_incremental(
-    program: &Program,
-    types: &ProgramTypes,
-    summaries: HashMap<String, ProcSummary>,
-    snapshot: &AnalysisSnapshot,
-) -> (AnalysisResult, AnalysisSnapshot, IncrementalStats) {
-    let options = AnalyzeOptions {
-        record: true,
-        reuse: Some(snapshot),
-    };
-    let (result, recorded, stats) =
-        analyze_program_with_options(program, types, summaries, &options);
-    (result, recorded.expect("recording was requested"), stats)
 }
 
 /// The memoization key of one body walk: a hash over everything the walk
@@ -702,18 +677,18 @@ fn walk_body(
     }
 }
 
-/// [`analyze_program_planned`] for callers that hold no [`CallPlan`].
-pub fn analyze_program_with_options(
-    program: &Program,
-    types: &ProgramTypes,
-    summaries: HashMap<String, ProcSummary>,
-    options: &AnalyzeOptions<'_>,
-) -> (AnalysisResult, Option<AnalysisSnapshot>, IncrementalStats) {
-    let plan = CallPlan::of_program(program);
-    analyze_program_planned(program, types, summaries, &plan, options)
-}
-
 /// The interprocedural driver, over the `program`'s own `plan`.
+///
+/// With [`AnalyzeOptions::reuse`] it analyzes incrementally against the walk
+/// records of a previous run (of this program, an earlier version of it, or
+/// any program sharing procedures with it).  The fixpoint is re-run in full,
+/// but every body walk whose exact inputs match a record is served from the
+/// record instead of being recomputed — so only the *stale cone* of an edit
+/// (the procedures whose own text, entry context, or callee summaries
+/// actually changed) pays for re-analysis, and the result is bit-identical
+/// (`AnalysisResult::digest`) to a from-scratch [`analyze_program`].
+/// `summaries` must be the cone-pure argument-mode summaries of `program`
+/// (what [`compute_summaries`] returns, possibly served from a cache).
 ///
 /// Rounds iterate the call-graph levels *callers-first* (entry contexts flow
 /// down the call graph, so one round pushes a context change all the way to
@@ -909,6 +884,24 @@ mod tests {
         (result, program, types)
     }
 
+    /// Analyze `program` replaying `snapshot`'s walk records, as the engine
+    /// does on a miss.
+    fn replaying(
+        program: &Program,
+        types: &ProgramTypes,
+        summaries: HashMap<String, ProcSummary>,
+        snapshot: &AnalysisSnapshot,
+    ) -> (AnalysisResult, IncrementalStats) {
+        let options = AnalyzeOptions {
+            record: true,
+            reuse: Some(snapshot),
+        };
+        let plan = CallPlan::of_program(program);
+        let (result, _, stats) =
+            analyze_program_planned(program, types, summaries, &plan, &options);
+        (result, stats)
+    }
+
     #[test]
     fn figure_7_point_a_matrix() {
         let (result, _, _) = analyze(sil_lang::testsrc::ADD_AND_REVERSE);
@@ -1088,8 +1081,7 @@ end
         assert!(!snapshot.is_empty());
 
         // Re-analyzing the identical program replays every walk.
-        let (replayed, _, replay_stats) =
-            analyze_program_incremental(&program, &types, summaries, &snapshot);
+        let (replayed, replay_stats) = replaying(&program, &types, summaries, &snapshot);
         assert_eq!(full.digest(), replayed.digest());
         assert_eq!(replay_stats.walks_performed, 0);
         assert_eq!(replay_stats.walks_reused, stats.walks_performed);
@@ -1109,8 +1101,7 @@ end
         assert_ne!(edited_src, base_src);
         let (edited, types) = frontend(&edited_src).unwrap();
         let summaries = compute_summaries(&edited, &types);
-        let (incremental, _, stats) =
-            analyze_program_incremental(&edited, &types, summaries, &snapshot);
+        let (incremental, stats) = replaying(&edited, &types, summaries, &snapshot);
 
         let scratch = analyze_program(&edited, &types);
         assert_eq!(incremental.digest(), scratch.digest());
@@ -1137,8 +1128,7 @@ end
         assert_ne!(edited_src, base_src);
         let (edited, types) = frontend(&edited_src).unwrap();
         let edited_summaries = compute_summaries(&edited, &types);
-        let (incremental, _, _) =
-            analyze_program_incremental(&edited, &types, edited_summaries, &snapshot);
+        let (incremental, _) = replaying(&edited, &types, edited_summaries, &snapshot);
         assert_eq!(
             incremental.digest(),
             analyze_program(&edited, &types).digest()

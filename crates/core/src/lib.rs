@@ -59,10 +59,9 @@ pub use interference::{
     statements_independent, write_set, Location, LocationKind,
 };
 pub use interproc::{
-    analyze_program, analyze_program_incremental, analyze_program_planned,
-    analyze_program_recording, analyze_program_with_options, analyze_program_with_summaries,
-    AnalysisResult, AnalysisSnapshot, AnalyzeOptions, IncrementalStats, ProcedureAnalysis,
-    ProgramPoint, WalkRecord,
+    analyze_program, analyze_program_planned, analyze_program_recording,
+    analyze_program_with_summaries, AnalysisResult, AnalysisSnapshot, AnalyzeOptions,
+    IncrementalStats, ProcedureAnalysis, ProgramPoint, WalkRecord,
 };
 pub use sequences::{
     relative_interference, relative_read_set, relative_write_set, sequences_independent,

@@ -41,9 +41,6 @@ options:
                       from before recomputing; repeatable
   --gossip-interval <ms>  how often to exchange inventories with peers
                       (default: 2000; needs --peer)
-  --no-peer-serve     refuse to answer peer_inventory/peer_fetch requests
-                      (incompatible with --peer: a daemon that fetches from
-                      the cluster must serve it back)
   --slow-us <n>       capture the span tree of any request whose service
                       call outlasts <n> microseconds into a dedicated slow
                       buffer that survives trace-ring churn (visible in
@@ -63,7 +60,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "--fsync",
     "--peer",
     "--gossip-interval",
-    "--no-peer-serve",
     "--slow-us",
     "--recorder-interval",
     "--recorder-capacity",
@@ -78,7 +74,6 @@ struct Cli {
     quiet: bool,
     peers: Vec<Addr>,
     gossip_interval: Option<u64>,
-    no_peer_serve: bool,
 }
 
 /// Parse the next argument as `flag`'s value: a strictly positive integer.
@@ -104,7 +99,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut fsync = false;
     let mut peers: Vec<Addr> = Vec::new();
     let mut gossip_interval: Option<u64> = None;
-    let mut no_peer_serve = false;
 
     let mut i = 0;
     while i < args.len() {
@@ -127,7 +121,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             flag @ "--gossip-interval" => {
                 gossip_interval = Some(positive_count(args, &mut i, flag)?);
             }
-            "--no-peer-serve" => no_peer_serve = true,
             flag @ "--slow-us" => server.slow_us = positive_count(args, &mut i, flag)?,
             flag @ "--recorder-interval" => {
                 server.recorder_interval_ms = positive_count(args, &mut i, flag)?;
@@ -145,14 +138,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     if fsync && data_dir.is_none() {
         return Err("--fsync needs --data-dir".to_string());
     }
-    // Contradictory flags are errors, not silent overrides.
-    if no_peer_serve && !peers.is_empty() {
-        return Err(
-            "--peer and --no-peer-serve contradict each other: a daemon that \
-             fetches from the cluster must answer the cluster's fetches too"
-                .to_string(),
-        );
-    }
     if gossip_interval.is_some() && peers.is_empty() {
         return Err("--gossip-interval needs at least one --peer".to_string());
     }
@@ -166,7 +151,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         quiet,
         peers,
         gossip_interval,
-        no_peer_serve,
     })
 }
 
@@ -185,7 +169,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let service = Arc::new(Engine::new(cli.config).with_peer_serve(!cli.no_peer_serve));
+    let service = Arc::new(Engine::new(cli.config));
     let ring = if cli.peers.is_empty() {
         None
     } else {

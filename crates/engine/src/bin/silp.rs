@@ -30,8 +30,7 @@
 use sil_engine::cli::unknown_flag_error;
 use sil_engine::service::{Json, RemoteService, Request, Response, Service, TraceSpan};
 use sil_engine::{
-    Engine, EngineConfig, Namespace, ProcessOptions, ProgramReport, ServerStats, ServiceError,
-    StoreStats,
+    Engine, Namespace, ProcessOptions, ProgramReport, ServerStats, ServiceError, StoreStats,
 };
 use sil_workloads::Workload;
 use silobs::MetricsSnapshot;
@@ -49,10 +48,10 @@ options:
   --no-parallelize       stop after the analysis
   --no-verify            skip static verification of the parallel output
   --emit-parallel        include the parallelized source in the report
-  --incremental          process inputs sequentially in the given order and
-                         re-analyze edited variants incrementally: procedures
-                         whose call-graph cone is unchanged reuse retained
-                         walks, and the report carries stale/reused counts
+  --incremental          process inputs one at a time in the given order, so
+                         each edit replays the walks of procedures whose
+                         call-graph cone an earlier input already showed
+                         twice, and print each report's stale/reused counts
   --json                 emit one JSON array instead of text
   --stats                print service cache statistics: per-namespace hit
                          rates and eviction counts (a text table on
@@ -288,10 +287,7 @@ fn open_service(cli: &Cli) -> Result<Box<dyn Service>, String> {
                 .map_err(|e| format!("handshake with {addr} failed: {e}"))?;
             Ok(Box::new(remote))
         }
-        None => {
-            let config = EngineConfig::default().with_incremental(cli.incremental);
-            Ok(Box::new(Engine::new(config)))
-        }
+        None => Ok(Box::new(Engine::default())),
     }
 }
 

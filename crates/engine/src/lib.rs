@@ -106,47 +106,25 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 /// Engine construction parameters: the shape of the [`SummaryStore`] an
-/// [`Engine::new`] builds for itself, and whether it re-analyzes
-/// incrementally.
-#[derive(Debug, Clone)]
+/// [`Engine::new`] builds for itself.
+///
+/// Re-analysis is always incremental: on a program-cache miss, every
+/// procedure whose cone fingerprint matches a retained one replays its
+/// recorded walks, and only the stale cone of an edit is re-walked.  The
+/// result is bit-identical to a full analysis (same digests).  Walk records
+/// are kept only from a cone's second sighting on, so a never-seen program
+/// records nothing, and replay costs it nothing measurable (`cold_unique`:
+/// 1 181 µs of CPU per request with replay against 1 187 µs without),
+/// while an edit stream costs 620 µs per request against 1 163 µs.
+#[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
     /// Namespace capacities, lock stripes and the optional disk tier.
     pub store: StoreConfig,
-    /// Record body walks and re-analyze edited programs incrementally: on a
-    /// program-cache miss, every procedure whose cone fingerprint matches a
-    /// retained one replays its recorded walks, and only the stale cone of
-    /// the edit is re-walked.  The result is bit-identical to a full
-    /// analysis (same digests); this only trades memory for time.
-    ///
-    /// A daemon sees edits of programs it holds and replays: measured end
-    /// to end, `edit_stream` costs 620 µs of CPU per request with replay
-    /// against 1 163 µs without.  A one-shot `silp --in-process` analyzes
-    /// each input once and turns this off unless `--incremental` asks for
-    /// it.  Walk records are kept only from a cone's second sighting on, so
-    /// a never-seen program records nothing, and turning this off saves it
-    /// nothing measurable (`cold_unique`: 1 181 µs of CPU per request with
-    /// against 1 187 µs without, 26.8 MiB against 26.3 MiB resident).
-    pub incremental: bool,
 }
 
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            store: StoreConfig::default(),
-            incremental: true,
-        }
-    }
-}
-
-/// Builder-style setters: `EngineConfig::default().with_data_dir(dir)
-/// .with_incremental(false)` reads better at construction sites than
-/// struct-update syntax.
+/// Builder-style setters: `EngineConfig::default().with_data_dir(dir)`
+/// reads better at construction sites than struct-update syntax.
 impl EngineConfig {
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
-        self
-    }
-
     /// Put a durable disk tier under the store (or remove it with `None`).
     pub fn with_durable(mut self, durable: Option<DurableConfig>) -> Self {
         self.store.durable = durable;
@@ -170,8 +148,8 @@ pub struct AnalyzedProgram {
     /// The whole-program path-matrix analysis.
     pub analysis: Arc<AnalysisResult>,
     /// Incremental-reuse counters of the analysis that produced this entry
-    /// (`None` when the engine runs with `incremental: false`, or when the
-    /// entry was served from the program cache).
+    /// (`None` when the entry was read back from disk or a peer, or built
+    /// by hand rather than by an engine's analysis).
     pub incremental: Option<IncrementalStats>,
 }
 
@@ -406,8 +384,6 @@ const RECORDS_PER_CONE: usize = 64;
 /// concurrent callers, and all its methods take `&self`.
 #[derive(Debug)]
 pub struct Engine {
-    /// [`EngineConfig::incremental`].
-    incremental: bool,
     store: Arc<SummaryStore>,
     view: StoreView,
     /// Every instrument of the process: the engine's own, and the
@@ -415,10 +391,6 @@ pub struct Engine {
     registry: Registry,
     /// The process's one span ring.
     tracer: Arc<Tracer>,
-    /// Answer `peer_inventory`/`peer_fetch` requests (`sild
-    /// --no-peer-serve` turns this off; the refusal is indistinguishable
-    /// from a pre-peering daemon, by design).
-    peer_serve: bool,
     fixpoint_us: Arc<ShardedHistogram>,
     /// Whole-program rounds each miss's fixpoint took, one sample per miss.
     fixpoint_rounds: Arc<ShardedHistogram>,
@@ -457,17 +429,9 @@ impl Engine {
             walks_skipped: registry.counter("engine.walks.skipped"),
             walks_declined: registry.counter("engine.walks.declined"),
             tracer,
-            peer_serve: true,
-            incremental: config.incremental,
             store,
             registry,
         }
-    }
-
-    /// Enable or disable answering peer inventory/fetch requests.
-    pub fn with_peer_serve(mut self, peer_serve: bool) -> Engine {
-        self.peer_serve = peer_serve;
-        self
     }
 
     /// This engine's span ring: under a daemon, the server's spans share it.
@@ -560,11 +524,10 @@ impl Engine {
     /// Analyze a program that already went through the front end, also
     /// reporting whether the program namespace served it.
     ///
-    /// On a program-cache miss the analysis is (with
-    /// [`EngineConfig::incremental`]) seeded from the walk records the store
-    /// kept for the cones this program shares with earlier ones — kept from
-    /// a cone's second sighting on — so an edited variant of a program seen
-    /// before only re-analyzes the edit's stale cone.
+    /// On a program-cache miss the analysis is seeded from the walk records
+    /// the store kept for the cones this program shares with earlier ones —
+    /// kept from a cone's second sighting on — so an edited variant of a
+    /// program seen before only re-analyzes the edit's stale cone.
     pub fn analyze(&self, normalized: Normalized) -> (Arc<AnalyzedProgram>, bool) {
         match self.lookup(normalized.fingerprint) {
             Some(hit) => (hit, true),
@@ -603,12 +566,12 @@ impl Engine {
             (plan, summaries)
         };
 
-        let retained = self.incremental.then(|| self.retained_walks(&plan.cones));
+        let (reuse, retained) = self.retained_walks(&plan.cones);
         let options = AnalyzeOptions {
             // Only the records of cones seen before are kept
             // (`retain_walks`): with none, there is nothing to record.
-            record: self.incremental && !seen_before.is_empty(),
-            reuse: retained.as_ref().map(|(reuse, _)| reuse),
+            record: !seen_before.is_empty(),
+            reuse: Some(&reuse),
         };
         let fixpoint_start = silobs::ticks();
         let (analysis, snapshot, mut stats) = {
@@ -622,34 +585,31 @@ impl Engine {
         self.walks_reused.add(stats.walks_reused as u64);
         self.walks_skipped.add(stats.walks_skipped as u64);
 
-        let incremental = retained.map(|(_, retained)| {
-            let mut declined = HashSet::new();
-            for (name, cone) in &plan.cones {
-                // Only classify procedures the fixpoint actually walked:
-                // dead code (unreachable from `main`) never records walks,
-                // so its cone would otherwise count as "stale" forever.
-                if analysis.procedure(name).is_none() {
-                    continue;
-                }
-                if retained.contains(cone) {
-                    stats.procedures_reused += 1;
-                } else {
-                    stats.procedures_stale += 1;
-                }
-                if !seen_before.contains(cone) {
-                    declined.insert(*cone);
-                }
+        let mut declined = HashSet::new();
+        for (name, cone) in &plan.cones {
+            // Only classify procedures the fixpoint actually walked: dead
+            // code (unreachable from `main`) never records walks, so its
+            // cone would otherwise count as "stale" forever.
+            if analysis.procedure(name).is_none() {
+                continue;
             }
-            self.walks_declined.add(declined.len() as u64);
-            stats
-        });
+            if retained.contains(cone) {
+                stats.procedures_reused += 1;
+            } else {
+                stats.procedures_stale += 1;
+            }
+            if !seen_before.contains(cone) {
+                declined.insert(*cone);
+            }
+        }
+        self.walks_declined.add(declined.len() as u64);
 
         let entry = Arc::new(AnalyzedProgram {
             fingerprint,
             program,
             types,
             analysis: Arc::new(analysis),
-            incremental,
+            incremental: Some(stats),
         });
         let _span = self.tracer.start("store-insert");
         if let Some(snapshot) = &snapshot {

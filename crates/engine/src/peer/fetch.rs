@@ -120,9 +120,9 @@ pub(crate) enum Exchange {
     Reply(Box<Response>),
     /// Transport failure (or active quarantine); the breaker was updated.
     Failed,
-    /// The daemon is alive but answered the peering kind with an error:
-    /// it predates the extension or serves with `--no-peer-serve`.  Not a
-    /// breaker event — the daemon is healthy, just not a cache peer.
+    /// The daemon is alive but answered the peering kind with an error: it
+    /// predates the extension.  Not a breaker event — the daemon is
+    /// healthy, just not a cache peer.
     Unsupported,
 }
 
@@ -165,8 +165,8 @@ pub(crate) fn exchange(ring: &PeerRing, peer: &Peer, request: Request) -> Exchan
         }
         Response::Error { .. } => {
             // The daemon answered — it is alive — but rejected the peer
-            // kind (`malformed` on old builds, `--no-peer-serve` refusals,
-            // version skew).  Flag it and stop advertising its keys.
+            // kind (`malformed` on builds from before peering, version
+            // skew).  Flag it and stop advertising its keys.
             let mut inner = peer.inner.lock().unwrap();
             inner.unsupported = true;
             inner.failures = 0;

@@ -221,14 +221,6 @@ impl PeerRing {
         }
     }
 
-    pub fn config(&self) -> &PeerConfig {
-        &self.config
-    }
-
-    pub fn peer_count(&self) -> usize {
-        self.peers.len()
-    }
-
     /// Stop the gossip loop and join it.  Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         {

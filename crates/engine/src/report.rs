@@ -65,8 +65,8 @@ record!(ExecutionReport {
 });
 
 /// What incremental re-analysis reused for one program (present when the
-/// engine runs in incremental mode and the program missed the whole-program
-/// cache).
+/// serving engine analyzed the program itself, absent when it read the
+/// entry back from disk or a peer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IncrementalReport {
     /// Procedures whose cone fingerprint had retained walks available.
@@ -105,8 +105,7 @@ pub struct ProgramReport {
     pub rounds: usize,
     /// Stable digest of the full analysis result.
     pub analysis_digest: u64,
-    /// Incremental-reuse counters (engine in incremental mode, program
-    /// cache missed).
+    /// Incremental-reuse counters of the analysis behind this report.
     pub incremental: Option<IncrementalReport>,
     /// Number of parallelizing transformations applied (when requested).
     pub transforms: Option<usize>,

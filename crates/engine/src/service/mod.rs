@@ -199,9 +199,6 @@ impl Engine {
                 self.clear_caches();
                 Response::cleared()
             }
-            Request::PeerInventory { .. } | Request::PeerFetch { .. } if !self.peer_serve => {
-                Response::error(ServiceError::malformed("peer serving is disabled"))
-            }
             // Peer requests answer from the store's own tiers (memory, then
             // disk) as the entry document the fetcher will re-verify: no
             // recomputation and no consulting *this* daemon's ring, so a

@@ -57,7 +57,7 @@ pub struct ServerOptions {
     /// --trace-dump` keeps them past ring churn).  `0` disables.
     pub slow_us: u64,
     /// Flight recorder sampling interval in milliseconds (default 1000 —
-    /// one sample per second); `0` disables the recorder thread.
+    /// one sample per second); at least 1.
     pub recorder_interval_ms: u64,
     /// How many samples the flight recorder retains (default 256).
     pub recorder_capacity: usize,
@@ -244,9 +244,7 @@ impl Server {
                 counters.connection_closed();
             });
         }
-        if let Some(sampler) = sampler {
-            let _ = sampler.join();
-        }
+        let _ = sampler.join();
         if let Listener::Unix(_, path) = listener {
             let _ = std::fs::remove_file(path);
         }
@@ -329,15 +327,12 @@ fn spawn_recorder_sampler(
     shutdown: &Arc<AtomicBool>,
     counters: &Arc<ServerCounters>,
     options: &ServerOptions,
-) -> Option<JoinHandle<()>> {
-    if options.recorder_interval_ms == 0 {
-        return None;
-    }
+) -> JoinHandle<()> {
     let engine = engine.clone();
     let shutdown = shutdown.clone();
     let counters = counters.clone();
     let interval = Duration::from_millis(options.recorder_interval_ms);
-    Some(std::thread::spawn(move || {
+    std::thread::spawn(move || {
         while !shutdown.load(Ordering::SeqCst) {
             counters.sample_recorder(&engine);
             let mut slept = Duration::ZERO;
@@ -347,7 +342,7 @@ fn spawn_recorder_sampler(
                 slept += chunk;
             }
         }
-    }))
+    })
 }
 
 /// Control handle for a spawned [`Server`].

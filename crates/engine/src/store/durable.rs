@@ -236,11 +236,6 @@ impl DurableTier {
         &self.shared.tracer
     }
 
-    /// Where the segments live.
-    pub fn data_dir(&self) -> &std::path::Path {
-        &self.shared.config.data_dir
-    }
-
     /// Read one entry's body back, touching its recency rank.
     pub fn get(&self, key: u64) -> Option<Vec<u8>> {
         let mut state = self.shared.state.lock().unwrap();

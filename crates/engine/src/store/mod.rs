@@ -227,7 +227,6 @@ pub struct FiledSource {
 /// daemon's one engine serves every connection from it.
 #[derive(Debug)]
 pub struct SummaryStore {
-    config: StoreConfig,
     programs: NamespaceCache<Arc<AnalyzedProgram>>,
     summaries: NamespaceCache<SummaryTable>,
     walks: NamespaceCache<WalkSet>,
@@ -268,7 +267,7 @@ impl SummaryStore {
     /// cannot be opened (unwritable directory, I/O error) the store logs
     /// it and runs memory-only rather than refusing to start.
     pub fn new(config: StoreConfig) -> SummaryStore {
-        let durable = config.durable.clone().and_then(|durable| {
+        let durable = config.durable.and_then(|durable| {
             DurableTier::open(durable)
                 .map_err(|e| eprintln!("sil durable store: disabled ({e})"))
                 .ok()
@@ -284,18 +283,12 @@ impl SummaryStore {
             walks: NamespaceCache::with_stripes(config.walk_capacity, config.stripes),
             products: NamespaceCache::with_stripes(config.program_capacity, config.stripes),
             sources: NamespaceCache::with_stripes(config.program_capacity, config.stripes),
-            config,
         }
     }
 
     /// A store behind an `Arc`.
     pub fn shared(config: StoreConfig) -> Arc<SummaryStore> {
         Arc::new(SummaryStore::new(config))
-    }
-
-    /// The construction parameters.
-    pub fn config(&self) -> &StoreConfig {
-        &self.config
     }
 
     /// The whole-program namespace.

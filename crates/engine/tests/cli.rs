@@ -263,16 +263,12 @@ fn retired_eviction_flags_are_unknown_flags() {
     }
 }
 
-/// Contradictory `sild` flag pairs are rejected with an error that names
-/// both flags, instead of one silently overriding the other; a count that
-/// is zero or not a number is rejected with the flag's name.
+/// A `sild` flag that means nothing without another is rejected with an
+/// error that names both flags, instead of being silently ignored; a count
+/// that is zero or not a number is rejected with the flag's name.
 #[test]
 fn sild_rejects_contradictory_flag_pairs_and_bad_counts() {
     let cases: &[(&[&str], &str)] = &[
-        (
-            &["--peer", "unix:/tmp/peer.sock", "--no-peer-serve"],
-            "--peer and --no-peer-serve contradict each other",
-        ),
         (
             &["--gossip-interval", "500"],
             "--gossip-interval needs at least one --peer",
@@ -388,8 +384,8 @@ fn remote_errors_render_like_local_errors() {
 }
 
 /// A namespace nobody has looked up yet renders a real `0.0%` hit rate,
-/// not the old `-` placeholder (a single non-incremental run never
-/// consults the walks cache, so its row is guaranteed cold).
+/// not the old `-` placeholder (a single run finds no walk records, so its
+/// walks row is guaranteed cold).
 #[test]
 fn cold_namespaces_report_a_zero_hit_rate() {
     let output = silp()
@@ -426,16 +422,8 @@ fn metrics_round_trip_matches_in_process() {
         ])
         .output()
         .unwrap();
-    // sild's engine is incremental by default; mirror that in process so
-    // the walk-cache counters are comparable.
     let local = silp()
-        .args([
-            "--in-process",
-            "--incremental",
-            "--workload",
-            "tree_sum",
-            "--metrics",
-        ])
+        .args(["--in-process", "--workload", "tree_sum", "--metrics"])
         .output()
         .unwrap();
     assert!(remote.status.success(), "{}", stderr_of(&remote));

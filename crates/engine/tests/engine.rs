@@ -120,7 +120,6 @@ fn eviction_stats_behave_at_small_capacities() {
             summary_capacity: 4,
             ..StoreConfig::default().with_stripes(1)
         },
-        ..EngineConfig::default()
     });
     let sources = generated_sources(8);
     for src in &sources {
@@ -159,7 +158,6 @@ fn a_program_queried_between_cold_insertions_stays_resident() {
             summary_capacity: 64,
             ..StoreConfig::default().with_stripes(1)
         },
-        ..EngineConfig::default()
     });
     engine.analyze_source(&hot).unwrap();
     for cold in &colds {

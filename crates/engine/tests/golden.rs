@@ -16,9 +16,12 @@
 mod common;
 
 use common::corpus;
-use sil_analysis::analyze_program;
+use sil_analysis::{
+    analyze_program, analyze_program_planned, compute_summaries, AnalyzeOptions, CallPlan,
+};
 use sil_lang::frontend;
 use sil_pathmatrix::PathSet;
+use std::collections::HashMap;
 
 const GOLDEN: &str = include_str!("golden/digests.txt");
 
@@ -62,6 +65,45 @@ fn corpus_digests_match_golden_file() {
     for (want, got) in golden.iter().zip(fresh.iter()) {
         assert_eq!(want, got, "analysis digest drifted from the pinned golden");
     }
+}
+
+/// Replay is exact over the whole corpus: every program, re-analyzed
+/// against the walk records of its own recorded run, replays every walk
+/// and reproduces its pinned digest.
+#[test]
+fn every_corpus_program_replays_its_own_recording_whole() {
+    let golden: HashMap<&str, &str> = GOLDEN
+        .lines()
+        .filter_map(|line| line.split_once(' '))
+        .collect();
+    let mut replayed = 0;
+    for (name, src) in corpus() {
+        let (program, types) = frontend(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let summaries = compute_summaries(&program, &types);
+        let plan = CallPlan::of_program(&program);
+        let record = AnalyzeOptions {
+            record: true,
+            reuse: None,
+        };
+        let (_, snapshot, recorded) =
+            analyze_program_planned(&program, &types, summaries.clone(), &plan, &record);
+        let snapshot = snapshot.expect("recording was requested");
+        let replay = AnalyzeOptions {
+            record: false,
+            reuse: Some(&snapshot),
+        };
+        let (result, _, stats) =
+            analyze_program_planned(&program, &types, summaries, &plan, &replay);
+        assert_eq!(stats.walks_performed, 0, "{name}: {stats:?}");
+        assert_eq!(stats.walks_reused, recorded.walks_performed, "{name}");
+        assert_eq!(
+            format!("{:016x}", result.digest()),
+            golden[name.as_str()],
+            "{name}: a replayed analysis drifted from the pinned golden"
+        );
+        replayed += 1;
+    }
+    assert_eq!(replayed, 64, "corpus must stay at 64 programs");
 }
 
 /// A path set's text is what a stored entry holds, so over the whole

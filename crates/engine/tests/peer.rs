@@ -327,47 +327,67 @@ fn peer_fetch_is_never_reforwarded() {
     warm_handle.shutdown();
 }
 
-/// `--no-peer-serve`: the daemon answers peer kinds with a malformed
-/// error, and a fetching ring marks it unsupported — alive, not
-/// quarantined, never advertising keys.
+/// A daemon from before peering answers every peer kind as a request type
+/// it does not know: a `malformed` error on a live connection.  A fetching
+/// ring marks it unsupported — alive, not quarantined, never advertising
+/// keys, and never asked again.
 #[test]
-fn no_peer_serve_daemon_is_flagged_unsupported_not_dead() {
-    let service = Arc::new(Engine::default().with_peer_serve(false));
-    let src = Workload::TreeSum.source(4);
-    analyze(&service, &src);
-    let handle = Server::bind(&temp_socket("noserve"), service.clone())
-        .unwrap()
-        .spawn();
+fn a_daemon_answering_peer_kinds_malformed_is_flagged_unsupported_not_dead() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let Addr::Unix(path) = temp_socket("prepeering") else {
+        unreachable!()
+    };
+    let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+    let asked = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        // One connection is all it gets: a ring keeps the connection of a
+        // peer that answered.  The read timeout bounds the test if not.
+        let daemon = scope.spawn(|| {
+            let (stream, _) = listener.accept().unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            for line in BufReader::new(stream).lines().map_while(Result::ok) {
+                asked.fetch_add(1, Ordering::SeqCst);
+                let kind = line
+                    .split(r#""type":""#)
+                    .nth(1)
+                    .and_then(|rest| rest.split('"').next())
+                    .unwrap_or("");
+                let reply = format!(
+                    r#"{{"protocol_version":2,"type":"error","error":{{"kind":"malformed","message":"unknown Request type \"{kind}\""}}}}"#
+                );
+                if writeln!(writer, "{reply}").is_err() {
+                    break;
+                }
+            }
+        });
 
-    match service.call(Request::peer_inventory()) {
-        Response::Error { error, .. } => assert_eq!(error.kind, ErrorKind::Malformed),
-        other => panic!("{other:?}"),
-    }
-    // The refusal's bytes are pinned: a fetching ring reads `malformed` as
-    // "this daemon does not peer", like a daemon older than peering.
-    assert_eq!(
-        service
-            .call(Request::peer_fetch(
-                PeerNamespace::Programs,
-                program_key(&src)
-            ))
-            .encode(),
-        r#"{"protocol_version":2,"type":"error","error":{"kind":"malformed","message":"peer serving is disabled"}}"#
-    );
+        let fetcher = Engine::default();
+        let ring = test_ring(&fetcher, vec![Addr::Unix(path.clone())]);
+        ring.gossip_once();
+        ring.gossip_once();
+        ring.gossip_once();
+        let stats = ring.stats(0, 0);
+        assert_eq!(stats.quarantined, 0, "unsupported is not a breaker event");
+        assert_eq!(stats.quarantines, 0);
+        assert_eq!(stats.known_keys, 0, "nothing advertised");
+        let inventories = asked.load(Ordering::SeqCst);
+        assert!(inventories >= 1, "gossip reached the daemon");
+        // Fetches skip the unsupported peer outright: the daemon is not asked.
+        assert!(ring
+            .fetch_program(program_key(&Workload::TreeSum.source(4)))
+            .is_none());
+        assert_eq!(asked.load(Ordering::SeqCst), inventories);
 
-    let fetcher = Engine::default();
-    let ring = test_ring(&fetcher, vec![handle.addr().clone()]);
-    ring.gossip_once();
-    ring.gossip_once();
-    ring.gossip_once();
-    let stats = ring.stats(0, 0);
-    assert_eq!(stats.quarantined, 0, "unsupported is not a breaker event");
-    assert_eq!(stats.quarantines, 0);
-    assert_eq!(stats.known_keys, 0, "nothing advertised");
-    // Fetches skip the unsupported peer outright.
-    assert!(ring.fetch_program(program_key(&src)).is_none());
-
-    handle.shutdown();
+        // Dropping the ring closes its connection, which ends the daemon.
+        drop(ring);
+        drop(fetcher);
+        daemon.join().unwrap();
+    });
+    let _ = std::fs::remove_file(&path);
 }
 
 /// Half-open connections (the satellite): a peer that accepts and then

@@ -180,7 +180,6 @@ fn a_product_outlives_its_evicted_program_entry() {
             program_capacity: 1,
             ..StoreConfig::default().with_stripes(1)
         },
-        ..EngineConfig::default()
     });
     let options = ProcessOptions {
         emit_parallel_source: true,

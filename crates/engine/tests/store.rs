@@ -105,7 +105,6 @@ fn shared_store_at_fixed_total_capacity_matches_the_single_engine_baseline() {
                 program_capacity: 4,
                 ..StoreConfig::default().with_stripes(1)
             },
-            incremental: false,
         })
     };
     let hit_ratio = |engine: &Engine| -> f64 {
