@@ -96,9 +96,9 @@ impl DurableConfig {
 /// `entries`/`live_bytes`/`segments`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskStats {
-    /// Lookups served from disk.
+    /// Lookups served from disk: a body read back and decoded.
     pub hits: u64,
-    /// Lookups that missed the disk tier too.
+    /// Lookups that found no entry, or a body that did not decode.
     pub misses: u64,
     /// Body bytes read back on hits.
     pub read_bytes: u64,
@@ -236,13 +236,46 @@ impl DurableTier {
         &self.shared.tracer
     }
 
-    /// Read one entry's body back, touching its recency rank.
-    pub fn get(&self, key: u64) -> Option<Vec<u8>> {
-        let mut state = self.shared.state.lock().unwrap();
-        let Some(slot) = state.index.get_mut(&key).copied() else {
-            self.shared.counters.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
+    /// One lookup by this daemon: the body under `key`, read under a
+    /// `disk-read` span and handed to `decode`.  It is a hit only when
+    /// `decode` accepts the body.  A body it refuses (a version this build
+    /// does not read) is unindexed, dead bytes the next compaction of its
+    /// segment reclaims, and the lookup counts as a miss.
+    pub fn get<T>(&self, key: u64, decode: impl FnOnce(&[u8]) -> Option<T>) -> Option<T> {
+        let body = {
+            let _span = self.shared.tracer.start("disk-read");
+            self.read(key)
         };
+        let value = body.as_deref().and_then(decode);
+        let counters = &self.shared.counters;
+        match &body {
+            Some(body) if value.is_some() => {
+                counters.hits.fetch_add(1, Ordering::Relaxed);
+                counters
+                    .read_bytes
+                    .fetch_add(body.len() as u64, Ordering::Relaxed);
+            }
+            Some(_) => {
+                let mut state = self
+                    .shared
+                    .state
+                    .lock()
+                    .expect("no thread panics holding the index");
+                state.drop_slot(key);
+                counters.misses.fetch_add(1, Ordering::Relaxed);
+            }
+            None => {
+                counters.misses.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        value
+    }
+
+    /// Read one entry's body back, touching its recency rank but counting
+    /// no lookup (a `peer_fetch` answered from disk reads this way).
+    pub fn read(&self, key: u64) -> Option<Vec<u8>> {
+        let mut state = self.shared.state.lock().unwrap();
+        let slot = state.index.get(&key).copied()?;
         state.clock += 1;
         let clock = state.clock;
         if let Some(live) = state.index.get_mut(&key) {
@@ -253,23 +286,12 @@ impl DurableTier {
             .get(&slot.segment)
             .and_then(|meta| File::open(&meta.path).ok())
             .and_then(|mut file| segment::read_body(&mut file, &slot.entry).ok().flatten());
-        match body {
-            Some(body) => {
-                self.shared.counters.hits.fetch_add(1, Ordering::Relaxed);
-                self.shared
-                    .counters
-                    .read_bytes
-                    .fetch_add(body.len() as u64, Ordering::Relaxed);
-                Some(body)
-            }
-            None => {
-                // The bytes no longer verify (rot, external truncation):
-                // forget the entry rather than serving garbage.
-                state.drop_slot(key);
-                self.shared.counters.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        if body.is_none() {
+            // The bytes no longer verify (rot, external truncation):
+            // forget the entry rather than serving garbage.
+            state.drop_slot(key);
         }
+        body
     }
 
     /// Enqueue a whole-program entry for write-behind persistence.

@@ -379,7 +379,8 @@ impl SummaryStore {
     /// Answer one `peer_fetch`.  A whole-program entry is served as the
     /// same verifiable entry document (`store/entry.rs`) the durable tier
     /// persists: memory first (encoding the document on demand), then
-    /// disk; never recomputed.  Either way the reply's member is those
+    /// disk (a read for a peer, not a lookup: it counts as no disk hit or
+    /// miss); never recomputed.  Either way the reply's member is those
     /// bytes, parsed.  A summary table is never served — the
     /// namespace lives in memory only — so an older daemon that still asks
     /// for one gets the answer an evicted key gets.
@@ -388,7 +389,7 @@ impl SummaryStore {
         let body = match namespace {
             PeerNamespace::Programs => match self.programs.peek(key) {
                 Some(entry) => entry::encode_program(&entry).into_bytes(),
-                None => self.durable.as_ref()?.get(key)?,
+                None => self.durable.as_ref()?.read(key)?,
             },
             PeerNamespace::Summaries => return None,
         };
@@ -403,12 +404,10 @@ impl SummaryStore {
     /// an `entry-decode` span for parsing, decoding and checking the entry.
     fn disk_program(&self, key: u64) -> Option<Arc<AnalyzedProgram>> {
         let tier = self.durable.as_ref()?;
-        let body = {
-            let _span = tier.tracer().start("disk-read");
-            tier.get(key)?
-        };
-        let _span = tier.tracer().start("entry-decode");
-        entry::program_from_document(&entry::parse(&body)?, key)
+        tier.get(key, |body| {
+            let _span = tier.tracer().start("entry-decode");
+            entry::program_from_document(&entry::parse(body)?, key)
+        })
     }
 
     /// Tiered whole-program lookup: the in-memory namespace first, then

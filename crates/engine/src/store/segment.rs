@@ -10,7 +10,8 @@
 //! ...                                            next entry
 //! ```
 //!
-//! The checksum covers the whole payload (namespace byte, key, body).
+//! The checksum ([`sil_lang::hash::fnv1a`]) covers the whole payload
+//! (namespace byte, key, body).
 //! Recovery ([`scan`]) reads entries front to back and stops at the first
 //! one that is torn (header or payload runs past end of file) or corrupt
 //! (checksum mismatch): everything before that point is intact by
@@ -18,6 +19,7 @@
 //! and reported as dropped.  Scanning never panics on arbitrary bytes —
 //! a flipped bit in a length field simply reads as a torn entry.
 
+use sil_lang::hash::fnv1a;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -30,17 +32,6 @@ pub const ENTRY_HEADER_BYTES: u64 = 12;
 
 /// Bytes of the payload prefix: namespace byte + `u64` key.
 pub const PAYLOAD_PREFIX_BYTES: u64 = 9;
-
-/// FNV-1a 64 over `bytes` — the entry checksum.  Self-written (the
-/// workspace takes no dependencies) and byte-order independent.
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Where one intact entry lives inside a segment file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,7 +114,7 @@ fn read_entry_at(bytes: &[u8], offset: u64) -> Option<EntryRef> {
     }
     let payload_start = start + ENTRY_HEADER_BYTES as usize;
     let payload = bytes.get(payload_start..payload_start + payload_len as usize)?;
-    if checksum(payload) != stored {
+    if fnv1a(payload) != stored {
         return None;
     }
     Some(EntryRef {
@@ -145,7 +136,7 @@ pub fn read_body(file: &mut File, entry: &EntryRef) -> io::Result<Option<Vec<u8>
     }
     let stored = u64::from_le_bytes(buf[4..12].try_into().unwrap());
     let payload = &buf[ENTRY_HEADER_BYTES as usize..];
-    if checksum(payload) != stored || payload[0] != entry.namespace {
+    if fnv1a(payload) != stored || payload[0] != entry.namespace {
         return Ok(None);
     }
     Ok(Some(payload[PAYLOAD_PREFIX_BYTES as usize..].to_vec()))
@@ -209,7 +200,7 @@ impl SegmentWriter {
         payload.extend_from_slice(body);
         let mut record = Vec::with_capacity(ENTRY_HEADER_BYTES as usize + payload_len);
         record.extend_from_slice(&payload_len_u32.to_le_bytes());
-        record.extend_from_slice(&checksum(&payload).to_le_bytes());
+        record.extend_from_slice(&fnv1a(&payload).to_le_bytes());
         record.extend_from_slice(&payload);
         self.file.write_all(&record)?;
         let entry = EntryRef {

@@ -371,10 +371,11 @@ fn entries_under_other_tags_are_skipped_and_compacted_away() {
 /// every path a nested array, every point's state written out in full.
 const VERSION_1_ENTRY: &str = include_str!("golden/program_entry_v1.json");
 
-/// A data directory an older build left: its entry is refused like any
-/// unknown version, so the program is a miss and is analyzed again.  The
-/// new entry replaces the old one under the same key, and the next daemon
-/// over the directory serves it from disk.
+/// A data directory an older build left: its entry is intact, but it is
+/// refused like any unknown version, so the lookup is a miss — not a hit —
+/// and the program is analyzed again.  The new entry replaces the old one
+/// under the same key, and the next daemon over the directory serves it
+/// from disk.
 #[test]
 fn a_version_1_entry_is_reanalyzed_and_rewritten_as_version_2() {
     let dir = temp_dir("version-1");
@@ -396,14 +397,18 @@ fn a_version_1_entry_is_reanalyzed_and_rewritten_as_version_2() {
         let (entry, hit) = engine.analyze_source_traced(&source).unwrap();
         assert!(!hit, "a version 1 entry is a miss");
         assert_eq!(entry.analysis.digest(), fresh.analysis.digest());
+        let disk = engine.store().stats().disk.unwrap();
+        assert_eq!((disk.hits, disk.misses), (0, 1), "refused, so no hit");
         engine.store().flush();
         let tier = engine.store().durable().expect("the tier opened");
-        let body = tier.get(key).expect("the key is on disk");
+        let body = tier.read(key).expect("the key is on disk");
         assert!(
             body.starts_with(br#"{"v":2,"#),
             "the key now holds version 2"
         );
-        assert_eq!(tier.stats().entries, 1);
+        let disk = tier.stats();
+        assert_eq!(disk.entries, 1);
+        assert_eq!((disk.hits, disk.misses), (0, 1), "a read is no lookup");
     }
     let engine = Engine::new(config);
     let (entry, hit) = engine.analyze_source_traced(&source).unwrap();

@@ -24,11 +24,11 @@ use sil_engine::service::{
     AnalyzeSummary, ErrorKind, Json, PeerNamespace, Request, Response, ServerStats, ServiceError,
     TraceHeader, TraceSpan,
 };
-use sil_engine::store::segment::checksum;
 use sil_engine::{
     CacheStats, DiskStats, Engine, EngineConfig, EngineStats, ExecutionReport, IncrementalReport,
     NamespaceStats, PeerStats, ProcessOptions, ProgramReport, StoreStats,
 };
+use sil_lang::hash::fnv1a as checksum;
 use silobs::{HistogramSummary, HistorySample, MetricsSnapshot};
 
 const ENTRY_BODIES: &str = include_str!("golden/entry_bodies.txt");
