@@ -144,6 +144,24 @@ impl AnalysisResult {
         }
     }
 
+    /// This result, its [`AnalysisResult::digest`] taken as `digest`
+    /// instead of rendered: for a result read back beside the digest it
+    /// was stored with, under a checksum that covers both.  Nothing checks
+    /// that `digest` is this content's; [`AnalysisResult::recompute_digest`]
+    /// does, for whoever cannot vouch for it.
+    pub fn with_digest(self, digest: u64) -> AnalysisResult {
+        AnalysisResult {
+            digest_memo: std::sync::OnceLock::from(digest),
+            ..self
+        }
+    }
+
+    /// The digest rendered afresh from this content, whatever the memo
+    /// holds.
+    pub fn recompute_digest(&self) -> u64 {
+        self.compute_digest()
+    }
+
     /// The per-procedure results.
     pub fn procedure(&self, name: &str) -> Option<&ProcedureAnalysis> {
         self.procedures.get(name)

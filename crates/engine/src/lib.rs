@@ -513,7 +513,7 @@ impl Engine {
                 "a filed source no longer yields its filed fingerprint"
             );
         }
-        if let Some(hit) = self.lookup(fingerprint) {
+        if let Ok(hit) = self.lookup(|store| store.lookup_program(fingerprint).ok_or(())) {
             return Ok((hit, true));
         }
         // The program left every tier: analyze it without asking them again.
@@ -522,29 +522,33 @@ impl Engine {
     }
 
     /// Analyze a program that already went through the front end, also
-    /// reporting whether the program namespace served it.
+    /// reporting whether the program namespace served it.  A disk hit
+    /// takes this program rather than parsing the one the entry stores.
     ///
     /// On a program-cache miss the analysis is seeded from the walk records
     /// the store kept for the cones this program shares with earlier ones —
     /// kept from a cone's second sighting on — so an edited variant of a
     /// program seen before only re-analyzes the edit's stale cone.
     pub fn analyze(&self, normalized: Normalized) -> (Arc<AnalyzedProgram>, bool) {
-        match self.lookup(normalized.fingerprint) {
-            Some(hit) => (hit, true),
-            None => (self.analyze_miss(normalized), false),
+        match self.lookup(|store| store.lookup_normalized(normalized)) {
+            Ok(hit) => (hit, true),
+            Err(normalized) => (self.analyze_miss(normalized), false),
         }
     }
 
-    /// The tiered program lookup (memory, disk, peers), counted in this
-    /// engine's view.
-    fn lookup(&self, fingerprint: u64) -> Option<Arc<AnalyzedProgram>> {
+    /// One tiered program lookup (memory, disk, peers) under a
+    /// `store-lookup` span, counted in this engine's view.
+    fn lookup<T>(
+        &self,
+        lookup: impl FnOnce(&SummaryStore) -> Result<Arc<AnalyzedProgram>, T>,
+    ) -> Result<Arc<AnalyzedProgram>, T> {
         let looked_up = {
             let _span = self.tracer.start("store-lookup");
-            self.store.lookup_program(fingerprint)
+            lookup(&self.store)
         };
         match &looked_up {
-            Some(_) => self.view.programs.hit(),
-            None => self.view.programs.miss(),
+            Ok(_) => self.view.programs.hit(),
+            Err(_) => self.view.programs.miss(),
         }
         looked_up
     }

@@ -316,10 +316,10 @@ impl PeerRing {
                     inner.programs.remove(&key);
                 }
             }
-            // A body that fails verification — another entry version, a
-            // wrong fingerprint or digest — is dropped on the floor, and
-            // the peer that sent it stays healthy; some other peer may
-            // hold a good copy.
+            // A body that fails verification — another entry version or
+            // analysis epoch, a wrong fingerprint or digest — is dropped
+            // on the floor, and the peer that sent it stays healthy; some
+            // other peer may hold a good copy.
             if let Some(body) = body {
                 let _span = self.tracer.start("entry-decode");
                 if let Some(entry) = entry::program_from_document(&body, key) {

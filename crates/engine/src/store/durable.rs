@@ -30,9 +30,17 @@
 //!   in-memory namespaces evict by (cf. the NDN caching literature: disk
 //!   is one more cache tier, not an archive).
 //!
+//! * **Trust** — a body read back is trusted on its checksum (FNV-1a over
+//!   tag, key and body, re-checked on every read), its key, and the entry
+//!   version and analysis epoch it records: decoding checks those and the
+//!   entry's structure, and believes the stored analysis digest rather
+//!   than recomputing it.  A body a peer sends is checked in full — its
+//!   source re-parsed and fingerprinted, its digest recomputed.  The epoch
+//!   moves whenever a golden corpus digest does; a change to the analysis
+//!   that moves none of them leaves older entries believed.
+//!
 //! This file is segments and tiering only: what the bytes of an entry
-//! *mean* — and the checks that make a program served from disk report the
-//! same `analysis_digest` the original analysis did — live in
+//! *mean* and how each tier's bodies are decoded live in
 //! `store/entry.rs`.
 
 use super::entry;
@@ -238,8 +246,8 @@ impl DurableTier {
 
     /// One lookup by this daemon: the body under `key`, read under a
     /// `disk-read` span and handed to `decode`.  It is a hit only when
-    /// `decode` accepts the body.  A body it refuses (a version this build
-    /// does not read) is unindexed, dead bytes the next compaction of its
+    /// `decode` accepts the body.  A body it refuses (a version or an
+    /// analysis epoch this build does not read) is unindexed, dead bytes the next compaction of its
     /// segment reclaims, and the lookup counts as a miss.
     pub fn get<T>(&self, key: u64, decode: impl FnOnce(&[u8]) -> Option<T>) -> Option<T> {
         let body = {

@@ -1,15 +1,33 @@
 //! The entry document of the program namespace — the one format the
 //! durable tier appends to its segments and a `peer_fetch` answers with.
 //!
-//! A cached program is one self-verifying named document, whichever tier
-//! holds it: the pretty-printed source (the frontend round-trips it) plus
-//! the full [`AnalysisResult`], under an entry version, the fingerprint it
-//! was stored under and the analysis digest.  [`program_from_document`]
-//! believes none of it: the version must be the one this build writes, the
-//! fingerprint must be the key that was asked for, the stored source must
-//! re-parse to a program with that fingerprint, and the decoded analysis
-//! must reproduce the digest.  A document that fails any check — a torn
-//! disk entry, a lying peer — is a miss, never a wrong answer.
+//! A cached program is one named document, whichever tier holds it: the
+//! pretty-printed source (the frontend round-trips it) plus the full
+//! [`AnalysisResult`], under an entry version, the [`ANALYSIS_EPOCH`] of
+//! the build that wrote it, the fingerprint it was stored under and the
+//! analysis digest.  Every decoder refuses a version or an epoch other than
+//! this build's, a fingerprint that is not the key asked for, and a body
+//! whose structure or state indices do not hold.  What else is checked
+//! depends on who vouches for the bytes:
+//!
+//! * **A disk body** ([`program_from_disk`]) was written by a daemon
+//!   running this analysis (its epoch says so) and read back under the
+//!   segment's FNV-1a checksum over tag, key and body.  It is trusted on
+//!   that: the stored digest is taken as the analysis's, not recomputed,
+//!   and the program is the request's own when the request went through
+//!   the front end — the stored source is parsed only when it did not, and
+//!   is not fingerprinted again.
+//! * **A peer body** ([`program_from_document`]) comes from another
+//!   process nothing vouches for.  The stored source must re-parse to a
+//!   program with the key's fingerprint, and the decoded analysis must
+//!   reproduce the stored digest.
+//!
+//! Either way a document that fails a check — a torn disk entry, a lying
+//! peer, another build's analysis — is a miss, never a wrong answer.  The
+//! epoch is FNV-1a over `tests/golden/digests.txt`, which the golden test
+//! forces to change whenever a corpus program's analysis digest moves.  Its
+//! limit: a change to the analysis that moves no corpus digest does not
+//! move the epoch, and entries written before it are still believed.
 //!
 //! Version 2 stores each distinct state once.  `"states"` is a table of
 //! rows `[structure, handles, relations, attached, shared]`, and a
@@ -21,13 +39,14 @@
 //! points — and tells them apart by content, so the bytes are
 //! deterministic and equal states in two procedures share a row.  Decoding
 //! makes each row one `Arc<AbstractState>` that every point and exit
-//! naming it shares, so verifying the digest renders each distinct state
-//! once; a state index past the table, or a row whose matrix is not one
+//! naming it shares, so recomputing a peer body's digest renders each
+//! distinct state once; a state index past the table, or a row whose matrix is not one
 //! (a handle listed twice, a relation on the diagonal, out of range or out
 //! of order) is refused like any other damage.  A version 1 entry — one
 //! state written out per point, every path a nested array, three times the
-//! bytes — is refused as an unknown version: the program is analyzed again
-//! and rewritten under the same key.
+//! bytes — is refused as an unknown version, and a version 2 entry without
+//! this build's epoch as another analysis: either way the program is
+//! analyzed again and rewritten under the same key.
 //!
 //! An entry is written straight to its bytes ([`encode_program`]) and read
 //! from a parsed [`Json`] document.  Every shape is described once,
@@ -37,13 +56,14 @@
 
 use crate::service::json::{encode_array, encode_int, encode_str, Json};
 use crate::service::wire::{encode, leaves, names, record, Encoded, Hex, Plain, Wire};
-use crate::AnalyzedProgram;
+use crate::{AnalyzedProgram, Normalized};
 use sil_analysis::{
     AbstractState, AnalysisResult, ArgMode, ProcSummary, ProcedureAnalysis, ProgramPoint,
     ReturnSummary, StructureKind, StructureWarning,
 };
-use sil_lang::hash::program_fingerprint;
-use sil_lang::{frontend, pretty_program};
+use sil_lang::hash::{fnv1a, program_fingerprint};
+use sil_lang::types::ProgramTypes;
+use sil_lang::{frontend, pretty_program, Program};
 use sil_pathmatrix::{intern, ParsePathSetError, PathMatrix, PathSet, Symbol};
 use std::collections::hash_map::{Entry, HashMap};
 use std::collections::BTreeSet;
@@ -52,6 +72,11 @@ use std::sync::Arc;
 
 /// The version a program entry is written with, and the only one believed.
 const PROGRAM_ENTRY: u64 = 2;
+
+/// The analysis this build runs, as every entry it writes records it and
+/// the only one it believes: FNV-1a over the golden corpus's pinned
+/// analysis digests, so a change that moves any of them moves the epoch.
+pub const ANALYSIS_EPOCH: u64 = fnv1a(include_bytes!("../../tests/golden/digests.txt"));
 
 names!(ArgMode {
     ReadOnly => "readonly",
@@ -284,9 +309,10 @@ record!(ProcSummary { "name" => name, "handle_args" => handle_args, "arg_modes" 
 record!(ReturnSummary { "fresh" => fresh, "relations" => relations });
 
 /// What a program entry holds, checked as far as the document alone can
-/// be: decoding refuses a version other than [`PROGRAM_ENTRY`], a state
-/// index out of range and an analysis that does not reproduce the stored
-/// digest.
+/// be: decoding refuses a version other than [`PROGRAM_ENTRY`], an epoch
+/// other than [`ANALYSIS_EPOCH`] and a state index out of range.  The
+/// decoded analysis takes the stored digest as its own; who cannot vouch
+/// for the bytes checks it ([`program_from_document`]).
 struct ProgramEntry {
     fingerprint: u64,
     source: String,
@@ -298,6 +324,7 @@ struct ProgramEntry {
 
 record!(ProgramEntry: |entry| {
     "v" => v: u64 = &PROGRAM_ENTRY,
+    "epoch" => epoch: u64 as Hex = &ANALYSIS_EPOCH,
     "fingerprint" => fingerprint as Hex = &entry.fingerprint,
     "digest" => digest: u64 as Hex = &entry.analysis.digest(),
     "source" => source = &entry.source,
@@ -312,22 +339,41 @@ record!(ProgramEntry: |entry| {
     if v != PROGRAM_ENTRY {
         return Err("unknown program entry version".to_string());
     }
+    if epoch != ANALYSIS_EPOCH {
+        return Err("written by another analysis".to_string());
+    }
     let procedures = procedures
         .into_iter()
         .map(|(name, stored)| Ok((name, stored.resolve(&states)?)))
         .collect::<Result<_, String>>()?;
     let analysis =
         AnalysisResult::from_parts(procedures, summaries, return_summaries, warnings, rounds);
-    if analysis.digest() != digest {
-        return Err("the decoded analysis does not reproduce its digest".to_string());
-    }
     ProgramEntry {
         fingerprint,
         source,
-        analysis: Arc::new(analysis),
+        analysis: Arc::new(analysis.with_digest(digest)),
         states: StateTable::default(),
     }
 });
+
+impl ProgramEntry {
+    /// The entry stored under `key` that `document` holds, if it decodes.
+    fn decode(document: &Json, key: u64) -> Option<ProgramEntry> {
+        let entry = ProgramEntry::from_json(document).ok()?;
+        (entry.fingerprint == key).then_some(entry)
+    }
+
+    /// The analyzed program: this entry's analysis, of `program`.
+    fn of(self, (program, types): (Program, ProgramTypes)) -> Arc<AnalyzedProgram> {
+        Arc::new(AnalyzedProgram {
+            fingerprint: self.fingerprint,
+            program,
+            types,
+            analysis: self.analysis,
+            incremental: None,
+        })
+    }
+}
 
 /// The document of one analyzed program, as the bytes a segment holds and
 /// a peer is served.
@@ -346,25 +392,36 @@ pub(crate) fn program_document(entry: &AnalyzedProgram) -> Json {
     parse(encode_program(entry).as_bytes()).expect("the encoder writes JSON")
 }
 
-/// Decode a program entry, refusing anything that was not stored under
-/// `key`, whose source re-parses to a different program, or whose
-/// analysis fails to reproduce its digest.
+/// Decode a program entry a peer sent, refusing anything not stored under
+/// `key` by this analysis, whose source re-parses to a different program,
+/// or whose analysis fails to reproduce its digest.
 pub(crate) fn program_from_document(document: &Json, key: u64) -> Option<Arc<AnalyzedProgram>> {
-    let entry = ProgramEntry::from_json(document).ok()?;
-    if entry.fingerprint != key {
+    let entry = ProgramEntry::decode(document, key)?;
+    if entry.analysis.recompute_digest() != entry.analysis.digest() {
         return None;
     }
-    let (program, types) = frontend(&entry.source).ok()?;
-    if program_fingerprint(&program) != key {
+    let parsed = frontend(&entry.source).ok()?;
+    if program_fingerprint(&parsed.0) != key {
         return None;
     }
-    Some(Arc::new(AnalyzedProgram {
-        fingerprint: key,
-        program,
-        types,
-        analysis: entry.analysis,
-        incremental: None,
-    }))
+    Some(entry.of(parsed))
+}
+
+/// Decode a program entry the disk tier read back under its checksum,
+/// refusing anything not stored under `key` by this analysis.  The stored
+/// digest is believed.  The program is `request`'s, taken only on success,
+/// when the request has one; otherwise it is the stored source, parsed.
+pub(crate) fn program_from_disk(
+    body: &[u8],
+    key: u64,
+    request: &mut Option<Normalized>,
+) -> Option<Arc<AnalyzedProgram>> {
+    let entry = ProgramEntry::decode(&parse(body)?, key)?;
+    let program = match request.take() {
+        Some(normalized) => (normalized.program, normalized.types),
+        None => frontend(&entry.source).ok()?,
+    };
+    Some(entry.of(program))
 }
 
 /// The document in the body of a segment entry, if the bytes hold one.

@@ -54,11 +54,12 @@ pub mod segment;
 
 pub use crate::peer::{PeerConfig, PeerRing, PeerStats};
 pub use durable::{DiskStats, DurableConfig, DurableTier};
+pub use entry::ANALYSIS_EPOCH;
 pub use namespace::{CacheStats, NamespaceCache, NamespaceStats, DEFAULT_STRIPES};
 
 use crate::service::json::Json;
 use crate::service::proto::PeerNamespace;
-use crate::AnalyzedProgram;
+use crate::{AnalyzedProgram, Normalized};
 use sil_analysis::{ProcSummary, WalkRecord};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -399,14 +400,26 @@ impl SummaryStore {
         Some(document)
     }
 
-    /// The program the disk tier holds under `key`, read back and
-    /// verified: a `disk-read` span for the segment read and its checksum,
-    /// an `entry-decode` span for parsing, decoding and checking the entry.
-    fn disk_program(&self, key: u64) -> Option<Arc<AnalyzedProgram>> {
+    /// The program the disk tier holds under `key`: a `disk-read` span for
+    /// the segment read and its checksum, an `entry-decode` span for
+    /// parsing and decoding the entry.  The checksum covers tag, key and
+    /// body, so the body is trusted on it, its version, its analysis epoch
+    /// and its fingerprint being `key`: the stored digest is believed, and
+    /// the program is `request`'s when there is one (taken only on a hit),
+    /// else the stored source parsed but not fingerprinted.  A peer's body
+    /// is checked in full (`PeerRing::fetch_program`): source re-parsed
+    /// and fingerprinted, digest recomputed.  The epoch's limit: a change
+    /// to the analysis that moves no golden corpus digest leaves it, and
+    /// so older entries, as they were.
+    fn disk_program(
+        &self,
+        key: u64,
+        request: &mut Option<Normalized>,
+    ) -> Option<Arc<AnalyzedProgram>> {
         let tier = self.durable.as_ref()?;
         tier.get(key, |body| {
             let _span = tier.tracer().start("entry-decode");
-            entry::program_from_document(&entry::parse(body)?, key)
+            entry::program_from_disk(body, key, request)
         })
     }
 
@@ -415,6 +428,27 @@ impl SummaryStore {
     /// verified peer fetch — each lower tier's hit
     /// is promoted into the tiers above it.
     pub fn lookup_program(&self, fingerprint: u64) -> Option<Arc<AnalyzedProgram>> {
+        self.lookup_tiered(fingerprint, &mut None)
+    }
+
+    /// [`SummaryStore::lookup_program`] for a program that went through
+    /// the front end: a disk hit takes it instead of parsing the stored
+    /// source, and a miss hands it back.
+    pub(crate) fn lookup_normalized(
+        &self,
+        normalized: Normalized,
+    ) -> Result<Arc<AnalyzedProgram>, Normalized> {
+        let fingerprint = normalized.fingerprint;
+        let mut request = Some(normalized);
+        self.lookup_tiered(fingerprint, &mut request)
+            .ok_or_else(|| request.expect("only a disk hit takes the program"))
+    }
+
+    fn lookup_tiered(
+        &self,
+        fingerprint: u64,
+        request: &mut Option<Normalized>,
+    ) -> Option<Arc<AnalyzedProgram>> {
         if let Some(entry) = self.programs.get(fingerprint) {
             return Some(entry);
         }
@@ -422,7 +456,7 @@ impl SummaryStore {
             .durable
             .as_ref()
             .and_then(|tier| tier.pending_program(fingerprint));
-        if let Some(entry) = queued.or_else(|| self.disk_program(fingerprint)) {
+        if let Some(entry) = queued.or_else(|| self.disk_program(fingerprint, request)) {
             self.programs.insert(fingerprint, entry.clone());
             return Some(entry);
         }

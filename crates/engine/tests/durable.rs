@@ -5,9 +5,13 @@
 //! it dropped — and a restarted daemon serves previously analyzed
 //! programs from disk with digests byte-identical to a fresh analysis.
 
+mod common;
+
+use sil_analysis::AnalysisResult;
 use sil_engine::service::{Request, Response, Service};
 use sil_engine::store::segment::{self, SegmentWriter};
-use sil_engine::{AnalyzedProgram, DurableConfig, Engine, EngineConfig, SummaryStore};
+use sil_engine::store::ANALYSIS_EPOCH;
+use sil_engine::{AnalyzedProgram, DurableConfig, Engine, EngineConfig, Normalized, SummaryStore};
 use sil_workloads::generator::{GeneratorConfig, ProgramGenerator};
 use sil_workloads::Workload;
 use std::path::{Path, PathBuf};
@@ -449,6 +453,130 @@ fn a_disk_hit_shows_its_read_and_its_decode() {
         .map(|span| span.span.as_str())
         .collect();
     assert_eq!(children, ["disk-read", "entry-decode"], "{spans:?}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The digest of what `analysis` holds, rendered from its parts: a result
+/// read from disk answers `digest()` with the digest it was stored with, so
+/// only a reassembly shows what the decoder really rebuilt.
+fn recomputed_digest(analysis: &AnalysisResult) -> u64 {
+    AnalysisResult::from_parts(
+        analysis.procedure_map().clone(),
+        analysis.summaries.clone(),
+        analysis.return_summaries.clone(),
+        analysis.warnings.clone(),
+        analysis.rounds,
+    )
+    .digest()
+}
+
+/// A disk hit believes the stored digest, so what it decoded is checked
+/// here instead, over the whole golden corpus: every program written
+/// through a disk tier and served back from it — once with the request's
+/// own front-end pass, once by key alone — decodes to an analysis whose
+/// digest, rendered afresh, is the pinned one.
+#[test]
+fn every_corpus_program_decodes_from_disk_to_its_pinned_digest() {
+    let golden: std::collections::HashMap<String, String> = include_str!("golden/digests.txt")
+        .lines()
+        .filter_map(|line| line.split_once(' '))
+        .map(|(name, digest)| (name.to_string(), digest.to_string()))
+        .collect();
+    let dir = temp_dir("corpus");
+    let config = EngineConfig::default().with_durable(Some(DurableConfig::at(&dir)));
+    let corpus = common::corpus();
+    assert_eq!(corpus.len(), 64);
+    let fingerprints: Vec<u64> = {
+        let engine = Engine::new(config.clone());
+        let written = corpus
+            .iter()
+            .map(|(_, source)| engine.analyze_source(source).unwrap().fingerprint)
+            .collect();
+        engine.store().flush();
+        written
+    };
+    let check = |name: &str, entry: &AnalyzedProgram| {
+        assert_eq!(
+            format!("{:016x}", recomputed_digest(&entry.analysis)),
+            golden[name],
+            "{name}: the decoded analysis is not the pinned one"
+        );
+        assert_eq!(entry.analysis.digest(), recomputed_digest(&entry.analysis));
+    };
+
+    let engine = Engine::new(config);
+    for (name, source) in &corpus {
+        let normalized = Normalized::parse(engine.tracer(), source).unwrap();
+        let (entry, hit) = engine.analyze(normalized);
+        assert!(hit, "{name}: a disk hit");
+        check(name, &entry);
+    }
+    let store = engine.store();
+    assert_eq!(store.stats().disk.unwrap().hits, 64);
+    store.programs().clear();
+    for ((name, _), &key) in corpus.iter().zip(&fingerprints) {
+        let entry = store.lookup_program(key).expect("served from disk");
+        assert_eq!(
+            sil_lang::hash::program_fingerprint(&entry.program),
+            key,
+            "{name}: the stored source parses to its program"
+        );
+        check(name, &entry);
+    }
+    let disk = store.stats().disk.unwrap();
+    assert_eq!((disk.hits, disk.misses), (128, 0));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An entry another analysis wrote — here a real body whose `"epoch"`
+/// member alone was changed, appended under its key with a valid checksum
+/// — is refused like a version 1 entry: a miss, not a hit.  The program is
+/// analyzed again and rewritten with this build's epoch, and the next
+/// engine over the directory serves it from disk.
+#[test]
+fn an_entry_from_another_analysis_epoch_is_reanalyzed_and_rewritten() {
+    let dir = temp_dir("epoch");
+    let source = Workload::TreeSum.source(4);
+    let config = EngineConfig::default().with_durable(Some(DurableConfig::at(&dir)));
+    let (key, digest, body) = {
+        let engine = Engine::new(config.clone());
+        let entry = engine.analyze_source(&source).unwrap();
+        engine.store().flush();
+        let body = engine.store().durable().unwrap().read(entry.fingerprint);
+        (entry.fingerprint, entry.analysis.digest(), body.unwrap())
+    };
+    let epoch = |epoch: u64| format!(r#""epoch":"{epoch:016x}""#);
+    let body = String::from_utf8(body).unwrap();
+    assert_eq!(body.matches(&epoch(ANALYSIS_EPOCH)).count(), 1);
+    let stale = body.replace(&epoch(ANALYSIS_EPOCH), &epoch(ANALYSIS_EPOCH ^ 1));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut writer = SegmentWriter::create(&dir.join("seg-000001.sil")).unwrap();
+    writer.append(0, key, stale.as_bytes()).unwrap();
+    drop(writer);
+
+    {
+        let engine = Engine::new(config.clone());
+        assert_eq!(engine.store().stats().disk.unwrap().entries, 1);
+        let (entry, hit) = engine.analyze_source_traced(&source).unwrap();
+        assert!(!hit, "another epoch's entry is a miss");
+        assert_eq!(entry.analysis.digest(), digest);
+        let disk = engine.store().stats().disk.unwrap();
+        assert_eq!((disk.hits, disk.misses), (0, 1), "refused, so no hit");
+        engine.store().flush();
+        let rewritten = engine.store().durable().unwrap().read(key).unwrap();
+        let rewritten = String::from_utf8(rewritten).unwrap();
+        assert!(rewritten.contains(&epoch(ANALYSIS_EPOCH)), "{rewritten}");
+        assert_eq!(rewritten, body, "the rewrite is this build's entry");
+    }
+    let engine = Engine::new(config);
+    let (entry, hit) = engine.analyze_source_traced(&source).unwrap();
+    assert!(hit, "the rewritten entry is a disk hit");
+    assert_eq!(entry.analysis.digest(), digest);
+    let disk = engine.store().stats().disk.unwrap();
+    assert_eq!((disk.hits, disk.misses, disk.entries), (1, 0, 1));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

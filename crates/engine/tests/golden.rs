@@ -12,6 +12,12 @@
 //! ```sh
 //! UPDATE_GOLDEN=1 cargo test -p sil-engine --test golden
 //! ```
+//!
+//! The file is also the analysis epoch every stored program entry carries
+//! (`sil_engine::store::ANALYSIS_EPOCH` is its FNV-1a, taken at compile
+//! time).  Regenerating it moves the epoch, and the next build refuses
+//! every entry an older build left in a data directory or serves as a
+//! peer: each program is analyzed once more and rewritten.
 
 mod common;
 
@@ -41,6 +47,18 @@ fn render(digests: &[(String, u64)]) -> String {
         out.push_str(&format!("{name} {digest:016x}\n"));
     }
     out
+}
+
+/// The epoch a build stamps on its entries is this file, hashed when the
+/// build compiled it.
+#[test]
+fn the_analysis_epoch_is_the_golden_file_hashed() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/digests.txt");
+    let file = std::fs::read(path).expect("read the golden file");
+    assert_eq!(
+        sil_engine::store::ANALYSIS_EPOCH,
+        sil_lang::hash::fnv1a(&file)
+    );
 }
 
 #[test]

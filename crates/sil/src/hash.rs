@@ -22,12 +22,15 @@ use crate::pretty::{pretty_procedure, pretty_program};
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
-/// FNV-1a over a byte slice.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over a byte slice.  A `const fn`, so a build can hash a file it
+/// includes at compile time.
+pub const fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = FNV_OFFSET;
-    for b in bytes {
-        hash ^= u64::from(*b);
+    let mut i = 0;
+    while i < bytes.len() {
+        hash ^= bytes[i] as u64;
         hash = hash.wrapping_mul(FNV_PRIME);
+        i += 1;
     }
     hash
 }
