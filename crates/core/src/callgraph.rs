@@ -11,9 +11,10 @@
 //!
 //! The module also computes per-procedure *cone fingerprints*: a stable hash
 //! covering a procedure's own content **and** the content of every procedure
-//! it can transitively reach.  A summary is a pure function of exactly that
-//! cone, which makes the cone fingerprint the correct content-addressed key
-//! for a summary cache.
+//! it can transitively reach.  A summary, and a body walk given its entry
+//! context, is a pure function of exactly that cone, which makes the cone
+//! fingerprint the correct content-addressed key for anything derived from
+//! it (the engine keys retained walk records by it).
 
 use sil_lang::ast::{Program, Rhs, Stmt};
 use sil_lang::hash::{procedure_fingerprint, StableHasher};

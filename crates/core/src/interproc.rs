@@ -569,13 +569,10 @@ pub fn analyze_program(program: &Program, types: &ProgramTypes) -> AnalysisResul
     analyze_program_with_summaries(program, types, compute_summaries(program, types))
 }
 
-/// Analyze a program with precomputed argument-mode summaries.
-///
-/// This is the summary-reuse hook for the memoizing engine: summaries are
-/// pure functions of each procedure's call-graph cone (see
-/// [`crate::callgraph::CallGraph::cone_fingerprints`]), so a cache can
-/// supply them and skip [`crate::summary::compute_summaries`] entirely.
-/// With identical summaries the result is identical to [`analyze_program`].
+/// Analyze a program with precomputed argument-mode summaries (from
+/// [`crate::summary::compute_summaries`], or computed per SCC by the
+/// caller).  With identical summaries the result is identical to
+/// [`analyze_program`].
 pub fn analyze_program_with_summaries(
     program: &Program,
     types: &ProgramTypes,

@@ -20,7 +20,7 @@
 //!   `h*` / `h**` of Figure 7, and the whole-program driver,
 //! * [`callgraph`] — the static call graph, its SCC condensation, the
 //!   level schedule the engine parallelizes over, and the content-addressed
-//!   cone fingerprints that key the engine's summary cache,
+//!   cone fingerprints that key the engine's retained walk records,
 //! * [`interference`] — locations, the alias function, read/write sets
 //!   (Figure 5), interference sets between basic statements (§5.1) and
 //!   between procedure calls (§5.2),

@@ -248,13 +248,11 @@ fn collect_updates(
 /// Compute the summaries of one strongly connected component of the call
 /// graph, given `resolved` summaries for everything below it.
 ///
-/// This is the engine's summary-reuse hook: callers that know some
-/// components' summaries already (from a content-addressed cache) resolve
-/// them and only pay the fixpoint for the components that missed.  The
-/// members' summaries are a pure function of the members and their
-/// transitive callees — see
-/// [`crate::callgraph::CallGraph::cone_fingerprints`] for the matching cache
-/// key.
+/// Callers that already hold a call graph's SCC schedule (the engine's
+/// [`crate::callgraph::CallPlan`]) walk it bottom-up with this instead of
+/// letting [`compute_summaries`] build the graph again.  The members'
+/// summaries are a pure function of the members and their transitive
+/// callees — see [`crate::callgraph::CallGraph::cone_fingerprints`].
 pub fn compute_scc_summaries(
     program: &Program,
     types: &ProgramTypes,

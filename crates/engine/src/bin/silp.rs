@@ -70,7 +70,7 @@ options:
                          span (spans a peer daemon served come back tagged
                          with its address); works with no inputs
   --top                  live console of the daemon's flight recorder:
-                         req/s, serve p99, cache hit rate, and open
+                         req/s, serve p99, program hit rate, and open
                          connections, from deltas between recorder samples;
                          needs --connect (only a daemon hosts a recorder)
   --refresh <ms>         with --top: redraw interval (default: 1000)
@@ -545,12 +545,12 @@ fn render_top(addr: &str, samples: &[silobs::HistorySample]) -> String {
             let _ = writeln!(out, "  serve p99            -   (idle this window)");
         }
     }
-    let hits = delta("store.summaries.hits");
-    let lookups = hits + delta("store.summaries.misses");
+    let hits = delta("store.programs.hits");
+    let lookups = hits + delta("store.programs.misses");
     if lookups > 0 {
         let _ = writeln!(
             out,
-            "  hit rate     {:>9.1}%   (summaries {hits}/{lookups} this window)",
+            "  hit rate     {:>9.1}%   (programs {hits}/{lookups} this window)",
             hits as f64 / lookups as f64 * 100.0,
         );
     } else {

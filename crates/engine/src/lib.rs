@@ -7,29 +7,25 @@
 //! an ideal memoization target for a service that sees the same programs
 //! over and over (editors re-checking a buffer, CI re-analyzing a corpus,
 //! a compiler farm).  All memoized state lives in one content-addressed
-//! [`SummaryStore`] with four typed namespaces, each keyed by stable
+//! [`SummaryStore`] with three typed namespaces, each keyed by stable
 //! fingerprints of the normalized AST (`sil_lang::hash`).  The first is
-//! tiered — memory, then the disk tier, then the peer ring; the other three
+//! tiered — memory, then the disk tier, then the peer ring; the other two
 //! are plain in-memory memos of work that costs less to redo than to fetch:
 //!
 //! * **program namespace** — whole [`AnalysisResult`]s keyed by the
 //!   program fingerprint: a resubmitted program costs one hash + one map
 //!   lookup, and it is the one kind of entry that is written to disk or
 //!   served to a peer;
-//! * **scc-summary namespace** — per-SCC argument-mode summaries keyed by
-//!   the *cone fingerprint* (the SCC's content plus everything it
-//!   transitively calls — see
-//!   [`sil_analysis::CallGraph::cone_fingerprints`]): programs that share
-//!   procedures reuse each other's summary work even when the
-//!   whole-program entry misses.  A table missing from memory is
-//!   recomputed: that costs less than any fetch did ([`store`] has the
-//!   numbers);
 //! * **walk-record namespace** — the interprocedural fixpoint's recorded
-//!   body walks, keyed by cone fingerprint, which make re-analysis of
-//!   edited programs incremental.  A cone's records are admitted only on
-//!   its second sighting — when the request found the cone's summary table
-//!   already in the store — so a never-seen program keeps none, and an
-//!   edit replays the unchanged cones of a program seen before;
+//!   body walks, keyed by the *cone fingerprint* (an SCC's content plus
+//!   everything it transitively calls — see
+//!   [`sil_analysis::CallGraph::cone_fingerprints`]), which make
+//!   re-analysis of edited programs incremental.  A cone's first sighting
+//!   files an empty record set; its records are admitted from its second
+//!   sighting on, so a never-seen program keeps none, and an edit replays
+//!   the unchanged cones of a program seen before.  The per-SCC
+//!   argument-mode summaries are recomputed on every program miss: a
+//!   syntactic pass of 10–20 µs on a size-6 program;
 //! * **product namespace** — what parallelization derives from a program
 //!   ([`ParallelProduct`]: transform count, printed parallel source,
 //!   verifier violations), keyed by the program fingerprint, so a warm
@@ -226,7 +222,8 @@ impl From<SilError> for EngineError {
 pub struct EngineStats {
     /// Whole-program lookups through this engine.
     pub programs: CacheStats,
-    /// Per-SCC summary lookups through this engine.
+    /// Always zero: summaries are no longer memoized.  Kept because
+    /// protocol v2 `stats` replies carry it.
     pub summaries: CacheStats,
     /// Walk-record (cone) lookups through this engine: a hit means a
     /// procedure's retained walks were available for incremental replay
@@ -290,7 +287,6 @@ impl ViewCounters {
 #[derive(Debug)]
 struct StoreView {
     programs: ViewCounters,
-    summaries: ViewCounters,
     walks: ViewCounters,
 }
 
@@ -298,7 +294,6 @@ impl StoreView {
     fn register(registry: &Registry) -> StoreView {
         StoreView {
             programs: ViewCounters::register(registry, "programs"),
-            summaries: ViewCounters::register(registry, "summaries"),
             walks: ViewCounters::register(registry, "walks"),
         }
     }
@@ -313,7 +308,6 @@ fn export_store_metrics(store: &SummaryStore, raw: &mut RawMetrics) {
     let sources = store.sources().stats();
     for (name, namespace) in [
         ("programs", &stats.programs),
-        ("summaries", &stats.summaries),
         ("walks", &stats.walks),
         ("products", &stats.products),
         ("sources", &sources),
@@ -563,14 +557,13 @@ impl Engine {
         } = normalized;
         // The call graph, its schedule and the cone fingerprints: computed
         // here once, for the summary pass, the walk lookup and the fixpoint.
-        let (plan, (summaries, seen_before)) = {
-            let _span = self.tracer.start("summaries");
-            let plan = CallPlan::of_program(&program);
-            let summaries = self.summaries_for(&program, &types, &plan);
-            (plan, summaries)
+        let plan = {
+            let _span = self.tracer.start("call-plan");
+            CallPlan::of_program(&program)
         };
+        let summaries = self.summaries_for(&program, &types, &plan);
 
-        let (reuse, retained) = self.retained_walks(&plan.cones);
+        let (reuse, seen_before) = self.sight_cones(&plan.cones);
         let options = AnalyzeOptions {
             // Only the records of cones seen before are kept
             // (`retain_walks`): with none, there is nothing to record.
@@ -597,12 +590,12 @@ impl Engine {
             if analysis.procedure(name).is_none() {
                 continue;
             }
-            if retained.contains(cone) {
+            if seen_before.get(cone) == Some(&true) {
                 stats.procedures_reused += 1;
             } else {
                 stats.procedures_stale += 1;
             }
-            if !seen_before.contains(cone) {
+            if !seen_before.contains_key(cone) {
                 declined.insert(*cone);
             }
         }
@@ -624,39 +617,51 @@ impl Engine {
         entry
     }
 
-    /// The walk records the store retains for `cones`, as one snapshot to
-    /// replay from, and the cones that had any.
-    fn retained_walks(&self, cones: &HashMap<String, u64>) -> (AnalysisSnapshot, HashSet<u64>) {
+    /// One lookup per distinct cone in the walk-record namespace: the
+    /// retained records, as one snapshot to replay from, and each cone
+    /// sighted before, mapped to whether it had records.  A cone without an
+    /// entry is on its first sighting and gets an empty record set, which
+    /// marks it as seen.  Only a non-empty set is a hit in this engine's
+    /// view.
+    fn sight_cones(&self, cones: &HashMap<String, u64>) -> (AnalysisSnapshot, HashMap<u64, bool>) {
         let mut distinct: Vec<u64> = cones.values().copied().collect();
         distinct.sort_unstable();
         distinct.dedup();
         let mut reuse = AnalysisSnapshot::new();
-        let mut retained = HashSet::new();
+        let mut seen_before = HashMap::new();
         for cone in distinct {
-            match self.store.walks().get(cone) {
-                Some(records) => {
-                    self.view.walks.hit();
-                    retained.insert(cone);
-                    for record in records.iter() {
-                        reuse.insert(record.clone());
-                    }
-                }
-                None => self.view.walks.miss(),
+            let Some(records) = self.store.walks().get(cone) else {
+                self.view.walks.miss();
+                // A merge, not an insert: records a concurrent request
+                // filed for this cone since the lookup stay.
+                self.store
+                    .walks()
+                    .merge(cone, |existing| existing.cloned().unwrap_or_default());
+                continue;
+            };
+            seen_before.insert(cone, !records.is_empty());
+            if records.is_empty() {
+                self.view.walks.miss();
+            } else {
+                self.view.walks.hit();
+            }
+            for record in records.iter() {
+                reuse.insert(record.clone());
             }
         }
-        (reuse, retained)
+        (reuse, seen_before)
     }
 
     /// Keep one run's walks for the next edit, grouped by cone — but only
-    /// the cones in `seen_before`, whose summary table this request found
-    /// already in the store.  A cone on its first sighting (every cone of a
+    /// the cones in `seen_before`, which this request found already in the
+    /// walk-record namespace.  A cone on its first sighting (every cone of a
     /// never-seen program) is declined: its records would only wait for an
     /// eviction.  A cone that comes back is admitted then, and replays from
     /// the sighting after.
-    fn retain_walks(&self, snapshot: &AnalysisSnapshot, seen_before: &HashSet<u64>) {
+    fn retain_walks(&self, snapshot: &AnalysisSnapshot, seen_before: &HashMap<u64, bool>) {
         let mut by_cone: HashMap<u64, Vec<Arc<WalkRecord>>> = HashMap::new();
         for record in snapshot.records() {
-            if seen_before.contains(&record.cone) {
+            if seen_before.contains_key(&record.cone) {
                 by_cone.entry(record.cone).or_default().push(record.clone());
             }
         }
@@ -701,43 +706,26 @@ impl Engine {
         Ok((entry, cache_hit))
     }
 
-    /// Argument-mode summaries for every procedure, reusing cached per-SCC
-    /// results and computing the misses bottom-up, level by level; and the
-    /// cones whose table the store already held.  Every member of an SCC
-    /// has the SCC's cone fingerprint, which also groups its walk records.
+    /// Argument-mode summaries for every procedure, computed bottom-up over
+    /// the plan's SCC levels: a syntactic pass, cheaper to redo on every
+    /// miss than to keep.  `engine.summaries_us` times exactly its
+    /// `summaries` span.
     fn summaries_for(
         &self,
         program: &Program,
         types: &ProgramTypes,
         plan: &CallPlan,
-    ) -> (HashMap<String, ProcSummary>, HashSet<u64>) {
+    ) -> HashMap<String, ProcSummary> {
+        let _span = self.tracer.start("summaries");
         let start = silobs::ticks();
-        let mut resolved: HashMap<String, ProcSummary> = HashMap::new();
-        let mut seen_before = HashSet::new();
+        let mut resolved = HashMap::new();
         for scc in plan.levels.iter().flatten() {
-            let cone = scc
-                .first()
-                .and_then(|m| plan.cones.get(m).copied())
-                .unwrap_or_default();
-            let table = match self.store.summaries().get(cone) {
-                Some(hit) => {
-                    self.view.summaries.hit();
-                    seen_before.insert(cone);
-                    hit
-                }
-                None => {
-                    self.view.summaries.miss();
-                    let computed = Arc::new(compute_scc_summaries(program, types, scc, &resolved));
-                    self.view.summaries.insertion();
-                    self.store.summaries().insert(cone, computed.clone());
-                    computed
-                }
-            };
-            resolved.extend(table.iter().map(|(name, s)| (name.clone(), s.clone())));
+            let table = compute_scc_summaries(program, types, scc, &resolved);
+            resolved.extend(table);
         }
         self.summaries_us
             .record(silobs::ticks().saturating_sub(start));
-        (resolved, seen_before)
+        resolved
     }
 
     /// Map `op` over `items` in input order — across rayon when there is
@@ -933,7 +921,7 @@ impl Engine {
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             programs: self.view.programs.snapshot(),
-            summaries: self.view.summaries.snapshot(),
+            summaries: CacheStats::default(),
             walks: self.view.walks.snapshot(),
         }
     }
@@ -950,8 +938,8 @@ impl Engine {
         self.store.clear();
     }
 
-    /// Drop only the whole-program namespace, keeping the summary and walk
-    /// namespaces warm — the warm-incremental side of cold-vs-incremental
+    /// Drop only the whole-program namespace, keeping the walk-record
+    /// namespace warm — the warm-incremental side of cold-vs-incremental
     /// measurements re-analyzes a program with full cone reuse.
     pub fn clear_program_cache(&self) {
         self.store.programs().clear();
@@ -1016,20 +1004,23 @@ mod tests {
     }
 
     #[test]
-    fn summary_cache_is_shared_across_programs() {
+    fn cone_sightings_are_shared_across_programs() {
         let engine = Engine::default();
         // Two different programs with an identical `build`+`sum` cone: the
-        // second program's summary lookups hit.
+        // second program sights those cones a second time, so their
+        // records are kept, and only its new `main` cone is declined.
         let a = Workload::TreeSum.source(4);
         let b = Workload::TreeSum.source(5); // differs only in main
         engine.analyze_source(&a).unwrap();
-        let before = engine.stats().summaries.hits;
+        let sighted = engine.store_stats().walks.entries as u64;
+        assert_eq!(engine.stats().walks.insertions, 0, "a keeps no records");
         engine.analyze_source(&b).unwrap();
-        let after = engine.stats().summaries.hits;
-        assert!(
-            after > before,
-            "expected shared-cone summary hits ({before} -> {after})"
-        );
+        assert!(engine.stats().walks.insertions > 0, "b's shared cones kept");
+        let declined = engine
+            .metrics_raw()
+            .summarize()
+            .counter("engine.walks.declined");
+        assert_eq!(declined, Some(sighted + 1), "a's cones, then b's main");
     }
 
     #[test]

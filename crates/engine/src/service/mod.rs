@@ -385,7 +385,6 @@ mod tests {
         assert_eq!(engine.call(Request::clear_caches()), Response::cleared());
         let stats = engine.store_stats();
         assert_eq!(stats.programs.entries, 0);
-        assert_eq!(stats.summaries.entries, 0);
         assert_eq!(stats.walks.entries, 0);
     }
 

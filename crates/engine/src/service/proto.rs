@@ -875,7 +875,8 @@ record!(CacheStats {
     "evictions" => evictions,
 });
 
-// One engine's per-namespace view counters.
+// One engine's per-namespace view counters (`summaries` always zero, kept
+// for protocol v2 like the store's).
 record!(EngineStats { "programs" => programs, "summaries" => summaries, "walks" => walks });
 
 // One store namespace's counters.  (A reply from a daemon that still chose
@@ -916,7 +917,9 @@ record!(PeerStats {
     "known_keys" => known_keys,
 });
 
-// The whole store snapshot.  A reply without `products` (a daemon that
+// The whole store snapshot.  `summaries` is always empty, with capacity 0:
+// no table is memoized, and the member stays until protocol v3 because
+// older clients require it.  A reply without `products` (a daemon that
 // predates the namespace) decodes with an empty, zero-capacity one; `disk`
 // is there when a disk tier is configured, `peer` when a ring is attached
 // or this daemon has served peers.
@@ -924,12 +927,7 @@ record!(StoreStats {
     "programs" => programs,
     "summaries" => summaries,
     "walks" => walks,
-    "products" => products [or NamespaceStats {
-        totals: CacheStats::default(),
-        entries: 0,
-        capacity: 0,
-        stripes: Vec::new(),
-    }],
+    "products" => products [or NamespaceStats::default()],
     "disk" => disk [opt],
     "peer" => peer [opt],
 });

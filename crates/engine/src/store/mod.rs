@@ -2,30 +2,26 @@
 //! behind every engine.
 //!
 //! Hendren & Nicolau's interprocedural path-matrix analysis is dominated
-//! by re-deriving per-procedure/SCC summaries, which is exactly what this
-//! store memoizes.  It replaces the engine's former trio of private caches
-//! (a whole-program `ContentCache`, an SCC-summary `ContentCache`, and a
-//! cone-keyed `ProcedureCache`) with one coherent abstraction:
+//! by the fixpoint over procedure bodies, whose whole-program results and
+//! per-cone body walks are what this store memoizes:
 //!
 //! * **content-addressed** — every key is a stable 64-bit fingerprint of
 //!   normalized program content (`sil_lang::hash`), so identical content
 //!   hits regardless of which client, connection, or engine produced it;
 //! * **typed namespaces** — [`Namespace::Program`] (whole
-//!   `AnalysisResult`s), [`Namespace::SccSummary`] (per-SCC argument-mode
-//!   summaries keyed by cone fingerprint), [`Namespace::WalkRecord`]
-//!   (retained interprocedural body walks keyed by cone fingerprint, the
-//!   raw material of incremental re-analysis; the engine admits a cone's
-//!   records only on its second sighting, when the request found the
-//!   cone's summary table already here, so a never-seen program leaves
-//!   none behind), and [`Namespace::Product`]
-//!   (what parallelization derives from a program, keyed by program
-//!   fingerprint) each get their own capacity and counters;
+//!   `AnalysisResult`s), [`Namespace::WalkRecord`] (retained
+//!   interprocedural body walks keyed by cone fingerprint, the raw material
+//!   of incremental re-analysis) and [`Namespace::Product`] (what
+//!   parallelization derives from a program, keyed by program fingerprint)
+//!   each get their own capacity and counters.  The engine files an empty
+//!   record set on a cone's first sighting and admits its records from the
+//!   second sighting on, so a never-seen program leaves no records behind;
+//!   `walks` entries and hits therefore count sightings as well as record
+//!   sets.  The per-SCC argument-mode summaries are not kept: computing a
+//!   program's tables is a syntactic pass of 10–20 µs per miss;
 //! * **one tiered namespace** — only whole programs live below memory
 //!   (the disk tier, then the peer ring): an entry costs about a
-//!   millisecond to recompute.  The other three are plain in-memory memos
-//!   read with `get` and filled with `insert`; a summary table in
-//!   particular is a 2 µs syntactic pass, less than the 4.8 µs a segment
-//!   read of one cost or the 80 µs a peer's answer did;
+//!   millisecond to recompute.  The other two are plain in-memory memos;
 //! * **a source-text memo in front** — [`SummaryStore::sources`] maps the
 //!   exact bytes of a request's source to the program fingerprint the
 //!   front end derived from them, so an exact repeat skips parsing and
@@ -60,8 +56,7 @@ pub use namespace::{CacheStats, NamespaceCache, NamespaceStats, DEFAULT_STRIPES}
 use crate::service::json::Json;
 use crate::service::proto::PeerNamespace;
 use crate::{AnalyzedProgram, Normalized};
-use sil_analysis::{ProcSummary, WalkRecord};
-use std::collections::HashMap;
+use sil_analysis::WalkRecord;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -70,8 +65,6 @@ use std::sync::{Arc, OnceLock};
 pub enum Namespace {
     /// Whole-program analysis results, keyed by program fingerprint.
     Program,
-    /// Per-SCC argument-mode summaries, keyed by cone fingerprint.
-    SccSummary,
     /// Retained interprocedural body walks, keyed by cone fingerprint.
     WalkRecord,
     /// Parallelization products, keyed by program fingerprint.
@@ -80,9 +73,8 @@ pub enum Namespace {
 
 impl Namespace {
     /// Every namespace, in reporting order.
-    pub const ALL: [Namespace; 4] = [
+    pub const ALL: [Namespace; 3] = [
         Namespace::Program,
-        Namespace::SccSummary,
         Namespace::WalkRecord,
         Namespace::Product,
     ];
@@ -91,7 +83,6 @@ impl Namespace {
     pub fn name(self) -> &'static str {
         match self {
             Namespace::Program => "programs",
-            Namespace::SccSummary => "summaries",
             Namespace::WalkRecord => "walks",
             Namespace::Product => "products",
         }
@@ -104,9 +95,8 @@ impl Namespace {
 pub struct StoreConfig {
     /// Capacity of the whole-program namespace.
     pub program_capacity: usize,
-    /// Capacity of the per-SCC summary namespace.
-    pub summary_capacity: usize,
-    /// Capacity (in cones) of the walk-record namespace.
+    /// Capacity (in cones) of the walk-record namespace: record sets and
+    /// first sightings share it.
     pub walk_capacity: usize,
     /// Lock stripes per namespace (clamped to each namespace's capacity).
     pub stripes: usize,
@@ -119,7 +109,6 @@ impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             program_capacity: 256,
-            summary_capacity: 1024,
             walk_capacity: 512,
             stripes: DEFAULT_STRIPES,
             durable: None,
@@ -147,7 +136,8 @@ impl StoreConfig {
 pub struct StoreStats {
     /// The whole-program namespace.
     pub programs: NamespaceStats,
-    /// The per-SCC summary namespace.
+    /// Always empty with capacity 0: summaries are no longer memoized.
+    /// Kept because protocol v2 `stats` replies carry it.
     pub summaries: NamespaceStats,
     /// The walk-record namespace.
     pub walks: NamespaceStats,
@@ -164,19 +154,14 @@ impl StoreStats {
     pub fn namespace(&self, namespace: Namespace) -> &NamespaceStats {
         match namespace {
             Namespace::Program => &self.programs,
-            Namespace::SccSummary => &self.summaries,
             Namespace::WalkRecord => &self.walks,
             Namespace::Product => &self.products,
         }
     }
 }
 
-/// Retained per-SCC argument-mode summaries (the value type of
-/// [`Namespace::SccSummary`]).
-pub type SummaryTable = Arc<HashMap<String, ProcSummary>>;
-
 /// Retained body walks of one cone (the value type of
-/// [`Namespace::WalkRecord`]).
+/// [`Namespace::WalkRecord`]); empty for a cone sighted once.
 pub type WalkSet = Arc<Vec<Arc<WalkRecord>>>;
 
 /// What parallelization derives from one normalized program — the output
@@ -229,7 +214,6 @@ pub struct FiledSource {
 #[derive(Debug)]
 pub struct SummaryStore {
     programs: NamespaceCache<Arc<AnalyzedProgram>>,
-    summaries: NamespaceCache<SummaryTable>,
     walks: NamespaceCache<WalkSet>,
     /// Memory-only like `walks`, and sized like `programs`: one product per
     /// program.
@@ -280,7 +264,6 @@ impl SummaryStore {
             peer_bytes_out: AtomicU64::new(0),
             generation: AtomicU64::new(0),
             programs: NamespaceCache::with_stripes(config.program_capacity, config.stripes),
-            summaries: NamespaceCache::with_stripes(config.summary_capacity, config.stripes),
             walks: NamespaceCache::with_stripes(config.walk_capacity, config.stripes),
             products: NamespaceCache::with_stripes(config.program_capacity, config.stripes),
             sources: NamespaceCache::with_stripes(config.program_capacity, config.stripes),
@@ -295,12 +278,6 @@ impl SummaryStore {
     /// The whole-program namespace.
     pub fn programs(&self) -> &NamespaceCache<Arc<AnalyzedProgram>> {
         &self.programs
-    }
-
-    /// The per-SCC summary namespace (memory-only: a table missing here is
-    /// recomputed, which costs less than reading one back from any tier).
-    pub fn summaries(&self) -> &NamespaceCache<SummaryTable> {
-        &self.summaries
     }
 
     /// The walk-record namespace.
@@ -382,9 +359,8 @@ impl SummaryStore {
     /// persists: memory first (encoding the document on demand), then
     /// disk (a read for a peer, not a lookup: it counts as no disk hit or
     /// miss); never recomputed.  Either way the reply's member is those
-    /// bytes, parsed.  A summary table is never served — the
-    /// namespace lives in memory only — so an older daemon that still asks
-    /// for one gets the answer an evicted key gets.
+    /// bytes, parsed.  Summary tables are not kept at all, so an older
+    /// daemon that still asks for one gets the answer an evicted key gets.
     pub fn peer_body(&self, namespace: PeerNamespace, key: u64) -> Option<Json> {
         self.peer_serves.fetch_add(1, Ordering::Relaxed);
         let body = match namespace {
@@ -491,7 +467,7 @@ impl SummaryStore {
         let bytes_out = self.peer_bytes_out.load(Ordering::Relaxed);
         StoreStats {
             programs: self.programs.stats(),
-            summaries: self.summaries.stats(),
+            summaries: NamespaceStats::default(),
             walks: self.walks.stats(),
             products: self.products.stats(),
             disk: self.durable.as_ref().map(|tier| tier.stats()),
@@ -514,7 +490,6 @@ impl SummaryStore {
     /// the inventory generation so peers discard stale advertisements.
     pub fn clear(&self) {
         self.programs.clear();
-        self.summaries.clear();
         self.walks.clear();
         self.products.clear();
         self.sources.clear();
@@ -533,17 +508,14 @@ mod tests {
     fn namespaces_are_independent() {
         let store = SummaryStore::new(StoreConfig {
             program_capacity: 2,
-            summary_capacity: 4,
             walk_capacity: 3,
             ..StoreConfig::default()
         });
-        store.summaries().insert(1, Arc::new(HashMap::new()));
         store.walks().insert(1, Arc::new(Vec::new()));
         store
             .products()
             .insert(1, Arc::new(ParallelProduct::new(0, String::new())));
         assert_eq!(store.programs().len(), 0);
-        assert_eq!(store.summaries().len(), 1);
         assert_eq!(store.walks().len(), 1);
         assert_eq!(store.products().len(), 1);
         assert_eq!(
@@ -551,7 +523,7 @@ mod tests {
             2,
             "follows the program namespace"
         );
-        assert_eq!(store.stats().summaries.entries, 1);
+        assert_eq!(store.stats().summaries, NamespaceStats::default());
         assert_eq!(store.stats().namespace(Namespace::WalkRecord).entries, 1);
         assert_eq!(store.stats().programs.capacity, 2);
         store.file_source(1, "program p", 7);
@@ -563,7 +535,6 @@ mod tests {
         );
 
         store.clear();
-        assert!(store.summaries().is_empty());
         assert!(store.walks().is_empty());
         assert!(store.products().is_empty());
         assert!(store.sources().is_empty());
@@ -587,6 +558,6 @@ mod tests {
     #[test]
     fn namespace_names_are_stable() {
         let names: Vec<&str> = Namespace::ALL.iter().map(|n| n.name()).collect();
-        assert_eq!(names, ["programs", "summaries", "walks", "products"]);
+        assert_eq!(names, ["programs", "walks", "products"]);
     }
 }

@@ -54,8 +54,8 @@ impl CacheStats {
 }
 
 /// Counter snapshot of one namespace: the aggregate and the per-stripe
-/// split.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// split.  The default is an absent namespace: no entries, capacity 0.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NamespaceStats {
     /// All stripes' counters, field-wise summed.
     pub totals: CacheStats,

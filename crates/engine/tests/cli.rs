@@ -197,12 +197,13 @@ fn stats_table_renders_namespaces() {
         .unwrap();
     assert!(output.status.success(), "{}", stderr_of(&output));
     let stderr = stderr_of(&output);
-    for namespace in ["programs", "summaries", "walks", "products"] {
+    for namespace in ["programs", "walks", "products"] {
         assert!(
             stderr.contains(&format!("\n  {namespace} ")),
             "no {namespace} row in:\n{stderr}"
         );
     }
+    assert!(!stderr.contains("\n  summaries "), "{stderr}");
     assert!(
         stderr.contains("\n  namespace  entries/cap  hit rate    hits  misses  evict\n"),
         "{stderr}"
@@ -380,6 +381,57 @@ fn remote_errors_render_like_local_errors() {
     assert!(String::from_utf8_lossy(&remote.stdout).contains("\"error\":\"frontend:"));
 
     let _ = std::fs::remove_file(&bad);
+    daemon.stop();
+}
+
+/// A real `sild` still answers a protocol v2 `stats` line with every member
+/// a v2 client decodes as required, the retired `summaries` namespace
+/// included, as zeros: the frozen benchmark reads `total.summaries.*`, and
+/// older clients decode `store.summaries` whole.
+#[test]
+fn a_live_daemon_still_speaks_v2_stats() {
+    use sil_engine::service::json::Json;
+    use std::io::{BufRead, BufReader, Write};
+
+    let daemon = Daemon::launch("v2-stats");
+    let output = silp()
+        .args(["--connect", daemon.addr.as_str(), "--workload", "tree_sum"])
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "{}", stderr_of(&output));
+
+    let mut stream = std::os::unix::net::UnixStream::connect(&daemon.sock).unwrap();
+    stream
+        .write_all(b"{\"protocol_version\":2,\"type\":\"stats\"}\n")
+        .unwrap();
+    let mut line = String::new();
+    BufReader::new(&stream).read_line(&mut line).unwrap();
+    let stats = Json::parse(line.trim_end()).unwrap();
+    assert_eq!(stats.get("type").and_then(Json::as_str), Some("stats"));
+    let count = |path: &[&str]| {
+        path.iter()
+            .try_fold(&stats, |json, key| json.get(key))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("stats reply lacks {path:?}: {line}"))
+    };
+    // The members the benchmark's counter read requires.
+    for namespace in ["programs", "summaries", "walks"] {
+        count(&["total", namespace, "hits"]);
+        count(&["total", namespace, "misses"]);
+    }
+    for member in ["evictions", "hits", "misses"] {
+        count(&["store", "programs", "totals", member]);
+    }
+    assert!(count(&["total", "programs", "misses"]) > 0, "{line}");
+    assert!(count(&["store", "walks", "entries"]) > 0, "{line}");
+    // The retired namespace: present, and zero.
+    for member in ["hits", "misses", "insertions", "evictions"] {
+        assert_eq!(count(&["total", "summaries", member]), 0, "{line}");
+        assert_eq!(count(&["store", "summaries", "totals", member]), 0);
+    }
+    assert_eq!(count(&["store", "summaries", "entries"]), 0);
+    assert_eq!(count(&["store", "summaries", "capacity"]), 0);
+    drop(stream);
     daemon.stop();
 }
 

@@ -117,7 +117,6 @@ fn eviction_stats_behave_at_small_capacities() {
     let engine = Engine::new(EngineConfig {
         store: StoreConfig {
             program_capacity: 2,
-            summary_capacity: 4,
             ..StoreConfig::default().with_stripes(1)
         },
     });
@@ -137,7 +136,6 @@ fn eviction_stats_behave_at_small_capacities() {
         8,
         "all distinct programs miss"
     );
-    assert!(store.summaries.entries <= 4, "summary capacity bound");
 
     // Re-analyzing an evicted program misses and re-inserts.
     engine.analyze_source(&sources[0]).unwrap();
@@ -155,7 +153,6 @@ fn a_program_queried_between_cold_insertions_stays_resident() {
     let engine = Engine::new(EngineConfig {
         store: StoreConfig {
             program_capacity: 2,
-            summary_capacity: 64,
             ..StoreConfig::default().with_stripes(1)
         },
     });

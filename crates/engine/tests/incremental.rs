@@ -6,14 +6,14 @@
 //! base/edited pair the engine — primed with the base program so the edit
 //! takes the incremental path — must produce an analysis whose digest equals
 //! a from-scratch `analyze_program` of the edited program.  A dedicated test
-//! additionally proves that a single-procedure edit reuses the summaries and
-//! retained walks of every strongly connected component outside the edited
+//! additionally proves that a single-procedure edit reuses the retained
+//! walks of every strongly connected component outside the edited
 //! procedure's dependent cone.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sil_analysis::{analyze_program, CallGraph};
-use sil_engine::Engine;
+use sil_engine::{Engine, EngineConfig, StoreConfig};
 use sil_lang::ast::*;
 use sil_lang::span::Span;
 use sil_lang::{frontend, pretty_program};
@@ -329,8 +329,8 @@ fn incremental_digest_equals_full_analysis_on_mutated_programs() {
     );
 }
 
-/// A single-procedure edit must reuse the per-SCC summaries and retained
-/// walks of every component outside the edited procedure's dependent cone.
+/// A single-procedure edit must reuse the retained walks of every
+/// component outside the edited procedure's dependent cone.
 #[test]
 fn single_procedure_edit_reuses_everything_outside_the_dependent_cone() {
     // tree_sum: main -> sum -> (self), main -> build -> (self).
@@ -377,19 +377,7 @@ fn single_procedure_edit_reuses_everything_outside_the_dependent_cone() {
     let entry = engine.analyze_source(&edited_src).unwrap();
     let after = engine.stats();
 
-    // Summary cache: every unchanged component hits, every stale one misses.
-    assert_eq!(
-        (after.summaries.hits - before.summaries.hits) as usize,
-        unchanged_sccs,
-        "summaries outside the dependent cone must be reused"
-    );
-    assert_eq!(
-        (after.summaries.misses - before.summaries.misses) as usize,
-        stale_sccs,
-        "summaries inside the dependent cone must be recomputed"
-    );
-
-    // Walk cache: same accounting at cone granularity…
+    // Walk cache: every unchanged component hits, every stale one misses…
     assert_eq!(
         (after.walks.hits - before.walks.hits) as usize,
         unchanged_sccs
@@ -444,8 +432,9 @@ fn unreachable_procedures_do_not_count_as_stale() {
 }
 
 /// Walk records enter the store only for cones this request found in the
-/// `summaries` namespace: a never-seen program keeps none, its second
-/// sighting keeps them all, and an edit after that replays.
+/// `walks` namespace: a never-seen program's cones get empty record sets
+/// and keep no records, its second sighting keeps them all, and an edit
+/// after that replays.
 #[test]
 fn walk_records_are_kept_from_a_cones_second_sighting() {
     let src = Workload::TreeSum.source(4);
@@ -460,19 +449,21 @@ fn walk_records_are_kept_from_a_cones_second_sighting() {
             .expect("the engine registers engine.walks.declined")
     };
 
-    // First sighting: every cone is new, and no record is kept.
+    // First sighting: every cone is new and gets an empty record set; no
+    // record is kept.
     let first = engine.analyze_source(&src).unwrap();
     assert!(first.incremental.expect("incremental").walks_performed > 0);
-    assert_eq!(engine.store_stats().walks.entries, 0);
     assert_eq!(engine.stats().walks.insertions, 0);
     let cones = declined();
     assert!(cones > 0);
+    assert_eq!(engine.store_stats().walks.entries as u64, cones, "sighted");
 
-    // Second sighting: every table hits, so every cone's records are kept,
-    // though none were there to replay.
+    // Second sighting: every cone has an entry, so every cone's records are
+    // kept, though none were there to replay.
     engine.clear_program_cache();
     let second = engine.analyze_source(&src).unwrap();
     assert_eq!(second.incremental.expect("incremental").walks_reused, 0);
+    assert_eq!(engine.stats().walks.insertions, cones);
     assert_eq!(engine.store_stats().walks.entries as u64, cones);
     assert_eq!(declined(), cones, "nothing declined on a second sighting");
 
@@ -490,6 +481,64 @@ fn walk_records_are_kept_from_a_cones_second_sighting() {
             analyze_program(&program, &types).digest()
         );
     }
+}
+
+/// Sightings and records share the `walks` slots, so a cone whose entry
+/// was evicted is on its first sighting again: with room for exactly
+/// program A's cones, a never-seen program B evicts every one of them, and
+/// A's next edit declines its records and replays nothing.
+#[test]
+fn an_evicted_sighting_is_a_first_sighting_again() {
+    let distinct_cones = |src: &str| {
+        let (program, _) = frontend(src).unwrap();
+        let cones = CallGraph::of_program(&program).cone_fingerprints(&program);
+        cones.into_values().collect::<HashSet<u64>>()
+    };
+    let a = Workload::TreeSum.source(4);
+    let edited = a.replace("d := 4", "d := 3");
+    assert_ne!(edited, a, "edit must apply");
+    let b = Workload::Bisort.source(4);
+    let a_cones = distinct_cones(&a);
+    let b_cones = distinct_cones(&b);
+    assert!(b_cones.len() >= a_cones.len(), "B can evict all of A");
+    assert!(a_cones.is_disjoint(&b_cones), "B never saw A's cones");
+
+    let engine = Engine::new(EngineConfig {
+        store: StoreConfig {
+            walk_capacity: a_cones.len(),
+            ..StoreConfig::default().with_stripes(1)
+        },
+    });
+    let declined = || {
+        engine
+            .metrics_raw()
+            .summarize()
+            .counter("engine.walks.declined")
+            .expect("the engine registers engine.walks.declined")
+    };
+
+    // A twice: its cones are admitted.
+    engine.analyze_source(&a).unwrap();
+    engine.clear_program_cache();
+    engine.analyze_source(&a).unwrap();
+    assert_eq!(engine.stats().walks.insertions as usize, a_cones.len());
+
+    // B's first sightings take every slot.
+    engine.analyze_source(&b).unwrap();
+    let evictions = engine.store_stats().walks.totals.evictions as usize;
+    assert!(evictions >= a_cones.len(), "{evictions} evictions");
+
+    // A's edit: every cone is a first sighting again.
+    let before = declined();
+    let entry = engine.analyze_source(&edited).unwrap();
+    let stats = entry.incremental.expect("incremental");
+    assert_eq!(stats.walks_reused, 0, "{stats:?}");
+    assert_eq!(declined() - before, a_cones.len() as u64);
+    let (program, types) = frontend(&edited).unwrap();
+    assert_eq!(
+        entry.analysis.digest(),
+        analyze_program(&program, &types).digest()
+    );
 }
 
 /// Alpha-conversion sanity: renaming a local is a real edit (digest moves

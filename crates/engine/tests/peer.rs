@@ -6,7 +6,7 @@
 use sil_engine::service::{
     json, ErrorKind, Json, PeerNamespace, RemoteService, Request, Response, Server, Service,
 };
-use sil_engine::{Addr, Engine, PeerConfig, PeerRing, ServerHandle};
+use sil_engine::{Addr, Engine, NamespaceStats, PeerConfig, PeerRing, ServerHandle};
 use sil_workloads::Workload;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -234,7 +234,7 @@ fn survivor_keeps_serving_after_a_peer_is_killed_dash_nine() {
 
 /// What a program no daemon has seen costs a peered engine: one ask per
 /// peer, for the program.  Its SCC summary tables are computed in place —
-/// the ring is never asked for one.
+/// the ring is never asked for one, and the store keeps none.
 #[test]
 fn a_never_seen_program_costs_one_ask_per_peer() {
     let (warm_service, warm_handle) = spawn_daemon("oneask-warm");
@@ -253,10 +253,8 @@ fn a_never_seen_program_costs_one_ask_per_peer() {
     let summary = analyze(&service, &Workload::ListSum.source(5));
     assert!(!summary.cache_hit, "neither peer holds it");
     let stats = service.store().stats();
-    assert!(
-        stats.summaries.totals.insertions > 0,
-        "tables were computed"
-    );
+    assert!(stats.walks.entries > 0, "its cones were sighted");
+    assert_eq!(stats.summaries, NamespaceStats::default(), "no table kept");
     let peer = stats.peer.expect("peer stats");
     assert_eq!((peer.hits, peer.misses), (0, 1), "{peer:?}");
     assert_eq!(serves(&warm_service), before.0 + 1);
@@ -269,17 +267,17 @@ fn a_never_seen_program_costs_one_ask_per_peer() {
 /// Summary tables left the peer protocol without moving the wire: the
 /// `summaries` list of an inventory is always empty, so a daemon from
 /// before PR 23 never asks for one, and a `peer_fetch` for one is answered
-/// as an absent key is — even while the table sits in this daemon's memory.
+/// as an absent key is — even for a cone this daemon has sighted.
 #[test]
 fn a_summaries_fetch_is_answered_like_an_absent_program() {
     let service = Engine::default();
     analyze(&service, &Workload::TreeSum.source(4));
     let cone = *service
         .store()
-        .summaries()
+        .walks()
         .keys()
         .first()
-        .expect("the analysis memoized a table");
+        .expect("the analysis sighted a cone");
 
     let inventory = service.call(Request::peer_inventory()).encode();
     assert!(inventory.contains(r#""summaries":[]"#), "{inventory}");

@@ -686,6 +686,8 @@ fn process_spans_explain_the_serve_span() {
     let (serve, spans) = request_spans(&remote);
     for name in [
         "parse",
+        "call-plan",
+        "summaries",
         "product-lookup",
         "pack",
         "pretty",
