@@ -30,6 +30,7 @@ use sil_lang::hash::StableHasher;
 use sil_lang::pretty::pretty_stmt;
 use sil_lang::types::{ProcSignature, ProgramTypes, Type};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Maximum number of whole-program rounds before declaring convergence
@@ -54,14 +55,19 @@ pub fn is_symbolic(name: &str) -> bool {
 
 /// The analysis information recorded at one program point (just *before* the
 /// recorded statement executes).
+///
+/// The three texts depend only on the procedure's body, so an analysis
+/// renders them on a procedure's first walk and every later walk of it —
+/// and every point of those walks, and every record of them — shares the
+/// same allocations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramPoint {
     /// `procedure:index` label, in execution order of the body walk.
-    pub label: String,
+    pub label: Arc<str>,
     /// Pretty-printed statement the point precedes.
-    pub statement: String,
+    pub statement: Arc<str>,
     /// If the statement is a procedure call, the callee name.
-    pub callee: Option<String>,
+    pub callee: Option<Arc<str>>,
     /// The abstract state before the statement.  Points whose statement
     /// left the state as it found it share one allocation with their
     /// successor.
@@ -248,31 +254,35 @@ impl AnalysisResult {
     }
 }
 
-/// The digest's view of states: each hashed by its rendering.  Rendering
-/// the matrix is most of what a digest costs, and states that share an
-/// allocation render the same bytes, so each distinct state is rendered
-/// once, into one buffer, and found again by address.
+/// The digest's view of states: each hashed by its rendering and its node
+/// sets' names in name order.  Rendering the matrix is most of what a
+/// digest costs, and states that share an allocation render the same bytes,
+/// so each distinct state is rendered once, into one buffer, its attached
+/// names resolved once, into another, and both found again by address.
 #[derive(Default)]
 struct RenderedStates {
     text: String,
-    at: HashMap<*const AbstractState, std::ops::Range<usize>>,
+    attached: Vec<&'static str>,
+    at: HashMap<*const AbstractState, (Range<usize>, Range<usize>)>,
 }
 
 impl RenderedStates {
     fn hash(&mut self, hasher: &mut StableHasher, state: &AbstractState) {
-        let text = &mut self.text;
-        let range = self
+        let (text, attached) = (&mut self.text, &mut self.attached);
+        let (matrix, names) = self
             .at
             .entry(state)
             .or_insert_with(|| {
                 let start = text.len();
                 state.matrix.render_into(text);
-                start..text.len()
+                let first = attached.len();
+                state.attached.extend_names(attached);
+                (start..text.len(), first..attached.len())
             })
             .clone();
         hasher.write_str(state.structure.name());
-        hasher.write_str(&self.text[range]);
-        for h in &state.attached {
+        hasher.write_str(&self.text[matrix]);
+        for h in &self.attached[names] {
             hasher.write_str(h);
         }
         for h in &state.shared {
@@ -390,58 +400,81 @@ fn share(prev: &Arc<AbstractState>, next: AbstractState) -> Arc<AbstractState> {
     }
 }
 
-/// Walk a statement, recording a [`ProgramPoint`] before every simple
-/// statement, and return the state after it.
-fn record_points(
-    analyzer: &Analyzer<'_>,
-    state: &Arc<AbstractState>,
-    stmt: &Stmt,
-    sig: &ProcSignature,
-    counter: &mut usize,
-    points: &mut Vec<ProgramPoint>,
-    warnings: &mut Vec<StructureWarning>,
-) -> Arc<AbstractState> {
-    match stmt {
-        Stmt::Block { stmts, .. } | Stmt::Par { arms: stmts, .. } => {
-            let mut current = state.clone();
-            for s in stmts {
-                current = record_points(analyzer, &current, s, sig, counter, points, warnings);
+/// The texts of one point: its label, its statement and its callee.
+type PointText = (Arc<str>, Arc<str>, Option<Arc<str>>);
+
+/// One body walk in progress: the points and warnings it has recorded.
+struct Walk<'w, 'a> {
+    analyzer: &'w Analyzer<'a>,
+    sig: &'w ProcSignature,
+    /// The procedure's point texts, by point index: filled by its first
+    /// walk of the analysis and read by every later one, since a body's
+    /// i-th simple statement is the same on every walk.
+    texts: &'w mut Vec<PointText>,
+    points: Vec<ProgramPoint>,
+    warnings: Vec<StructureWarning>,
+}
+
+impl Walk<'_, '_> {
+    /// Walk a statement, recording a [`ProgramPoint`] before every simple
+    /// statement, and return the state after it.
+    fn record(&mut self, state: &Arc<AbstractState>, stmt: &Stmt) -> Arc<AbstractState> {
+        match stmt {
+            Stmt::Block { stmts, .. } | Stmt::Par { arms: stmts, .. } => {
+                let mut current = state.clone();
+                for s in stmts {
+                    current = self.record(&current, s);
+                }
+                current
             }
-            current
-        }
-        Stmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            let then_exit =
-                record_points(analyzer, state, then_branch, sig, counter, points, warnings);
-            let else_exit = match else_branch {
-                Some(e) => record_points(analyzer, state, e, sig, counter, points, warnings),
-                None => state.clone(),
-            };
-            share(state, then_exit.join(&else_exit))
-        }
-        Stmt::While { body, .. } => {
-            // The transfer function computes the loop invariant; interior
-            // points are recorded under that invariant.
-            let invariant = share(state, analyzer.transfer(state, stmt, sig, warnings));
-            let _ = record_points(analyzer, &invariant, body, sig, counter, points, warnings);
-            invariant
-        }
-        Stmt::Assign { .. } | Stmt::Call { .. } => {
-            let callee = match stmt {
-                Stmt::Call { proc, .. } => Some(proc.clone()),
-                _ => None,
-            };
-            *counter += 1;
-            points.push(ProgramPoint {
-                label: format!("{}:{}", sig.name, counter),
-                statement: pretty_stmt(stmt),
-                callee,
-                state: state.clone(),
-            });
-            share(state, analyzer.transfer(state, stmt, sig, warnings))
+            Stmt::If {
+                then_branch,
+                else_branch,
+                ..
+            } => {
+                let then_exit = self.record(state, then_branch);
+                let else_exit = match else_branch {
+                    Some(e) => self.record(state, e),
+                    None => state.clone(),
+                };
+                share(state, then_exit.join(&else_exit))
+            }
+            Stmt::While { body, .. } => {
+                // The transfer function computes the loop invariant; interior
+                // points are recorded under that invariant.
+                let invariant = share(
+                    state,
+                    self.analyzer
+                        .transfer(state, stmt, self.sig, &mut self.warnings),
+                );
+                let _ = self.record(&invariant, body);
+                invariant
+            }
+            Stmt::Assign { .. } | Stmt::Call { .. } => {
+                let index = self.points.len();
+                if index == self.texts.len() {
+                    let callee = match stmt {
+                        Stmt::Call { proc, .. } => Some(Arc::from(proc.as_str())),
+                        _ => None,
+                    };
+                    let label = format!("{}:{}", self.sig.name, index + 1);
+                    let text = (Arc::from(label), Arc::from(pretty_stmt(stmt)), callee);
+                    self.texts.push(text);
+                }
+                let (label, statement, callee) = &self.texts[index];
+                debug_assert_eq!(**statement, pretty_stmt(stmt), "point {label} moved");
+                self.points.push(ProgramPoint {
+                    label: label.clone(),
+                    statement: statement.clone(),
+                    callee: callee.clone(),
+                    state: state.clone(),
+                });
+                share(
+                    state,
+                    self.analyzer
+                        .transfer(state, stmt, self.sig, &mut self.warnings),
+                )
+            }
         }
     }
 }
@@ -500,6 +533,14 @@ pub struct WalkRecord {
     exit: Arc<AbstractState>,
     warnings: Arc<Vec<StructureWarning>>,
     call_sites: Vec<CallSite>,
+}
+
+impl WalkRecord {
+    /// The state before every simple statement of the walked body, in
+    /// walk order.
+    pub fn points(&self) -> &[ProgramPoint] {
+        &self.points
+    }
 }
 
 /// Every body walk recorded during one analysis run — the seed for
@@ -610,10 +651,11 @@ pub fn analyze_program_recording(
 /// ([`sil_pathmatrix::PathMatrix::layout_words`]: handle symbols in order,
 /// entry keys, every path's links and certainty), not as its rendering, so
 /// the key tells apart at least what the rendering would — handle order
-/// included — without rendering.  Symbols are process-local ids, so a key
-/// is stable only within one process.  That is all it needs: records live
-/// only in memory (the engine's memory-only `walks` namespace), and no
-/// wire, disk or golden file carries a walk key.
+/// included — without rendering; its attached set goes in as its symbols.
+/// Symbols are process-local ids, so a key is stable only within one
+/// process.  That is all it needs: records live only in memory (the
+/// engine's memory-only `walks` namespace), and no wire, disk or golden
+/// file carries a walk key.
 fn walk_key(
     cone: u64,
     name: &str,
@@ -630,11 +672,13 @@ fn walk_key(
     entry.matrix.layout_words(|word| {
         hasher.write_u64(word);
     });
-    for handles in [&entry.attached, &entry.shared] {
-        hasher.write_usize(handles.len());
-        for h in handles {
-            hasher.write_str(h);
-        }
+    hasher.write_usize(entry.attached.len());
+    for sym in entry.attached.iter() {
+        hasher.write_u64(u64::from(sym.index()));
+    }
+    hasher.write_usize(entry.shared.len());
+    for h in &entry.shared {
+        hasher.write_str(h);
     }
     for callee in callees {
         hasher.write_str(callee);
@@ -660,34 +704,32 @@ fn walk_key(
     hasher.finish()
 }
 
-/// Walk one procedure body from `entry` under the analyzer's current tables.
+/// Walk one procedure body from `entry` under the analyzer's current
+/// tables, with the procedure's point `texts` of this analysis.
 fn walk_body(
     analyzer: &Analyzer<'_>,
     proc: &Procedure,
     sig: &ProcSignature,
+    texts: &mut Vec<PointText>,
     entry: &AbstractState,
     key: u64,
     cone: u64,
 ) -> WalkRecord {
-    let mut warnings = Vec::new();
-    let mut points = Vec::new();
-    let mut counter = 0usize;
-    let exit = record_points(
+    let mut walk = Walk {
         analyzer,
-        &Arc::new(entry.clone()),
-        &proc.body,
         sig,
-        &mut counter,
-        &mut points,
-        &mut warnings,
-    );
+        texts,
+        points: Vec::new(),
+        warnings: Vec::new(),
+    };
+    let exit = walk.record(&Arc::new(entry.clone()), &proc.body);
     WalkRecord {
         key,
         cone,
         procedure: proc.name.clone(),
-        points: Arc::new(points),
+        points: Arc::new(walk.points),
         exit,
-        warnings: Arc::new(warnings),
+        warnings: Arc::new(walk.warnings),
         call_sites: analyzer.take_call_sites(),
     }
 }
@@ -738,6 +780,8 @@ pub fn analyze_program_planned(
         .collect();
     // Every walked procedure's latest walk and the entry it ran under.
     let mut latest: HashMap<&str, (AbstractState, Arc<WalkRecord>)> = HashMap::new();
+    // Every walked procedure's point texts, shared by all its walks.
+    let mut texts: HashMap<&str, Vec<PointText>> = HashMap::new();
     let mut recorded = options.record.then(AnalysisSnapshot::new);
     let mut stats = IncrementalStats::default();
     let mut rounds = 0;
@@ -771,7 +815,8 @@ pub fn analyze_program_planned(
                         // Debug builds check what the memo rests on: a
                         // re-walk under an unchanged key reproduces the record.
                         if cfg!(debug_assertions) {
-                            let fresh = walk_body(&analyzer, proc, sig, entry, key, cone);
+                            let texts = texts.entry(name.as_str()).or_default();
+                            let fresh = walk_body(&analyzer, proc, sig, texts, entry, key, cone);
                             assert!(
                                 fresh.points == record.points
                                     && fresh.exit == record.exit
@@ -790,7 +835,8 @@ pub fn analyze_program_planned(
                     }
                     None => {
                         stats.walks_performed += 1;
-                        Arc::new(walk_body(&analyzer, proc, sig, entry, key, cone))
+                        let texts = texts.entry(name.as_str()).or_default();
+                        Arc::new(walk_body(&analyzer, proc, sig, texts, entry, key, cone))
                     }
                 };
                 if let Some(snapshot) = recorded.as_mut() {

@@ -67,6 +67,6 @@ pub use sequences::{
     relative_interference, relative_read_set, relative_write_set, sequences_independent,
     RelativeLocation,
 };
-pub use state::{AbstractState, StructureKind, StructureWarning};
+pub use state::{AbstractState, HandleSet, StructureKind, StructureWarning};
 pub use summary::{compute_scc_summaries, compute_summaries, ArgMode, ProcSummary, ReturnSummary};
 pub use transfer::{transfer_stmt, Analyzer};

@@ -16,8 +16,16 @@
 //!   classification drops back to TREE only when the set empties again, which
 //!   reproduces the paper's "a tree may be changed temporarily into a DAG"
 //!   observation for the node swap in `reverse`).
+//!
+//! `attached` is a [`HandleSet`]: interned [`Symbol`]s in symbol order, so
+//! cloning a state (which every transfer does) copies one small vector.
+//! `shared` stays a set of names: besides handles it holds the
+//! `"<shared via callee>"` markers of call transfers, which are no handle
+//! and would each add a never-freed name to the interner, and it is empty
+//! in most states, where it costs no allocation either way.
 
-use sil_pathmatrix::PathMatrix;
+use sil_pathmatrix::{intern, PathMatrix, Symbol};
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -85,6 +93,131 @@ impl fmt::Display for StructureWarning {
     }
 }
 
+/// A set of handles, held as their interned symbols in symbol order.
+///
+/// Membership, insertion and removal are binary searches and the union and
+/// inclusion tests are merge walks, none of which resolves a name.  Symbol
+/// order is interning order, which differs between processes: whatever is
+/// stored, sent or digested lists the set in name order
+/// ([`HandleSet::extend_names`]).
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct HandleSet(Vec<Symbol>);
+
+impl HandleSet {
+    /// The empty set.
+    pub fn new() -> HandleSet {
+        HandleSet(Vec::new())
+    }
+
+    /// Add `sym`; whether it was absent.
+    pub fn insert(&mut self, sym: Symbol) -> bool {
+        match self.0.binary_search(&sym) {
+            Ok(_) => false,
+            Err(slot) => {
+                self.0.insert(slot, sym);
+                true
+            }
+        }
+    }
+
+    /// Remove `sym`; whether it was present.
+    pub fn remove(&mut self, sym: Symbol) -> bool {
+        match self.0.binary_search(&sym) {
+            Ok(slot) => {
+                self.0.remove(slot);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// Whether `sym` is in the set.
+    pub fn contains(&self, sym: Symbol) -> bool {
+        self.0.binary_search(&sym).is_ok()
+    }
+
+    /// Remove every handle.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// The number of handles.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The handles in symbol order (interning order, process-local).
+    pub fn iter(&self) -> impl Iterator<Item = Symbol> + '_ {
+        self.0.iter().copied()
+    }
+
+    /// Append the handles' names to `out` in name order (the order a
+    /// `BTreeSet<String>` of them iterates in).  Resolving a symbol takes
+    /// the interner's name-table lock, so this is for the edges that store,
+    /// send or digest a state, not for the transfer functions.
+    pub fn extend_names(&self, out: &mut Vec<&'static str>) {
+        let start = out.len();
+        out.extend(self.iter().map(Symbol::as_str));
+        out[start..].sort_unstable();
+    }
+
+    /// The union of two sets, by one merge walk.
+    pub fn union(&self, other: &HandleSet) -> HandleSet {
+        let (a, b) = (&self.0, &other.0);
+        let mut out = Vec::with_capacity(a.len().max(b.len()));
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                Ordering::Less => {
+                    out.push(a[i]);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    out.push(b[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    out.push(a[i]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        HandleSet(out)
+    }
+
+    /// Whether every handle of `self` is in `other`, by one merge walk.
+    pub fn is_subset(&self, other: &HandleSet) -> bool {
+        let mut theirs = other.0.iter();
+        self.0.iter().all(|sym| theirs.any(|t| t == sym))
+    }
+}
+
+impl FromIterator<Symbol> for HandleSet {
+    fn from_iter<I: IntoIterator<Item = Symbol>>(iter: I) -> HandleSet {
+        let mut symbols: Vec<Symbol> = iter.into_iter().collect();
+        symbols.sort_unstable();
+        symbols.dedup();
+        HandleSet(symbols)
+    }
+}
+
+/// Lists the names, in name order.
+impl fmt::Debug for HandleSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut names = Vec::new();
+        self.extend_names(&mut names);
+        f.debug_set().entries(names).finish()
+    }
+}
+
 /// The abstract state: path matrix + structural classification + node
 /// bookkeeping.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,8 +227,10 @@ pub struct AbstractState {
     /// Structural classification of the heap.
     pub structure: StructureKind,
     /// Handles whose node may already have a parent.
-    pub attached: BTreeSet<String>,
-    /// Handles whose node may have more than one parent.
+    pub attached: HandleSet,
+    /// Handles whose node may have more than one parent, and a
+    /// `"<shared via callee>"` marker for each callee that leaves the
+    /// structure degraded (see the module docs).
     pub shared: BTreeSet<String>,
 }
 
@@ -111,7 +246,7 @@ impl AbstractState {
         AbstractState {
             matrix: PathMatrix::new(),
             structure: StructureKind::Tree,
-            attached: BTreeSet::new(),
+            attached: HandleSet::new(),
             shared: BTreeSet::new(),
         }
     }
@@ -133,7 +268,7 @@ impl AbstractState {
         AbstractState {
             matrix: self.matrix.join(&other.matrix),
             structure: self.structure.join(other.structure),
-            attached: self.attached.union(&other.attached).cloned().collect(),
+            attached: self.attached.union(&other.attached),
             shared: self.shared.union(&other.shared).cloned().collect(),
         }
     }
@@ -146,27 +281,48 @@ impl AbstractState {
             && self.matrix.same_relations(&other.matrix)
     }
 
+    /// Whether `self` is at least as conservative as `other` in every
+    /// component, each ordered by its join: the structure by
+    /// [`StructureKind::join`], the matrix entry-wise by
+    /// [`sil_pathmatrix::PathSet::covers`] over both sides' handles (an
+    /// entry absent on one side is empty there, and every set covers the
+    /// empty one), and the node sets by inclusion.  Like `PathSet::covers`
+    /// it compares path shapes only, not their certainty.
+    pub fn covers(&self, other: &AbstractState) -> bool {
+        let theirs = other.matrix.handles();
+        self.structure.join(other.structure) == self.structure
+            && other.attached.is_subset(&self.attached)
+            && other.shared.is_subset(&self.shared)
+            && other.matrix.indexed_relations().all(|(row, col, set)| {
+                self.matrix
+                    .get_sym(theirs[row as usize], theirs[col as usize])
+                    .covers(set)
+            })
+    }
+
     /// Mark a handle's node as possibly having a parent.
     pub fn mark_attached(&mut self, name: &str) {
-        self.attached.insert(name.to_string());
+        self.attached.insert(intern::intern(name));
     }
 
     /// Mark a handle's node as fresh/detached (e.g. after `name := new()`).
     pub fn mark_detached(&mut self, name: &str) {
-        self.attached.remove(name);
+        if let Some(sym) = intern::lookup(name) {
+            self.attached.remove(sym);
+        }
         self.shared.remove(name);
     }
 
     /// Whether the node named by `name` may already have a parent.
     pub fn is_attached(&self, name: &str) -> bool {
-        self.attached.contains(name)
+        intern::lookup(name).is_some_and(|sym| self.attached.contains(sym))
     }
 
     /// Record that the handle aliases another (copies its attachment data).
     pub fn copy_node_flags(&mut self, dst: &str, src: &str) {
-        if self.attached.contains(src) {
-            self.attached.insert(dst.to_string());
-        } else {
+        if self.is_attached(src) {
+            self.attached.insert(intern::intern(dst));
+        } else if let Some(dst) = intern::lookup(dst) {
             self.attached.remove(dst);
         }
         if self.shared.contains(src) {
@@ -179,15 +335,14 @@ impl AbstractState {
     /// Remove a handle from the matrix and all bookkeeping.
     pub fn remove_handle(&mut self, name: &str) {
         self.matrix.remove_handle(name);
-        self.attached.remove(name);
-        self.shared.remove(name);
+        self.mark_detached(name);
     }
 
     /// Rename a handle everywhere.
     pub fn rename_handle(&mut self, old: &str, new: &str) {
         self.matrix.rename_handle(old, new);
-        if self.attached.remove(old) {
-            self.attached.insert(new.to_string());
+        if intern::lookup(old).is_some_and(|old| self.attached.remove(old)) {
+            self.attached.insert(intern::intern(new));
         }
         if self.shared.remove(old) {
             self.shared.insert(new.to_string());
@@ -290,6 +445,62 @@ mod tests {
         assert!(s.shared.contains("z"));
         assert!(!s.is_attached("a"));
         assert!(s.matrix.contains("z"));
+    }
+
+    #[test]
+    fn handle_sets_are_sorted_sets_listed_by_name() {
+        // Interned in reverse name order, so symbol order is not name order.
+        let [z, m, a] = ["hs-z", "hs-m", "hs-a"].map(intern::intern);
+        let mut set = HandleSet::new();
+        assert!(set.insert(z) && set.insert(a) && !set.insert(z));
+        assert!(set.contains(a) && !set.contains(m));
+        let other: HandleSet = [m, a, m].into_iter().collect();
+        assert_eq!(other.len(), 2);
+        let union = set.union(&other);
+        assert_eq!(union, [a, m, z].into_iter().collect());
+        assert!(set.is_subset(&union) && other.is_subset(&union));
+        assert!(!union.is_subset(&set));
+        let mut names = vec!["first"];
+        union.extend_names(&mut names);
+        assert_eq!(names, ["first", "hs-a", "hs-m", "hs-z"]);
+        assert_eq!(format!("{union:?}"), r#"{"hs-a", "hs-m", "hs-z"}"#);
+        assert!(set.remove(z) && !set.remove(z));
+        assert_eq!(set.iter().collect::<Vec<_>>(), [a]);
+    }
+
+    #[test]
+    fn covers_orders_every_component() {
+        let mut low = AbstractState::with_handles(["x", "y"]);
+        low.matrix
+            .set("x", "y", PathSet::singleton(exact(Dir::Left, 1)));
+        assert!(low.covers(&low));
+        // A handle the other side lacks relates to nothing there.
+        let mut wider = low.clone();
+        wider.matrix.add_handle("w");
+        assert!(low.covers(&wider) && wider.covers(&low));
+        let mut high = low.join(&AbstractState::with_handles(["x", "y"]));
+        assert!(high.covers(&low), "a weakened path still covers its shape");
+        high.mark_attached("x");
+        high.shared.insert("y".to_string());
+        high.degrade_structure(StructureKind::PossiblyDag);
+        assert!(high.covers(&low) && !low.covers(&high));
+        for drop in 0..3 {
+            let mut less = high.clone();
+            match drop {
+                0 => less.structure = StructureKind::Tree,
+                1 => less.attached.clear(),
+                _ => less.shared.clear(),
+            }
+            assert!(
+                high.covers(&less) && !less.covers(&high),
+                "component {drop}"
+            );
+        }
+        let mut other_path = low.clone();
+        other_path
+            .matrix
+            .set("x", "y", PathSet::singleton(exact(Dir::Right, 1)));
+        assert!(!low.covers(&other_path) && !other_path.covers(&low));
     }
 
     #[test]

@@ -108,7 +108,8 @@ pub fn transfer_assign_load(
     let mut next = state.clone();
     next.matrix.add_handle_sym(sb);
     next.matrix.clear_handle_sym(sa);
-    next.mark_detached(a);
+    next.attached.remove(sa);
+    next.shared.remove(a);
 
     let handles: Vec<Symbol> = next.matrix.handles().to_vec();
     let link = Link::exact(dir, 1);
@@ -143,7 +144,7 @@ pub fn transfer_assign_load(
     }
 
     // a's node has (at least) parent b now.
-    next.mark_attached(a);
+    next.attached.insert(sa);
     if !state.structure.is_tree() {
         next.shared.insert(a.to_string());
     }
@@ -152,14 +153,15 @@ pub fn transfer_assign_load(
 
 /// `a.f := b` / `a.f := nil` — the structural update.  `src` is `None` for
 /// the nil store.  Appends any structure-classification warnings to
-/// `warnings`.
+/// `warnings`; `stmt` is the statement being transferred, pretty-printed
+/// into a warning only when one is raised.
 pub fn transfer_store_field(
     state: &AbstractState,
     a: &str,
     field: Field,
     src: Option<&str>,
     proc_name: &str,
-    stmt_text: &str,
+    stmt: &Stmt,
     warnings: &mut Vec<StructureWarning>,
 ) -> AbstractState {
     let dir = dir_of(field);
@@ -223,13 +225,15 @@ pub fn transfer_store_field(
             }
         }
     }
-    // The node that was the direct f-child loses this parent.
+    // The node that was the direct f-child loses this parent: one of
+    // several if it was shared, its only one in a TREE.  (An empty `shared`
+    // holds no name, so the symbol is resolved only when it could.)
     for &c in &direct_children {
-        let c = c.as_str();
-        if next.shared.contains(c) {
-            next.shared.remove(c);
-        } else if is_tree {
-            next.mark_detached(c);
+        if !next.shared.is_empty() && next.shared.remove(c.as_str()) {
+            continue;
+        }
+        if is_tree {
+            next.attached.remove(c);
         }
     }
 
@@ -240,7 +244,7 @@ pub fn transfer_store_field(
             next.degrade_structure(StructureKind::PossiblyCyclic);
             warnings.push(StructureWarning {
                 procedure: proc_name.to_string(),
-                statement: stmt_text.to_string(),
+                statement: pretty_stmt(stmt),
                 kind: StructureKind::PossiblyCyclic,
                 message: format!(
                     "`{b}` may be (or reach) an ancestor of `{a}`; the store may create a cycle"
@@ -252,29 +256,29 @@ pub fn transfer_store_field(
         // the same node), so the attachment facts of those aliases count as
         // well and are updated alongside.
         let sbb = intern::intern(b);
-        let aliases_of_b: Vec<&'static str> = handles
+        let aliases_of_b: Vec<Symbol> = handles
             .iter()
             .filter(|&&x| {
                 x == sbb
                     || state.matrix.get_sym(x, sbb).may_be_same()
                     || state.matrix.get_sym(sbb, x).may_be_same()
             })
-            .map(|x| x.as_str())
+            .copied()
             .collect();
-        if aliases_of_b.iter().any(|x| next.is_attached(x)) {
+        if aliases_of_b.iter().any(|&x| next.attached.contains(x)) {
             next.shared.insert(b.to_string());
             next.degrade_structure(StructureKind::PossiblyDag);
             warnings.push(StructureWarning {
                 procedure: proc_name.to_string(),
-                statement: stmt_text.to_string(),
+                statement: pretty_stmt(stmt),
                 kind: StructureKind::PossiblyDag,
                 message: format!(
                     "`{b}` may already be attached elsewhere; the store may create a DAG"
                 ),
             });
         }
-        for alias in &aliases_of_b {
-            next.mark_attached(alias);
+        for &alias in &aliases_of_b {
+            next.attached.insert(alias);
         }
 
         // New paths: every x that reaches a, composed with the new edge and
@@ -324,11 +328,15 @@ pub fn transfer_store_field(
 
 /// Apply a basic (non-call) statement.  Call statements are handled by
 /// [`Analyzer::transfer`], which knows the callee summaries.
+///
+/// `basic` is `stmt` classified.  `proc_name` and `stmt` name the
+/// statement in a [`StructureWarning`]; the statement is pretty-printed
+/// only when a warning is raised, not on every transfer.
 pub fn transfer_basic(
     state: &AbstractState,
     basic: &BasicStmt<'_>,
     proc_name: &str,
-    stmt_text: &str,
+    stmt: &Stmt,
     warnings: &mut Vec<StructureWarning>,
 ) -> AbstractState {
     match basic {
@@ -336,17 +344,11 @@ pub fn transfer_basic(
         BasicStmt::AssignNew { dst } => transfer_assign_new(state, dst),
         BasicStmt::AssignCopy { dst, src } => transfer_assign_copy(state, dst, src),
         BasicStmt::AssignLoad { dst, src, field } => transfer_assign_load(state, dst, src, *field),
-        BasicStmt::StoreField { dst, field, src } => transfer_store_field(
-            state,
-            dst,
-            *field,
-            Some(src),
-            proc_name,
-            stmt_text,
-            warnings,
-        ),
+        BasicStmt::StoreField { dst, field, src } => {
+            transfer_store_field(state, dst, *field, Some(src), proc_name, stmt, warnings)
+        }
         BasicStmt::StoreFieldNil { dst, field } => {
-            transfer_store_field(state, dst, *field, None, proc_name, stmt_text, warnings)
+            transfer_store_field(state, dst, *field, None, proc_name, stmt, warnings)
         }
         // Value and scalar statements do not change the heap structure.
         BasicStmt::ValueLoad { .. }
@@ -368,7 +370,7 @@ pub fn transfer_stmt(
     warnings: &mut Vec<StructureWarning>,
 ) -> AbstractState {
     match BasicStmt::classify(stmt, sig) {
-        Some(basic) => transfer_basic(state, &basic, &sig.name, &pretty_stmt(stmt), warnings),
+        Some(basic) => transfer_basic(state, &basic, &sig.name, stmt, warnings),
         None => state.clone(),
     }
 }
@@ -381,7 +383,6 @@ pub fn transfer_stmt(
 /// driver to build callee entry contexts).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CallSite {
-    pub caller: String,
     pub callee: String,
     /// Handle actuals by callee formal name.
     pub handle_actuals: Vec<(String, String)>,
@@ -480,12 +481,10 @@ impl<'a> Analyzer<'a> {
                 Some(BasicStmt::FuncAssign { dst, func, args }) => {
                     self.transfer_func_assign(state, dst, func, args, sig, warnings)
                 }
-                Some(basic) => {
-                    transfer_basic(state, &basic, &sig.name, &pretty_stmt(stmt), warnings)
-                }
+                Some(basic) => transfer_basic(state, &basic, &sig.name, stmt, warnings),
                 None => state.clone(),
             },
-            Stmt::Call { proc, args, .. } => self.transfer_call(state, proc, args, sig, warnings),
+            Stmt::Call { proc, args, .. } => self.transfer_call(state, proc, args, warnings),
             Stmt::If {
                 then_branch,
                 else_branch,
@@ -573,13 +572,11 @@ impl<'a> Analyzer<'a> {
         state: &AbstractState,
         callee: &str,
         args: &[Expr],
-        sig: &ProcSignature,
         warnings: &mut Vec<StructureWarning>,
     ) -> AbstractState {
         let handle_actuals = self.handle_actuals(callee, args);
         if self.record_calls {
             self.call_sites.borrow_mut().push(CallSite {
-                caller: sig.name.clone(),
                 callee: callee.to_string(),
                 handle_actuals: handle_actuals.clone(),
                 state_before: state.clone(),
@@ -676,7 +673,7 @@ impl<'a> Analyzer<'a> {
         }
         // Nodes inside the call's reach may have been re-attached.
         for &y in &in_call_reach {
-            next.mark_attached(y.as_str());
+            next.attached.insert(y);
         }
         let _ = warnings;
         next
@@ -692,7 +689,7 @@ impl<'a> Analyzer<'a> {
         sig: &ProcSignature,
         warnings: &mut Vec<StructureWarning>,
     ) -> AbstractState {
-        let mut next = self.transfer_call(state, callee, args, sig, warnings);
+        let mut next = self.transfer_call(state, callee, args, warnings);
         if !sig.is_handle(dst) {
             return next;
         }

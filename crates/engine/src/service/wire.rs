@@ -116,6 +116,7 @@ leaves! {
     bool: "a bool", |b, out| encode_json(&Json::Bool(*b), out), |raw| raw.as_bool();
     f64: "a number", |f, out| encode_float(*f, out), |raw| raw.as_f64();
     String: "a string", |s, out| encode_str(s, out), |raw| raw.as_str().map(str::to_string);
+    Arc<str>: "a string", |s, out| encode_str(s, out), |raw| raw.as_str().map(Arc::from);
     Json: "a document", |doc, out| encode_json(doc, out), |raw| Some(raw.clone());
     u64 as Hex: "a hex id", |id, out| encode_hex64(*id, out), |raw| parse_hex64(raw).ok();
 }

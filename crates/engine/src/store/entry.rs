@@ -106,7 +106,9 @@ leaves! {
 /// A state is `[structure, handles, relations, attached, shared]`.  The
 /// handles are in matrix insertion order — `render()`, and through it the
 /// analysis digest, depends on that order — and a relation is `[row, col,
-/// paths]` by index into them, in the matrix's own row-major order.
+/// paths]` by index into them, in the matrix's own row-major order.  The
+/// two node sets are lists of names in name order; `attached` is read back
+/// into the state's symbol-ordered [`sil_analysis::HandleSet`].
 /// Encoded by hand: a tuple to encode from would copy every path set.
 impl Wire for AbstractState {
     fn encode_into(&self, out: &mut String) {
@@ -129,7 +131,9 @@ impl Wire for AbstractState {
             },
         );
         out.push(',');
-        self.attached.encode_into(out);
+        let mut attached = Vec::new();
+        self.attached.extend_names(&mut attached);
+        encode_array(attached, out, encode_str);
         out.push(',');
         self.shared.encode_into(out);
         out.push(']');
@@ -139,14 +143,14 @@ impl Wire for AbstractState {
             StructureKind,
             Vec<Symbol>,
             Vec<(u32, u32, PathSet)>,
-            BTreeSet<String>,
+            Vec<Symbol>,
             BTreeSet<String>,
         );
         let (structure, handles, relations, attached, shared): Row = Wire::from_json(value)?;
         Ok(AbstractState {
             matrix: PathMatrix::from_indexed(handles, relations)?,
             structure,
-            attached,
+            attached: attached.into_iter().collect(),
             shared,
         })
     }
@@ -228,13 +232,17 @@ record!(StructureWarning {
     "message" => message,
 });
 
+/// A point as an entry holds it: `[label, statement, callee, state]`, the
+/// state by index into the entry's state table.
+type StoredPoint = (Arc<str>, Arc<str>, Option<Arc<str>>, usize);
+
 /// A procedure as an entry holds it: its states are indices into the
-/// entry's state table, and a point is `[label, statement, callee, state]`.
+/// entry's state table.
 struct StoredProcedure {
     name: String,
     entry: usize,
     exit: usize,
-    points: Vec<(String, String, Option<String>, usize)>,
+    points: Vec<StoredPoint>,
     warnings: Arc<Vec<StructureWarning>>,
 }
 

@@ -2,6 +2,9 @@
 //!
 //! * algebraic laws of the path-expression domain (coverage, generalization,
 //!   concatenation, set join) exercised through the public API,
+//! * the order on abstract states (`AbstractState::covers`): a join covers
+//!   both of its sides and every state covers itself, with a failing pair
+//!   shrunk before it is reported,
 //! * the central soundness property of the reproduction: for arbitrary
 //!   generated SIL programs, the parallelizer's output (a) still type
 //!   checks, (b) passes the static verifier, (c) executes to exactly the
@@ -254,6 +257,142 @@ fn matrix_join_laws() {
         }
         assert!(m1.join(&m1).same_relations(&m1));
     });
+}
+
+// ---------------------------------------------------------------------------
+// abstract-state order
+// ---------------------------------------------------------------------------
+
+/// An abstract state as the sampler draws it, kept as its parts so a
+/// failing case can be shrunk part by part.
+#[derive(Debug, Clone)]
+struct StateSpec {
+    structure: StructureKind,
+    /// The matrix's handles, in insertion order.
+    handles: Vec<&'static str>,
+    /// `(row, col, paths)` by index into `handles`.
+    relations: Vec<(usize, usize, PathSet)>,
+    /// Indices into `handles`.
+    attached: Vec<usize>,
+    shared: Vec<usize>,
+}
+
+impl StateSpec {
+    /// A state over 4–6 of six handle names, in a random order, so two
+    /// samples overlap in some handles and not in others.
+    fn sample(rng: &mut StdRng) -> StateSpec {
+        let mut pool = vec!["a", "b", "c", "d", "e", "f"];
+        let len = rng.gen_range(4usize..7);
+        let mut handles = Vec::with_capacity(len);
+        while handles.len() < len {
+            handles.push(pool.remove(rng.gen_range(0..pool.len())));
+        }
+        let mut relations = Vec::new();
+        for _ in 0..rng.gen_range(0usize..10) {
+            let (i, j) = (rng.gen_range(0..len), rng.gen_range(0..len));
+            if i != j {
+                relations.push((i, j, sample_pathset(rng)));
+            }
+        }
+        let subset = |rng: &mut StdRng, p: f64| (0..len).filter(|_| rng.gen_bool(p)).collect();
+        let attached = subset(rng, 0.4);
+        let shared = subset(rng, 0.15);
+        let structure = match rng.gen_range(0..4) {
+            0 => StructureKind::PossiblyDag,
+            1 => StructureKind::PossiblyCyclic,
+            _ => StructureKind::Tree,
+        };
+        StateSpec {
+            structure,
+            handles,
+            relations,
+            attached,
+            shared,
+        }
+    }
+
+    fn build(&self) -> AbstractState {
+        let mut state = AbstractState::with_handles(&self.handles);
+        state.structure = self.structure;
+        for (i, j, paths) in &self.relations {
+            state.matrix.set(self.handles[*i], self.handles[*j], *paths);
+        }
+        for &i in &self.attached {
+            state.mark_attached(self.handles[i]);
+        }
+        for &i in &self.shared {
+            state.shared.insert(self.handles[i].to_string());
+        }
+        state
+    }
+
+    /// Every spec one step smaller: a relation, an attached or a shared
+    /// handle dropped, or the structure made a TREE.
+    fn shrinks(&self) -> Vec<StateSpec> {
+        let mut out = Vec::new();
+        for i in 0..self.relations.len() {
+            let mut s = self.clone();
+            s.relations.remove(i);
+            out.push(s);
+        }
+        for i in 0..self.attached.len() {
+            let mut s = self.clone();
+            s.attached.remove(i);
+            out.push(s);
+        }
+        for i in 0..self.shared.len() {
+            let mut s = self.clone();
+            s.shared.remove(i);
+            out.push(s);
+        }
+        if self.structure != StructureKind::Tree {
+            let mut s = self.clone();
+            s.structure = StructureKind::Tree;
+            out.push(s);
+        }
+        out
+    }
+}
+
+/// Check `law` on `cases` sampled pairs of states; on a failure, shrink the
+/// pair one part at a time while it still fails and report the smallest.
+fn check_state_law(cases: u64, law: &str, holds: impl Fn(&AbstractState, &AbstractState) -> bool) {
+    let fails = |a: &StateSpec, b: &StateSpec| !holds(&a.build(), &b.build());
+    for_cases(cases, |rng| {
+        let (mut a, mut b) = (StateSpec::sample(rng), StateSpec::sample(rng));
+        if !fails(&a, &b) {
+            return;
+        }
+        loop {
+            let left = a.shrinks().into_iter().map(|s| (s, b.clone()));
+            let right = b.shrinks().into_iter().map(|s| (a.clone(), s));
+            match left.chain(right).find(|(x, y)| fails(x, y)) {
+                Some((x, y)) => (a, b) = (x, y),
+                None => break,
+            }
+        }
+        panic!(
+            "{law} fails; shrunk to\na = {a:?}\n{}\nb = {b:?}\n{}",
+            a.build(),
+            b.build()
+        );
+    });
+}
+
+/// The join of two states covers both, in either argument order.
+#[test]
+fn state_join_covers_both_sides() {
+    check_state_law(256, "a ⊔ b covers a and b", |a, b| {
+        [a.join(b), b.join(a)]
+            .iter()
+            .all(|joined| joined.covers(a) && joined.covers(b))
+    });
+}
+
+/// A state covers itself.
+#[test]
+fn state_covers_itself() {
+    check_state_law(256, "a covers a", |a, _| a.covers(a));
 }
 
 // ---------------------------------------------------------------------------
