@@ -207,11 +207,18 @@ impl CallGraph {
     /// forms of everything it can transitively call.  Procedures of the same
     /// SCC share a key (their summaries are one fixpoint).
     pub fn cone_fingerprints(&self, program: &Program) -> HashMap<String, u64> {
-        let own: HashMap<&str, u64> = program
+        let own: Vec<u64> = program
             .procedures
             .iter()
-            .map(|p| (p.name.as_str(), procedure_fingerprint(p)))
+            .map(procedure_fingerprint)
             .collect();
+        self.cones_over(&own)
+    }
+
+    /// [`CallGraph::cone_fingerprints`] given every procedure's own
+    /// fingerprint, in declaration order.
+    fn cones_over(&self, own: &[u64]) -> HashMap<String, u64> {
+        assert_eq!(own.len(), self.names.len(), "one fingerprint per procedure");
         let components = self.scc_indices();
         let mut component_of = vec![0usize; self.names.len()];
         for (c, members) in components.iter().enumerate() {
@@ -228,12 +235,11 @@ impl CallGraph {
             // Hash the members in name order, not declaration order, so the
             // fingerprint of a multi-procedure SCC is stable when the source
             // file reorders its procedure declarations.
-            let mut member_names: Vec<&str> =
-                members.iter().map(|&v| self.names[v].as_str()).collect();
-            member_names.sort_unstable();
-            for name in member_names {
-                hasher.write_str(name);
-                hasher.write_u64(own.get(name).copied().unwrap_or(0));
+            let mut member_order: Vec<usize> = members.clone();
+            member_order.sort_unstable_by_key(|&v| self.names[v].as_str());
+            for v in member_order {
+                hasher.write_str(&self.names[v]);
+                hasher.write_u64(own[v]);
             }
             let mut callee_fps: BTreeSet<u64> = BTreeSet::new();
             for &v in members {
@@ -270,10 +276,22 @@ pub struct CallPlan {
 
 impl CallPlan {
     pub fn of_program(program: &Program) -> CallPlan {
+        let own: Vec<u64> = program
+            .procedures
+            .iter()
+            .map(procedure_fingerprint)
+            .collect();
+        CallPlan::with_fingerprints(program, &own)
+    }
+
+    /// [`CallPlan::of_program`] given every procedure's
+    /// [`procedure_fingerprint`] in declaration order — what
+    /// [`sil_lang::hash::fingerprints`] computes beside the program's own.
+    pub fn with_fingerprints(program: &Program, procedures: &[u64]) -> CallPlan {
         let graph = CallGraph::of_program(program);
         CallPlan {
             levels: graph.scc_levels(),
-            cones: graph.cone_fingerprints(program),
+            cones: graph.cones_over(procedures),
             graph,
         }
     }

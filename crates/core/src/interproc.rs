@@ -22,14 +22,16 @@
 //! points, exit and warnings behind `Arc`s.
 
 use crate::callgraph::CallPlan;
-use crate::state::{AbstractState, StructureKind, StructureWarning};
+use crate::state::{AbstractState, HandleSet, StructureKind, StructureWarning};
 use crate::summary::{compute_summaries, ProcSummary, ReturnSummary};
 use crate::transfer::{Analyzer, CallSite};
 use sil_lang::ast::*;
 use sil_lang::hash::StableHasher;
-use sil_lang::pretty::pretty_stmt;
+use sil_lang::pretty::{pretty_stmt, write_stmt};
 use sil_lang::types::{ProcSignature, ProgramTypes, Type};
+use sil_pathmatrix::{intern, Symbol};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -302,50 +304,98 @@ fn default_entry(sig: &ProcSignature) -> AbstractState {
     state
 }
 
+/// One handle formal of a procedure and its context handles `f*` and
+/// `f**`.
+struct Formal<'t> {
+    name: &'t str,
+    sym: Symbol,
+    now: Symbol,
+    stack: Symbol,
+}
+
+/// Every procedure's handle [`Formal`]s, and the set of every context
+/// handle, resolved once per analysis rather than per call site and round.
+struct ContextHandles<'t> {
+    formals: HashMap<&'t str, Vec<Formal<'t>>>,
+    symbolic: HandleSet,
+}
+
+impl<'t> ContextHandles<'t> {
+    fn of(types: &'t ProgramTypes) -> ContextHandles<'t> {
+        let mut symbolic = HandleSet::new();
+        let formals = types
+            .iter()
+            .map(|sig| {
+                let formals = sig
+                    .handle_params()
+                    .into_iter()
+                    .map(|name| {
+                        let formal = Formal {
+                            name,
+                            sym: intern::intern(name),
+                            now: intern::intern(&immediate_symbol(name)),
+                            stack: intern::intern(&stacked_symbol(name)),
+                        };
+                        symbolic.insert(formal.now);
+                        symbolic.insert(formal.stack);
+                        formal
+                    })
+                    .collect();
+                (sig.name.as_str(), formals)
+            })
+            .collect();
+        ContextHandles { formals, symbolic }
+    }
+}
+
 /// Build the callee entry-context contribution for one observed call site.
-fn context_contribution(site: &CallSite, types: &ProgramTypes) -> AbstractState {
-    let Some(callee_sig) = types.proc(&site.callee) else {
+fn context_contribution(site: &CallSite, handles: &ContextHandles<'_>) -> AbstractState {
+    let Some(formals) = handles.formals.get(site.callee.as_str()) else {
         return AbstractState::new();
     };
     let caller_state = &site.state_before;
     let mut ctx = AbstractState::new();
     ctx.structure = caller_state.structure;
 
-    let formals: Vec<&str> = callee_sig.handle_params();
-    // The actual variable bound to each formal at this site.
-    let actual_of = |formal: &str| -> Option<&str> {
-        site.handle_actuals
-            .iter()
-            .find(|(f, _)| f == formal)
-            .map(|(_, a)| a.as_str())
-    };
+    // The actual variable bound to each formal at this site, by name and
+    // symbol (`None` for a name no state has held: it has no relations).
+    let actuals: Vec<Option<(&str, Option<Symbol>)>> = formals
+        .iter()
+        .map(|f| {
+            site.handle_actuals
+                .iter()
+                .find(|(formal, _)| formal == f.name)
+                .map(|(_, a)| (a.as_str(), intern::lookup(a)))
+        })
+        .collect();
+    let actual_syms: Vec<Symbol> = actuals.iter().flatten().filter_map(|a| a.1).collect();
 
-    for f in &formals {
-        ctx.matrix.add_handle(f);
-        ctx.matrix.add_handle(immediate_symbol(f));
-        ctx.matrix.add_handle(stacked_symbol(f));
-        ctx.mark_attached(&immediate_symbol(f));
-        ctx.mark_attached(&stacked_symbol(f));
-        if let Some(a) = actual_of(f) {
-            if caller_state.is_attached(a) {
-                ctx.mark_attached(f);
+    for (f, actual) in formals.iter().zip(&actuals) {
+        ctx.matrix.add_handle_sym(f.sym);
+        ctx.matrix.add_handle_sym(f.now);
+        ctx.matrix.add_handle_sym(f.stack);
+        ctx.attached.insert(f.now);
+        ctx.attached.insert(f.stack);
+        if let Some((name, sym)) = actual {
+            if sym.is_some_and(|a| caller_state.attached.contains(a)) {
+                ctx.attached.insert(f.sym);
             }
-            if caller_state.shared.contains(a) {
-                ctx.shared.insert(f.to_string());
+            if caller_state.shared.contains(*name) {
+                ctx.shared.insert(f.name.to_string());
             }
         }
     }
 
     // Relations among the formals mirror the relations among the actuals.
-    for fi in &formals {
-        for fj in &formals {
-            if fi == fj {
+    for (fi, ai) in formals.iter().zip(&actuals) {
+        for (fj, aj) in formals.iter().zip(&actuals) {
+            if fi.sym == fj.sym {
                 continue;
             }
-            if let (Some(ai), Some(aj)) = (actual_of(fi), actual_of(fj)) {
-                let rel = caller_state.matrix.get(ai, aj);
+            if let (Some((_, Some(ai))), Some((_, Some(aj)))) = (ai, aj) {
+                let rel = caller_state.matrix.get_sym(*ai, *aj);
                 if !rel.is_empty() {
-                    ctx.matrix.set(fi, fj, rel);
+                    ctx.matrix.set_sym(fi.sym, fj.sym, rel);
                 }
             }
         }
@@ -353,16 +403,19 @@ fn context_contribution(site: &CallSite, types: &ProgramTypes) -> AbstractState 
 
     // Relations between the formals and the rest of the caller's world fold
     // into the symbolic handles.
-    let caller_handles: Vec<&'static str> = caller_state.matrix.handle_names().collect();
-    for fi in &formals {
-        let Some(ai) = actual_of(fi) else { continue };
-        let sym_now = immediate_symbol(fi);
-        let sym_stack = stacked_symbol(fi);
-        for &x in &caller_handles {
-            if x == ai || site.handle_actuals.iter().any(|(_, a)| a == x) {
+    for (fi, actual) in formals.iter().zip(&actuals) {
+        let Some((_, Some(ai))) = *actual else {
+            continue;
+        };
+        for &x in caller_state.matrix.handles() {
+            if x == ai || actual_syms.contains(&x) {
                 continue;
             }
-            let target = if is_symbolic(x) { &sym_stack } else { &sym_now };
+            let target = if handles.symbolic.contains(x) {
+                fi.stack
+            } else {
+                fi.now
+            };
             // Only the "caller handle reaches the argument" direction is
             // folded in: it is what the callee needs to know (nodes above or
             // at its argument exist in the caller's world).  Folding the
@@ -371,32 +424,36 @@ fn context_contribution(site: &CallSite, types: &ProgramTypes) -> AbstractState 
             // analysis believe, e.g., that the left and right children are
             // both "the same" symbolic node (the paper's pB likewise has no
             // entries from `h` to `h*`).
-            let into = caller_state.matrix.get(x, ai);
+            let into = caller_state.matrix.get_sym(x, ai);
             if !into.is_empty() {
-                let merged = ctx.matrix.get(target, fi).union(&into);
-                ctx.matrix.set(target, fi, merged);
+                let merged = ctx.matrix.get_sym(target, fi.sym).union(&into);
+                ctx.matrix.set_sym(target, fi.sym, merged);
             }
         }
         // The immediate caller's handles may themselves be related to the
         // stacked ones in unknown ways.
-        if !ctx.matrix.get(&sym_now, fi).is_empty() && !ctx.matrix.get(&sym_stack, fi).is_empty() {
+        if !ctx.matrix.get_sym(fi.now, fi.sym).is_empty()
+            && !ctx.matrix.get_sym(fi.stack, fi.sym).is_empty()
+        {
             let merged = ctx
                 .matrix
-                .get(&sym_now, &sym_stack)
+                .get_sym(fi.now, fi.stack)
                 .union(&crate::transfer::unknown_relation());
-            ctx.matrix.set(&sym_now, &sym_stack, merged);
+            ctx.matrix.set_sym(fi.now, fi.stack, merged);
         }
     }
     ctx
 }
 
-/// `next` behind an `Arc` — `prev`'s own when `next` is the same state, down
+/// The state after a transfer from `prev` behind an `Arc`: `prev`'s own when
+/// the transfer reported no change (`None`) or produced the same state, down
 /// to the handle order its rendering (and so the digest) depends on.
-fn share(prev: &Arc<AbstractState>, next: AbstractState) -> Arc<AbstractState> {
-    if next.same_as(prev) && next.matrix.handles() == prev.matrix.handles() {
-        prev.clone()
-    } else {
-        Arc::new(next)
+fn share(prev: &Arc<AbstractState>, next: Option<AbstractState>) -> Arc<AbstractState> {
+    match next {
+        Some(next) if !next.same_as(prev) || next.matrix.handles() != prev.matrix.handles() => {
+            Arc::new(next)
+        }
+        _ => prev.clone(),
     }
 }
 
@@ -411,6 +468,8 @@ struct Walk<'w, 'a> {
     /// walk of the analysis and read by every later one, since a body's
     /// i-th simple statement is the same on every walk.
     texts: &'w mut Vec<PointText>,
+    /// Where a point's texts are written before they are shared.
+    scratch: String,
     points: Vec<ProgramPoint>,
     warnings: Vec<StructureWarning>,
 }
@@ -437,7 +496,7 @@ impl Walk<'_, '_> {
                     Some(e) => self.record(state, e),
                     None => state.clone(),
                 };
-                share(state, then_exit.join(&else_exit))
+                share(state, Some(then_exit.join(&else_exit)))
             }
             Stmt::While { body, .. } => {
                 // The transfer function computes the loop invariant; interior
@@ -445,7 +504,7 @@ impl Walk<'_, '_> {
                 let invariant = share(
                     state,
                     self.analyzer
-                        .transfer(state, stmt, self.sig, &mut self.warnings),
+                        .transfer_changed(state, stmt, self.sig, &mut self.warnings),
                 );
                 let _ = self.record(&invariant, body);
                 invariant
@@ -457,9 +516,15 @@ impl Walk<'_, '_> {
                         Stmt::Call { proc, .. } => Some(Arc::from(proc.as_str())),
                         _ => None,
                     };
-                    let label = format!("{}:{}", self.sig.name, index + 1);
-                    let text = (Arc::from(label), Arc::from(pretty_stmt(stmt)), callee);
-                    self.texts.push(text);
+                    let scratch = &mut self.scratch;
+                    scratch.clear();
+                    write!(scratch, "{}:{}", self.sig.name, index + 1)
+                        .expect("writing to a String cannot fail");
+                    let label = Arc::from(scratch.as_str());
+                    scratch.clear();
+                    write_stmt(scratch, stmt);
+                    self.texts
+                        .push((label, Arc::from(scratch.as_str()), callee));
                 }
                 let (label, statement, callee) = &self.texts[index];
                 debug_assert_eq!(**statement, pretty_stmt(stmt), "point {label} moved");
@@ -472,7 +537,7 @@ impl Walk<'_, '_> {
                 share(
                     state,
                     self.analyzer
-                        .transfer(state, stmt, self.sig, &mut self.warnings),
+                        .transfer_point(state, stmt, self.sig, &mut self.warnings),
                 )
             }
         }
@@ -719,6 +784,7 @@ fn walk_body(
         analyzer,
         sig,
         texts,
+        scratch: String::new(),
         points: Vec::new(),
         warnings: Vec::new(),
     };
@@ -768,6 +834,7 @@ pub fn analyze_program_planned(
     // The function-return summaries and exit structures live in the
     // analyzer, which the walks read them from.
     let analyzer = Analyzer::with_summaries(program, types, summaries);
+    let context_handles = ContextHandles::of(types);
     let callees: HashMap<&str, Vec<&str>> = plan
         .graph
         .procedures()
@@ -851,7 +918,7 @@ pub fn analyze_program_planned(
 
                 // Propagate call-site contributions into callee contexts.
                 for site in &record.call_sites {
-                    let contribution = context_contribution(site, types);
+                    let contribution = context_contribution(site, &context_handles);
                     let updated = match contexts.get(&site.callee) {
                         Some(existing) => {
                             let joined = existing.join(&contribution);

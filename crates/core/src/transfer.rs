@@ -30,6 +30,7 @@ use sil_lang::types::{ProcSignature, ProgramTypes, Type};
 use sil_pathmatrix::{intern, Certainty, Dir, Link, Path, PathSet, Symbol};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Maximum number of iterations for the `while`-loop / recursion fixpoints
 /// before forcing convergence by weakening.  The widening built into the path
@@ -326,7 +327,8 @@ pub fn transfer_store_field(
     next
 }
 
-/// Apply a basic (non-call) statement.  Call statements are handled by
+/// Apply a basic (non-call) statement: `None` when the statement leaves
+/// the state as it is.  Call statements are handled by
 /// [`Analyzer::transfer`], which knows the callee summaries.
 ///
 /// `basic` is `stmt` classified.  `proc_name` and `stmt` name the
@@ -338,10 +340,11 @@ pub fn transfer_basic(
     proc_name: &str,
     stmt: &Stmt,
     warnings: &mut Vec<StructureWarning>,
-) -> AbstractState {
-    match basic {
+) -> Option<AbstractState> {
+    Some(match basic {
         BasicStmt::AssignNil { dst } => transfer_assign_nil(state, dst),
         BasicStmt::AssignNew { dst } => transfer_assign_new(state, dst),
+        BasicStmt::AssignCopy { dst, src } if dst == src => return None,
         BasicStmt::AssignCopy { dst, src } => transfer_assign_copy(state, dst, src),
         BasicStmt::AssignLoad { dst, src, field } => transfer_assign_load(state, dst, src, *field),
         BasicStmt::StoreField { dst, field, src } => {
@@ -350,13 +353,14 @@ pub fn transfer_basic(
         BasicStmt::StoreFieldNil { dst, field } => {
             transfer_store_field(state, dst, *field, None, proc_name, stmt, warnings)
         }
-        // Value and scalar statements do not change the heap structure.
+        // Value and scalar statements do not change the heap structure,
+        // and calls must go through the Analyzer.
         BasicStmt::ValueLoad { .. }
         | BasicStmt::ValueStore { .. }
-        | BasicStmt::ScalarAssign { .. } => state.clone(),
-        // Calls must go through the Analyzer.
-        BasicStmt::FuncAssign { .. } | BasicStmt::ProcCall { .. } => state.clone(),
-    }
+        | BasicStmt::ScalarAssign { .. }
+        | BasicStmt::FuncAssign { .. }
+        | BasicStmt::ProcCall { .. } => return None,
+    })
 }
 
 /// Apply a single *basic* statement to a state, without procedure-call
@@ -369,10 +373,9 @@ pub fn transfer_stmt(
     sig: &ProcSignature,
     warnings: &mut Vec<StructureWarning>,
 ) -> AbstractState {
-    match BasicStmt::classify(stmt, sig) {
-        Some(basic) => transfer_basic(state, &basic, &sig.name, stmt, warnings),
-        None => state.clone(),
-    }
+    BasicStmt::classify(stmt, sig)
+        .and_then(|basic| transfer_basic(state, &basic, &sig.name, stmt, warnings))
+        .unwrap_or_else(|| state.clone())
 }
 
 // ---------------------------------------------------------------------------
@@ -386,8 +389,9 @@ pub struct CallSite {
     pub callee: String,
     /// Handle actuals by callee formal name.
     pub handle_actuals: Vec<(String, String)>,
-    /// The abstract state just before the call.
-    pub state_before: AbstractState,
+    /// The abstract state just before the call: the program point's own
+    /// when the call was transferred at a point.
+    pub state_before: Arc<AbstractState>,
 }
 
 /// The statement-level analyzer: applies transfer functions to whole
@@ -476,60 +480,101 @@ impl<'a> Analyzer<'a> {
         sig: &ProcSignature,
         warnings: &mut Vec<StructureWarning>,
     ) -> AbstractState {
+        self.transfer_changed(state, stmt, sig, warnings)
+            .unwrap_or_else(|| state.clone())
+    }
+
+    /// [`Analyzer::transfer`], or `None` when the statement leaves the state
+    /// as it is — which costs no copy of it.
+    pub(crate) fn transfer_changed(
+        &self,
+        state: &AbstractState,
+        stmt: &Stmt,
+        sig: &ProcSignature,
+        warnings: &mut Vec<StructureWarning>,
+    ) -> Option<AbstractState> {
         match stmt {
-            Stmt::Assign { .. } => match BasicStmt::classify(stmt, sig) {
-                Some(BasicStmt::FuncAssign { dst, func, args }) => {
-                    self.transfer_func_assign(state, dst, func, args, sig, warnings)
-                }
-                Some(basic) => transfer_basic(state, &basic, &sig.name, stmt, warnings),
-                None => state.clone(),
-            },
-            Stmt::Call { proc, args, .. } => self.transfer_call(state, proc, args, warnings),
+            Stmt::Assign { .. } | Stmt::Call { .. } => {
+                self.transfer_simple(state, None, stmt, sig, warnings)
+            }
             Stmt::If {
                 then_branch,
                 else_branch,
                 ..
             } => {
-                let then_state = self.transfer(state, then_branch, sig, warnings);
+                let then_state = self.transfer_changed(state, then_branch, sig, warnings);
                 let else_state = match else_branch {
-                    Some(e) => self.transfer(state, e, sig, warnings),
-                    None => state.clone(),
+                    Some(e) => self.transfer_changed(state, e, sig, warnings),
+                    None => None,
                 };
-                then_state.join(&else_state)
+                let then_state = then_state.as_ref().unwrap_or(state);
+                Some(then_state.join(else_state.as_ref().unwrap_or(state)))
             }
             Stmt::While { body, .. } => {
                 // Iterative approximation (Figure 3): join of 0, 1, 2, ...
-                // iterations until the matrix stabilizes.
-                let mut current = state.clone();
+                // iterations until the matrix stabilizes.  `None` while the
+                // approximation is still the entry state.
+                let mut current: Option<AbstractState> = None;
                 for _ in 0..MAX_FIXPOINT_ITERS {
-                    let after_body = self.transfer(&current, body, sig, warnings);
-                    let next = current.join(&after_body);
-                    if next.same_as(&current) {
+                    let now = current.as_ref().unwrap_or(state);
+                    let after_body = self.transfer_changed(now, body, sig, warnings);
+                    let next = now.join(after_body.as_ref().unwrap_or(now));
+                    if next.same_as(now) {
                         return current;
                     }
-                    current = next;
+                    current = Some(next);
                 }
                 // Safety net: force convergence by weakening every relation.
-                let mut widened = current.clone();
+                let mut widened = current.unwrap_or_else(|| state.clone());
                 widened.matrix = widened.matrix.weakened();
-                widened
-            }
-            Stmt::Block { stmts, .. } => {
-                let mut current = state.clone();
-                for s in stmts {
-                    current = self.transfer(&current, s, sig, warnings);
-                }
-                current
+                Some(widened)
             }
             // A parallel statement's arms were proven independent (or will be
             // re-verified); their combined effect equals any sequential order.
-            Stmt::Par { arms, .. } => {
-                let mut current = state.clone();
-                for s in arms {
-                    current = self.transfer(&current, s, sig, warnings);
+            Stmt::Block { stmts, .. } | Stmt::Par { arms: stmts, .. } => {
+                let mut current: Option<AbstractState> = None;
+                for s in stmts {
+                    let now = current.as_ref().unwrap_or(state);
+                    if let Some(next) = self.transfer_changed(now, s, sig, warnings) {
+                        current = Some(next);
+                    }
                 }
                 current
             }
+        }
+    }
+
+    /// [`Analyzer::transfer_changed`] of an assignment or call at a program
+    /// point whose state is `state`: a call site records that `Arc` rather
+    /// than a copy of the state.
+    pub(crate) fn transfer_point(
+        &self,
+        state: &Arc<AbstractState>,
+        stmt: &Stmt,
+        sig: &ProcSignature,
+        warnings: &mut Vec<StructureWarning>,
+    ) -> Option<AbstractState> {
+        self.transfer_simple(state, Some(state), stmt, sig, warnings)
+    }
+
+    /// An assignment or call; `shared` is `state` behind an `Arc`, when
+    /// the caller holds one.
+    fn transfer_simple(
+        &self,
+        state: &AbstractState,
+        shared: Option<&Arc<AbstractState>>,
+        stmt: &Stmt,
+        sig: &ProcSignature,
+        warnings: &mut Vec<StructureWarning>,
+    ) -> Option<AbstractState> {
+        match stmt {
+            Stmt::Call { proc, args, .. } => self.transfer_call(state, shared, proc, args),
+            _ => match BasicStmt::classify(stmt, sig)? {
+                BasicStmt::FuncAssign { dst, func, args } => {
+                    self.transfer_func_assign(state, shared, dst, func, args, sig)
+                }
+                basic => transfer_basic(state, &basic, &sig.name, stmt, warnings),
+            },
         }
     }
 
@@ -566,28 +611,28 @@ impl<'a> Analyzer<'a> {
         out
     }
 
-    /// Caller-side effect of `callee(args)` on the abstract state.
+    /// Caller-side effect of `callee(args)` on the abstract state, `None`
+    /// when it has none; `shared` is `state` behind an `Arc`, if the caller
+    /// holds one.
     fn transfer_call(
         &self,
         state: &AbstractState,
+        shared: Option<&Arc<AbstractState>>,
         callee: &str,
         args: &[Expr],
-        warnings: &mut Vec<StructureWarning>,
-    ) -> AbstractState {
+    ) -> Option<AbstractState> {
         let handle_actuals = self.handle_actuals(callee, args);
         if self.record_calls {
             self.call_sites.borrow_mut().push(CallSite {
                 callee: callee.to_string(),
                 handle_actuals: handle_actuals.clone(),
-                state_before: state.clone(),
+                state_before: shared.cloned().unwrap_or_else(|| Arc::new(state.clone())),
             });
         }
-        let Some(summary) = self.summaries.get(callee) else {
-            return state.clone();
-        };
+        let summary = self.summaries.get(callee)?;
         if !summary.has_structural_update() {
             // Value updates and reads leave the path matrix untouched.
-            return state.clone();
+            return None;
         }
 
         // Structural updates: conservatively account for the callee
@@ -623,7 +668,7 @@ impl<'a> Analyzer<'a> {
             .map(|(_, a)| intern::intern(a))
             .collect();
         if update_actuals.is_empty() {
-            return next;
+            return Some(next);
         }
         let handles: Vec<Symbol> = next.matrix.handles().to_vec();
         let is_tree = state.structure.is_tree();
@@ -675,24 +720,24 @@ impl<'a> Analyzer<'a> {
         for &y in &in_call_reach {
             next.attached.insert(y);
         }
-        let _ = warnings;
-        next
+        Some(next)
     }
 
     /// Caller-side effect of `dst := callee(args)`.
     fn transfer_func_assign(
         &self,
         state: &AbstractState,
+        shared: Option<&Arc<AbstractState>>,
         dst: &str,
         callee: &str,
         args: &[Expr],
         sig: &ProcSignature,
-        warnings: &mut Vec<StructureWarning>,
-    ) -> AbstractState {
-        let mut next = self.transfer_call(state, callee, args, warnings);
+    ) -> Option<AbstractState> {
+        let called = self.transfer_call(state, shared, callee, args);
         if !sig.is_handle(dst) {
-            return next;
+            return called;
         }
+        let mut next = called.unwrap_or_else(|| state.clone());
         // The destination handle takes on the relationships described by the
         // callee's return summary (or the unknown relationship otherwise).
         next.matrix.clear_handle(dst);
@@ -726,7 +771,7 @@ impl<'a> Analyzer<'a> {
                 }
             }
         }
-        next
+        Some(next)
     }
 }
 

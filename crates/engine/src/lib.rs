@@ -92,7 +92,7 @@ use sil_analysis::{
     analyze_program_planned, compute_scc_summaries, AnalysisResult, AnalysisSnapshot,
     AnalyzeOptions, CallPlan, IncrementalStats, ProcSummary, WalkRecord,
 };
-use sil_lang::hash::program_fingerprint_and_len;
+use sil_lang::hash::fingerprints;
 use sil_lang::types::ProgramTypes;
 use sil_lang::{frontend, pretty_program, Program, SilError};
 use sil_parallelizer::{pack_program_with_analysis, verify_parallel_program, PackOptions};
@@ -164,17 +164,21 @@ pub struct Normalized {
     fingerprint: u64,
     /// Byte length of the canonical rendering the fingerprint hashes.
     canonical_len: usize,
+    /// Every procedure's fingerprint, in declaration order, hashed from the
+    /// same rendering: a miss builds its call plan from them.
+    procedures: Vec<u64>,
 }
 
 impl Normalized {
     /// Fingerprint an already-normalized, type-checked program.
     pub fn new(program: Program, types: ProgramTypes) -> Normalized {
-        let (fingerprint, canonical_len) = program_fingerprint_and_len(&program);
+        let all = fingerprints(&program);
         Normalized {
             program,
             types,
-            fingerprint,
-            canonical_len,
+            fingerprint: all.program,
+            canonical_len: all.canonical_len,
+            procedures: all.procedures,
         }
     }
 
@@ -524,9 +528,13 @@ impl Engine {
     /// kept from a cone's second sighting on — so an edited variant of a
     /// program seen before only re-analyzes the edit's stale cone.
     pub fn analyze(&self, normalized: Normalized) -> (Arc<AnalyzedProgram>, bool) {
-        match self.lookup(|store| store.lookup_normalized(normalized)) {
+        let mut request = Some(normalized);
+        match self.lookup(|store| store.lookup_normalized(&mut request).ok_or(())) {
             Ok(hit) => (hit, true),
-            Err(normalized) => (self.analyze_miss(normalized), false),
+            Err(()) => {
+                let normalized = request.expect("only a disk hit takes the program");
+                (self.analyze_miss(normalized), false)
+            }
         }
     }
 
@@ -553,13 +561,14 @@ impl Engine {
             program,
             types,
             fingerprint,
+            procedures,
             ..
         } = normalized;
         // The call graph, its schedule and the cone fingerprints: computed
         // here once, for the summary pass, the walk lookup and the fixpoint.
         let plan = {
             let _span = self.tracer.start("call-plan");
-            CallPlan::of_program(&program)
+            CallPlan::with_fingerprints(&program, &procedures)
         };
         let summaries = self.summaries_for(&program, &types, &plan);
 

@@ -407,17 +407,15 @@ impl SummaryStore {
         self.lookup_tiered(fingerprint, &mut None)
     }
 
-    /// [`SummaryStore::lookup_program`] for a program that went through
-    /// the front end: a disk hit takes it instead of parsing the stored
-    /// source, and a miss hands it back.
+    /// [`SummaryStore::lookup_program`] for the program of `request`, which
+    /// went through the front end: a disk hit takes it instead of parsing
+    /// the stored source, and a miss leaves it there.
     pub(crate) fn lookup_normalized(
         &self,
-        normalized: Normalized,
-    ) -> Result<Arc<AnalyzedProgram>, Normalized> {
-        let fingerprint = normalized.fingerprint;
-        let mut request = Some(normalized);
-        self.lookup_tiered(fingerprint, &mut request)
-            .ok_or_else(|| request.expect("only a disk hit takes the program"))
+        request: &mut Option<Normalized>,
+    ) -> Option<Arc<AnalyzedProgram>> {
+        let fingerprint = request.as_ref().map(|n| n.fingerprint)?;
+        self.lookup_tiered(fingerprint, request)
     }
 
     fn lookup_tiered(

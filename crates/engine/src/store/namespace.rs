@@ -196,11 +196,16 @@ impl<V: Clone> NamespaceCache<V> {
     /// Inserting an already-present key refreshes the entry in place —
     /// value and recency — without growing the cache, double-counting the
     /// insertion, or evicting anything.
+    ///
+    /// The value this displaces, evicted or replaced, is dropped after the
+    /// stripe lock is released: freeing a large entry does not hold up
+    /// the stripe's other lookups, and a value's `Drop` may use the cache.
     pub fn insert(&self, key: u64, value: V) {
         if self.capacity == 0 {
             return;
         }
-        self.stripe(key).insert(key, value);
+        let displaced = self.stripe(key).insert(key, value);
+        drop(displaced);
     }
 
     /// Atomically merge a value into the cache: `merge` sees the resident
@@ -214,7 +219,9 @@ impl<V: Clone> NamespaceCache<V> {
         }
         let mut stripe = self.stripe(key);
         let merged = merge(stripe.entries.get(&key).map(|e| &e.value));
-        stripe.insert(key, merged);
+        let displaced = stripe.insert(key, merged);
+        drop(stripe);
+        drop(displaced);
     }
 
     /// Current number of resident entries.
@@ -260,23 +267,29 @@ impl<V: Clone> NamespaceCache<V> {
         }
     }
 
-    /// Drop every entry (the counters survive).
+    /// Drop every entry (the counters survive), each stripe's after its
+    /// lock is released.
     pub fn clear(&self) {
         for stripe in &self.stripes {
-            lock(stripe).entries.clear();
+            let entries = std::mem::take(&mut lock(stripe).entries);
+            drop(entries);
         }
     }
 }
 
 impl<V> Stripe<V> {
-    fn insert(&mut self, key: u64, value: V) {
+    /// Insert or refresh `key`, returning the value that displaced (the
+    /// key's old value, or the evicted victim's) for the caller to drop
+    /// once the lock is released.
+    #[must_use = "drop the displaced value after releasing the stripe lock"]
+    fn insert(&mut self, key: u64, value: V) -> Option<V> {
         self.tick += 1;
         let tick = self.tick;
         if let Some(existing) = self.entries.get_mut(&key) {
-            existing.value = value;
             existing.last_used = tick;
-            return;
+            return Some(std::mem::replace(&mut existing.value, value));
         }
+        let mut displaced = None;
         if self.entries.len() >= self.capacity {
             let victim = self
                 .entries
@@ -284,7 +297,7 @@ impl<V> Stripe<V> {
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| *k);
             if let Some(victim) = victim {
-                self.entries.remove(&victim);
+                displaced = self.entries.remove(&victim).map(|e| e.value);
                 self.stats.evictions += 1;
             }
         }
@@ -296,6 +309,7 @@ impl<V> Stripe<V> {
             },
         );
         self.stats.insertions += 1;
+        displaced
     }
 }
 
@@ -421,6 +435,46 @@ mod tests {
         assert_eq!(cache.peek(1), Some(11));
         assert_eq!(cache.peek(2), None, "2 was the LRU victim");
         assert_eq!(cache.totals().evictions, 1);
+    }
+
+    /// A displaced value is dropped after its stripe lock is released, so
+    /// a value whose `Drop` uses the cache it was in neither deadlocks nor
+    /// sees the stripe mid-update.  Run on a thread with a deadline: a
+    /// drop under the lock would wait on it forever.
+    #[test]
+    fn a_displaced_value_is_dropped_outside_the_stripe_lock() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::OnceLock;
+        static CACHE: OnceLock<NamespaceCache<ReadsCache>> = OnceLock::new();
+        static SEEN: AtomicUsize = AtomicUsize::new(0);
+        #[derive(Clone)]
+        struct ReadsCache(u64);
+        impl Drop for ReadsCache {
+            fn drop(&mut self) {
+                if let Some(cache) = CACHE.get() {
+                    SEEN.fetch_add(cache.len(), Ordering::SeqCst);
+                }
+            }
+        }
+
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let cache = CACHE.get_or_init(|| NamespaceCache::with_stripes(1, 1));
+            cache.insert(1, ReadsCache(1));
+            cache.insert(2, ReadsCache(2)); // evicts 1
+            cache.insert(2, ReadsCache(3)); // replaces 2
+            cache.merge(2, |old| ReadsCache(old.map_or(0, |v| v.0) + 1)); // replaces 3
+            cache.clear();
+            done.send(SEEN.load(Ordering::SeqCst))
+                .expect("the test waits");
+        });
+        let seen = finished
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("a displaced value was dropped under its stripe lock");
+        worker.join().expect("the worker finished");
+        // Each of the four displaced values saw one resident entry but
+        // the last, dropped after `clear` emptied the stripe.
+        assert_eq!(seen, 3);
     }
 
     #[test]

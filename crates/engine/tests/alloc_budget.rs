@@ -1,4 +1,4 @@
-//! The allocation budget of a cold analysis.
+//! The allocation budgets of a cold analysis and of a cold request.
 //!
 //! A counting global allocator counts the allocator calls that hand out
 //! memory (`alloc`, `alloc_zeroed`, `realloc`) on the calling thread only,
@@ -9,6 +9,10 @@
 //! `analyze_program` does — and its count is held to a budget: the count
 //! measured when the budget was set, plus 10 %.  A change that makes a
 //! cold walk allocate more fails here rather than in a benchmark run.
+//! The whole request is budgeted too: `Engine::serve` of an `analyze`
+//! request for a never-seen renaming of each template, which adds the
+//! front end, the fingerprints, the call plan, the digest and the store
+//! insert to the analysis.
 //!
 //! The analysis interns handle names in a process-wide table the first
 //! time it meets them, so each program is analyzed once before it is
@@ -18,6 +22,8 @@
 //! have budgets of their own.
 
 use sil_analysis::{analyze_program, analyze_program_recording, compute_summaries};
+use sil_engine::service::{Request, Response};
+use sil_engine::{Engine, EngineConfig};
 use sil_lang::frontend;
 use sil_workloads::Workload;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -79,17 +85,74 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
 /// Allocations of one cold `analyze_program` of each workload's size-6
 /// program, measured when the budget was set: (workload, release, debug).
 const MEASURED: [(&str, u64, u64); 10] = [
-    ("add_and_reverse", 2496, 3160),
-    ("leftmost", 905, 1049),
-    ("tree_sum", 1369, 1755),
-    ("tree_height", 1425, 1819),
-    ("tree_mirror", 1517, 1867),
-    ("treeadd", 1425, 1831),
-    ("bst_insert", 3834, 4774),
-    ("bisort", 7906, 10741),
-    ("list_sum", 1314, 1956),
-    ("list_reverse", 2180, 2354),
+    ("add_and_reverse", 1526, 1879),
+    ("leftmost", 547, 616),
+    ("tree_sum", 767, 956),
+    ("tree_height", 780, 973),
+    ("tree_mirror", 993, 1183),
+    ("treeadd", 786, 983),
+    ("bst_insert", 2268, 2732),
+    ("bisort", 4295, 5887),
+    ("list_sum", 745, 1099),
+    ("list_reverse", 1538, 1637),
 ];
+
+/// Allocations of one `Engine::serve` of an `analyze` request for a
+/// never-seen renaming of each workload's size-6 program, measured when the
+/// budget was set: (workload, release, debug).
+const MEASURED_REQUESTS: [(&str, u64, u64); 10] = [
+    ("add_and_reverse", 2269, 2634),
+    ("leftmost", 886, 964),
+    ("tree_sum", 1127, 1305),
+    ("tree_height", 1158, 1340),
+    ("tree_mirror", 1306, 1477),
+    ("treeadd", 1156, 1342),
+    ("bst_insert", 3061, 3545),
+    ("bisort", 6127, 7719),
+    ("list_sum", 1132, 1493),
+    ("list_reverse", 1941, 2040),
+];
+
+/// Hold `count` to its measured count plus 10 %, noting an overrun in
+/// `over`.
+fn check_budget(over: &mut Vec<String>, measured: &[(&str, u64, u64)], name: &str, count: u64) {
+    let &(_, release, debug) = measured
+        .iter()
+        .find(|(workload, ..)| *workload == name)
+        .expect("every workload has a budget");
+    let measured = if cfg!(debug_assertions) {
+        debug
+    } else {
+        release
+    };
+    let budget = measured + measured / 10;
+    eprintln!("{name:<16} {count:>6} allocations (measured {measured}, budget {budget})");
+    if count > budget {
+        over.push(format!("{name}: {count} > {budget}"));
+    }
+}
+
+#[test]
+fn cold_request_stays_within_its_allocation_budget() {
+    let engine = Engine::new(EngineConfig::default());
+    let mut over = Vec::new();
+    for workload in Workload::ALL {
+        // A first never-seen request warms whatever the engine builds on
+        // first use; the second is counted.
+        for (tag, counted) in [("_warm", false), ("_counted", true)] {
+            let request = Request::analyze(workload.renamed_source(6, tag));
+            let (count, response) = allocations(|| engine.serve(request));
+            match response {
+                Response::Analyzed { summary, .. } => assert!(!summary.cache_hit),
+                other => panic!("{}: {other:?}", workload.name()),
+            }
+            if counted {
+                check_budget(&mut over, &MEASURED_REQUESTS, workload.name(), count);
+            }
+        }
+    }
+    assert!(over.is_empty(), "over the allocation budget: {over:?}");
+}
 
 #[test]
 fn cold_analysis_stays_within_its_allocation_budget() {
@@ -99,23 +162,7 @@ fn cold_analysis_stays_within_its_allocation_budget() {
         let warm_up = analyze_program(&program, &types);
         let (count, result) = allocations(|| analyze_program(&program, &types));
         assert_eq!(result.digest(), warm_up.digest(), "{}", workload.name());
-        let &(_, release, debug) = MEASURED
-            .iter()
-            .find(|(name, ..)| *name == workload.name())
-            .expect("every workload has a budget");
-        let measured = if cfg!(debug_assertions) {
-            debug
-        } else {
-            release
-        };
-        let budget = measured + measured / 10;
-        eprintln!(
-            "{:<16} {count:>6} allocations (measured {measured}, budget {budget})",
-            workload.name()
-        );
-        if count > budget {
-            over.push(format!("{}: {count} > {budget}", workload.name()));
-        }
+        check_budget(&mut over, &MEASURED, workload.name(), count);
     }
     assert!(over.is_empty(), "over the allocation budget: {over:?}");
 }

@@ -32,7 +32,7 @@ fn generated_sources(count: u64) -> Vec<String> {
                 int_vars: 3,
                 seed,
             });
-            sil_lang::pretty_program(&generator.generate())
+            generator.generate_source()
         })
         .collect()
 }

@@ -9,12 +9,15 @@
 //!
 //! Handles are interned [`Symbol`]s and every entry is addressed by a pair of
 //! small dense indices: `handles` keeps insertion order (which the rendering,
-//! and through it the analysis digest, depends on), `pos` is a sorted
-//! symbol→index map answering `contains`/`index_of` in `O(log n)`, and
-//! `entries` is a sorted flat vector of `(row << 32 | col, PathSet)` cells.
-//! All three are flat vectors of `Copy` elements, so cloning a matrix is
-//! three memcpys and no per-entry allocation — the operation the analysis
-//! hot loop performs most.
+//! and through it the analysis digest, depends on) and answers
+//! `contains`/`index_of` by a scan — the analysis's states hold a handful of
+//! handles — and `entries` is a sorted flat vector of
+//! `(row << 32 | col, PathSet)` cells.  Both are flat vectors of `Copy`
+//! elements, so cloning a matrix is two memcpys and no per-entry allocation.
+//! The operations over two matrices ([`PathMatrix::join`],
+//! [`PathMatrix::same_relations`]) translate the other side's indices
+//! through one map built per call, so they stay linear in the entries
+//! however many handles there are.
 
 use crate::intern::{self, Symbol};
 use crate::path::Path;
@@ -30,8 +33,6 @@ use std::fmt::{self, Write as _};
 pub struct PathMatrix {
     /// Handle symbols in insertion order (the order used for display).
     handles: Vec<Symbol>,
-    /// Sorted `(symbol, index into handles)` map.
-    pos: Vec<(Symbol, u32)>,
     /// Non-empty off-diagonal entries, sorted by `(row << 32) | col` where
     /// row/col index into `handles`.
     entries: Vec<(u64, PathSet)>,
@@ -39,6 +40,15 @@ pub struct PathMatrix {
 
 fn key(row: u32, col: u32) -> u64 {
     ((row as u64) << 32) | col as u64
+}
+
+/// `entries` with each row and column index `i` replaced by `at[i]`, in
+/// the same (now unsorted) order.
+fn translated(entries: &[(u64, PathSet)], at: &[u32]) -> Vec<(u64, PathSet)> {
+    entries
+        .iter()
+        .map(|&(k, set)| (key(at[(k >> 32) as usize], at[k as u32 as usize]), set))
+        .collect()
 }
 
 impl PathMatrix {
@@ -72,10 +82,10 @@ impl PathMatrix {
 
     /// The index of `sym` in insertion order, if it is a handle.
     fn index_of(&self, sym: Symbol) -> Option<u32> {
-        self.pos
-            .binary_search_by_key(&sym, |&(s, _)| s)
-            .ok()
-            .map(|i| self.pos[i].1)
+        self.handles
+            .iter()
+            .position(|&s| s == sym)
+            .map(|i| i as u32)
     }
 
     /// The index of a handle by name, without growing the interner.
@@ -100,8 +110,7 @@ impl PathMatrix {
 
     /// [`PathMatrix::add_handle`] by symbol.
     pub fn add_handle_sym(&mut self, sym: Symbol) {
-        if let Err(slot) = self.pos.binary_search_by_key(&sym, |&(s, _)| s) {
-            self.pos.insert(slot, (sym, self.handles.len() as u32));
+        if !self.contains_sym(sym) {
             self.handles.push(sym);
         }
     }
@@ -125,21 +134,12 @@ impl PathMatrix {
         }
     }
 
-    /// Rebuild `pos` from `handles` after indices shifted.
-    fn rebuild_pos(&mut self) {
-        self.pos.clear();
-        self.pos
-            .extend(self.handles.iter().enumerate().map(|(i, &s)| (s, i as u32)));
-        self.pos.sort_unstable_by_key(|&(s, _)| s);
-    }
-
     /// Remove a handle and every relationship involving it.
     pub fn remove_handle(&mut self, name: &str) {
         let Some(idx) = self.index_of_name(name) else {
             return;
         };
         self.handles.remove(idx as usize);
-        self.rebuild_pos();
         self.remap_entries(
             |i| match i.cmp(&idx) {
                 std::cmp::Ordering::Less => Some(i),
@@ -173,7 +173,6 @@ impl PathMatrix {
         }
         self.handles
             .retain(|&s| keep_syms.binary_search(&s).is_ok());
-        self.rebuild_pos();
         self.remap_entries(|i| new_index[i as usize], true);
     }
 
@@ -192,7 +191,6 @@ impl PathMatrix {
             None => {
                 // Plain rename: same index, new symbol; entries untouched.
                 self.handles[old_idx as usize] = new_sym;
-                self.rebuild_pos();
             }
             Some(new_idx) => {
                 // Merge `old` into the existing `new` handle: redirect
@@ -222,7 +220,6 @@ impl PathMatrix {
                 });
                 self.entries = merged;
                 self.handles.remove(old_idx as usize);
-                self.rebuild_pos();
                 self.remap_entries(
                     |i| {
                         if i > old_idx {
@@ -300,20 +297,6 @@ impl PathMatrix {
         }
     }
 
-    /// Add `path` to the relationship from `a` to `b`.
-    pub fn add_path(&mut self, a: &str, b: &str, path: Path) {
-        let sa = intern::intern(a);
-        let sb = intern::intern(b);
-        self.add_handle_sym(sa);
-        self.add_handle_sym(sb);
-        if sa == sb {
-            return;
-        }
-        let mut set = self.get_sym(sa, sb);
-        set.insert(path);
-        self.set_sym(sa, sb, set);
-    }
-
     /// Remove every relationship (in both directions) involving `name`, but
     /// keep the handle (its diagonal stays `{S}`).  This is the effect of
     /// `name := nil` / `name := new()` on the matrix.
@@ -385,16 +368,6 @@ impl PathMatrix {
         }
     }
 
-    /// [`PathMatrix::unrelated`] by symbol.
-    pub fn unrelated_sym(&self, a: Symbol, b: Symbol) -> bool {
-        match (self.index_of(a), self.index_of(b)) {
-            (Some(i), Some(j)) => {
-                i != j && self.entry_at(i, j).is_none() && self.entry_at(j, i).is_none()
-            }
-            _ => a != b,
-        }
-    }
-
     /// Every non-empty off-diagonal entry as `(row, col, set)`, the indices
     /// into [`PathMatrix::handles`], in row-major index order.
     pub fn indexed_relations(&self) -> impl Iterator<Item = (u32, u32, &PathSet)> {
@@ -413,15 +386,15 @@ impl PathMatrix {
         relations: impl IntoIterator<Item = (u32, u32, PathSet)>,
     ) -> Result<PathMatrix, &'static str> {
         let relations = relations.into_iter();
-        let mut matrix = PathMatrix {
-            handles,
-            pos: Vec::new(),
-            entries: Vec::with_capacity(relations.size_hint().0),
-        };
-        matrix.rebuild_pos();
-        if matrix.pos.windows(2).any(|pair| pair[0].0 == pair[1].0) {
+        let mut sorted = handles.clone();
+        sorted.sort_unstable();
+        if sorted.windows(2).any(|pair| pair[0] == pair[1]) {
             return Err("a handle is listed twice");
         }
+        let mut matrix = PathMatrix {
+            handles,
+            entries: Vec::with_capacity(relations.size_hint().0),
+        };
         let n = matrix.handles.len() as u64;
         for (row, col, set) in relations {
             let k = key(row, col);
@@ -447,7 +420,6 @@ impl PathMatrix {
     /// Heap footprint of this matrix in bytes (flat vector capacities).
     pub fn heap_bytes(&self) -> usize {
         self.handles.capacity() * std::mem::size_of::<Symbol>()
-            + self.pos.capacity() * std::mem::size_of::<(Symbol, u32)>()
             + self.entries.capacity() * std::mem::size_of::<(u64, PathSet)>()
     }
 
@@ -464,33 +436,32 @@ impl PathMatrix {
     pub fn join(&self, other: &PathMatrix) -> PathMatrix {
         let mut result = PathMatrix {
             handles: self.handles.clone(),
-            pos: self.pos.clone(),
             entries: Vec::with_capacity(self.entries.len() + other.entries.len()),
         };
-        for &sym in &other.handles {
-            result.add_handle_sym(sym);
-        }
         // `result` starts with self's handles in order, so self's entry keys
         // are already result keys; other's need translation (and a sort,
-        // since the translation permutes indices).
-        let theirs: Vec<(u64, PathSet)> = {
-            let mut v: Vec<(u64, PathSet)> = other
-                .entries
+        // since the translation permutes indices) unless both sides list
+        // the same handles in the same order.
+        let translation;
+        let theirs: &[(u64, PathSet)] = if other.handles == self.handles {
+            &other.entries
+        } else {
+            let at: Vec<u32> = other
+                .handles
                 .iter()
-                .map(|&(k, set)| {
-                    let row = other.handles[(k >> 32) as usize];
-                    let col = other.handles[k as u32 as usize];
-                    (
-                        key(
-                            result.index_of(row).expect("handle added"),
-                            result.index_of(col).expect("handle added"),
-                        ),
-                        set,
-                    )
+                .map(|&sym| {
+                    result.index_of(sym).unwrap_or_else(|| {
+                        result.handles.push(sym);
+                        result.handles.len() as u32 - 1
+                    })
                 })
                 .collect();
-            v.sort_unstable_by_key(|&(k, _)| k);
-            v
+            translation = {
+                let mut v = translated(&other.entries, &at);
+                v.sort_unstable_by_key(|&(k, _)| k);
+                v
+            };
+            &translation
         };
         // Sorted two-pointer merge.  A pair present on both sides joins; a
         // pair present on one side is weakened to *possible* — which is what
@@ -545,36 +516,21 @@ impl PathMatrix {
         if self.handles.len() != other.handles.len() || self.entries.len() != other.entries.len() {
             return false;
         }
-        // `pos` is sorted by symbol, so equal handle *sets* means equal pos
-        // symbol sequences.
-        if self
-            .pos
-            .iter()
-            .map(|&(s, _)| s)
-            .ne(other.pos.iter().map(|&(s, _)| s))
-        {
-            return false;
-        }
         if self.handles == other.handles {
             // Same insertion order: keys line up directly.
             return self.entries == other.entries;
         }
-        // Same handle set, different order: translate other's keys.
-        let mut theirs: Vec<(u64, PathSet)> = other
-            .entries
+        // Handles are distinct and equally many, so the sets are equal iff
+        // every one of other's is one of self's.
+        let Some(at) = other
+            .handles
             .iter()
-            .map(|&(k, set)| {
-                let row = other.handles[(k >> 32) as usize];
-                let col = other.handles[k as u32 as usize];
-                (
-                    key(
-                        self.index_of(row).expect("same handle set"),
-                        self.index_of(col).expect("same handle set"),
-                    ),
-                    set,
-                )
-            })
-            .collect();
+            .map(|&sym| self.index_of(sym))
+            .collect::<Option<Vec<u32>>>()
+        else {
+            return false;
+        };
+        let mut theirs = translated(&other.entries, &at);
         theirs.sort_unstable_by_key(|&(k, _)| k);
         self.entries == theirs
     }

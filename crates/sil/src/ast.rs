@@ -36,14 +36,19 @@ impl Field {
 
     /// All structural fields, in declaration order.
     pub const ALL: [Field; 2] = [Field::Left, Field::Right];
+
+    /// The field's name in the concrete syntax.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Field::Left => "left",
+            Field::Right => "right",
+        }
+    }
 }
 
 impl fmt::Display for Field {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Field::Left => write!(f, "left"),
-            Field::Right => write!(f, "right"),
-        }
+        f.write_str(self.as_str())
     }
 }
 
@@ -119,9 +124,10 @@ impl BinOp {
     }
 }
 
-impl fmt::Display for BinOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl BinOp {
+    /// The operator's symbol in the concrete syntax.
+    pub fn as_str(self) -> &'static str {
+        match self {
             BinOp::Add => "+",
             BinOp::Sub => "-",
             BinOp::Mul => "*",
@@ -134,8 +140,13 @@ impl fmt::Display for BinOp {
             BinOp::Ge => ">=",
             BinOp::And => "and",
             BinOp::Or => "or",
-        };
-        write!(f, "{s}")
+        }
+    }
+}
+
+impl fmt::Display for BinOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -344,12 +355,19 @@ pub enum TypeName {
     Handle,
 }
 
+impl TypeName {
+    /// The type's name in the concrete syntax.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            TypeName::Int => "int",
+            TypeName::Handle => "handle",
+        }
+    }
+}
+
 impl fmt::Display for TypeName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TypeName::Int => write!(f, "int"),
-            TypeName::Handle => write!(f, "handle"),
-        }
+        f.write_str(self.as_str())
     }
 }
 

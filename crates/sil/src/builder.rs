@@ -52,10 +52,6 @@ pub mod expr {
         bin(BinOp::Eq, lhs, rhs)
     }
 
-    pub fn gt(lhs: Expr, rhs: Expr) -> Expr {
-        bin(BinOp::Gt, lhs, rhs)
-    }
-
     /// `h <> nil`, the guard of nearly every recursive tree procedure.
     pub fn not_nil(handle: &str) -> Expr {
         ne(var(handle), nil())
@@ -107,15 +103,6 @@ pub mod stmt {
         }
     }
 
-    /// `dst.field := nil`
-    pub fn store_nil(dst: &str, field: Field) -> Stmt {
-        Stmt::Assign {
-            lhs: LValue::Field(HandlePath::var(dst), field),
-            rhs: Rhs::Expr(Expr::Nil),
-            span: Span::DUMMY,
-        }
-    }
-
     /// `dst.value := e`
     pub fn store_value(dst: &str, e: Expr) -> Stmt {
         Stmt::Assign {
@@ -128,15 +115,6 @@ pub mod stmt {
     /// `dst := src.value`
     pub fn load_value(dst: &str, src: &str) -> Stmt {
         assign_var(dst, expr::value(src))
-    }
-
-    /// `dst := func(args)`
-    pub fn call_fn(dst: &str, func: &str, args: Vec<Expr>) -> Stmt {
-        Stmt::Assign {
-            lhs: LValue::Var(dst.to_string()),
-            rhs: Rhs::Call(func.to_string(), args),
-            span: Span::DUMMY,
-        }
     }
 
     /// `proc(args)`
@@ -153,23 +131,6 @@ pub mod stmt {
             cond,
             then_branch: Box::new(then_branch),
             else_branch: None,
-            span: Span::DUMMY,
-        }
-    }
-
-    pub fn if_then_else(cond: Expr, then_branch: Stmt, else_branch: Stmt) -> Stmt {
-        Stmt::If {
-            cond,
-            then_branch: Box::new(then_branch),
-            else_branch: Some(Box::new(else_branch)),
-            span: Span::DUMMY,
-        }
-    }
-
-    pub fn while_do(cond: Expr, body: Stmt) -> Stmt {
-        Stmt::While {
-            cond,
-            body: Box::new(body),
             span: Span::DUMMY,
         }
     }
@@ -225,13 +186,6 @@ impl ProcBuilder {
     pub fn handle_locals(mut self, names: &[&str]) -> Self {
         for n in names {
             self.locals.push(Decl::new(*n, TypeName::Handle));
-        }
-        self
-    }
-
-    pub fn int_locals(mut self, names: &[&str]) -> Self {
-        for n in names {
-            self.locals.push(Decl::new(*n, TypeName::Int));
         }
         self
     }

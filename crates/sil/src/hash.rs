@@ -14,10 +14,13 @@
 //! the verification tests), so two ASTs render identically iff they are the
 //! same program modulo spans — exactly the equivalence a content-addressed
 //! cache wants.  Spans, comments and incidental whitespace of the original
-//! source never reach the fingerprint.
+//! source never reach the fingerprint.  A program's rendering is its
+//! name line followed by each procedure's rendering, so [`fingerprints`]
+//! renders it once and hashes the program and every procedure from that one
+//! buffer.
 
 use crate::ast::{Procedure, Program};
-use crate::pretty::{pretty_procedure, pretty_program};
+use crate::pretty::{pretty_procedure, pretty_program, write_program};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
@@ -107,30 +110,48 @@ impl StableHasher {
     }
 }
 
+/// FNV-1a of `text` framed under `tag`, as every fingerprint is.
+fn tagged(tag: &str, text: &str) -> u64 {
+    StableHasher::new().write_str(tag).write_str(text).finish()
+}
+
 /// The stable fingerprint of one procedure: a pure function of its
 /// pretty-printed (canonical) form.
 pub fn procedure_fingerprint(proc: &Procedure) -> u64 {
-    let mut hasher = StableHasher::new();
-    hasher.write_str("sil-procedure-v1");
-    hasher.write_str(&pretty_procedure(proc));
-    hasher.finish()
+    tagged("sil-procedure-v1", &pretty_procedure(proc))
 }
 
 /// The stable fingerprint of a whole program, covering its name and every
 /// procedure in declaration order.
 pub fn program_fingerprint(program: &Program) -> u64 {
-    program_fingerprint_and_len(program).0
+    tagged("sil-program-v1", &pretty_program(program))
 }
 
-/// [`program_fingerprint`] and the byte length of the canonical rendering
-/// it hashes, so a caller can bound what it keeps beside a fingerprint by
-/// the program's canonical size without rendering the program twice.
-pub fn program_fingerprint_and_len(program: &Program) -> (u64, usize) {
-    let canonical = pretty_program(program);
-    let mut hasher = StableHasher::new();
-    hasher.write_str("sil-program-v1");
-    hasher.write_str(&canonical);
-    (hasher.finish(), canonical.len())
+/// Everything fingerprinted from one rendering of a program.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fingerprints {
+    /// [`program_fingerprint`].
+    pub program: u64,
+    /// Byte length of the canonical rendering `program` hashes, so a caller
+    /// can bound what it keeps beside a fingerprint by the program's size.
+    pub canonical_len: usize,
+    /// [`procedure_fingerprint`] of every procedure, in declaration order.
+    pub procedures: Vec<u64>,
+}
+
+/// [`program_fingerprint`], the canonical length and every
+/// [`procedure_fingerprint`], from one rendering.
+pub fn fingerprints(program: &Program) -> Fingerprints {
+    let mut canonical = String::new();
+    let mut procedures = Vec::with_capacity(program.procedures.len());
+    write_program(&mut canonical, program, |_, text| {
+        procedures.push(tagged("sil-procedure-v1", text));
+    });
+    Fingerprints {
+        program: tagged("sil-program-v1", &canonical),
+        canonical_len: canonical.len(),
+        procedures,
+    }
 }
 
 #[cfg(test)]
@@ -166,10 +187,10 @@ end
         let p1 = parse_program(SRC).unwrap();
         let p2 = parse_program(&reformatted).unwrap();
         assert_eq!(program_fingerprint(&p1), program_fingerprint(&p2));
-        assert_eq!(
-            program_fingerprint_and_len(&p2),
-            (program_fingerprint(&p1), pretty_program(&p1).len())
-        );
+        let all = fingerprints(&p2);
+        assert_eq!(all.program, program_fingerprint(&p1));
+        assert_eq!(all.canonical_len, pretty_program(&p1).len());
+        assert_eq!(all.procedures, [procedure_fingerprint(&p1.procedures[0])]);
     }
 
     #[test]

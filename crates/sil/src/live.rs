@@ -130,11 +130,6 @@ pub fn live_points(stmts: &[Stmt], live_at_exit: &BTreeSet<Ident>) -> Vec<BTreeS
     result
 }
 
-/// Restrict a set of names to the handle variables of `sig`.
-pub fn handles_only(names: &BTreeSet<Ident>, sig: &crate::types::ProcSignature) -> BTreeSet<Ident> {
-    names.iter().filter(|n| sig.is_handle(n)).cloned().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

